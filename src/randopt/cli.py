@@ -1,8 +1,9 @@
 """Command-line interface and machine-readable reports.
 
 Exit codes: 0 solved/verified, 1 hypothesis refusal (with witness in the
-report), 2 no solution exists, 3 input error.  Reports are deterministic
-for a fixed (document, seed) pair and are written atomically.
+report), 2 no solution exists, 3 input error, including documents a command
+cannot evaluate.  Reports are deterministic for a fixed (document, seed)
+pair and are written atomically.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _jsonout
 from .document import ProblemDocument, load_problem
@@ -25,13 +25,11 @@ from .errors import (
 from .optimize import (
     GlobalMinResult,
     LocalMinCertificate,
-    StationarySearch,
     find_stationary_points,
     global_min_compact,
 )
 from .probspace import (
     MeasurabilityVerdict,
-    RandomVariableRn,
     Witness,
     is_measurable_rv,
     is_measurable_setmap,
@@ -61,26 +59,6 @@ EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_NO_SOLUTION = 2
 EXIT_INPUT_ERROR = 3
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RANDOPT_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        return 1
-    if v == 0:
-        return os.cpu_count() or 1
-    return max(v, 1)
-
-
-def _pmap(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map, threaded when RANDOPT_THREADS allows."""
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- JSON rendering of domain objects ------------------------------------------
@@ -143,12 +121,9 @@ def _selection_json(sel: Selection) -> dict:
 
 def _global_min_json(res: GlobalMinResult) -> dict:
     return {
-        "x": _point_json(res.x),
-        "value": float(res.value),
         "grid_x": _point_json(res.grid_x),
         "grid_value": float(res.grid_value),
         "excluded": res.excluded,
-        "polished": res.polished,
     }
 
 
@@ -191,13 +166,10 @@ def _cmd_check_measurable(doc: ProblemDocument) -> tuple[int, dict, dict]:
 def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.search_box is not None, "/search_box", "stationary needs a search_box")
 
-    def search_one(omega) -> StationarySearch:
-        return find_stationary_points(doc.rf, omega, doc.search_box, doc.options)
-
-    searches = _pmap(search_one, doc.space.scenarios)
     per_scenario = {}
     skipped = stalled = 0
-    for omega, search in zip(doc.space.scenarios, searches):
+    for omega in doc.space.scenarios:
+        search = find_stationary_points(doc.rf, omega, doc.search_box, doc.options)
         skipped += search.skipped_singular
         stalled += search.stalled
         per_scenario[str(omega)] = [
@@ -245,14 +217,11 @@ def _cmd_oracle(doc: ProblemDocument) -> tuple[int, dict, dict]:
         )
         descs = {s: doc.search_box for s in doc.space.scenarios}
 
-    def min_one(omega) -> GlobalMinResult:
-        return global_min_compact(doc.rf, omega, descs[omega], doc.options.grid_m)
-
-    mins = _pmap(min_one, doc.space.scenarios)
     eta = {}
     per = {}
     excluded = 0
-    for omega, res in zip(doc.space.scenarios, mins):
+    for omega in doc.space.scenarios:
+        res = global_min_compact(doc.rf, omega, descs[omega], doc.options.grid_m)
         eta[str(omega)] = float(res.grid_value)
         per[str(omega)] = _global_min_json(res)
         excluded += res.excluded
@@ -267,13 +236,9 @@ def _cmd_solve_rop(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.feasible is not None, "/feasible_set", "solve-rop needs a feasible_set")
     sel = solve_rop(doc.rf, doc.space, doc.feasible, doc.options)
     # the certificate values are the computed optimal values eta(omega)
-    eta = RandomVariableRn(
-        doc.space, {s: (sel.certificates[s].value,) for s in doc.space.scenarios}
-    )
     results = {
         "selection": _selection_json(sel),
-        "eta": {str(s): float(eta.values[s][0]) for s in doc.space.scenarios},
-        "eta_measurable": _verdict_json(is_measurable_rv(doc.space, eta, tol=1e-9)),
+        "eta": {str(s): float(sel.certificates[s].value) for s in doc.space.scenarios},
     }
     return EXIT_OK, results, dict(sel.diagnostics)
 
@@ -336,7 +301,6 @@ def run(command: str, doc: ProblemDocument, output_path: str) -> int:
         "command": command,
         "seed": doc.options.seed,
         "grid": doc.options.grid_m,
-        "polish": doc.options.polish,
         "scenarios": list(doc.space.scenarios),
     }
     try:
@@ -359,10 +323,10 @@ def run(command: str, doc: ProblemDocument, output_path: str) -> int:
         code = EXIT_NO_SOLUTION
         report["status"] = "no_solution"
         report["no_solution"] = {"kind": "EmptyFeasible", "scenarios": [e.scenario]}
-    except SchemaError as e:
+    except RandoptError as e:
         code = EXIT_INPUT_ERROR
         report["status"] = "input_error"
-        report["error"] = {"type": "SchemaError", "message": str(e)}
+        report["error"] = {"type": type(e).__name__, "message": str(e)}
     report["exit_code"] = code
     _write_atomic(output_path, _jsonout.dumps(report))
     return code
@@ -378,7 +342,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", required=True, help="report path (JSON)")
     parser.add_argument("--grid", type=int, default=None, help="grid points per dimension")
     parser.add_argument("--seed", type=int, default=None, help="sampling seed")
-    parser.add_argument("--polish", action="store_true", help="Newton-polish grid minima")
     args = parser.parse_args(argv)
 
     try:
@@ -403,8 +366,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides["grid_m"] = args.grid
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.polish:
-        overrides["polish"] = True
     if overrides:
         doc = ProblemDocument(
             doc.space,

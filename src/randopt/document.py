@@ -195,7 +195,6 @@ def load_problem(path: str) -> ProblemDocument:
             grid_m=o.get("grid", opts.grid_m),
             newton_grid_m=o.get("newton_grid", opts.newton_grid_m),
             seed=o.get("seed", opts.seed),
-            polish=o.get("polish", opts.polish),
         )
 
     return ProblemDocument(space, n, source, rf, feasible, search_box, candidate, opts)

@@ -687,7 +687,3 @@ def tree_gap(a: Node, b: Node) -> float:
         return tree_gap(a.arg, b.arg)
     raise TypeError(f"unknown node {a!r}")  # pragma: no cover
 
-
-def trees_equal_within(a: Node, b: Node, tol: float) -> bool:
-    """Structural equality, with numeric literals compared within ``tol``."""
-    return tree_gap(a, b) <= tol

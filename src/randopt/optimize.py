@@ -25,6 +25,7 @@ from .errors import (
     IncompatibleRepresentation,
     NoRadiusFound,
     NotSymmetric,
+    RandoptError,
 )
 from .probspace import (
     MeasurabilityVerdict,
@@ -64,7 +65,6 @@ class SolverOptions:
     dedup_radius: float = 1e-6
     tol_rel: float = 1e-10     # definiteness tolerance scale
     seed: int = 0
-    polish: bool = False
 
     def with_(self, **kw) -> "SolverOptions":
         return replace(self, **kw)
@@ -206,11 +206,18 @@ class StationarySearch:
     stalled: int           # damping exhausted or iteration cap hit
 
 
-def _grid_axes(region: Box, m: int) -> list[np.ndarray]:
-    axes = []
-    for lo, hi in zip(region.lower, region.upper):
-        axes.append(np.array([lo]) if lo == hi else np.linspace(lo, hi, max(m, 2)))
-    return axes
+def grid_points(region: Box, m: int) -> np.ndarray:
+    """The nodes of an m-per-axis grid over ``region``, one row per point,
+    in lexicographic order.  A degenerate axis (lo == hi) has one node."""
+    axes = [
+        np.array([lo]) if lo == hi else np.linspace(lo, hi, max(m, 2))
+        for lo, hi in zip(region.lower, region.upper)
+    ]
+    total = math.prod(len(a) for a in axes)
+    if total > MAX_GRID_POINTS:
+        raise RandoptError(f"grid of {total} points exceeds cap {MAX_GRID_POINTS}")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def _newton_from(
@@ -286,9 +293,7 @@ def find_stationary_points(
     """
     if region.dim != rf.n:
         raise IncompatibleRepresentation("region dimension differs from function")
-    axes = _grid_axes(region, opts.newton_grid_m)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    starts = np.stack([g.ravel() for g in mesh], axis=-1)
+    starts = grid_points(region, opts.newton_grid_m)
     converged: list[tuple[np.ndarray, int]] = []
     skipped = stalled = 0
     for x0 in starts:
@@ -453,12 +458,9 @@ def verify_local_min(
 
 @dataclass(frozen=True)
 class GlobalMinResult:
-    x: Point
-    value: float
-    grid_x: Point        # unpolished grid argmin (the oracle value)
+    grid_x: Point        # grid argmin (the oracle value)
     grid_value: float
     excluded: int        # grid points where evaluation failed
-    polished: bool = False
 
 
 def polish_point(
@@ -483,57 +485,54 @@ def polish_point(
     return tuple(float(v) for v in x)
 
 
-def global_min_compact(
+def _scan_feasible(
     rf: RandomFunction,
     omega: Scenario,
     C_omega: Union[Box, PointCloud],
     grid_m: int,
-    polish: bool = False,
-    opts: SolverOptions = SolverOptions(),
-) -> GlobalMinResult:
-    """Exhaustive evaluation over a grid (Box) or all points (PointCloud).
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Evaluate f(omega, .) once on the grid (Box) or the sorted points
+    (PointCloud) of ``C_omega``.
 
-    Exact value ties break to the lexicographically smallest point.  Grid
-    points where evaluation fails are excluded and counted.
+    Returns (points, values, excluded): the points in lexicographic order,
+    their objective values with +inf where evaluation failed, and the
+    number of such failed points.
     """
     if isinstance(C_omega, EmptySet):
         raise EmptyFeasible(omega)
-    if isinstance(C_omega, Box):
-        if C_omega.dim != rf.n:
-            raise IncompatibleRepresentation("set dimension differs from function")
-        axes = _grid_axes(C_omega, grid_m)
-        total = math.prod(len(a) for a in axes)
-        if total > MAX_GRID_POINTS:
-            raise ValueError(f"grid of {total} points exceeds cap {MAX_GRID_POINTS}")
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([g.ravel() for g in mesh], axis=-1)
-    elif isinstance(C_omega, PointCloud):
-        if C_omega.dim != rf.n:
-            raise IncompatibleRepresentation("set dimension differs from function")
-        X = np.asarray(sorted(C_omega.points), dtype=float)
-    else:
+    if not isinstance(C_omega, (Box, PointCloud)):
         raise IncompatibleRepresentation(
             f"grid minimization needs a Box or PointCloud, got {type(C_omega).__name__}"
         )
+    if C_omega.dim != rf.n:
+        raise IncompatibleRepresentation("set dimension differs from function")
+    if isinstance(C_omega, Box):
+        X = grid_points(C_omega, grid_m)
+    else:
+        X = np.asarray(sorted(C_omega.points), dtype=float)
     values, valid = eval_f_batch(rf, omega, X)
     excluded = int(np.count_nonzero(~valid))
     if excluded == len(X):
         raise DomainViolation(
             f"objective undefined at every point of the set for scenario {omega!r}"
         )
-    masked = np.where(valid, values, np.inf)
-    idx = int(np.argmin(masked))  # first occurrence = lexicographically smallest
-    grid_x = tuple(float(v) for v in X[idx])
-    grid_value = float(masked[idx])
+    return X, np.where(valid, values, np.inf), excluded
 
-    x_best, v_best, polished = grid_x, grid_value, False
-    if polish and isinstance(C_omega, Box):
-        refined = polish_point(rf, omega, grid_x, C_omega, opts)
-        if refined is not None:
-            v_ref = eval_f(rf, omega, refined)
-            if v_ref <= grid_value + MARGIN_TOL:
-                x_best, v_best, polished = refined, float(v_ref), True
-    return GlobalMinResult(x_best, v_best, grid_x, grid_value, excluded, polished)
+
+def global_min_compact(
+    rf: RandomFunction,
+    omega: Scenario,
+    C_omega: Union[Box, PointCloud],
+    grid_m: int,
+) -> GlobalMinResult:
+    """Exhaustive evaluation over a grid (Box) or all points (PointCloud).
+
+    Exact value ties break to the lexicographically smallest point.  Grid
+    points where evaluation fails are excluded and counted.
+    """
+    X, values, excluded = _scan_feasible(rf, omega, C_omega, grid_m)
+    idx = int(np.argmin(values))  # first occurrence = lexicographically smallest
+    return GlobalMinResult(tuple(float(v) for v in X[idx]), float(values[idx]), excluded)
 
 
 # --- the optimal-value random variable --------------------------------------------------

@@ -29,18 +29,6 @@ class ProbSpace:
     weights: tuple[float, ...]
     atoms: tuple[tuple[Scenario, ...], ...]
 
-    def atom_of(self, scenario: Scenario) -> tuple[Scenario, ...]:
-        for atom in self.atoms:
-            if scenario in atom:
-                return atom
-        raise DomainMismatch(f"scenario {scenario!r} not in this space")
-
-    def weight_of(self, scenario: Scenario) -> float:
-        try:
-            return self.weights[self.scenarios.index(scenario)]
-        except ValueError:
-            raise DomainMismatch(f"scenario {scenario!r} not in this space") from None
-
 
 def make_space(
     scenario_ids: Sequence[Scenario],

@@ -401,7 +401,8 @@ def check_joint_measurability(
         if not valid.all():
             bad = int(np.flatnonzero(~valid)[0])
             raise DomainViolation(
-                f"objective undefined at probe {tuple(X[bad])} in scenario {omega!r}"
+                f"objective undefined at probe {tuple(float(v) for v in X[bad])} "
+                f"in scenario {omega!r}"
             )
         values[omega] = vals
     for atom in rf.space.atoms:
@@ -476,10 +477,6 @@ def _box_intersect(a: Box, b: Box) -> SetDescription:
     return Box(lo, hi)
 
 
-def _paramfree(ls: LevelSet) -> tuple[Expression, ...]:
-    return ls.substituted()
-
-
 def _intersect_desc(a: SetDescription, b: SetDescription, tol: float) -> SetDescription:
     if a.dim != b.dim:
         raise IncompatibleRepresentation("cannot intersect sets of different dimension")
@@ -502,7 +499,7 @@ def _intersect_desc(a: SetDescription, b: SetDescription, tol: float) -> SetDesc
         inner = _box_intersect(a.box, b.box)
         if isinstance(inner, EmptySet):
             return inner
-        return LevelSet(_paramfree(a) + _paramfree(b), (), inner)
+        return LevelSet(a.substituted() + b.substituted(), (), inner)
     raise IncompatibleRepresentation(
         f"cannot intersect {type(a).__name__} with {type(b).__name__}"
     )  # pragma: no cover - all combinations handled above

@@ -37,9 +37,9 @@ from .optimize import (
     classify_definiteness,
     find_stationary_points,
     global_min_compact,
-    optimal_value,
+    grid_points,
     verify_local_min,
-    _grid_axes,
+    _scan_feasible,
 )
 from .probspace import (
     MeasurabilityVerdict,
@@ -124,6 +124,18 @@ class NoPDStationaryPoint:
     atom: tuple[Scenario, ...]
 
 
+def _require_jointly_measurable(rf: RandomFunction, region: Box) -> None:
+    """Refuse with NonMeasurableF unless f is constant on atoms at every
+    probe point of ``region``."""
+    verdict = check_joint_measurability(rf, default_probe_grid(region))
+    if not verdict.measurable:
+        raise NonMeasurableF(
+            "objective is not jointly measurable: values differ within atom "
+            f"{verdict.witness.atom} at probe {verdict.witness.probe}",
+            verdict.witness,
+        )
+
+
 # --- canonical selection ---------------------------------------------------------
 
 
@@ -190,9 +202,7 @@ def _solve_scalar_equation(
     Candidates within 1e-6 of each other are treated as one root; the
     member with the smallest residual represents the cluster.
     """
-    axes = _grid_axes(region, opts.grid_m)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([g.ravel() for g in mesh], axis=-1)
+    X = grid_points(region, opts.grid_m)
     values, valid = eval_f_batch(rf, omega, X)
     phi = values - target
     cands: list[tuple[Point, float]] = []
@@ -279,13 +289,7 @@ def solve_random_equation(
             "target eta is not measurable: it differs within atom "
             f"{eta_verdict.witness.atom}", eta_verdict.witness
         )
-    f_verdict = check_joint_measurability(rf, default_probe_grid(region))
-    if not f_verdict.measurable:
-        raise NonMeasurableF(
-            "objective is not jointly measurable: values differ within atom "
-            f"{f_verdict.witness.atom} at probe {f_verdict.witness.probe}",
-            f_verdict.witness,
-        )
+    _require_jointly_measurable(rf, region)
 
     points: dict[Scenario, Point] = {}
     certs: dict[Scenario, Certificate] = {}
@@ -317,60 +321,35 @@ def solve_rop(
 ) -> Selection:
     """Measurable global minimizer over a measurable compact feasible map.
 
-    eta is the per-scenario grid minimum; the selection solves
-    f(omega, x) = eta(omega) restricted to C(omega), taking the canonical
-    (lexicographically smallest) solution per atom.
+    Per atom, one scan of the representative's grid (Box) or points
+    (PointCloud) gives eta, the grid minimum, and the selection: the first
+    point in lexicographic order with |f - eta| <= EQUATION_TOL.  Both are
+    broadcast to the atom.
     """
     if C.space != space or rf.space != space:
         raise DomainMismatch("function, set, and space must agree")
-    f_verdict = check_joint_measurability(rf, default_probe_grid(C.bounding_box()))
-    if not f_verdict.measurable:
-        raise NonMeasurableF(
-            "objective is not jointly measurable: values differ within atom "
-            f"{f_verdict.witness.atom} at probe {f_verdict.witness.probe}",
-            f_verdict.witness,
-        )
+    _require_jointly_measurable(rf, C.bounding_box())
     c_verdict = is_measurable_setmap(space, C, tol=0.0)
     if not c_verdict.measurable:
         raise NonMeasurableC(
             "feasible map is not measurable: descriptions differ within atom "
             f"{c_verdict.witness.atom}", c_verdict.witness
         )
-    ov = optimal_value(rf, space, C, opts.grid_m)
 
     points: dict[Scenario, Point] = {}
     certs: dict[Scenario, Certificate] = {}
     excluded = 0
     for atom in space.atoms:
         rep = atom[0]
-        target = ov.eta.values[rep][0]
-        desc = C.descriptions[rep]
-        excluded += ov.per_scenario[rep].excluded
-        if isinstance(desc, Box):
-            axes = _grid_axes(desc, opts.grid_m)
-            mesh = np.meshgrid(*axes, indexing="ij")
-            X = np.stack([g.ravel() for g in mesh], axis=-1)
-            values, valid = eval_f_batch(rf, rep, X)
-            mask = valid & (np.abs(values - target) <= EQUATION_TOL)
-            idx = int(np.flatnonzero(mask)[0])
-            sol = tuple(float(v) for v in X[idx])
-        elif isinstance(desc, PointCloud):
-            sol = None
-            for p in sorted(desc.points):
-                try:
-                    if abs(eval_f(rf, rep, p) - target) <= EQUATION_TOL:
-                        sol = tuple(float(v) for v in p)
-                        break
-                except EvalError:
-                    continue
-            assert sol is not None  # the grid minimum is one of the points
-        else:
-            raise IncompatibleRepresentation(
-                f"solve_rop needs Box or PointCloud values, got {type(desc).__name__}"
-            )
+        X, values, rep_excluded = _scan_feasible(rf, rep, C.descriptions[rep], opts.grid_m)
+        excluded += rep_excluded
+        eta = float(values.min())
+        idx = int(np.flatnonzero(np.abs(values - eta) <= EQUATION_TOL)[0])
+        sol = tuple(float(v) for v in X[idx])
+        del X, values  # hold one representative's grid at a time
         for omega in atom:
             points[omega] = sol
-            certs[omega] = GlobalCert(target)
+            certs[omega] = GlobalCert(eta)
     verdict = is_measurable_rv(space, RandomVariableRn(space, points), tol=0.0)
     return Selection(
         space,
@@ -414,13 +393,7 @@ def solve_rlop(
     """
     if rf.space != space:
         raise DomainMismatch("function and space must agree")
-    f_verdict = check_joint_measurability(rf, default_probe_grid(region))
-    if not f_verdict.measurable:
-        raise NonMeasurableF(
-            "objective is not jointly measurable: values differ within atom "
-            f"{f_verdict.witness.atom} at probe {f_verdict.witness.probe}",
-            f_verdict.witness,
-        )
+    _require_jointly_measurable(rf, region)
 
     pd_sets: dict[tuple[Scenario, ...], PointCloud] = {}
     skipped = stalled = 0

@@ -1,0 +1,64 @@
+"""Regenerate the golden reports in this directory.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+Every report in CORPUS is rewritten from the current code, as
+``<document stem>.<command>.json``.  ``tests/test_golden.py`` compares
+fresh runs with these files byte for byte, so regenerate only when a
+report is meant to change, and list each rewritten file in CHANGES.md
+with the reason.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from randopt.cli import run
+from randopt.document import load_problem
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent.parent
+GALLERY = ROOT / "gallery"
+DOCUMENTS = HERE / "documents"
+
+# (problem document, command): the criterion-9 corpus of acceptance test 9,
+# then three documents the schema accepts that a command cannot evaluate
+CORPUS = [
+    (GALLERY / "quartic_double_well.json", "solve-rlop"),
+    (GALLERY / "quartic_double_well.json", "solve-rop"),
+    (GALLERY / "quartic_double_well.json", "oracle"),
+    (GALLERY / "quartic_double_well.json", "stationary"),
+    (GALLERY / "shifted_parabola_refusal.json", "solve-rop"),
+    (GALLERY / "shifted_parabola_refusal.json", "check-measurable"),
+    (GALLERY / "convex_quadratic_2d.json", "solve-rlop"),
+    (GALLERY / "flip_candidate.json", "necessary"),
+    (GALLERY / "cubic_inflection.json", "solve-rlop"),
+    (GALLERY / "point_cloud_rop.json", "solve-rop"),
+    (DOCUMENTS / "log_objective.json", "solve-rlop"),
+    (DOCUMENTS / "level_set_feasible.json", "solve-rop"),
+    (DOCUMENTS / "reciprocal_candidate.json", "necessary"),
+]
+
+
+def golden_path(document: Path, command: str) -> Path:
+    return HERE / f"{document.stem}.{command}.json"
+
+
+def write_report(document: Path, command: str, output: Path) -> int:
+    """Run ``command`` on ``document`` and write its report to ``output``."""
+    return run(command, load_problem(str(document)), str(output))
+
+
+def main() -> int:
+    for document, command in CORPUS:
+        path = golden_path(document, command)
+        code = write_report(document, command, path)
+        print(f"{path.relative_to(ROOT)}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +12,8 @@ from randopt.document import load_problem
 from randopt.errors import ParseError, SchemaError
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
-SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "randopt" / "schemas"
+ERROR_DOCUMENTS = Path(__file__).resolve().parent / "golden" / "documents"
 
 GALLERY_COMMANDS = [
     ("quartic_double_well.json", "solve-rlop", 0),
@@ -238,6 +238,36 @@ def test_main_missing_file(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "document,command,extra,error_type",
+    [
+        (ERROR_DOCUMENTS / "log_objective.json", "solve-rlop", [], "DomainViolation"),
+        (
+            ERROR_DOCUMENTS / "level_set_feasible.json",
+            "solve-rop",
+            [],
+            "IncompatibleRepresentation",
+        ),
+        (ERROR_DOCUMENTS / "reciprocal_candidate.json", "necessary", [], "DivByZero"),
+        (GALLERY / "convex_quadratic_2d.json", "solve-rop", ["--grid", "5000"], "RandoptError"),
+    ],
+)
+def test_unevaluable_document_writes_fresh_input_error_report(
+    tmp_path, document, command, extra, error_type
+):
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    code = main([command, "--input", str(document), "--output", str(out), *extra])
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == 3
+    assert report["status"] == "input_error"
+    assert report["error"]["type"] == error_type
+    assert "np.float64" not in report["error"]["message"]
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text())
+    jsonschema.Draft202012Validator(schema).validate(report)
+
+
 def test_console_script_subprocess(tmp_path):
     out = tmp_path / "report.json"
     proc = subprocess.run(
@@ -259,35 +289,9 @@ def test_console_script_subprocess(tmp_path):
     assert json.loads(out.read_text())["status"] == "ok"
 
 
-def test_thread_env_does_not_change_reports(tmp_path):
-    doc = load_problem(str(GALLERY / "quartic_double_well.json"))
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    old = os.environ.get("RANDOPT_THREADS")
-    try:
-        os.environ["RANDOPT_THREADS"] = "1"
-        run("stationary", doc, str(out1))
-        os.environ["RANDOPT_THREADS"] = "4"
-        run("stationary", doc, str(out2))
-    finally:
-        if old is None:
-            os.environ.pop("RANDOPT_THREADS", None)
-        else:
-            os.environ["RANDOPT_THREADS"] = old
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_problem_documents_validate_against_shipped_schema():
     schema = json.loads((SCHEMAS / "problem.schema.json").read_text())
     validator = jsonschema.Draft202012Validator(schema)
     for doc_path in sorted(GALLERY.glob("*.json")):
         validator.validate(json.loads(doc_path.read_text()))
 
-
-def test_packaged_schemas_match_shipped_copies():
-    from importlib import resources
-
-    for name in ("problem.schema.json", "report.schema.json"):
-        packaged = resources.files("randopt").joinpath(f"schemas/{name}").read_text()
-        shipped = (SCHEMAS / name).read_text()
-        assert packaged == shipped

@@ -255,41 +255,31 @@ def test_verify_never_fails_at_pd_stationary_points(space3):
 def test_global_min_quartic_tie_breaks_left(space3):
     rf = make_rf(space3, "x1^4 - 2*x1^2")
     res = r.global_min_compact(rf, 1, r.Box((-2.0,), (2.0,)), 401)
-    assert res.x == (-1.0,)
-    assert res.value == -1.0
+    assert res.grid_x == (-1.0,)
+    assert res.grid_value == -1.0
     assert res.excluded == 0
 
 
 def test_global_min_boundary(space3):
     rf = make_rf(space3, "(x1 - 3)^2")
     res = r.global_min_compact(rf, 1, r.Box((0.0,), (1.0,)), 101)
-    assert res.x == (1.0,)
-    assert res.value == 4.0
+    assert res.grid_x == (1.0,)
+    assert res.grid_value == 4.0
 
 
 def test_global_min_point_cloud(space3):
     rf = make_rf(space3, "x1^2")
     res = r.global_min_compact(rf, 1, r.PointCloud(((0.0,), (2.0,))), 11)
-    assert res.x == (0.0,)
-    assert res.value == 0.0
+    assert res.grid_x == (0.0,)
+    assert res.grid_value == 0.0
 
 
 def test_global_min_excludes_undefined_points(space3):
     rf = make_rf(space3, "log(x1)")
     res = r.global_min_compact(rf, 1, r.Box((-1.0,), (1.0,)), 11)
     assert res.excluded == 6  # nodes -1.0 .. 0.0 are outside log's domain
-    assert res.x[0] == pytest.approx(0.2)  # smallest strictly positive node
-    assert res.value == math.log(res.x[0])
-
-
-def test_global_min_polish_improves_value(space3):
-    rf = make_rf(space3, "(x1 - 0.333)^2")
-    res = r.global_min_compact(
-        rf, 1, r.Box((-1.0,), (1.0,)), 51, polish=True
-    )
-    assert res.polished
-    assert abs(res.x[0] - 0.333) < 1e-9
-    assert res.value <= res.grid_value
+    assert res.grid_x[0] == pytest.approx(0.2)  # smallest strictly positive node
+    assert res.grid_value == math.log(res.grid_x[0])
 
 
 def test_global_min_rejects_level_set(space3):
@@ -305,8 +295,8 @@ def test_affine_invariance_of_argmin(space3):
     box = r.Box((-2.0,), (2.0,))
     base = r.global_min_compact(rf, 1, box, 401)
     scaled = r.global_min_compact(rf_affine, 1, box, 401)
-    assert base.x == scaled.x
-    assert scaled.value == 3.0 * base.value + 5.0
+    assert base.grid_x == scaled.grid_x
+    assert scaled.grid_value == 3.0 * base.grid_value + 5.0
     s1 = r.find_stationary_points(rf, 1, box)
     s2 = r.find_stationary_points(rf_affine, 1, box)
     assert [sp.x for sp in s1.points] == pytest.approx(
