@@ -10,6 +10,7 @@ invariants are enforced with a JSON-pointer diagnostic on failure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -55,6 +56,32 @@ def _validate_schema(raw: dict) -> None:
         err = errors[0]
         pointer = "/" + "/".join(str(p) for p in err.absolute_path)
         raise SchemaError(pointer if pointer != "/" else "", err.message)
+
+
+def _reject_non_finite(value: object, pointer: str) -> None:
+    """Raise SchemaError at the first NaN, infinity or integer too large
+    for a float, in document order.
+
+    ``json.load`` accepts ``NaN``, ``Infinity`` and overflowing literals
+    such as ``1e400``; a NaN distance never exceeds a tolerance, so such a
+    number would make the measurability checks pass unseen.  An integer
+    such as ``1`` followed by 400 zeros stays an int, and ``float()``
+    would raise OverflowError on it.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(pointer, f"number {value!r} is not finite")
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            raise SchemaError(pointer, "integer is too large for a float") from None
+    if isinstance(value, dict):
+        for key, item in value.items():
+            escaped = key.replace("~", "~0").replace("/", "~1")
+            _reject_non_finite(item, f"{pointer}/{escaped}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{pointer}/{i}")
 
 
 def _scenario_key(scenario: Scenario) -> str:
@@ -137,8 +164,9 @@ def load_problem(path: str) -> ProblemDocument:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an int over 4300 digits
             raise SchemaError("", f"invalid JSON: {e}") from None
+    _reject_non_finite(raw, "")
     _validate_schema(raw)
 
     sp = raw["space"]

@@ -523,54 +523,60 @@ def eval_batch(
         raise ValueError(f"p has length {len(p)}, expected {e.k}")
     N = X.shape[0]
     invalid = np.zeros(N, dtype=bool)
-
-    def rec(node: Node) -> np.ndarray:
-        if isinstance(node, Num):
-            return np.full(N, node.value)
-        if isinstance(node, Var):
-            return X[:, node.index - 1].copy()
-        if isinstance(node, Param):
-            return np.full(N, p[node.index - 1])
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        with np.errstate(all="ignore"):
-            if isinstance(node, Add):
-                v = rec(node.left) + rec(node.right)
-            elif isinstance(node, Sub):
-                v = rec(node.left) - rec(node.right)
-            elif isinstance(node, Mul):
-                v = rec(node.left) * rec(node.right)
-            elif isinstance(node, Div):
-                denom = rec(node.right)
-                invalid[denom == 0.0] = True
-                v = rec(node.left) / denom
-            elif isinstance(node, Pow):
-                base = rec(node.base)
-                if node.exponent < 0:
-                    invalid[base == 0.0] = True
-                v = base ** float(node.exponent)
-            elif isinstance(node, Call):
-                arg = rec(node.arg)
-                if node.func == "sin":
-                    v = np.sin(arg)
-                elif node.func == "cos":
-                    v = np.cos(arg)
-                elif node.func == "exp":
-                    v = np.exp(arg)
-                elif node.func == "log":
-                    invalid[arg <= 0.0] = True
-                    v = np.log(np.where(arg > 0.0, arg, 1.0))
-                else:  # sqrt
-                    invalid[arg < 0.0] = True
-                    v = np.sqrt(np.where(arg >= 0.0, arg, 0.0))
-            else:  # pragma: no cover - exhaustive
-                raise TypeError(f"unknown node {node!r}")
-        invalid[~np.isfinite(v)] = True
-        return v
-
-    values = rec(e.root)
+    values = _eval_rows(e.root, X, p, invalid, N)
     values = np.where(invalid, np.nan, values)
     return values, ~invalid
+
+
+def _eval_rows(
+    node: Node, X: np.ndarray, p: Sequence[float], invalid: np.ndarray, N: int
+) -> np.ndarray:
+    """Values of ``node`` at the N rows of ``X``; rows where evaluation
+    fails are set in ``invalid``.  A plain function rather than a closure,
+    so a call leaves no reference cycle holding ``X`` and ``invalid``."""
+    if isinstance(node, Num):
+        return np.full(N, node.value)
+    if isinstance(node, Var):
+        return X[:, node.index - 1].copy()
+    if isinstance(node, Param):
+        return np.full(N, p[node.index - 1])
+    rows = (X, p, invalid, N)
+    if isinstance(node, Neg):
+        return -_eval_rows(node.arg, *rows)
+    with np.errstate(all="ignore"):
+        if isinstance(node, Add):
+            v = _eval_rows(node.left, *rows) + _eval_rows(node.right, *rows)
+        elif isinstance(node, Sub):
+            v = _eval_rows(node.left, *rows) - _eval_rows(node.right, *rows)
+        elif isinstance(node, Mul):
+            v = _eval_rows(node.left, *rows) * _eval_rows(node.right, *rows)
+        elif isinstance(node, Div):
+            denom = _eval_rows(node.right, *rows)
+            invalid[denom == 0.0] = True
+            v = _eval_rows(node.left, *rows) / denom
+        elif isinstance(node, Pow):
+            base = _eval_rows(node.base, *rows)
+            if node.exponent < 0:
+                invalid[base == 0.0] = True
+            v = base ** float(node.exponent)
+        elif isinstance(node, Call):
+            arg = _eval_rows(node.arg, *rows)
+            if node.func == "sin":
+                v = np.sin(arg)
+            elif node.func == "cos":
+                v = np.cos(arg)
+            elif node.func == "exp":
+                v = np.exp(arg)
+            elif node.func == "log":
+                invalid[arg <= 0.0] = True
+                v = np.log(np.where(arg > 0.0, arg, 1.0))
+            else:  # sqrt
+                invalid[arg < 0.0] = True
+                v = np.sqrt(np.where(arg >= 0.0, arg, 0.0))
+        else:  # pragma: no cover - exhaustive
+            raise TypeError(f"unknown node {node!r}")
+    invalid[~np.isfinite(v)] = True
+    return v
 
 
 # --- differentiation -----------------------------------------------------------

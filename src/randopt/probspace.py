@@ -4,12 +4,25 @@ A finite sigma-algebra is stored as its atom partition.  A point- or
 set-valued mapping is measurable with respect to it exactly when the
 mapping is constant on every atom, so every check below reduces to a
 within-atom comparison and, on failure, produces a two-scenario witness.
+
+The witness is the first pair (a, b), a before b in atom order, of the
+pairwise scan over each atom whose distance exceeds the tolerance.  At
+tolerance 0 the checks find it in time linear in the atom size: each
+scenario is compared only with its atom's first scenario, the
+representative.  Zero distance is transitive when every number involved
+is finite, so the first failing pair of the scan, if there is one, starts
+at the representative.
+
+An atom holding a NaN or an infinity is scanned pairwise: a NaN distance
+never exceeds the tolerance, so equality there is not transitive.  So is
+every atom at tolerance > 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from .errors import DomainMismatch, PartitionError, WeightSumError
 
@@ -41,7 +54,8 @@ def make_space(
     their smallest contained scenario id.
     """
     ids = tuple(scenario_ids)
-    if len(set(ids)) != len(ids):
+    id_set = set(ids)
+    if len(id_set) != len(ids):
         raise PartitionError("duplicate scenario ids")
     if len(weights) != len(ids):
         raise PartitionError(
@@ -61,14 +75,18 @@ def make_space(
         if not block:
             raise PartitionError("empty atom")
         for s in block:
-            if s not in ids:
+            try:
+                known = s in id_set
+            except TypeError:  # unhashable, so no scenario id
+                known = False
+            if not known:
                 raise PartitionError(f"atom member {s!r} is not a scenario")
             if s in seen:
                 raise PartitionError(f"scenario {s!r} appears in two atoms")
             seen.add(s)
         atoms.append(tuple(sorted(block)))
-    if seen != set(ids):
-        missing = sorted(set(ids) - seen)
+    if seen != id_set:
+        missing = sorted(id_set - seen)
         raise PartitionError(f"scenarios not covered by any atom: {missing}")
     atoms.sort(key=lambda a: a[0])
     return ProbSpace(ids, w, tuple(atoms))
@@ -123,6 +141,27 @@ def _sup_dist(a: Sequence[float], b: Sequence[float]) -> float:
     return max(abs(u - v) for u, v in zip(a, b))
 
 
+def _first_failure(
+    atom: tuple[Scenario, ...],
+    gap: Callable[[Scenario, Scenario], float],
+    tol: float,
+    transitive: bool,
+) -> Optional[tuple[Scenario, Scenario, float]]:
+    """First pair (a, b, gap(a, b)) of the pairwise scan of ``atom`` with a
+    gap above ``tol``, or None.
+
+    When ``transitive`` (gap <= tol is an equivalence on this atom) only the
+    pairs that start at the representative ``atom[0]`` are compared.
+    """
+    firsts = atom[:1] if transitive else atom
+    for i, a in enumerate(firsts):
+        for b in atom[i + 1 :]:
+            g = gap(a, b)
+            if g > tol:
+                return a, b, g
+    return None
+
+
 def is_measurable_rv(
     space: ProbSpace, xi: RandomVariableRn, tol: float = 0.0
 ) -> MeasurabilityVerdict:
@@ -131,22 +170,21 @@ def is_measurable_rv(
         raise DomainMismatch("random variable is defined on a different space")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
+    values = xi.values
+
+    def gap(a: Scenario, b: Scenario) -> float:
+        return _sup_dist(values[a], values[b])
+
     for atom in space.atoms:
-        for i, wa in enumerate(atom):
-            for wb in atom[i + 1 :]:
-                gap = _sup_dist(xi.values[wa], xi.values[wb])
-                if gap > tol:
-                    return MeasurabilityVerdict(
-                        False,
-                        Witness(
-                            atom,
-                            wa,
-                            wb,
-                            gap,
-                            value_a=xi.values[wa],
-                            value_b=xi.values[wb],
-                        ),
-                    )
+        transitive = tol == 0.0 and all(
+            math.isfinite(v) for s in atom for v in values[s]
+        )
+        hit = _first_failure(atom, gap, tol, transitive)
+        if hit is not None:
+            wa, wb, g = hit
+            return MeasurabilityVerdict(
+                False, Witness(atom, wa, wb, g, value_a=values[wa], value_b=values[wb])
+            )
     return MeasurabilityVerdict(True)
 
 
@@ -162,14 +200,17 @@ def is_measurable_setmap(
         raise DomainMismatch("set-valued map is defined on a different space")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
+    descs = C.descriptions
+
+    def gap(a: Scenario, b: Scenario) -> float:
+        return descs[a].distance(descs[b])
+
     for atom in space.atoms:
-        for i, wa in enumerate(atom):
-            for wb in atom[i + 1 :]:
-                da, db = C.descriptions[wa], C.descriptions[wb]
-                gap = da.distance(db)
-                if gap > tol:
-                    return MeasurabilityVerdict(
-                        False,
-                        Witness(atom, wa, wb, gap, value_a=da, value_b=db),
-                    )
+        transitive = tol == 0.0 and all(descs[s].is_finite() for s in atom)
+        hit = _first_failure(atom, gap, tol, transitive)
+        if hit is not None:
+            wa, wb, g = hit
+            return MeasurabilityVerdict(
+                False, Witness(atom, wa, wb, g, value_a=descs[wa], value_b=descs[wb])
+            )
     return MeasurabilityVerdict(True)

@@ -70,6 +70,9 @@ class Box:
             lo - tol <= v <= hi + tol for v, lo, hi in zip(x, self.lower, self.upper)
         )
 
+    def is_finite(self) -> bool:
+        return all(map(math.isfinite, self.lower + self.upper))
+
     def distance(self, other) -> float:
         if not isinstance(other, Box) or other.dim != self.dim:
             return math.inf
@@ -98,6 +101,9 @@ class PointCloud:
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         return any(_sup_dist(x, p) <= tol for p in self.points)
+
+    def is_finite(self) -> bool:
+        return all(math.isfinite(v) for p in self.points for v in p)
 
     def distance(self, other) -> float:
         if not isinstance(other, PointCloud) or other.dim != self.dim:
@@ -134,6 +140,9 @@ class LevelSet:
     def substituted(self) -> tuple[Expression, ...]:
         return tuple(exprlang.substitute_params(c, self.params) for c in self.constraints)
 
+    def is_finite(self) -> bool:
+        return self.box.is_finite() and all(map(math.isfinite, self.params))
+
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         if not self.box.contains(x, tol):
             return False
@@ -164,6 +173,9 @@ class EmptySet:
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         return False
+
+    def is_finite(self) -> bool:
+        return True
 
     def distance(self, other) -> float:
         if isinstance(other, EmptySet) and other.dim == self.dim:
@@ -390,39 +402,47 @@ def check_joint_measurability(
     """Measurable iff f(., x) is constant on every atom at every probe x.
 
     Comparison is exact (tolerance 0): scenarios with identical parameters
-    run the identical expression tree, so equality is bitwise.
+    run the identical expression tree, so equality is bitwise.  f is
+    evaluated once per distinct parameter vector (same types, same bytes),
+    and each scenario is compared with its atom's first scenario: the
+    values are finite, so equality is transitive.
     """
     if not probe_grid:
         raise ValueError("probe grid must be nonempty")
     X = np.asarray([tuple(p) for p in probe_grid], dtype=float)
+    by_params: dict[tuple, np.ndarray] = {}
     values: dict[Scenario, np.ndarray] = {}
     for omega in rf.space.scenarios:
-        vals, valid = eval_f_batch(rf, omega, X)
-        if not valid.all():
-            bad = int(np.flatnonzero(~valid)[0])
-            raise DomainViolation(
-                f"objective undefined at probe {tuple(float(v) for v in X[bad])} "
-                f"in scenario {omega!r}"
-            )
-        values[omega] = vals
+        p = rf.params_of(omega)
+        key = (tuple(map(type, p)), np.asarray(p, dtype=float).tobytes())
+        if key not in by_params:
+            vals, valid = eval_f_batch(rf, omega, X)
+            if not valid.all():
+                bad = int(np.flatnonzero(~valid)[0])
+                raise DomainViolation(
+                    f"objective undefined at probe {tuple(float(v) for v in X[bad])} "
+                    f"in scenario {omega!r}"
+                )
+            by_params[key] = vals
+        values[omega] = by_params[key]
     for atom in rf.space.atoms:
-        for i, wa in enumerate(atom):
-            for wb in atom[i + 1 :]:
-                diff = values[wa] != values[wb]
-                if diff.any():
-                    idx = int(np.flatnonzero(diff)[0])
-                    return MeasurabilityVerdict(
-                        False,
-                        Witness(
-                            atom,
-                            wa,
-                            wb,
-                            gap=abs(float(values[wa][idx] - values[wb][idx])),
-                            probe=tuple(float(v) for v in X[idx]),
-                            value_a=float(values[wa][idx]),
-                            value_b=float(values[wb][idx]),
-                        ),
-                    )
+        wa = atom[0]
+        for wb in atom[1:]:
+            diff = values[wa] != values[wb]
+            if diff.any():
+                idx = int(np.flatnonzero(diff)[0])
+                return MeasurabilityVerdict(
+                    False,
+                    Witness(
+                        atom,
+                        wa,
+                        wb,
+                        gap=abs(float(values[wa][idx] - values[wb][idx])),
+                        probe=tuple(float(v) for v in X[idx]),
+                        value_a=float(values[wa][idx]),
+                        value_b=float(values[wb][idx]),
+                    ),
+                )
     return MeasurabilityVerdict(True)
 
 

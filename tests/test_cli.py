@@ -268,6 +268,72 @@ def test_unevaluable_document_writes_fresh_input_error_report(
     jsonschema.Draft202012Validator(schema).validate(report)
 
 
+NAN_CANDIDATE = {
+    "schema_version": 1,
+    "space": {"scenarios": [1, 2, 3], "weights": [0.25, 0.25, 0.5], "atoms": [[1, 2, 3]]},
+    "dimension": 1,
+    "objective": {"expression": "x1^2"},
+    "search_box": {"lower": [-2], "upper": [2]},
+    "candidate": {"1": [float("nan")], "2": [1.0], "3": [2.0]},
+}
+
+INFINITE_BOXES = {
+    "schema_version": 1,
+    "space": {"scenarios": [1, 2], "weights": [0.5, 0.5], "atoms": [[1, 2]]},
+    "dimension": 2,
+    "objective": {"expression": "x1^2 + x2^2"},
+    "search_box": {"lower": [-1, -1], "upper": [1, 1]},
+    "feasible_set": {
+        "kind": "box",
+        "per_scenario": {
+            "1": {"lower": [float("-inf"), 0], "upper": [1, 1]},
+            "2": {"lower": [float("-inf"), 0.5], "upper": [1, 1]},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "text,pointer",
+    [
+        (json.dumps(NAN_CANDIDATE), "/candidate/1/0: number nan"),
+        (json.dumps(INFINITE_BOXES), "/feasible_set/per_scenario/1/lower/0: number -inf"),
+        (
+            json.dumps(NAN_CANDIDATE).replace("NaN", "1e400"),
+            "/candidate/1/0: number inf",
+        ),
+        (
+            json.dumps(NAN_CANDIDATE).replace("NaN", "1" + "0" * 400),
+            "/candidate/1/0: integer is too large for a float",
+        ),
+        (
+            json.dumps(NAN_CANDIDATE).replace("NaN", "1" + "0" * 5000),
+            ": invalid JSON: Exceeds the limit",
+        ),
+    ],
+    ids=[
+        "nan-candidate",
+        "infinite-box",
+        "overflowing-literal",
+        "overflowing-integer",
+        "integer-over-digit-limit",
+    ],
+)
+def test_non_finite_number_is_an_input_error(tmp_path, text, pointer):
+    # json.load accepts NaN, Infinity and 1e400; a NaN distance never exceeds
+    # a tolerance, so these documents used to pass check-measurable
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    code = main(["check-measurable", "--input", str(doc), "--output", str(out)])
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["status"] == "input_error"
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith(pointer)
+
+
 def test_console_script_subprocess(tmp_path):
     out = tmp_path / "report.json"
     proc = subprocess.run(

@@ -1,6 +1,9 @@
+import gc
 import math
 import random
+import weakref
 
+import numpy as np
 import pytest
 
 from randopt import exprlang
@@ -289,3 +292,21 @@ def test_substitute_params_folds_literals():
     assert s.k == 0
     assert to_string(s) == "2*x1 + 3"
     assert evaluate(s, Env((1.0,))) == 5.0
+
+
+def test_eval_batch_leaves_no_reference_cycle():
+    # with the cyclic collector off, the input array must die on del: the
+    # evaluation holds no cycle that keeps it (and its mask) alive
+    e = parse("log(x1) + x2*p1 - 1/x2", 2, 1)
+    X = np.array([[1.0, 2.0], [0.5, -1.0], [-1.0, 0.0]])
+    ref = weakref.ref(X)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        values, valid = exprlang.eval_batch(e, X, (3.0,))
+        assert valid.tolist() == [True, True, False]
+        del X
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

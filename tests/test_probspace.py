@@ -42,6 +42,23 @@ def test_make_space_partition_errors(atoms):
         r.make_space([1, 2, 3], [0.25, 0.25, 0.5], atoms)
 
 
+@pytest.mark.parametrize(
+    "atoms,message",
+    [
+        ([[1, 2], [3, 4]], "atom member 4 is not a scenario"),
+        ([[1, [2]], [3]], "atom member [2] is not a scenario"),
+        ([[1, 2], [2, 9]], "scenario 2 appears in two atoms"),
+        ([[1, 2], [1, 9]], "scenario 1 appears in two atoms"),
+        ([[1, 2], [9, 1]], "atom member 9 is not a scenario"),
+        ([[1, 2]], "scenarios not covered by any atom: [3]"),
+    ],
+)
+def test_make_space_partition_error_messages(atoms, message):
+    with pytest.raises(PartitionError) as exc:
+        r.make_space([1, 2, 3], [0.25, 0.25, 0.5], atoms)
+    assert str(exc.value) == message
+
+
 def test_atoms_canonical_order():
     space = r.make_space([3, 1, 2], [0.2, 0.3, 0.5], [[3], [2, 1]])
     assert space.atoms == ((1, 2), (3,))
