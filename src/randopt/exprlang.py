@@ -15,14 +15,33 @@ language.  ``^`` binds tighter than unary minus, so ``-x1^2`` is
 
 Printed form uses minimal parentheses; ``parse(str(e))`` rebuilds the
 identical tree for every tree this module produces.
+
+Scalar evaluation is compiled.  ``compile_bundle`` turns a bundle of trees
+(an objective, its n partial derivatives, or its n^2 second partials)
+into one straight-line Python function, with one statement per distinct
+node.  Nodes are hash-consed bottom-up by node type, the names of their
+children and their payload; a number is keyed by its type and its bits,
+since ``Num(0.0) == Num(-0.0)``.  Statements follow the order of a walk
+of each tree in turn: operands left before right, except that a quotient
+computes its denominator, checks it for zero, and only then computes its
+numerator.  A value is reused only where that walk computed it earlier,
+so the first failing node, and with it the exception class and message,
+is the walk's.  Every check of the walk is kept: division by zero, the
+log and sqrt domains, overflow, and a finite result after every node
+other than a leaf or a negation.  Inputs pass through unconverted, so
+``np.float64`` inputs keep numpy's scalar arithmetic.  ``eval_batch``
+evaluates one tree at many points with numpy instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -102,6 +121,11 @@ class Expression:
 
     def __str__(self) -> str:
         return to_string(self)
+
+    @cached_property
+    def compiled(self) -> Callable[[Sequence, Sequence], tuple]:
+        """``(x, p) -> (value,)``, compiled on first use; see ``evaluate``."""
+        return compile_bundle((self.root,), self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -443,68 +467,156 @@ def to_string(e: Expression) -> str:
 
 # --- evaluation ----------------------------------------------------------------
 
-def _eval_node(node: Node, x: Sequence[float], p: Sequence[float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x[node.index - 1]
-    if isinstance(node, Param):
-        return p[node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, x, p)
-    if isinstance(node, Add):
-        v = _eval_node(node.left, x, p) + _eval_node(node.right, x, p)
-    elif isinstance(node, Sub):
-        v = _eval_node(node.left, x, p) - _eval_node(node.right, x, p)
-    elif isinstance(node, Mul):
-        v = _eval_node(node.left, x, p) * _eval_node(node.right, x, p)
-    elif isinstance(node, Div):
-        denom = _eval_node(node.right, x, p)
-        if denom == 0.0:
-            raise DivByZero("division by zero")
-        v = _eval_node(node.left, x, p) / denom
-    elif isinstance(node, Pow):
-        base = _eval_node(node.base, x, p)
-        if base == 0.0 and node.exponent < 0:
-            raise DivByZero("zero raised to a negative power")
-        try:
-            v = base ** node.exponent
-        except OverflowError:
-            raise DomainViolation("overflow in power") from None
-    elif isinstance(node, Call):
-        arg = _eval_node(node.arg, x, p)
-        try:
-            if node.func == "sin":
-                v = math.sin(arg)
-            elif node.func == "cos":
-                v = math.cos(arg)
-            elif node.func == "exp":
-                v = math.exp(arg)
-            elif node.func == "log":
-                if arg <= 0.0:
-                    raise DomainViolation(f"log of non-positive value {arg!r}")
-                v = math.log(arg)
+# The globals of a compiled bundle.  Constants join them as c<j>, so the
+# generated source holds only generated names, indices and these names.
+_RUNTIME = {
+    "isfinite": math.isfinite,
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "DivByZero": DivByZero,
+    "DomainViolation": DomainViolation,
+}
+_OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+class _Compiler:
+    """Straight-line code for a bundle of trees: one statement per distinct
+    node, emitted where the tree walk would first compute it."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace = dict(_RUNTIME)
+        self.names: dict[tuple, str] = {}  # hash-consing key -> generated name
+        self.seen: dict[int, str] = {}  # id(node) -> generated name
+        self.nonzero: set[str] = set()  # names that passed a zero check
+
+    def constant(self, value) -> str:
+        # keyed by type and bits: Num(0.0) == Num(-0.0), yet they differ
+        bits = struct.pack("<d", value) if isinstance(value, float) else value
+        key = (Num, type(value), bits)
+        if key not in self.names:
+            self.names[key] = f"c{len(self.names)}"
+            self.namespace[self.names[key]] = value
+        return self.names[key]
+
+    def check_nonzero(self, name: str, message: str) -> None:
+        # a value that passed one zero check passes every later one
+        if name not in self.nonzero:
+            self.nonzero.add(name)
+            self.lines.append(f"if {name} == 0.0: raise DivByZero({message!r})")
+
+    def visit(self, node: Node) -> str:
+        name = self.seen.get(id(node))
+        if name is None:
+            name = self.seen[id(node)] = self.intern(node)
+        return name
+
+    def intern(self, node: Node) -> str:
+        """Visit the children in evaluation order, then emit ``node`` unless
+        a node with the same key was emitted before."""
+        kind = type(node)
+        if kind is Num:
+            return self.constant(node.value)
+        if kind is Var or kind is Param:
+            key = (kind, operator.index(node.index) - 1)
+        elif kind is Neg:
+            key = (kind, self.visit(node.arg))
+        elif kind is Call:
+            key = (kind, self.visit(node.arg), node.func)
+        elif kind is Pow:
+            key = (kind, self.visit(node.base), self.constant(node.exponent))
+        elif kind is Div:
+            right = self.visit(node.right)  # the denominator and its check first
+            self.check_nonzero(right, "division by zero")
+            key = (kind, self.visit(node.left), right)
+        elif kind in _OPERATORS:
+            key = (kind, self.visit(node.left), self.visit(node.right))
+        else:  # pragma: no cover - exhaustive
+            raise TypeError(f"unknown node {node!r}")
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = f"t{len(self.names)}"
+            self.emit(node, name, *key)
+        return name
+
+    def emit(self, node: Node, t: str, kind: type, a, b=None) -> None:
+        """The statements computing ``node`` into ``t`` from operands a, b,
+        with the interpreter's checks and messages."""
+        if kind is Var or kind is Param:
+            self.lines.append(f"{t} = {'x' if kind is Var else 'p'}[{a}]")
+            return
+        if kind is Neg:
+            self.lines.append(f"{t} = -{a}")
+            return
+        if kind in _OPERATORS:
+            self.lines.append(f"{t} = {a} {_OPERATORS[kind]} {b}")
+        elif kind is Pow:
+            if node.exponent < 0:
+                self.check_nonzero(a, "zero raised to a negative power")
+            self.lines += [
+                "try:",
+                f"    {t} = {a} ** {b}",
+                "except OverflowError:",
+                "    raise DomainViolation('overflow in power') from None",
+            ]
+        else:  # Call
+            if b == "log":
+                body = [
+                    f"    if {a} <= 0.0: raise DomainViolation(f'log of non-positive value {{{a}!r}}')",
+                    f"    {t} = log({a})",
+                ]
+            elif b in ("sin", "cos", "exp"):
+                body = [f"    {t} = {b}({a})"]
             else:  # sqrt
-                if arg < 0.0:
-                    raise DomainViolation(f"sqrt of negative value {arg!r}")
-                v = math.sqrt(arg)
-        except OverflowError:
-            raise DomainViolation("overflow in function application") from None
-    else:  # pragma: no cover - exhaustive
-        raise TypeError(f"unknown node {node!r}")
-    if not math.isfinite(v):
-        raise DomainViolation("non-finite intermediate result")
-    return v
+                body = [
+                    f"    if {a} < 0.0: raise DomainViolation(f'sqrt of negative value {{{a}!r}}')",
+                    f"    {t} = sqrt({a})",
+                ]
+            self.lines += [
+                "try:",
+                *body,
+                "except OverflowError:",
+                "    raise DomainViolation('overflow in function application') from None",
+            ]
+        self.lines.append(
+            f"if not isfinite({t}): raise DomainViolation('non-finite intermediate result')"
+        )
+
+
+def compile_bundle(
+    roots: Sequence[Node], n: int, k: int
+) -> Callable[[Sequence, Sequence], tuple]:
+    """Compile trees over x1..xn and p1..pk into one function
+    ``(x, p) -> tuple`` of their values.
+
+    Calling it returns what evaluating the trees one after another would,
+    bit for bit, or raises the same error with the same message at the
+    first failing node; see the module docstring.
+    """
+    c = _Compiler()
+    results = [c.visit(root) for root in roots]
+    n, k = operator.index(n), operator.index(k)
+    source = "\n    ".join(
+        [
+            "def bundle(x, p):",
+            f"if len(x) != {n}: raise ValueError(f'env.x has length {{len(x)}}, expected {n}')",
+            f"if len(p) != {k}: raise ValueError(f'env.p has length {{len(p)}}, expected {k}')",
+            *c.lines,
+            f"return ({''.join(name + ', ' for name in results)})",
+        ]
+    )
+    # a file name per bundle keeps profilers from merging bundles by name
+    exec(compile(source, f"<exprlang bundle {id(c.namespace):#x}>", "exec"), c.namespace)
+    return c.namespace["bundle"]
 
 
 def evaluate(e: Expression, env: Env) -> float:
     """Evaluate ``e`` at ``env``; raises EvalError rather than returning
     a non-finite number."""
-    if len(env.x) != e.n:
-        raise ValueError(f"env.x has length {len(env.x)}, expected {e.n}")
-    if len(env.p) != e.k:
-        raise ValueError(f"env.p has length {len(env.p)}, expected {e.k}")
-    return _eval_node(e.root, env.x, env.p)
+    return e.compiled(env.x, env.p)[0]
 
 
 def eval_batch(

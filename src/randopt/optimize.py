@@ -81,11 +81,16 @@ class Definiteness(enum.Enum):
     NSD_DEGENERATE = "NSD_degenerate"
 
 
+def sup_norm(v) -> float:
+    """max |v_i|; NaN propagates."""
+    return float(np.abs(v).max())
+
+
 def _as_symmetric(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotSymmetric(f"matrix has shape {H.shape}, expected square")
-    asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
+    asym = sup_norm(H - H.T) if H.size else 0.0
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {asym:g} exceeds {SYMMETRY_TOL:g}")
     return (H + H.T) / 2.0
@@ -241,10 +246,10 @@ def _newton_from(
     reason = "limit"
     it = 0
     for it in range(opts.newton_max_iters):
-        gn = float(np.max(np.abs(g)))
+        gn = sup_norm(g)
         if gn == 0.0:
             break
-        if float(np.max(np.abs(x))) > 1e8:
+        if sup_norm(x) > 1e8:
             reason = "runaway"
             break
         try:
@@ -263,7 +268,7 @@ def _newton_from(
             except EvalError:
                 lam /= 2.0
                 continue
-            if float(np.max(np.abs(gnew))) < gn:
+            if sup_norm(gnew) < gn:
                 x, g = xn, gnew
                 moved = True
                 break
@@ -271,7 +276,7 @@ def _newton_from(
         if not moved:
             reason = "nodecrease"
             break
-    gn = float(np.max(np.abs(g)))
+    gn = sup_norm(g)
     if gn <= opts.newton_tol and reason != "runaway":
         return x, it, "converged"
     if reason == "singular":
@@ -307,7 +312,7 @@ def find_stationary_points(
     converged.sort(key=lambda pair: tuple(pair[0]))
     kept: list[tuple[np.ndarray, int]] = []
     for x, iters in converged:
-        if all(float(np.max(np.abs(x - y))) > opts.dedup_radius for y, _ in kept):
+        if all(sup_norm(x - y) > opts.dedup_radius for y, _ in kept):
             kept.append((x, iters))
     points = []
     for x, iters in kept:
@@ -321,7 +326,7 @@ def find_stationary_points(
             StationaryPoint(
                 omega=omega,
                 x=tuple(float(v) for v in x),
-                grad_norm=float(np.max(np.abs(g))),
+                grad_norm=sup_norm(g),
                 minors=tuple(float(v) for v in leading_principal_minors(H)),
                 classification=classify_definiteness(H, opts.tol_rel),
                 newton_iters=iters,
@@ -374,9 +379,9 @@ def verify_local_min(
     x = np.asarray(x, dtype=float)
     n = rf.n
     g = gradient(rf, omega, x)
-    if float(np.max(np.abs(g))) > STATIONARITY_TOL:
+    if sup_norm(g) > STATIONARITY_TOL:
         raise ValueError(
-            f"point is not stationary: |g|_inf = {float(np.max(np.abs(g))):g}"
+            f"point is not stationary: |g|_inf = {sup_norm(g):g}"
         )
     f0 = eval_f(rf, omega, x)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -294,6 +294,19 @@ class RandomFunction:
             for g in self.grad_exprs
         )
 
+    # f is compiled on first use as self.body.compiled; the gradient and the
+    # Hessian are bundles of their own, since a Hessian entry can fail where
+    # the gradient is finite (f = (1e200*x1)^2)
+    @cached_property
+    def grad_bundle(self) -> Callable[[Sequence, Sequence], tuple]:
+        return exprlang.compile_bundle([g.root for g in self.grad_exprs], self.n, self.body.k)
+
+    @cached_property
+    def hess_bundle(self) -> Callable[[Sequence, Sequence], tuple]:
+        """The n^2 Hessian entries, row by row."""
+        roots = [h.root for row in self.hess_exprs for h in row]
+        return exprlang.compile_bundle(roots, self.n, self.body.k)
+
     def params_of(self, omega: Scenario) -> tuple[float, ...]:
         try:
             return self.params[omega]
@@ -302,7 +315,7 @@ class RandomFunction:
 
 
 def eval_f(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> float:
-    return exprlang.evaluate(rf.body, Env(tuple(x), rf.params_of(omega)))
+    return rf.body.compiled(tuple(x), rf.params_of(omega))[0]
 
 
 def eval_f_batch(
@@ -313,18 +326,13 @@ def eval_f_batch(
 
 
 def gradient(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> np.ndarray:
-    env = Env(tuple(x), rf.params_of(omega))
-    return np.array([exprlang.evaluate(g, env) for g in rf.grad_exprs])
+    return np.array(rf.grad_bundle(tuple(x), rf.params_of(omega)))
 
 
 def hessian(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> np.ndarray:
     """Symbolic Hessian, symmetrized by averaging the (i,j) and (j,i) entries."""
-    env = Env(tuple(x), rf.params_of(omega))
-    n = rf.n
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            H[i, j] = exprlang.evaluate(rf.hess_exprs[i][j], env)
+    entries = rf.hess_bundle(tuple(x), rf.params_of(omega))
+    H = np.array(entries, dtype=float).reshape(rf.n, rf.n)
     return (H + H.T) / 2.0
 
 

@@ -38,6 +38,7 @@ from .optimize import (
     find_stationary_points,
     global_min_compact,
     grid_points,
+    sup_norm,
     verify_local_min,
     _scan_feasible,
 )
@@ -183,7 +184,7 @@ def _gn_refine(
         except EvalError:
             break
         gg = float(g @ g)
-        if gg < 1e-30 or float(np.max(np.abs(x))) > 1e8:
+        if gg < 1e-30 or sup_norm(x) > 1e8:
             break
         x = x - (r / gg) * g
     return x
@@ -486,7 +487,7 @@ def check_necessary_conditions(
         x = xi.values[omega]
         g = gradient(rf, omega, x)
         cls = classify_definiteness(hessian(rf, omega, x))
-        gn = float(np.max(np.abs(g)))
+        gn = sup_norm(g)
         per[omega] = ScenarioConditions(
             grad_ok=gn <= 1e-8,
             psd_ok=cls in (Definiteness.PD, Definiteness.PSD_DEGENERATE),

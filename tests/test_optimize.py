@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import randopt as r
 from randopt.errors import EmptyFeasible, IncompatibleRepresentation, NotSymmetric
@@ -11,6 +13,7 @@ from randopt.optimize import (
     SolverOptions,
     jacobi_eigenvalues,
     leading_principal_minors,
+    sup_norm,
 )
 
 
@@ -343,3 +346,20 @@ def test_optimal_value_empty_feasible(space3):
     C = r.intersect_setmaps([A, B])
     with pytest.raises(EmptyFeasible):
         r.optimal_value(rf, space3, C, 11)
+
+
+# --- sup norm ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats()),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_sup_norm_matches_max_of_abs(values):
+    v = np.array(values)
+    expected = float(np.max(np.abs(v)))
+    assert struct.pack("<d", sup_norm(v)) == struct.pack("<d", expected)
