@@ -25,7 +25,9 @@ GALLERY = ROOT / "gallery"
 DOCUMENTS = HERE / "documents"
 
 # (problem document, command): the criterion-9 corpus of acceptance test 9,
-# then three documents the schema accepts that a command cannot evaluate
+# oracle and stationary on gallery documents whose scenarios share inputs
+# (and one, shifted_parabola_refusal, whose scenarios share none), then
+# three documents the schema accepts that a command cannot evaluate
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -34,9 +36,13 @@ CORPUS = [
     (GALLERY / "shifted_parabola_refusal.json", "solve-rop"),
     (GALLERY / "shifted_parabola_refusal.json", "check-measurable"),
     (GALLERY / "convex_quadratic_2d.json", "solve-rlop"),
+    (GALLERY / "convex_quadratic_2d.json", "oracle"),
+    (GALLERY / "convex_quadratic_2d.json", "stationary"),
     (GALLERY / "flip_candidate.json", "necessary"),
     (GALLERY / "cubic_inflection.json", "solve-rlop"),
     (GALLERY / "point_cloud_rop.json", "solve-rop"),
+    (GALLERY / "point_cloud_rop.json", "oracle"),
+    (GALLERY / "shifted_parabola_refusal.json", "oracle"),
     (DOCUMENTS / "log_objective.json", "solve-rlop"),
     (DOCUMENTS / "level_set_feasible.json", "solve-rop"),
     (DOCUMENTS / "reciprocal_candidate.json", "necessary"),
