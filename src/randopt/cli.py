@@ -15,7 +15,7 @@ import tempfile
 from typing import Iterable, Optional, Sequence
 
 from . import _jsonout
-from .document import ProblemDocument, load_problem
+from .document import ProblemDocument, load_problem, with_overrides
 from .errors import (
     EmptyFeasible,
     HypothesisViolation,
@@ -26,7 +26,7 @@ from .optimize import (
     GlobalMinResult,
     LocalMinCertificate,
     find_stationary_points,
-    global_min_compact,
+    global_min_per_scenario,
 )
 from .probspace import (
     MeasurabilityVerdict,
@@ -34,7 +34,7 @@ from .probspace import (
     is_measurable_rv,
     is_measurable_setmap,
 )
-from .randfunc import Box, check_joint_measurability, default_probe_grid
+from .randfunc import Box, check_joint_measurability, default_probe_grid, exact_key
 from .selection import (
     GlobalCert,
     NecessaryOnly,
@@ -166,10 +166,17 @@ def _cmd_check_measurable(doc: ProblemDocument) -> tuple[int, dict, dict]:
 def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.search_box is not None, "/search_box", "stationary needs a search_box")
 
+    # the search depends on the scenario only through its parameter vector
+    searches = {}
     per_scenario = {}
     skipped = stalled = 0
     for omega in doc.space.scenarios:
-        search = find_stationary_points(doc.rf, omega, doc.search_box, doc.options)
+        key = exact_key(doc.rf.params_of(omega))
+        if key not in searches:
+            searches[key] = find_stationary_points(
+                doc.rf, omega, doc.search_box, doc.options
+            )
+        search = searches[key]
         skipped += search.skipped_singular
         stalled += search.stalled
         per_scenario[str(omega)] = [
@@ -217,11 +224,12 @@ def _cmd_oracle(doc: ProblemDocument) -> tuple[int, dict, dict]:
         )
         descs = {s: doc.search_box for s in doc.space.scenarios}
 
+    results = global_min_per_scenario(doc.rf, descs, doc.options.grid_m)
     eta = {}
     per = {}
     excluded = 0
     for omega in doc.space.scenarios:
-        res = global_min_compact(doc.rf, omega, descs[omega], doc.options.grid_m)
+        res = results[omega]
         eta[str(omega)] = float(res.grid_value)
         per[str(omega)] = _global_min_json(res)
         excluded += res.excluded
@@ -345,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        doc = load_problem(args.input)
+        doc = with_overrides(load_problem(args.input), grid=args.grid, seed=args.seed)
     except (RandoptError, OSError) as e:
         report = {
             "schema_version": 1,
@@ -360,23 +368,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pass
         print(f"randopt {args.command}: input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-    overrides = {}
-    if args.grid is not None:
-        overrides["grid_m"] = args.grid
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        doc = ProblemDocument(
-            doc.space,
-            doc.n,
-            doc.objective_source,
-            doc.rf,
-            doc.feasible,
-            doc.search_box,
-            doc.candidate,
-            doc.options.with_(**overrides),
-        )
 
     code = run(args.command, doc, args.output)
     status = {0: "ok", 1: "refused", 2: "no solution", 3: "input error"}[code]

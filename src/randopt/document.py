@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -46,16 +46,18 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-def _validate_schema(raw: dict) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
+def _validate_schema(raw: dict, schema: dict, prefix: str = "") -> None:
+    """Raise SchemaError at the first violation of ``schema`` by ``raw``,
+    pointing below ``prefix``, the location of ``raw`` in a document."""
+    validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(
         validator.iter_errors(raw),
         key=lambda e: (list(map(str, e.absolute_path)), e.message),
     )
     if errors:
         err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise SchemaError(pointer if pointer != "/" else "", err.message)
+        pointer = prefix + "".join(f"/{p}" for p in err.absolute_path)
+        raise SchemaError(pointer, err.message)
 
 
 def _reject_non_finite(value: object, pointer: str) -> None:
@@ -167,7 +169,7 @@ def load_problem(path: str) -> ProblemDocument:
         except ValueError as e:  # JSONDecodeError, or an int over 4300 digits
             raise SchemaError("", f"invalid JSON: {e}") from None
     _reject_non_finite(raw, "")
-    _validate_schema(raw)
+    _validate_schema(raw, _schema())
 
     sp = raw["space"]
     try:
@@ -226,3 +228,21 @@ def load_problem(path: str) -> ProblemDocument:
         )
 
     return ProblemDocument(space, n, source, rf, feasible, search_box, candidate, opts)
+
+
+def with_overrides(
+    doc: ProblemDocument, grid: Optional[int] = None, seed: Optional[int] = None
+) -> ProblemDocument:
+    """``doc`` with the grid and seed options replaced where given.
+
+    The values are held to the schema's rules for ``options.grid`` and
+    ``options.seed``, as if the document had set them.
+    """
+    raw = {name: v for name, v in (("grid", grid), ("seed", seed)) if v is not None}
+    if not raw:
+        return doc
+    _validate_schema(raw, _schema()["properties"]["options"], "/options")
+    options = doc.options.with_(
+        grid_m=raw.get("grid", doc.options.grid_m), seed=raw.get("seed", doc.options.seed)
+    )
+    return replace(doc, options=options)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,8 +41,11 @@ from .randfunc import (
     PointCloud,
     RandomFunction,
     RandomSet,
+    SetDescription,
+    description_key,
     eval_f,
     eval_f_batch,
+    exact_key,
     gradient,
     hessian,
 )
@@ -490,18 +493,42 @@ def polish_point(
     return tuple(float(v) for v in x)
 
 
+class _LastGrid:
+    """The grid of the last Box scanned through it.
+
+    A caller keeps one across consecutive scans, so that a run of
+    bit-identical boxes at one grid size builds its grid once.  The old
+    grid is dropped before a new one is built: one grid is alive at a time.
+    """
+
+    def __init__(self) -> None:
+        self.key: Optional[tuple] = None
+        self.points: Optional[np.ndarray] = None
+
+    def of(self, box: Box, m: int) -> np.ndarray:
+        key = (description_key(box), m)
+        if key != self.key:
+            self.key = self.points = None
+            self.points = grid_points(box, m)
+            self.points.flags.writeable = False  # shared by the scans that follow
+            self.key = key
+        return self.points
+
+
 def _scan_feasible(
     rf: RandomFunction,
     omega: Scenario,
     C_omega: Union[Box, PointCloud],
     grid_m: int,
+    grids: _LastGrid,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Evaluate f(omega, .) once on the grid (Box) or the sorted points
-    (PointCloud) of ``C_omega``.
+    (PointCloud) of ``C_omega``; a Box's grid comes from ``grids``.
 
     Returns (points, values, excluded): the points in lexicographic order,
     their objective values with +inf where evaluation failed, and the
-    number of such failed points.
+    number of such failed points.  A Box's points are shared with later
+    scans and read-only.
     """
     if isinstance(C_omega, EmptySet):
         raise EmptyFeasible(omega)
@@ -512,7 +539,7 @@ def _scan_feasible(
     if C_omega.dim != rf.n:
         raise IncompatibleRepresentation("set dimension differs from function")
     if isinstance(C_omega, Box):
-        X = grid_points(C_omega, grid_m)
+        X = grids.of(C_omega, grid_m)
     else:
         X = np.asarray(sorted(C_omega.points), dtype=float)
     values, valid = eval_f_batch(rf, omega, X)
@@ -522,6 +549,18 @@ def _scan_feasible(
             f"objective undefined at every point of the set for scenario {omega!r}"
         )
     return X, np.where(valid, values, np.inf), excluded
+
+
+def _global_min(
+    rf: RandomFunction,
+    omega: Scenario,
+    C_omega: Union[Box, PointCloud],
+    grid_m: int,
+    grids: _LastGrid,
+) -> GlobalMinResult:
+    X, values, excluded = _scan_feasible(rf, omega, C_omega, grid_m, grids)
+    idx = int(np.argmin(values))  # first occurrence = lexicographically smallest
+    return GlobalMinResult(tuple(float(v) for v in X[idx]), float(values[idx]), excluded)
 
 
 def global_min_compact(
@@ -535,9 +574,32 @@ def global_min_compact(
     Exact value ties break to the lexicographically smallest point.  Grid
     points where evaluation fails are excluded and counted.
     """
-    X, values, excluded = _scan_feasible(rf, omega, C_omega, grid_m)
-    idx = int(np.argmin(values))  # first occurrence = lexicographically smallest
-    return GlobalMinResult(tuple(float(v) for v in X[idx]), float(values[idx]), excluded)
+    return _global_min(rf, omega, C_omega, grid_m, _LastGrid())
+
+
+def global_min_per_scenario(
+    rf: RandomFunction,
+    descriptions: Mapping[Scenario, SetDescription],
+    grid_m: int,
+) -> dict[Scenario, GlobalMinResult]:
+    """``global_min_compact`` for every scenario, in the space's order.
+
+    The result depends only on the scenario's parameter vector and set
+    description, so it is computed once per distinct pair (bit-exact, see
+    ``exact_key`` and ``description_key``) and shared by later scenarios;
+    consecutive computations over bit-identical boxes share one grid.  A
+    failure is raised at the first scenario in order that fails.
+    """
+    grids = _LastGrid()
+    by_input: dict[tuple, GlobalMinResult] = {}
+    results: dict[Scenario, GlobalMinResult] = {}
+    for omega in rf.space.scenarios:
+        desc = descriptions[omega]
+        key = (exact_key(rf.params_of(omega)), description_key(desc))
+        if key not in by_input:
+            by_input[key] = _global_min(rf, omega, desc, grid_m, grids)
+        results[omega] = by_input[key]
+    return results
 
 
 # --- the optimal-value random variable --------------------------------------------------
@@ -560,12 +622,7 @@ def optimal_value(
     """
     if C.space != space or rf.space != space:
         raise DomainMismatch("function, set, and space must agree")
-    results: dict[Scenario, GlobalMinResult] = {}
-    values: dict[Scenario, Point] = {}
-    for omega in space.scenarios:
-        res = global_min_compact(rf, omega, C.descriptions[omega], grid_m)
-        results[omega] = res
-        values[omega] = (res.grid_value,)
-    eta = RandomVariableRn(space, values)
+    results = global_min_per_scenario(rf, C.descriptions, grid_m)
+    eta = RandomVariableRn(space, {s: (res.grid_value,) for s, res in results.items()})
     verdict = is_measurable_rv(space, eta, tol=1e-9)
     return OptimalValue(eta, verdict, results)

@@ -186,6 +186,23 @@ class EmptySet:
 SetDescription = Union[Box, PointCloud, LevelSet, EmptySet]
 
 
+def exact_key(values: Sequence[float]) -> tuple:
+    """Bit-exact identity of a vector of numbers: the element types and
+    the float64 bytes.  ``0.0`` and ``-0.0`` get different keys, which
+    ``==`` would merge."""
+    return (tuple(map(type, values)), np.asarray(values, dtype=float).tobytes())
+
+
+def description_key(desc: SetDescription) -> tuple:
+    """Bit-exact identity of a Box, or of a PointCloud with its points in
+    listed order; any other description is keyed by object identity."""
+    if isinstance(desc, Box):
+        return (Box, exact_key(desc.lower + desc.upper))
+    if isinstance(desc, PointCloud):
+        return (PointCloud, desc.dim, exact_key([v for p in desc.points for v in p]))
+    return (type(desc), id(desc))
+
+
 @dataclass(frozen=True)
 class RandomSet:
     """Set-valued map scenario -> compact subset of R^n."""
@@ -411,7 +428,7 @@ def check_joint_measurability(
 
     Comparison is exact (tolerance 0): scenarios with identical parameters
     run the identical expression tree, so equality is bitwise.  f is
-    evaluated once per distinct parameter vector (same types, same bytes),
+    evaluated once per distinct parameter vector (by ``exact_key``),
     and each scenario is compared with its atom's first scenario: the
     values are finite, so equality is transitive.
     """
@@ -421,8 +438,7 @@ def check_joint_measurability(
     by_params: dict[tuple, np.ndarray] = {}
     values: dict[Scenario, np.ndarray] = {}
     for omega in rf.space.scenarios:
-        p = rf.params_of(omega)
-        key = (tuple(map(type, p)), np.asarray(p, dtype=float).tobytes())
+        key = exact_key(rf.params_of(omega))
         if key not in by_params:
             vals, valid = eval_f_batch(rf, omega, X)
             if not valid.all():

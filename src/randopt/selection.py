@@ -40,6 +40,7 @@ from .optimize import (
     grid_points,
     sup_norm,
     verify_local_min,
+    _LastGrid,
     _scan_feasible,
 )
 from .probspace import (
@@ -340,14 +341,17 @@ def solve_rop(
     points: dict[Scenario, Point] = {}
     certs: dict[Scenario, Certificate] = {}
     excluded = 0
+    grids = _LastGrid()  # representatives with bit-identical boxes share a grid
     for atom in space.atoms:
         rep = atom[0]
-        X, values, rep_excluded = _scan_feasible(rf, rep, C.descriptions[rep], opts.grid_m)
+        X, values, rep_excluded = _scan_feasible(
+            rf, rep, C.descriptions[rep], opts.grid_m, grids
+        )
         excluded += rep_excluded
         eta = float(values.min())
         idx = int(np.flatnonzero(np.abs(values - eta) <= EQUATION_TOL)[0])
         sol = tuple(float(v) for v in X[idx])
-        del X, values  # hold one representative's grid at a time
+        del X, values  # free this scan's values before the next one
         for omega in atom:
             points[omega] = sol
             certs[omega] = GlobalCert(eta)

@@ -222,6 +222,42 @@ def test_main_overrides_options(tmp_path):
     assert report["seed"] == 7
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--seed", "-1", "/options/seed: -1 is less than the minimum of 0"),
+        ("--grid", "0", "/options/grid: 0 is less than the minimum of 2"),
+        ("--grid", "1", "/options/grid: 1 is less than the minimum of 2"),
+        ("--grid", "-3", "/options/grid: -3 is less than the minimum of 2"),
+    ],
+)
+def test_main_overrides_below_the_schema_minimum_are_input_errors(
+    tmp_path, flag, value, message
+):
+    # --seed -1 used to end in a traceback from the seeded generator, and
+    # --grid 0 or 1 was echoed into the report while 2 points were used
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    document = str(GALLERY / "quartic_double_well.json")
+    code = main(["solve-rlop", "--input", document, "--output", str(out), flag, value])
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == 3
+    assert report["status"] == "input_error"
+    assert report["error"] == {"type": "SchemaError", "message": message}
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text())
+    jsonschema.Draft202012Validator(schema).validate(report)
+
+
+def test_main_accepts_overrides_at_the_schema_minimum(tmp_path):
+    out = tmp_path / "report.json"
+    document = str(GALLERY / "quartic_double_well.json")
+    code = main(["oracle", "--input", document, "--output", str(out), "--grid", "2", "--seed", "0"])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert (report["grid"], report["seed"]) == (2, 0)
+
+
 def test_main_input_error_writes_report(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
