@@ -9,6 +9,7 @@ pair and are written atomically.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -69,12 +70,9 @@ def _point_json(p: Iterable[float]) -> list:
 
 
 def _witness_json(w: Witness) -> dict:
-    out = {
-        "atom": list(w.atom),
-        "scenario_a": w.scenario_a,
-        "scenario_b": w.scenario_b,
-        "gap": float(w.gap),
-    }
+    out = {"atom": list(w.atom), "scenario_a": w.scenario_a, "scenario_b": w.scenario_b}
+    if math.isfinite(w.gap):  # an overflowing difference, or sets of other shapes
+        out["gap"] = float(w.gap)
     if w.probe is not None:
         out["probe"] = _point_json(w.probe)
     if isinstance(w.value_a, (int, float)) and isinstance(w.value_b, (int, float)):
@@ -153,9 +151,7 @@ def _cmd_check_measurable(doc: ProblemDocument) -> tuple[int, dict, dict]:
         )
     }
     if doc.feasible is not None:
-        results["feasible_set"] = _verdict_json(
-            is_measurable_setmap(doc.space, doc.feasible, tol=0.0)
-        )
+        results["feasible_set"] = _verdict_json(is_measurable_setmap(doc.space, doc.feasible))
     if doc.candidate is not None:
         results["candidate"] = _verdict_json(
             is_measurable_rv(doc.space, doc.candidate, tol=0.0)

@@ -221,7 +221,8 @@ def load_problem(path: str) -> ProblemDocument:
     opts = SolverOptions()
     if "options" in raw:
         o = raw["options"]
-        opts = opts.with_(
+        opts = replace(
+            opts,
             grid_m=o.get("grid", opts.grid_m),
             newton_grid_m=o.get("newton_grid", opts.newton_grid_m),
             seed=o.get("seed", opts.seed),
@@ -242,7 +243,9 @@ def with_overrides(
     if not raw:
         return doc
     _validate_schema(raw, _schema()["properties"]["options"], "/options")
-    options = doc.options.with_(
-        grid_m=raw.get("grid", doc.options.grid_m), seed=raw.get("seed", doc.options.seed)
+    options = replace(
+        doc.options,
+        grid_m=raw.get("grid", doc.options.grid_m),
+        seed=raw.get("seed", doc.options.seed),
     )
     return replace(doc, options=options)

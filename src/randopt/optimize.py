@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -55,6 +55,10 @@ STATIONARITY_TOL = 1e-8
 JACOBI_OFF_TOL = 1e-12
 MARGIN_TOL = 1e-12
 MAX_GRID_POINTS = 20_000_000
+NEWTON_TOL = 1e-10  # sup-norm gradient tolerance for convergence
+NEWTON_MAX_ITERS = 60
+DEDUP_RADIUS = 1e-6
+DEFINITENESS_TOL_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,7 @@ class SolverOptions:
 
     grid_m: int = 101          # points per dimension for exhaustive scans
     newton_grid_m: int = 9     # starts per dimension for multistart Newton
-    newton_tol: float = 1e-10  # sup-norm gradient tolerance for convergence
-    newton_max_iters: int = 60
-    dedup_radius: float = 1e-6
-    tol_rel: float = 1e-10     # definiteness tolerance scale
     seed: int = 0
-
-    def with_(self, **kw) -> "SolverOptions":
-        return replace(self, **kw)
 
 
 # --- definiteness ---------------------------------------------------------------
@@ -165,7 +162,7 @@ def jacobi_eigenvalues(
     return np.sort(A.diagonal())
 
 
-def classify_definiteness(H: np.ndarray, tol_rel: float = 1e-10) -> Definiteness:
+def classify_definiteness(H: np.ndarray, tol_rel: float = DEFINITENESS_TOL_REL) -> Definiteness:
     """Sylvester's criterion for PD; Jacobi eigenvalues for the rest.
 
     Minor k is compared against tol_rel * (1 + |H|_inf)^k so the test is
@@ -232,7 +229,6 @@ def _newton_from(
     rf: RandomFunction,
     omega: Scenario,
     x0: Sequence[float],
-    opts: SolverOptions,
 ) -> tuple[Optional[np.ndarray], int, str]:
     """Damped Newton on the gradient; returns (point or None, iters, status).
 
@@ -248,7 +244,7 @@ def _newton_from(
         return None, 0, "singular"
     reason = "limit"
     it = 0
-    for it in range(opts.newton_max_iters):
+    for it in range(NEWTON_MAX_ITERS):
         gn = sup_norm(g)
         if gn == 0.0:
             break
@@ -263,7 +259,7 @@ def _newton_from(
             break
         lam = 1.0
         moved = False
-        attempts = 2 if gn <= opts.newton_tol else 30
+        attempts = 2 if gn <= NEWTON_TOL else 30
         for _ in range(attempts):
             xn = x + lam * d
             try:
@@ -280,7 +276,7 @@ def _newton_from(
             reason = "nodecrease"
             break
     gn = sup_norm(g)
-    if gn <= opts.newton_tol and reason != "runaway":
+    if gn <= NEWTON_TOL and reason != "runaway":
         return x, it, "converged"
     if reason == "singular":
         return None, it, "singular"
@@ -296,7 +292,7 @@ def find_stationary_points(
     """Multistart damped Newton on the gradient over ``region``.
 
     Converged points outside the region are discarded; duplicates merge at
-    ``opts.dedup_radius``.  Singular or undefined starts are skipped and
+    ``DEDUP_RADIUS``.  Singular or undefined starts are skipped and
     counted, never fatal.
     """
     if region.dim != rf.n:
@@ -305,7 +301,7 @@ def find_stationary_points(
     converged: list[tuple[np.ndarray, int]] = []
     skipped = stalled = 0
     for x0 in starts:
-        x, iters, status = _newton_from(rf, omega, x0, opts)
+        x, iters, status = _newton_from(rf, omega, x0)
         if status == "singular":
             skipped += 1
         elif status == "stalled":
@@ -315,7 +311,7 @@ def find_stationary_points(
     converged.sort(key=lambda pair: tuple(pair[0]))
     kept: list[tuple[np.ndarray, int]] = []
     for x, iters in converged:
-        if all(sup_norm(x - y) > opts.dedup_radius for y, _ in kept):
+        if all(sup_norm(x - y) > DEDUP_RADIUS for y, _ in kept):
             kept.append((x, iters))
     points = []
     for x, iters in kept:
@@ -331,7 +327,7 @@ def find_stationary_points(
                 x=tuple(float(v) for v in x),
                 grad_norm=sup_norm(g),
                 minors=tuple(float(v) for v in leading_principal_minors(H)),
-                classification=classify_definiteness(H, opts.tol_rel),
+                classification=classify_definiteness(H),
                 newton_iters=iters,
             )
         )
@@ -395,11 +391,11 @@ def verify_local_min(
 
     def ball_is_pd(delta: float) -> bool:
         try:
-            if classify_definiteness(hessian(rf, omega, x), opts.tol_rel) is not Definiteness.PD:
+            if classify_definiteness(hessian(rf, omega, x)) is not Definiteness.PD:
                 return False
             for d, r in zip(dirs, radii):
                 H = hessian(rf, omega, x + delta * r * d)
-                if classify_definiteness(H, opts.tol_rel) is not Definiteness.PD:
+                if classify_definiteness(H) is not Definiteness.PD:
                     return False
         except EvalError:
             return False
@@ -476,11 +472,10 @@ def polish_point(
     omega: Scenario,
     x0: Sequence[float],
     region: Box,
-    opts: SolverOptions = SolverOptions(),
 ) -> Optional[Point]:
     """Newton-refine a near-stationary point; None unless it stays in the
     region, reaches stationarity, and does not increase f."""
-    x, _, status = _newton_from(rf, omega, x0, opts)
+    x, _, status = _newton_from(rf, omega, x0)
     if status != "converged" or x is None:
         return None
     if not region.contains(x, tol=1e-9):

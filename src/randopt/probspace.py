@@ -6,25 +6,22 @@ mapping is constant on every atom, so every check below reduces to a
 within-atom comparison and, on failure, produces a two-scenario witness.
 
 The witness is the first pair (a, b), a before b in atom order, of the
-pairwise scan over each atom whose distance exceeds the tolerance.  At
-tolerance 0 the checks find it in time linear in the atom size: each
-scenario is compared only with its atom's first scenario, the
-representative.  Zero distance is transitive when every number involved
-is finite, so the first failing pair of the scan, if there is one, starts
-at the representative.
-
-An atom holding a NaN or an infinity is scanned pairwise: a NaN distance
-never exceeds the tolerance, so equality there is not transitive.  So is
-every atom at tolerance > 0.
+pairwise scan over each atom whose distance exceeds the tolerance.  The
+constructors reject NaN and infinities, so zero distance is transitive
+and at tolerance 0 the first failing pair, if any, starts at the atom's
+first scenario, the representative: the checks compare each scenario
+with it only, in time linear in the atom size.  ``is_measurable_rv`` at
+tolerance > 0 scans each atom pair by pair.  A gap can still be infinite,
+when a difference overflows or two descriptions differ in kind or shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 
-from .errors import DomainMismatch, PartitionError, WeightSumError
+from .errors import DomainMismatch, PartitionError, RandoptError, WeightSumError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .randfunc import RandomSet
@@ -32,6 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover
 Scenario = Hashable
 
 WEIGHT_SUM_TOL = 1e-12
+
+
+def _require_finite(values: Iterable[float], error: type[RandoptError]) -> None:
+    """Raise ``error`` at the first NaN or infinity in ``values``."""
+    for v in values:
+        if not math.isfinite(v):
+            raise error(f"number {v!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,7 @@ def make_space(
             f"{len(weights)} weights for {len(ids)} scenarios"
         )
     w = tuple(float(v) for v in weights)
+    _require_finite(w, WeightSumError)
     for v in w:
         if v < 0.0:
             raise WeightSumError(f"negative weight {v!r}")
@@ -109,6 +114,7 @@ class RandomVariableRn:
         dims = {len(v) for v in self.values.values()}
         if len(dims) != 1:
             raise DomainMismatch(f"inconsistent value dimensions {sorted(dims)}")
+        _require_finite((v for p in self.values.values() for v in p), DomainMismatch)
 
     @property
     def dim(self) -> int:
@@ -145,15 +151,14 @@ def _first_failure(
     atom: tuple[Scenario, ...],
     gap: Callable[[Scenario, Scenario], float],
     tol: float,
-    transitive: bool,
 ) -> Optional[tuple[Scenario, Scenario, float]]:
     """First pair (a, b, gap(a, b)) of the pairwise scan of ``atom`` with a
     gap above ``tol``, or None.
 
-    When ``transitive`` (gap <= tol is an equivalence on this atom) only the
-    pairs that start at the representative ``atom[0]`` are compared.
+    At tol 0 only the pairs that start at the representative ``atom[0]``
+    are compared: zero gap between finite values is an equivalence.
     """
-    firsts = atom[:1] if transitive else atom
+    firsts = atom[:1] if tol == 0.0 else atom
     for i, a in enumerate(firsts):
         for b in atom[i + 1 :]:
             g = gap(a, b)
@@ -176,10 +181,7 @@ def is_measurable_rv(
         return _sup_dist(values[a], values[b])
 
     for atom in space.atoms:
-        transitive = tol == 0.0 and all(
-            math.isfinite(v) for s in atom for v in values[s]
-        )
-        hit = _first_failure(atom, gap, tol, transitive)
+        hit = _first_failure(atom, gap, tol)
         if hit is not None:
             wa, wb, g = hit
             return MeasurabilityVerdict(
@@ -188,9 +190,7 @@ def is_measurable_rv(
     return MeasurabilityVerdict(True)
 
 
-def is_measurable_setmap(
-    space: ProbSpace, C: "RandomSet", tol: float = 0.0
-) -> MeasurabilityVerdict:
+def is_measurable_setmap(space: ProbSpace, C: "RandomSet") -> MeasurabilityVerdict:
     """Measurable iff the set description is constant on every atom.
 
     Box descriptions compare corner-wise, point clouds by Hausdorff
@@ -198,16 +198,13 @@ def is_measurable_setmap(
     """
     if C.space != space:
         raise DomainMismatch("set-valued map is defined on a different space")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
     descs = C.descriptions
 
     def gap(a: Scenario, b: Scenario) -> float:
         return descs[a].distance(descs[b])
 
     for atom in space.atoms:
-        transitive = tol == 0.0 and all(descs[s].is_finite() for s in atom)
-        hit = _first_failure(atom, gap, tol, transitive)
+        hit = _first_failure(atom, gap, 0.0)
         if hit is not None:
             wa, wb, g = hit
             return MeasurabilityVerdict(

@@ -33,6 +33,8 @@ from .probspace import (
     ProbSpace,
     Scenario,
     Witness,
+    _require_finite,
+    _sup_dist,
 )
 
 # --- set descriptions ---------------------------------------------------------
@@ -48,6 +50,7 @@ class Box:
     def __post_init__(self):
         if len(self.lower) != len(self.upper) or not self.lower:
             raise IncompatibleRepresentation("box bounds must share a dimension >= 1")
+        _require_finite((*self.lower, *self.upper), IncompatibleRepresentation)
         for lo, hi in zip(self.lower, self.upper):
             if not (lo <= hi):
                 raise IncompatibleRepresentation(f"box has lower {lo!r} > upper {hi!r}")
@@ -70,9 +73,6 @@ class Box:
             lo - tol <= v <= hi + tol for v, lo, hi in zip(x, self.lower, self.upper)
         )
 
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self.lower + self.upper))
-
     def distance(self, other) -> float:
         if not isinstance(other, Box) or other.dim != self.dim:
             return math.inf
@@ -94,6 +94,7 @@ class PointCloud:
         dims = {len(p) for p in self.points}
         if len(dims) != 1:
             raise IncompatibleRepresentation("point cloud mixes dimensions")
+        _require_finite((v for p in self.points for v in p), IncompatibleRepresentation)
 
     @property
     def dim(self) -> int:
@@ -101,9 +102,6 @@ class PointCloud:
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         return any(_sup_dist(x, p) <= tol for p in self.points)
-
-    def is_finite(self) -> bool:
-        return all(math.isfinite(v) for p in self.points for v in p)
 
     def distance(self, other) -> float:
         if not isinstance(other, PointCloud) or other.dim != self.dim:
@@ -132,6 +130,7 @@ class LevelSet:
                 raise IncompatibleRepresentation(
                     "constraint parameter count differs from params vector"
                 )
+        _require_finite(self.params, IncompatibleRepresentation)
 
     @property
     def dim(self) -> int:
@@ -139,9 +138,6 @@ class LevelSet:
 
     def substituted(self) -> tuple[Expression, ...]:
         return tuple(exprlang.substitute_params(c, self.params) for c in self.constraints)
-
-    def is_finite(self) -> bool:
-        return self.box.is_finite() and all(map(math.isfinite, self.params))
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         if not self.box.contains(x, tol):
@@ -173,9 +169,6 @@ class EmptySet:
 
     def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
         return False
-
-    def is_finite(self) -> bool:
-        return True
 
     def distance(self, other) -> float:
         if isinstance(other, EmptySet) and other.dim == self.dim:
@@ -262,10 +255,6 @@ def sample_graph(
             if desc.contains(x, tol):
                 pairs.append((omega, tuple(float(v) for v in x)))
     return GraphSample(tuple(pairs))
-
-
-def _sup_dist(a: Sequence[float], b: Sequence[float]) -> float:
-    return max(abs(u - v) for u, v in zip(a, b))
 
 
 def _hausdorff(A: Sequence[Point], B: Sequence[Point]) -> float:

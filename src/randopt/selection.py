@@ -36,11 +36,11 @@ from .optimize import (
     StationarySearch,
     classify_definiteness,
     find_stationary_points,
-    global_min_compact,
     grid_points,
     sup_norm,
     verify_local_min,
     _LastGrid,
+    _global_min,
     _scan_feasible,
 )
 from .probspace import (
@@ -151,7 +151,7 @@ def canonical_select(M: RandomSet, space: ProbSpace) -> Selection:
     """
     if M.space != space:
         raise DomainMismatch("set-valued map is defined on a different space")
-    input_verdict = is_measurable_setmap(space, M, tol=0.0)
+    input_verdict = is_measurable_setmap(space, M)
     points: dict[Scenario, Point] = {}
     for omega in space.scenarios:
         desc = M.descriptions[omega]
@@ -331,7 +331,7 @@ def solve_rop(
     if C.space != space or rf.space != space:
         raise DomainMismatch("function, set, and space must agree")
     _require_jointly_measurable(rf, C.bounding_box())
-    c_verdict = is_measurable_setmap(space, C, tol=0.0)
+    c_verdict = is_measurable_setmap(space, C)
     if not c_verdict.measurable:
         raise NonMeasurableC(
             "feasible map is not measurable: descriptions differ within atom "
@@ -368,13 +368,11 @@ def solve_rop(
 # --- local random optimization --------------------------------------------------------
 
 
-def _atom_is_convex(
-    rf: RandomFunction, rep: Scenario, region: Box, opts: SolverOptions
-) -> bool:
+def _atom_is_convex(rf: RandomFunction, rep: Scenario, region: Box) -> bool:
     """Hessian PSD (or PD) at every probe point of the region."""
     for x in default_probe_grid(region):
         try:
-            cls = classify_definiteness(hessian(rf, rep, x), opts.tol_rel)
+            cls = classify_definiteness(hessian(rf, rep, x))
         except EvalError:
             return False
         if cls not in (Definiteness.PD, Definiteness.PSD_DEGENERATE):
@@ -421,6 +419,7 @@ def solve_rlop(
     base = canonical_select(M, space)
 
     certs: dict[Scenario, Certificate] = {}
+    grids = _LastGrid()  # the convex atoms scan one grid over ``region``
     for atom in space.atoms:
         rep = atom[0]
         x = base.points[rep]
@@ -431,8 +430,8 @@ def solve_rlop(
                 f"(margin {outcome.margin:g}); this contradicts the sufficient "
                 "condition and indicates a numerical inconsistency"
             )
-        if _atom_is_convex(rf, rep, region, opts):
-            gm = global_min_compact(rf, rep, region, opts.grid_m)
+        if _atom_is_convex(rf, rep, region):
+            gm = _global_min(rf, rep, region, opts.grid_m, grids)
             fx = eval_f(rf, rep, x)
             if fx <= gm.grid_value + EQUATION_TOL:
                 for omega in atom:

@@ -26,8 +26,9 @@ DOCUMENTS = HERE / "documents"
 
 # (problem document, command): the criterion-9 corpus of acceptance test 9,
 # oracle and stationary on gallery documents whose scenarios share inputs
-# (and one, shifted_parabola_refusal, whose scenarios share none), then
-# three documents the schema accepts that a command cannot evaluate
+# (and one, shifted_parabola_refusal, whose scenarios share none), three
+# documents the schema accepts that a command cannot evaluate, then two
+# whose witness gap is infinite and so left out of the report
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -46,6 +47,9 @@ CORPUS = [
     (DOCUMENTS / "log_objective.json", "solve-rlop"),
     (DOCUMENTS / "level_set_feasible.json", "solve-rop"),
     (DOCUMENTS / "reciprocal_candidate.json", "necessary"),
+    (DOCUMENTS / "overflowing_candidate.json", "check-measurable"),
+    (DOCUMENTS / "level_set_shapes.json", "check-measurable"),
+    (DOCUMENTS / "level_set_shapes.json", "solve-rop"),
 ]
 
 

@@ -285,7 +285,6 @@ def test_criterion_6_derivatives_match_finite_differences():
 def test_criterion_7_sweep_minima_satisfy_necessary_conditions():
     rng = random.Random(314)
     space = r.make_space([1], [1.0], [[1]])
-    opts = SolverOptions()
     instances = 0
     minima_checked = 0
     while instances < 50:
@@ -339,7 +338,7 @@ def test_criterion_7_sweep_minima_satisfy_necessary_conditions():
             ]
 
         for pt in grid_pts[:10]:
-            polished = r.optimize.polish_point(rf, 1, pt, box, opts)
+            polished = r.optimize.polish_point(rf, 1, pt, box)
             assert polished is not None, (body, pt)
             g = r.gradient(rf, 1, polished)
             assert float(np.max(np.abs(g))) <= 1e-6

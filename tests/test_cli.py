@@ -304,6 +304,34 @@ def test_unevaluable_document_writes_fresh_input_error_report(
     jsonschema.Draft202012Validator(schema).validate(report)
 
 
+@pytest.mark.parametrize(
+    "document,command,expected_code,verdict",
+    [
+        ("overflowing_candidate.json", "check-measurable", 0, ["results", "candidate"]),
+        ("level_set_shapes.json", "check-measurable", 0, ["results", "feasible_set"]),
+        ("level_set_shapes.json", "solve-rop", 1, ["refusal"]),
+    ],
+)
+def test_infinite_witness_gap_is_left_out_of_a_fresh_report(
+    tmp_path, document, command, expected_code, verdict
+):
+    # 1e308 - (-1e308) overflows, and level sets of different shape are at
+    # distance inf; a report cannot hold inf
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    code = main([command, "--input", str(ERROR_DOCUMENTS / document), "--output", str(out)])
+    assert code == expected_code
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == expected_code
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text())
+    jsonschema.Draft202012Validator(schema).validate(report)
+    for key in verdict:
+        report = report[key]
+    assert report.get("measurable", False) is False
+    assert (report["witness"]["scenario_a"], report["witness"]["scenario_b"]) == (1, 2)
+    assert "gap" not in report["witness"]
+
+
 NAN_CANDIDATE = {
     "schema_version": 1,
     "space": {"scenarios": [1, 2, 3], "weights": [0.25, 0.25, 0.5], "atoms": [[1, 2, 3]]},

@@ -13,6 +13,7 @@ per distinct input, one grid per run of identical boxes.
 import json
 import random
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from randopt import cli, exprlang, optimize
 from randopt.cli import EXIT_OK, _global_min_json, _point_json, _require
 from randopt.document import load_problem
 from randopt.optimize import find_stationary_points, global_min_compact
+
+GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
 
 def reference_stationary(doc):
@@ -339,3 +342,13 @@ def test_solve_rop_builds_one_grid_per_run_of_identical_boxes(monkeypatch):
     _counted(monkeypatch, optimize, "grid_points", grids)
     r.solve_rop(rf, space, C, r.SolverOptions(grid_m=11))
     assert len(grids) == 3  # atoms {1,2}+{3} share one grid, then {4}, then {5,6}
+
+
+def test_solve_rlop_builds_one_grid_across_its_convex_atoms(tmp_path, monkeypatch):
+    # both atoms are convex, so each gets a global certificate after a scan
+    # of the same search box
+    grids = []
+    _counted(monkeypatch, optimize, "grid_points", grids)
+    doc = load_problem(str(GALLERY / "convex_quadratic_2d.json"))
+    assert cli.run("solve-rlop", doc, str(tmp_path / "out.json")) == 0
+    assert [m for _, m in grids] == [5, 5, 61]  # two Newton start grids, one scan

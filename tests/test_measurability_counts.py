@@ -67,6 +67,18 @@ def test_random_variable_compares_each_scenario_with_its_representative(
     assert len(calls) == N - ATOMS
 
 
+def test_small_atom_is_compared_with_its_representative_only(monkeypatch):
+    # the pairwise scan of one measurable atom of 5 would compare 10 pairs
+    small = r.make_space([1, 2, 3, 4, 5], [0.2] * 5, [[1, 2, 3, 4, 5]])
+    xi = r.RandomVariableRn(small, {s: (1.0, 2.0) for s in small.scenarios})
+    C = r.RandomSet(small, {s: r.Box((0.0,), (1.0,)) for s in small.scenarios})
+    rv_calls = _count_calls(monkeypatch, probspace, "_sup_dist")
+    box_calls = _count_calls(monkeypatch, r.Box, "distance")
+    assert r.is_measurable_rv(small, xi).measurable
+    assert r.is_measurable_setmap(small, C).measurable
+    assert (len(rv_calls), len(box_calls)) == (4, 4)
+
+
 def test_objective_is_evaluated_once_per_distinct_parameter_vector(space, monkeypatch):
     # atom 0 mixes 0.0 and -0.0: equal values, different bytes, two vectors
     vectors = {0: [(0.0,), (-0.0,)], 1: [(1.0,)], 2: [(2.0,)]}

@@ -57,7 +57,7 @@ def reference_solve_rop(rf, space, C, opts):
     f_verdict = r.check_joint_measurability(rf, r.default_probe_grid(C.bounding_box()))
     if not f_verdict.measurable:
         raise r.NonMeasurableF("f", f_verdict.witness)
-    c_verdict = r.is_measurable_setmap(space, C, tol=0.0)
+    c_verdict = r.is_measurable_setmap(space, C)
     if not c_verdict.measurable:
         raise r.NonMeasurableC("C", c_verdict.witness)
     minima = {
