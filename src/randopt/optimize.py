@@ -3,9 +3,12 @@
 Positive definiteness is decided by Sylvester's criterion (leading
 principal minors); the semidefinite and indefinite cases fall back to a
 cyclic Jacobi eigenvalue sweep.  Stationary points come from damped
-Newton iterations started on a grid; local minimality is certified by
-finding a ball on which the Hessian stays positive definite and then
-sampling the objective inside it.
+Newton iterations started on a grid.  The starts of a scenario advance in
+lock step: each iteration takes the sup-norms by array reductions and
+makes one stacked solve for all their Newton steps, with the bits of
+running each start alone.  Local minimality is certified by finding a
+ball on which the Hessian stays positive definite and then sampling the
+objective inside it.
 """
 
 from __future__ import annotations
@@ -225,62 +228,110 @@ def grid_points(region: Box, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _newton_from(
+def _at_rows(bundle, X: np.ndarray, p: tuple, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``bundle(x, p)`` at every row x of ``X``: the values as a
+    (len(X), width) array, and the mask of rows where the bundle did not
+    raise EvalError (the other rows hold NaN).  Rows pass as tuples of
+    ``np.float64`` elements, as ``tuple(row)`` would give them: the
+    bundles' arithmetic, and so their bits, follow the element type."""
+    ok = np.ones(len(X), dtype=bool)
+    undefined = (math.nan,) * width
+    values = []
+    for j, x in enumerate(zip(*X.T)):
+        try:
+            values.append(bundle(x, p))
+        except EvalError:
+            ok[j] = False
+            values.append(undefined)
+    return np.array(values, dtype=float).reshape(len(X), width), ok
+
+
+# Why a Newton run stopped; a run still iterating holds _LIMIT.
+_LIMIT, _ZERO_GRADIENT, _RUNAWAY, _SINGULAR, _NODECREASE = range(5)
+
+
+def _newton(
     rf: RandomFunction,
     omega: Scenario,
-    x0: Sequence[float],
-) -> tuple[Optional[np.ndarray], int, str]:
-    """Damped Newton on the gradient; returns (point or None, iters, status).
+    X0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on the gradient from every row of ``X0`` at once.
 
-    Iteration continues past the convergence tolerance as long as steps
-    keep shrinking the gradient, so degenerate roots (vanishing Hessian)
-    are driven to the numerical limit instead of stopping at a point whose
-    Hessian still looks definite.
+    Returns (X, iters, status) with one entry per start: the point
+    reached, the Newton steps taken and "converged", "singular" or
+    "stalled".  A row of X is meaningful only where the start converged.
+
+    Each start runs exactly as it would alone.  Iteration continues past
+    the convergence tolerance as long as steps keep shrinking the
+    gradient, so degenerate roots (vanishing Hessian) are driven to the
+    numerical limit instead of stopping at a point whose Hessian still
+    looks definite.  A step tries lambda = 1, 1/2, 1/4, ... (2 tries
+    once |g| <= NEWTON_TOL, else 30) until the gradient's sup-norm
+    decreases; an undefined gradient counts as no decrease.  The
+    starts advance in lock step, so the sup-norms, the symmetrization
+    and the Newton solves are whole-stack numpy operations, which give
+    the bits of the per-start ones.  The derivatives stay per point:
+    the compiled scalar bundles.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    try:
-        g = gradient(rf, omega, x)
-    except EvalError:
-        return None, 0, "singular"
-    reason = "limit"
-    it = 0
+    p = rf.params_of(omega)
+    X = np.array(X0, dtype=float)
+    N, n = X.shape
+    G, defined = _at_rows(rf.grad_bundle, X, p, n)  # NaN rows never converge
+    reason = np.where(defined, _LIMIT, _SINGULAR)
+    iters = np.zeros(N, dtype=int)
+    active = np.flatnonzero(defined)
     for it in range(NEWTON_MAX_ITERS):
-        gn = sup_norm(g)
-        if gn == 0.0:
+        if not len(active):
             break
-        if sup_norm(x) > 1e8:
-            reason = "runaway"
-            break
+        gn = np.abs(G[active]).max(axis=1)
+        stop = gn == 0.0
+        reason[active[stop]] = _ZERO_GRADIENT
+        runaway = ~stop & (np.abs(X[active]).max(axis=1) > 1e8)
+        reason[active[runaway]] = _RUNAWAY
+        stop |= runaway
+        iters[active[stop]] = it
+        active, gn = active[~stop], gn[~stop]
+
+        H, solvable = _at_rows(rf.hess_bundle, X[active], p, n * n)
+        H = H.reshape(-1, n, n)
+        H = (H + H.swapaxes(1, 2)) / 2.0
+        D = np.empty((len(active), n))
+        rhs = -G[active]
         try:
-            H = hessian(rf, omega, x)
-            d = np.linalg.solve(H, -g)
-        except (EvalError, np.linalg.LinAlgError):
-            reason = "singular"
-            break
+            D[solvable] = np.linalg.solve(H[solvable], rhs[solvable, :, None])[..., 0]
+        except np.linalg.LinAlgError:  # some matrix is singular: solve one by one
+            for j in np.flatnonzero(solvable):
+                try:
+                    D[j] = np.linalg.solve(H[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    solvable[j] = False
+        reason[active[~solvable]] = _SINGULAR
+
+        # the line search, every pending start at the same lambda
+        attempts = np.where(gn <= NEWTON_TOL, 2, 30)
+        moved = np.zeros(len(active), dtype=bool)
         lam = 1.0
-        moved = False
-        attempts = 2 if gn <= NEWTON_TOL else 30
-        for _ in range(attempts):
-            xn = x + lam * d
-            try:
-                gnew = gradient(rf, omega, xn)
-            except EvalError:
-                lam /= 2.0
-                continue
-            if sup_norm(gnew) < gn:
-                x, g = xn, gnew
-                moved = True
+        for k in range(30):
+            trying = np.flatnonzero(solvable & ~moved & (k < attempts))
+            if not len(trying):
                 break
+            Xn = X[active[trying]] + lam * D[trying]
+            Gn, _ = _at_rows(rf.grad_bundle, Xn, p, n)  # NaN rows: no decrease
+            better = np.abs(Gn).max(axis=1) < gn[trying]
+            won = active[trying[better]]
+            X[won], G[won] = Xn[better], Gn[better]
+            moved[trying[better]] = True
             lam /= 2.0
-        if not moved:
-            reason = "nodecrease"
-            break
-    gn = sup_norm(g)
-    if gn <= NEWTON_TOL and reason != "runaway":
-        return x, it, "converged"
-    if reason == "singular":
-        return None, it, "singular"
-    return None, it, "stalled"
+        reason[active[solvable & ~moved]] = _NODECREASE
+        iters[active[~moved]] = it
+        active = active[moved]
+    iters[active] = NEWTON_MAX_ITERS
+
+    converged = (np.abs(G).max(axis=1) <= NEWTON_TOL) & (reason != _RUNAWAY)
+    status = np.where(
+        converged, "converged", np.where(reason == _SINGULAR, "singular", "stalled")
+    )
+    return X, iters, status
 
 
 def find_stationary_points(
@@ -298,20 +349,20 @@ def find_stationary_points(
     if region.dim != rf.n:
         raise IncompatibleRepresentation("region dimension differs from function")
     starts = grid_points(region, opts.newton_grid_m)
-    converged: list[tuple[np.ndarray, int]] = []
-    skipped = stalled = 0
-    for x0 in starts:
-        x, iters, status = _newton_from(rf, omega, x0)
-        if status == "singular":
-            skipped += 1
-        elif status == "stalled":
-            stalled += 1
-        elif region.contains(x, tol=1e-9):
-            converged.append((x, iters))
+    X, newton_iters, status = _newton(rf, omega, starts)
+    skipped = int(np.count_nonzero(status == "singular"))
+    stalled = int(np.count_nonzero(status == "stalled"))
+    converged = [
+        (X[i], int(newton_iters[i]))
+        for i in np.flatnonzero(status == "converged")
+        if region.contains(X[i], tol=1e-9)
+    ]
     converged.sort(key=lambda pair: tuple(pair[0]))
+    kept_x = np.empty((len(converged), rf.n))
     kept: list[tuple[np.ndarray, int]] = []
     for x, iters in converged:
-        if all(sup_norm(x - y) > DEDUP_RADIUS for y, _ in kept):
+        if np.all(np.abs(kept_x[: len(kept)] - x).max(axis=1) > DEDUP_RADIUS):
+            kept_x[len(kept)] = x
             kept.append((x, iters))
     points = []
     for x, iters in kept:
@@ -475,8 +526,9 @@ def polish_point(
 ) -> Optional[Point]:
     """Newton-refine a near-stationary point; None unless it stays in the
     region, reaches stationarity, and does not increase f."""
-    x, _, status = _newton_from(rf, omega, x0)
-    if status != "converged" or x is None:
+    X, _, status = _newton(rf, omega, np.asarray(x0, dtype=float).reshape(1, -1))
+    x = X[0]
+    if status[0] != "converged":
         return None
     if not region.contains(x, tol=1e-9):
         return None

@@ -32,9 +32,14 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def _require_finite(values: Iterable[float], error: type[RandoptError]) -> None:
-    """Raise ``error`` at the first NaN or infinity in ``values``."""
+    """Raise ``error`` at the first NaN or infinity in ``values``, or at
+    the first number too large to convert to a float."""
     for v in values:
-        if not math.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:
+            raise error("number is not finite: it overflows a float") from None
+        if not finite:
             raise error(f"number {v!r} is not finite")
 
 
@@ -65,7 +70,10 @@ def make_space(
         raise PartitionError(
             f"{len(weights)} weights for {len(ids)} scenarios"
         )
-    w = tuple(float(v) for v in weights)
+    try:
+        w = tuple(float(v) for v in weights)
+    except OverflowError:
+        raise WeightSumError("weight is not finite: it overflows a float") from None
     _require_finite(w, WeightSumError)
     for v in w:
         if v < 0.0:

@@ -163,6 +163,16 @@ def test_flip_candidate_report(tmp_path):
     assert res["candidate_measurable"]["witness"]["atom"] == [1, 2]
 
 
+def test_stationary_counts_every_step_up_to_the_iteration_cap(tmp_path):
+    # Newton on x1^3 halves the distance to the degenerate root per step, so
+    # the start that finds it takes all NEWTON_MAX_ITERS = 60 steps
+    doc = load_problem(str(GALLERY / "cubic_inflection.json"))
+    out = tmp_path / "report.json"
+    assert run("stationary", doc, str(out)) == 0
+    points = json.loads(out.read_text())["results"]["stationary_points"]
+    assert [pt["newton_iters"] for pts in points.values() for pt in pts] == [60, 60]
+
+
 def test_oracle_agrees_with_solve_rop_on_corpus(tmp_path):
     for doc_name in (
         "quartic_double_well.json",

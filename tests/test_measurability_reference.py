@@ -259,7 +259,9 @@ def _one_atom(n):
     return r.make_space(list(range(1, n + 1)), [1.0 / n] * n, [list(range(1, n + 1))])
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "overflow"]
+)
 @pytest.mark.parametrize(
     "build,error",
     [
