@@ -28,7 +28,10 @@ DOCUMENTS = HERE / "documents"
 # oracle and stationary on gallery documents whose scenarios share inputs
 # (and one, shifted_parabola_refusal, whose scenarios share none), three
 # documents the schema accepts that a command cannot evaluate, then two
-# whose witness gap is infinite and so left out of the report
+# whose witness gap is infinite and so left out of the report, then the
+# batch mask rules (grid points excluded by the log domain and by a zero
+# denominator, and the first undefined probe) and a solve-rlop with no
+# stationary point
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -50,6 +53,10 @@ CORPUS = [
     (DOCUMENTS / "overflowing_candidate.json", "check-measurable"),
     (DOCUMENTS / "level_set_shapes.json", "check-measurable"),
     (DOCUMENTS / "level_set_shapes.json", "solve-rop"),
+    (DOCUMENTS / "log_objective.json", "oracle"),
+    (DOCUMENTS / "reciprocal_candidate.json", "oracle"),
+    (DOCUMENTS / "reciprocal_candidate.json", "check-measurable"),
+    (DOCUMENTS / "linear_objective.json", "solve-rlop"),
 ]
 
 
