@@ -16,21 +16,25 @@ language.  ``^`` binds tighter than unary minus, so ``-x1^2`` is
 Printed form uses minimal parentheses; ``parse(str(e))`` rebuilds the
 identical tree for every tree this module produces.
 
-Scalar evaluation is compiled.  ``compile_bundle`` turns a bundle of trees
-(an objective, its n partial derivatives, or its n^2 second partials)
-into one straight-line Python function, with one statement per distinct
-node.  Nodes are hash-consed bottom-up by node type, the names of their
-children and their payload; a number is keyed by its type and its bits,
-since ``Num(0.0) == Num(-0.0)``.  Statements follow the order of a walk
-of each tree in turn: operands left before right, except that a quotient
-computes its denominator, checks it for zero, and only then computes its
-numerator.  A value is reused only where that walk computed it earlier,
-so the first failing node, and with it the exception class and message,
-is the walk's.  Every check of the walk is kept: division by zero, the
-log and sqrt domains, overflow, and a finite result after every node
-other than a leaf or a negation.  Inputs pass through unconverted, so
-``np.float64`` inputs keep numpy's scalar arithmetic.  ``eval_batch``
-evaluates one tree at many points with numpy instead.
+Evaluation has one lowering and two runners.  ``_Compiler`` lowers a
+bundle of trees (an objective, its n partial derivatives, or its n^2
+second partials) to one list of steps: a value step per distinct node,
+and the checks as steps of their own.  Nodes are hash-consed bottom-up by
+node type, the names of their children and their payload; a number is
+keyed by its type and its bits, since ``Num(0.0) == Num(-0.0)``.  Steps
+follow the order of a walk of each tree in turn: operands left before
+right, except that a quotient computes its denominator, checks it for
+zero, and only then computes its numerator.  A value is reused only where
+that walk computed it earlier.  Every check of the walk is kept: division
+by zero, the log and sqrt domains, overflow, and a finite result after
+every node other than a leaf or a negation.
+
+``compile_bundle`` renders the steps as straight-line Python that raises
+at the first failing check, with the walk's exception class and message;
+``np.float64`` inputs pass through and keep numpy's scalar arithmetic.
+``eval_batch`` runs the steps of one tree on the rows of an array with
+numpy: a failing check clears its rows in a mask, leaves are one-element
+arrays that broadcast, and each value is freed after its last use.
 """
 
 from __future__ import annotations
@@ -126,6 +130,11 @@ class Expression:
     def compiled(self) -> Callable[[Sequence, Sequence], tuple]:
         """``(x, p) -> (value,)``, compiled on first use; see ``evaluate``."""
         return compile_bundle((self.root,), self.n, self.k)
+
+    @cached_property
+    def lowered(self) -> "_Compiler":
+        """The steps of ``root``, lowered on first use; see ``eval_batch``."""
+        return _Compiler((self.root,))
 
 
 @dataclass(frozen=True)
@@ -483,15 +492,26 @@ _OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 class _Compiler:
-    """Straight-line code for a bundle of trees: one statement per distinct
-    node, emitted where the tree walk would first compute it."""
+    """A bundle of trees lowered to steps ``(op, out, args, extra)``.
 
-    def __init__(self):
-        self.lines: list[str] = []
-        self.namespace = dict(_RUNTIME)
+    Value steps compute ``out`` from the values named in ``args``; "x" and
+    "p" load input ``extra``, and "**" raises to the constant ``extra``.
+    Check steps, "nonzero" (message ``extra``) and "finite", test their
+    one argument and have no ``out``."""
+
+    def __init__(self, roots: Sequence[Node]):
+        self.steps: list[tuple] = []
+        self.constants: dict[str, object] = {}  # generated name -> value
         self.names: dict[tuple, str] = {}  # hash-consing key -> generated name
         self.seen: dict[int, str] = {}  # id(node) -> generated name
         self.nonzero: set[str] = set()  # names that passed a zero check
+        self.results = tuple(self.visit(root) for root in roots)
+        # dead[i]: the values that step i reads for the last time
+        last = {name: i for i, step in enumerate(self.steps) for name in step[2]}
+        self.dead: list[list[str]] = [[] for _ in self.steps]
+        for name, i in last.items():
+            if name not in self.results:
+                self.dead[i].append(name)
 
     def constant(self, value) -> str:
         # keyed by type and bits: Num(0.0) == Num(-0.0), yet they differ
@@ -499,14 +519,14 @@ class _Compiler:
         key = (Num, type(value), bits)
         if key not in self.names:
             self.names[key] = f"c{len(self.names)}"
-            self.namespace[self.names[key]] = value
+            self.constants[self.names[key]] = value
         return self.names[key]
 
     def check_nonzero(self, name: str, message: str) -> None:
         # a value that passed one zero check passes every later one
         if name not in self.nonzero:
             self.nonzero.add(name)
-            self.lines.append(f"if {name} == 0.0: raise DivByZero({message!r})")
+            self.steps.append(("nonzero", None, (name,), message))
 
     def visit(self, node: Node) -> str:
         name = self.seen.get(id(node))
@@ -515,8 +535,8 @@ class _Compiler:
         return name
 
     def intern(self, node: Node) -> str:
-        """Visit the children in evaluation order, then emit ``node`` unless
-        a node with the same key was emitted before."""
+        """Visit the children in evaluation order, then lower ``node``
+        unless a node with the same key was lowered before."""
         kind = type(node)
         if kind is Num:
             return self.constant(node.value)
@@ -539,51 +559,87 @@ class _Compiler:
         name = self.names.get(key)
         if name is None:
             name = self.names[key] = f"t{len(self.names)}"
-            self.emit(node, name, *key)
+            self.lower(node, name, *key)
         return name
 
-    def emit(self, node: Node, t: str, kind: type, a, b=None) -> None:
-        """The statements computing ``node`` into ``t`` from operands a, b,
-        with the interpreter's checks and messages."""
+    def lower(self, node: Node, t: str, kind: type, a, b=None) -> None:
+        """The steps computing ``node`` into ``t`` from operands a, b; every
+        node other than a leaf or a negation is checked finite."""
         if kind is Var or kind is Param:
-            self.lines.append(f"{t} = {'x' if kind is Var else 'p'}[{a}]")
+            self.steps.append(("x" if kind is Var else "p", t, (), a))
             return
         if kind is Neg:
-            self.lines.append(f"{t} = -{a}")
+            self.steps.append(("neg", t, (a,), None))
             return
         if kind in _OPERATORS:
-            self.lines.append(f"{t} = {a} {_OPERATORS[kind]} {b}")
+            self.steps.append((_OPERATORS[kind], t, (a, b), None))
         elif kind is Pow:
             if node.exponent < 0:
                 self.check_nonzero(a, "zero raised to a negative power")
-            self.lines += [
-                "try:",
-                f"    {t} = {a} ** {b}",
-                "except OverflowError:",
-                "    raise DomainViolation('overflow in power') from None",
-            ]
+            self.steps.append(("**", t, (a,), b))
         else:  # Call
-            if b == "log":
-                body = [
-                    f"    if {a} <= 0.0: raise DomainViolation(f'log of non-positive value {{{a}!r}}')",
-                    f"    {t} = log({a})",
-                ]
-            elif b in ("sin", "cos", "exp"):
-                body = [f"    {t} = {b}({a})"]
-            else:  # sqrt
-                body = [
-                    f"    if {a} < 0.0: raise DomainViolation(f'sqrt of negative value {{{a}!r}}')",
-                    f"    {t} = sqrt({a})",
-                ]
-            self.lines += [
-                "try:",
-                *body,
-                "except OverflowError:",
-                "    raise DomainViolation('overflow in function application') from None",
-            ]
-        self.lines.append(
-            f"if not isfinite({t}): raise DomainViolation('non-finite intermediate result')"
-        )
+            self.steps.append((b, t, (a,), None))
+        self.steps.append(("finite", None, (t,), None))
+
+    def source(self) -> Iterator[str]:
+        """The steps as Python statements; a failed check raises."""
+        for op, t, args, extra in self.steps:
+            a = args[0] if args else None
+            if op == "x" or op == "p":
+                yield f"{t} = {op}[{extra}]"
+            elif op == "neg":
+                yield f"{t} = -{a}"
+            elif op == "nonzero":
+                yield f"if {a} == 0.0: raise DivByZero({extra!r})"
+            elif op == "finite":
+                yield f"if not isfinite({a}): raise DomainViolation('non-finite intermediate result')"
+            elif len(args) == 2:
+                yield f"{t} = {a} {op} {args[1]}"
+            else:  # a power or a function, where Python raises OverflowError
+                yield "try:"
+                if op == "log":
+                    yield f"    if {a} <= 0.0: raise DomainViolation(f'log of non-positive value {{{a}!r}}')"
+                elif op == "sqrt":
+                    yield f"    if {a} < 0.0: raise DomainViolation(f'sqrt of negative value {{{a}!r}}')"
+                yield f"    {t} = {a} ** {extra}" if op == "**" else f"    {t} = {op}({a})"
+                yield "except OverflowError:"
+                what = "power" if op == "**" else "function application"
+                yield f"    raise DomainViolation('overflow in {what}') from None"
+
+    def run_rows(self, X: np.ndarray, p: Sequence, valid: np.ndarray) -> np.ndarray:
+        """The steps on the rows of ``X``; a failed check clears its rows in
+        ``valid``.  Constants and parameters are one-element arrays of the
+        dtype ``np.full`` gives them, and columns of ``X`` are views."""
+        env = {name: np.full(1, value) for name, value in self.constants.items()}
+        for (op, t, args, extra), dead in zip(self.steps, self.dead):
+            if op == "finite":
+                valid &= np.isfinite(env[args[0]])
+            elif op == "nonzero":
+                valid &= ~(env[args[0]] == 0.0)
+            elif op == "x":
+                env[t] = X[:, extra]
+            elif op == "p":
+                env[t] = np.full(1, p[extra])
+            elif op == "**":
+                env[t] = env[args[0]] ** float(self.constants[extra])
+            elif op == "log":
+                a = env[args[0]]
+                valid &= ~(a <= 0.0)
+                env[t] = np.log(np.where(a > 0.0, a, 1.0))
+            elif op == "sqrt":
+                a = env[args[0]]
+                valid &= ~(a < 0.0)
+                env[t] = np.sqrt(np.where(a >= 0.0, a, 0.0))
+            else:
+                env[t] = _ARRAY_OPS[op](*[env[a] for a in args])
+            for name in dead:
+                del env[name]
+        return env[self.results[0]]
+
+
+# the value steps that are one numpy call, as the tree walk made them
+_ARRAY_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 def compile_bundle(
@@ -596,21 +652,21 @@ def compile_bundle(
     bit for bit, or raises the same error with the same message at the
     first failing node; see the module docstring.
     """
-    c = _Compiler()
-    results = [c.visit(root) for root in roots]
+    c = _Compiler(roots)
     n, k = operator.index(n), operator.index(k)
     source = "\n    ".join(
         [
             "def bundle(x, p):",
             f"if len(x) != {n}: raise ValueError(f'env.x has length {{len(x)}}, expected {n}')",
             f"if len(p) != {k}: raise ValueError(f'env.p has length {{len(p)}}, expected {k}')",
-            *c.lines,
-            f"return ({''.join(name + ', ' for name in results)})",
+            *c.source(),
+            f"return ({''.join(name + ', ' for name in c.results)})",
         ]
     )
+    namespace = {**_RUNTIME, **c.constants}
     # a file name per bundle keeps profilers from merging bundles by name
-    exec(compile(source, f"<exprlang bundle {id(c.namespace):#x}>", "exec"), c.namespace)
-    return c.namespace["bundle"]
+    exec(compile(source, f"<exprlang bundle {id(namespace):#x}>", "exec"), namespace)
+    return namespace["bundle"]
 
 
 def evaluate(e: Expression, env: Env) -> float:
@@ -627,68 +683,18 @@ def eval_batch(
     Returns ``(values, valid)`` where ``valid[i]`` is False whenever the
     scalar evaluator would have raised at row i (domain violations,
     division by zero, overflow).  Invalid entries of ``values`` are NaN.
+    It runs the steps that ``compile_bundle`` renders, lowered once into
+    ``e.lowered``; see the module docstring for the leaves and frees.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != e.n:
         raise ValueError(f"X must have shape (N, {e.n})")
     if len(p) != e.k:
         raise ValueError(f"p has length {len(p)}, expected {e.k}")
-    N = X.shape[0]
-    invalid = np.zeros(N, dtype=bool)
-    values = _eval_rows(e.root, X, p, invalid, N)
-    values = np.where(invalid, np.nan, values)
-    return values, ~invalid
-
-
-def _eval_rows(
-    node: Node, X: np.ndarray, p: Sequence[float], invalid: np.ndarray, N: int
-) -> np.ndarray:
-    """Values of ``node`` at the N rows of ``X``; rows where evaluation
-    fails are set in ``invalid``.  A plain function rather than a closure,
-    so a call leaves no reference cycle holding ``X`` and ``invalid``."""
-    if isinstance(node, Num):
-        return np.full(N, node.value)
-    if isinstance(node, Var):
-        return X[:, node.index - 1].copy()
-    if isinstance(node, Param):
-        return np.full(N, p[node.index - 1])
-    rows = (X, p, invalid, N)
-    if isinstance(node, Neg):
-        return -_eval_rows(node.arg, *rows)
+    valid = np.ones(X.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        if isinstance(node, Add):
-            v = _eval_rows(node.left, *rows) + _eval_rows(node.right, *rows)
-        elif isinstance(node, Sub):
-            v = _eval_rows(node.left, *rows) - _eval_rows(node.right, *rows)
-        elif isinstance(node, Mul):
-            v = _eval_rows(node.left, *rows) * _eval_rows(node.right, *rows)
-        elif isinstance(node, Div):
-            denom = _eval_rows(node.right, *rows)
-            invalid[denom == 0.0] = True
-            v = _eval_rows(node.left, *rows) / denom
-        elif isinstance(node, Pow):
-            base = _eval_rows(node.base, *rows)
-            if node.exponent < 0:
-                invalid[base == 0.0] = True
-            v = base ** float(node.exponent)
-        elif isinstance(node, Call):
-            arg = _eval_rows(node.arg, *rows)
-            if node.func == "sin":
-                v = np.sin(arg)
-            elif node.func == "cos":
-                v = np.cos(arg)
-            elif node.func == "exp":
-                v = np.exp(arg)
-            elif node.func == "log":
-                invalid[arg <= 0.0] = True
-                v = np.log(np.where(arg > 0.0, arg, 1.0))
-            else:  # sqrt
-                invalid[arg < 0.0] = True
-                v = np.sqrt(np.where(arg >= 0.0, arg, 0.0))
-        else:  # pragma: no cover - exhaustive
-            raise TypeError(f"unknown node {node!r}")
-    invalid[~np.isfinite(v)] = True
-    return v
+        values = e.lowered.run_rows(X, p, valid)
+    return np.where(valid, values, np.nan), valid
 
 
 # --- differentiation -----------------------------------------------------------

@@ -34,3 +34,4 @@ def test_solve_rlop_compiles_each_bundle_once(monkeypatch):
 
 def test_the_tree_walking_evaluator_is_gone():
     assert not hasattr(exprlang, "_eval_node")
+    assert not hasattr(exprlang, "_eval_rows")
