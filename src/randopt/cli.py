@@ -2,8 +2,8 @@
 
 Exit codes: 0 solved/verified, 1 hypothesis refusal (with witness in the
 report), 2 no solution exists, 3 input error, including documents a command
-cannot evaluate.  Reports are deterministic for a fixed (document, seed)
-pair and are written atomically.
+cannot evaluate and reports that cannot be written.  Reports are
+deterministic for a fixed (document, seed) pair and are written atomically.
 """
 
 from __future__ import annotations
@@ -250,23 +250,9 @@ def _cmd_solve_rop(doc: ProblemDocument) -> tuple[int, dict, dict]:
 def _cmd_solve_rlop(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.search_box is not None, "/search_box", "solve-rlop needs a search_box")
     outcome = solve_rlop(doc.rf, doc.space, doc.search_box, doc.options)
-    if isinstance(outcome, NoStationaryPoints):
-        return (
-            EXIT_NO_SOLUTION,
-            {"no_solution": {"kind": "NoStationaryPoints", "atom": list(outcome.atom)}},
-            {},
-        )
-    if isinstance(outcome, NoPDStationaryPoint):
-        return (
-            EXIT_NO_SOLUTION,
-            {
-                "no_solution": {
-                    "kind": "NoPDStationaryPoint",
-                    "atom": list(outcome.atom),
-                }
-            },
-            {},
-        )
+    if isinstance(outcome, (NoStationaryPoints, NoPDStationaryPoint)):
+        no_solution = {"kind": type(outcome).__name__, "atom": list(outcome.atom)}
+        return EXIT_NO_SOLUTION, {"no_solution": no_solution}, {}
     return EXIT_OK, {"selection": _selection_json(outcome)}, dict(outcome.diagnostics)
 
 
@@ -348,8 +334,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="sampling seed")
     args = parser.parse_args(argv)
 
+    # a document that cannot be read and a report that cannot be written
+    # both end here, with the same exit code and no traceback
     try:
         doc = with_overrides(load_problem(args.input), grid=args.grid, seed=args.seed)
+        code = run(args.command, doc, args.output)
     except (RandoptError, OSError) as e:
         report = {
             "schema_version": 1,
@@ -365,7 +354,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"randopt {args.command}: input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    code = run(args.command, doc, args.output)
     status = {0: "ok", 1: "refused", 2: "no solution", 3: "input error"}[code]
     print(f"randopt {args.command}: {status} (exit {code}); report: {args.output}")
     return code

@@ -288,6 +288,7 @@ class RandomFunction:
                 raise DomainMismatch(
                     f"scenario {s!r} has {len(p)} parameters, body declares {self.body.k}"
                 )
+            _require_finite(p, DomainMismatch)
 
     @cached_property
     def grad_exprs(self) -> tuple[Expression, ...]:

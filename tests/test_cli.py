@@ -284,6 +284,17 @@ def test_main_missing_file(tmp_path):
     assert code == 3
 
 
+def test_main_unwritable_output_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "report.json"
+    code = main(["oracle", "--input", str(GALLERY / "quartic_double_well.json"), "--output", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("randopt oracle: input error: [Errno 2]")
+    assert str(out.parent) in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize(
     "document,command,extra,error_type",
     [

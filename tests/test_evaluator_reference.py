@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
-from randopt.errors import DivByZero, DomainViolation
+from randopt.errors import DivByZero, DomainMismatch, DomainViolation
 from randopt.exprlang import (
     FUNCTIONS,
     Add,
@@ -195,7 +195,14 @@ def test_evaluate_matches_the_tree_walk(root, x, p):
 @settings(max_examples=200, deadline=None)
 @given(trees, xs, ps, st.booleans())
 def test_f_gradient_and_hessian_match_the_tree_walk(root, x, p, as_array):
-    rf = r.RandomFunction(SPACE, N, Expression(root, N, K), {1: p})
+    body = Expression(root, N, K)
+    if not all(math.isfinite(v) for v in p):
+        # a random function holds finite parameters only; evaluate itself is
+        # still compared at non-finite p above
+        with pytest.raises(DomainMismatch, match="is not finite"):
+            r.RandomFunction(SPACE, N, body, {1: p})
+        return
+    rf = r.RandomFunction(SPACE, N, body, {1: p})
     point = np.array(x) if as_array else x
     for new, old in (
         (eval_f, reference_eval_f),

@@ -273,8 +273,14 @@ def _one_atom(n):
         ),
         (lambda v: r.RandomVariableRn(_one_atom(2), {1: (0.0,), 2: (v,)}), r.DomainMismatch),
         (lambda v: r.make_space([1, 2], [v, v], [[1, 2]]), r.WeightSumError),
+        (
+            lambda v: r.RandomFunction(
+                _one_atom(2), 1, r.parse("x1 - p1", 1, 1), {1: (0.0,), 2: (v,)}
+            ),
+            r.DomainMismatch,
+        ),
     ],
-    ids=["Box", "PointCloud", "LevelSet", "RandomVariableRn", "make_space"],
+    ids=["Box", "PointCloud", "LevelSet", "RandomVariableRn", "make_space", "RandomFunction"],
 )
 def test_non_finite_numbers_are_rejected(build, error, value):
     # a NaN gap never exceeds a tolerance, and zero gap stops being
