@@ -12,6 +12,7 @@ same message.
 import copy
 import math
 import warnings
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def reference_eval_batch(e, X, p=()):
 
 
 def _eval_rows(
-    node: Node, X: np.ndarray, p, invalid: np.ndarray, N: int
+    node: Node, X: np.ndarray, p: Sequence[float], invalid: np.ndarray, N: int
 ) -> np.ndarray:
     """Values of ``node`` at the N rows of ``X``; rows where evaluation
     fails are set in ``invalid``.  A plain function rather than a closure,
