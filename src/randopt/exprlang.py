@@ -637,7 +637,7 @@ class _Compiler:
         return env[self.results[0]]
 
 
-# the value steps that are one numpy call, as the tree walk made them
+# the value steps that are one array operation, operators included
 _ARRAY_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv, "sin": np.sin, "cos": np.cos, "exp": np.exp}
 
