@@ -270,16 +270,21 @@ _DISPATCH = {
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it.  An
+    OSError names ``path``, never the temporary file's random name."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".randopt-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".randopt-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:  # the same subclass, from its errno
+        raise OSError(e.errno, e.strerror, path) from None
 
 
 def run(command: str, doc: ProblemDocument, output_path: str) -> int:

@@ -5,17 +5,22 @@ per-scenario parameter vectors), an optional feasible set, an optional
 search box, and solver options.  Loading validates against the bundled
 JSON schema first, then rebuilds every domain object so all type
 invariants are enforced with a JSON-pointer diagnostic on failure.
+
+Validation is one walk compiled from the bundled schema, once per process,
+that answers only whether a document is clean: schema-valid and free of
+NaN, infinities and integers too large for a float.  Only a document that
+is not clean goes through ``_reject_non_finite`` and jsonschema, which word
+the rejection; so jsonschema is imported only to explain one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Optional
-
-import jsonschema
+from typing import Callable, Optional
 
 from . import exprlang
 from .errors import (
@@ -41,14 +46,11 @@ class ProblemDocument:
     options: SolverOptions
 
 
-def _schema() -> dict:
-    text = resources.files("randopt").joinpath("schemas/problem.schema.json").read_text()
-    return json.loads(text)
-
-
 def _validate_schema(raw: dict, schema: dict, prefix: str = "") -> None:
     """Raise SchemaError at the first violation of ``schema`` by ``raw``,
     pointing below ``prefix``, the location of ``raw`` in a document."""
+    import jsonschema  # only a document that is not clean pays for the import
+
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(
         validator.iter_errors(raw),
@@ -84,6 +86,200 @@ def _reject_non_finite(value: object, pointer: str) -> None:
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _reject_non_finite(item, f"{pointer}/{i}")
+
+
+# --- the compiled walk -----------------------------------------------------------
+
+Check = Callable[[object], bool]
+
+_DIALECT = "https://json-schema.org/draft/2020-12/schema"
+_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "minimum", "const", "enum", "$ref",
+})
+_ROOT_ONLY = frozenset({"$schema", "$id", "title", "$defs"})
+
+
+def _fits_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _clean(value: object) -> bool:
+    """Whether ``value`` holds no NaN, infinity or integer too large for a
+    float at any depth: the check of a schema that constrains nothing.
+    A type ``json.load`` never returns is not clean."""
+    t = type(value)
+    if t is float:
+        return math.isfinite(value)
+    if t is int:
+        return _fits_float(value)
+    if t is dict:
+        return all(map(_clean, value.values()))
+    if t is list:
+        return all(map(_clean, value))
+    return t is str or t is bool or value is None
+
+
+def _is_number(value: object) -> bool:
+    t = type(value)
+    if t is float:
+        return math.isfinite(value)
+    return t is int and _fits_float(value)
+
+
+def _is_integer(value: object) -> bool:
+    t = type(value)
+    if t is float:
+        return value.is_integer()  # 1.0 is an integer; NaN and inf are not
+    return t is int and _fits_float(value)
+
+
+# draft 2020-12 types, on what json.load returns; a bool is neither a number
+# nor an integer, and a number passes only when it is finite
+_TYPES: dict[str, Check] = {
+    "number": _is_number,
+    "integer": _is_integer,
+    "string": lambda v: type(v) is str,
+    "array": lambda v: type(v) is list,
+    "object": lambda v: type(v) is dict,
+}
+_SCALAR_TYPES = frozenset({"number", "integer", "string"})
+
+
+def _never(value: object) -> bool:
+    return False
+
+
+def _json_equal(a: object, b: object) -> bool:
+    """Draft 2020-12 equality with a scalar ``b``: 1 equals 1.0, but a bool
+    equals only a bool."""
+    return (type(a) is bool) == (type(b) is bool) and a == b
+
+
+class _SchemaCompiler:
+    """Compiles a schema into a check that answers only "clean or not".
+
+    A check returning True means the value satisfies the schema and holds
+    no NaN, infinity or integer too large for a float, anywhere inside it.
+    A keyword without a compiled check raises ValueError, so a schema edit
+    cannot pass the walk unseen.
+    """
+
+    def __init__(self, root: dict):
+        if root.get("$schema", _DIALECT) != _DIALECT:
+            raise ValueError(f"no compiled check for dialect {root['$schema']!r}")
+        self.defs = root.get("$defs", {})
+        self.refs: dict[str, Optional[Check]] = {}
+
+    def compile(self, schema: object, root: bool = False) -> Check:
+        if schema is True:
+            return _clean
+        if schema is False:
+            return _never
+        if not isinstance(schema, dict):
+            raise ValueError(f"no compiled check for schema {schema!r}")
+        unknown = set(schema) - _KEYWORDS - (_ROOT_ONLY if root else set())
+        if unknown:
+            raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
+
+        checks: list[Check] = []
+        covered = False  # whether the checks so far imply the value is clean
+        if "$ref" in schema:
+            checks.append(self._ref(schema["$ref"]))
+            covered = True
+        if "type" in schema:
+            names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+            if not names or any(name not in _TYPES for name in names):
+                raise ValueError(f"no compiled check for type {schema['type']!r}")
+            preds = tuple(_TYPES[name] for name in names)
+            checks.append(preds[0] if len(preds) == 1 else lambda v: any(p(v) for p in preds))
+            covered = covered or _SCALAR_TYPES.issuperset(names)
+        for key in ("const", "enum"):
+            if key not in schema:
+                continue
+            allowed = tuple(schema[key]) if key == "enum" else (schema[key],)
+            if any(type(a) not in (str, int, float, bool, type(None)) for a in allowed):
+                raise ValueError(f"no compiled check for {key} {schema[key]!r}")
+            checks.append(lambda v, allowed=allowed: any(_json_equal(v, a) for a in allowed))
+        if "minimum" in schema:
+            low = schema["minimum"]
+            checks.append(lambda v: not (type(v) is int or type(v) is float) or v >= low)
+        if "minItems" in schema:
+            least = schema["minItems"]
+            checks.append(lambda v: type(v) is not list or len(v) >= least)
+        if "required" in schema:
+            required = tuple(schema["required"])
+            checks.append(lambda v: type(v) is not dict or all(k in v for k in required))
+        structural = ("properties", "additionalProperties", "items")
+        if not covered or any(k in schema for k in structural):
+            checks.append(self._children(schema))
+
+        if len(checks) == 1:
+            return checks[0]
+        checks_t = tuple(checks)
+
+        def check(value: object) -> bool:
+            for c in checks_t:
+                if not c(value):
+                    return False
+            return True
+
+        return check
+
+    def _children(self, schema: dict) -> Check:
+        """The check of a value's members; a scalar must be finite."""
+        props = {k: self.compile(s) for k, s in schema.get("properties", {}).items()}
+        extra = self.compile(schema.get("additionalProperties", True))
+        items = self.compile(schema.get("items", True))
+
+        def children(value: object) -> bool:
+            t = type(value)
+            if t is dict:
+                for key, item in value.items():
+                    if not props.get(key, extra)(item):
+                        return False
+                return True
+            if t is list:
+                return all(map(items, value))
+            return _clean(value)
+
+        return children
+
+    def _ref(self, target: str) -> Check:
+        name = target.removeprefix("#/$defs/")
+        if name == target or name not in self.defs:
+            raise ValueError(f"no compiled check for $ref {target!r}")
+        if name not in self.refs:
+            self.refs[name] = None  # marks a $ref that reaches itself
+            self.refs[name] = self.compile(self.defs[name])
+        check = self.refs[name]
+        if check is None:
+            raise ValueError(f"no compiled check for the recursive $ref {target!r}")
+        return check
+
+
+@dataclass(frozen=True)
+class _Bundled:
+    """The bundled problem schema, and its checks of a document and of the
+    ``options`` object alone."""
+
+    schema: dict
+    document: Check
+    options: Check
+
+
+@functools.cache
+def _bundled() -> _Bundled:
+    text = resources.files("randopt").joinpath("schemas/problem.schema.json").read_text()
+    schema = json.loads(text)
+    compiler = _SchemaCompiler(schema)
+    return _Bundled(
+        schema, compiler.compile(schema, root=True), compiler.compile(schema["properties"]["options"])
+    )
 
 
 def _scenario_key(scenario: Scenario) -> str:
@@ -161,6 +357,15 @@ def _build_feasible(
     return RandomSet(space, descs)
 
 
+def _validate_document(raw: object) -> None:
+    """Raise SchemaError at the first fault of a loaded document: a number
+    that is not finite first, in document order, then a schema violation."""
+    bundled = _bundled()
+    if not bundled.document(raw):  # word the rejection, or accept after all
+        _reject_non_finite(raw, "")
+        _validate_schema(raw, bundled.schema)
+
+
 def load_problem(path: str) -> ProblemDocument:
     """Load, schema-validate, and fully construct a problem document."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -168,8 +373,7 @@ def load_problem(path: str) -> ProblemDocument:
             raw = json.load(fh)
         except ValueError as e:  # JSONDecodeError, or an int over 4300 digits
             raise SchemaError("", f"invalid JSON: {e}") from None
-    _reject_non_finite(raw, "")
-    _validate_schema(raw, _schema())
+    _validate_document(raw)
 
     sp = raw["space"]
     try:
@@ -242,7 +446,9 @@ def with_overrides(
     raw = {name: v for name, v in (("grid", grid), ("seed", seed)) if v is not None}
     if not raw:
         return doc
-    _validate_schema(raw, _schema()["properties"]["options"], "/options")
+    bundled = _bundled()
+    if not bundled.options(raw):
+        _validate_schema(raw, bundled.schema["properties"]["options"], "/options")
     options = replace(
         doc.options,
         grid_m=raw.get("grid", doc.options.grid_m),

@@ -624,11 +624,11 @@ class _Compiler:
                 env[t] = env[args[0]] ** float(self.constants[extra])
             elif op == "log":
                 a = env[args[0]]
-                valid &= ~(a <= 0.0)
+                valid &= a > 0.0
                 env[t] = np.log(np.where(a > 0.0, a, 1.0))
             elif op == "sqrt":
                 a = env[args[0]]
-                valid &= ~(a < 0.0)
+                valid &= a >= 0.0
                 env[t] = np.sqrt(np.where(a >= 0.0, a, 0.0))
             else:
                 env[t] = _ARRAY_OPS[op](*[env[a] for a in args])

@@ -1,8 +1,10 @@
 """The batch evaluator against the tree walk it replaced.
 
 ``_eval_rows`` and ``reference_eval_batch`` below are the previous batch
-evaluator, verbatim: a recursive walk that recomputed every shared subtree
-and filled every leaf to N rows with ``np.full``.  ``eval_batch`` now runs
+evaluator: a recursive walk that recomputed every shared subtree and
+filled every leaf to N rows with ``np.full``.  It is verbatim but for the
+log and sqrt masks, which now also clear a row whose argument is NaN, as
+the scalar evaluator raises there.  ``eval_batch`` now runs
 the hash-consed steps that ``compile_bundle`` renders, with one-element
 leaves.  On every input both must return the same values (dtype, shape and
 bytes) and the same valid mask, or raise the same exception class with the
@@ -32,8 +34,11 @@ from randopt.exprlang import (
     Param,
     Pow,
     Sub,
+    Env,
+    EvalError,
     Var,
     eval_batch,
+    evaluate,
     parse,
 )
 
@@ -93,10 +98,10 @@ def _eval_rows(
             elif node.func == "exp":
                 v = np.exp(arg)
             elif node.func == "log":
-                invalid[arg <= 0.0] = True
+                invalid[~(arg > 0.0)] = True
                 v = np.log(np.where(arg > 0.0, arg, 1.0))
             else:  # sqrt
-                invalid[arg < 0.0] = True
+                invalid[~(arg >= 0.0)] = True
                 v = np.sqrt(np.where(arg >= 0.0, arg, 0.0))
         else:  # pragma: no cover - exhaustive
             raise TypeError(f"unknown node {node!r}")
@@ -225,6 +230,27 @@ def test_non_finite_rows_match_the_tree_walk(text):
     e = parse(text, N, K)
     X = np.array([[math.nan, math.inf], [-math.inf, math.nan], [0.0, -0.0], [1.0, -1.0]])
     assert outcome(eval_batch, e, X, (1.0, 2.0)) == outcome(reference_eval_batch, e, X, (1.0, 2.0))
+    # a row is valid exactly where the scalar evaluator returns, NaN rows
+    # under log and sqrt included
+    _, valid = eval_batch(e, X, (1.0, 2.0))
+    for row, ok in zip(X, valid):
+        try:
+            evaluate(e, Env(tuple(row), (1.0, 2.0)))
+        except EvalError:
+            assert not ok, row
+        else:
+            assert ok, row
+
+
+@pytest.mark.parametrize("text", ["log(x1)", "sqrt(x1)", "log(x1) + x2", "sqrt(p1) + x1"])
+def test_a_nan_reaching_log_or_sqrt_clears_its_row(text):
+    e = parse(text, N, K)
+    X = np.array([[math.nan, 1.0], [4.0, 1.0]])
+    p = (math.nan,) if "p1" in text else (4.0,)
+    values, valid = eval_batch(e, X, p + (0.0,))
+    expected = [False, "p1" not in text]
+    assert valid.tolist() == expected
+    assert np.isnan(values[~valid]).all()
 
 
 def test_wrong_shapes_raise_as_before():

@@ -295,6 +295,23 @@ def test_main_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_main_unwritable_output_names_the_output_path(tmp_path, capsys, where):
+    out = tmp_path / "no" / "r.json" if where == "missing directory" else tmp_path / "r.json"
+    if where == "directory":
+        out.mkdir()
+    argv = ["oracle", "--input", str(GALLERY / "quartic_double_well.json"), "--output", str(out)]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 3
+        errors.append(capsys.readouterr().err)
+    assert f"'{out}'" in errors[0] and "r.json" in errors[0]
+    assert ".randopt-" not in errors[0]
+    assert errors[0] == errors[1]
+    # no temporary file is left behind
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if where == "missing directory" else ["r.json"])
+
+
 @pytest.mark.parametrize(
     "document,command,extra,error_type",
     [
