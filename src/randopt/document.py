@@ -90,7 +90,7 @@ def _reject_non_finite(value: object, pointer: str) -> None:
 
 # --- the compiled walk -----------------------------------------------------------
 
-Check = Callable[[object], bool]
+_Check = Callable[[object], bool]
 
 _DIALECT = "https://json-schema.org/draft/2020-12/schema"
 _KEYWORDS = frozenset({
@@ -113,15 +113,11 @@ def _clean(value: object) -> bool:
     float at any depth: the check of a schema that constrains nothing.
     A type ``json.load`` never returns is not clean."""
     t = type(value)
-    if t is float:
-        return math.isfinite(value)
-    if t is int:
-        return _fits_float(value)
     if t is dict:
         return all(map(_clean, value.values()))
     if t is list:
         return all(map(_clean, value))
-    return t is str or t is bool or value is None
+    return _is_number(value) or t is str or t is bool or value is None
 
 
 def _is_number(value: object) -> bool:
@@ -140,7 +136,7 @@ def _is_integer(value: object) -> bool:
 
 # draft 2020-12 types, on what json.load returns; a bool is neither a number
 # nor an integer, and a number passes only when it is finite
-_TYPES: dict[str, Check] = {
+_TYPES: dict[str, _Check] = {
     "number": _is_number,
     "integer": _is_integer,
     "string": lambda v: type(v) is str,
@@ -173,9 +169,9 @@ class _SchemaCompiler:
         if root.get("$schema", _DIALECT) != _DIALECT:
             raise ValueError(f"no compiled check for dialect {root['$schema']!r}")
         self.defs = root.get("$defs", {})
-        self.refs: dict[str, Optional[Check]] = {}
+        self.refs: dict[str, Optional[_Check]] = {}
 
-    def compile(self, schema: object, root: bool = False) -> Check:
+    def compile(self, schema: object, root: bool = False) -> _Check:
         if schema is True:
             return _clean
         if schema is False:
@@ -186,7 +182,7 @@ class _SchemaCompiler:
         if unknown:
             raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
 
-        checks: list[Check] = []
+        checks: list[_Check] = []
         covered = False  # whether the checks so far imply the value is clean
         if "$ref" in schema:
             checks.append(self._ref(schema["$ref"]))
@@ -230,7 +226,7 @@ class _SchemaCompiler:
 
         return check
 
-    def _children(self, schema: dict) -> Check:
+    def _children(self, schema: dict) -> _Check:
         """The check of a value's members; a scalar must be finite."""
         props = {k: self.compile(s) for k, s in schema.get("properties", {}).items()}
         extra = self.compile(schema.get("additionalProperties", True))
@@ -249,7 +245,7 @@ class _SchemaCompiler:
 
         return children
 
-    def _ref(self, target: str) -> Check:
+    def _ref(self, target: str) -> _Check:
         name = target.removeprefix("#/$defs/")
         if name == target or name not in self.defs:
             raise ValueError(f"no compiled check for $ref {target!r}")
@@ -268,8 +264,8 @@ class _Bundled:
     ``options`` object alone."""
 
     schema: dict
-    document: Check
-    options: Check
+    document: _Check
+    options: _Check
 
 
 @functools.cache
