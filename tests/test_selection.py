@@ -263,6 +263,49 @@ def test_solve_rlop_refuses_non_measurable_f(space3):
         r.solve_rlop(rf, space3, r.Box((-5.0,), (5.0,)))
 
 
+# --- refusal messages ------------------------------------------------------------------
+# the message bytes of each refusal; NonMeasurableEta has no golden report
+
+
+def test_non_measurable_eta_message(space3):
+    eta = r.RandomVariableRn(space3, {1: (4.0,), 2: (9.0,), 3: (4.0,)})
+    with pytest.raises(NonMeasurableEta) as exc:
+        r.solve_random_equation(make_rf(space3, "x1^2"), space3, eta, r.Box((-5.0,), (5.0,)))
+    assert str(exc.value) == "target eta is not measurable: it differs within atom (1, 2)"
+    assert (exc.value.witness.gap, exc.value.witness.probe) == (5.0, None)
+
+
+@pytest.mark.parametrize("solve", ["solve_rop", "solve_rlop", "solve_random_equation"])
+def test_non_measurable_f_message(space3, solve):
+    rf = make_rf(space3, "(x1 - p1)^2", params={1: (1.0,), 2: (2.0,), 3: (0.0,)})
+    box = r.Box((-5.0,), (5.0,))
+    args = {
+        "solve_rop": (rf, space3, const_set(space3, box)),
+        "solve_rlop": (rf, space3, box),
+        "solve_random_equation": (rf, space3, const_rv(space3, (0.0,)), box),
+    }[solve]
+    with pytest.raises(NonMeasurableF) as exc:
+        getattr(r, solve)(*args)
+    assert str(exc.value) == (
+        "objective is not jointly measurable: values differ within atom (1, 2) "
+        "at probe (-5.0,)"
+    )
+    w = exc.value.witness
+    assert (w.scenario_a, w.scenario_b, w.gap, w.value_a, w.value_b) == (1, 2, 13.0, 36.0, 49.0)
+
+
+def test_non_measurable_c_message(space3):
+    C = r.RandomSet(
+        space3, {1: r.Box((0.0,), (1.0,)), 2: r.Box((0.0,), (2.0,)), 3: r.Box((0.0,), (1.0,))}
+    )
+    with pytest.raises(NonMeasurableC) as exc:
+        r.solve_rop(make_rf(space3, "x1^2"), space3, C)
+    assert str(exc.value) == (
+        "feasible map is not measurable: descriptions differ within atom (1, 2)"
+    )
+    assert (exc.value.witness.gap, exc.value.witness.probe) == (1.0, None)
+
+
 # --- necessary conditions -------------------------------------------------------------------
 
 
