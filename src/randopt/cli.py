@@ -35,7 +35,7 @@ from .probspace import (
     is_measurable_rv,
     is_measurable_setmap,
 )
-from .randfunc import Box, check_joint_measurability, default_probe_grid, exact_key
+from .randfunc import Box, check_joint_measurability, default_probe_grid, per_distinct_input
 from .selection import (
     GlobalCert,
     NecessaryOnly,
@@ -163,16 +163,13 @@ def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.search_box is not None, "/search_box", "stationary needs a search_box")
 
     # the search depends on the scenario only through its parameter vector
-    searches = {}
+    searches = per_distinct_input(
+        doc.rf,
+        lambda omega: find_stationary_points(doc.rf, omega, doc.search_box, doc.options),
+    )
     per_scenario = {}
     skipped = stalled = 0
-    for omega in doc.space.scenarios:
-        key = exact_key(doc.rf.params_of(omega))
-        if key not in searches:
-            searches[key] = find_stationary_points(
-                doc.rf, omega, doc.search_box, doc.options
-            )
-        search = searches[key]
+    for omega, search in searches.items():
         skipped += search.skipped_singular
         stalled += search.stalled
         per_scenario[str(omega)] = [

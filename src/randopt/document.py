@@ -314,21 +314,16 @@ def _build_feasible(
     raw: dict, space: ProbSpace, rf: RandomFunction, n: int, k: int
 ) -> RandomSet:
     kind = raw["kind"]
-    per_scenario = raw.get("per_scenario")
-
-    def fields_for(omega: Scenario) -> tuple[dict, str]:
-        if per_scenario is not None:
-            key = _scenario_key(omega)
-            if key not in per_scenario:
-                raise SchemaError(
-                    f"/feasible_set/per_scenario/{key}", "missing scenario entry"
-                )
-            return per_scenario[key], f"/feasible_set/per_scenario/{key}"
-        return raw, "/feasible_set"
+    if "per_scenario" in raw:
+        pointer = "/feasible_set/per_scenario"
+        entries = _lookup_per_scenario(raw["per_scenario"], space, pointer)
+        sources = {s: (entries[s], f"{pointer}/{_scenario_key(s)}") for s in space.scenarios}
+    else:
+        sources = {s: (raw, "/feasible_set") for s in space.scenarios}
 
     descs = {}
     for omega in space.scenarios:
-        fields, pointer = fields_for(omega)
+        fields, pointer = sources[omega]
         if kind == "box":
             if "lower" not in fields or "upper" not in fields:
                 raise SchemaError(pointer, "box needs 'lower' and 'upper'")

@@ -49,7 +49,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, DivByZero, DomainViolation, EvalError, ParseError
+from .errors import DimensionError, DivByZero, DomainViolation, ParseError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 

@@ -48,9 +48,9 @@ from .randfunc import (
     description_key,
     eval_f,
     eval_f_batch,
-    exact_key,
     gradient,
     hessian,
+    per_distinct_input,
 )
 
 SYMMETRY_TOL = 1e-9
@@ -217,13 +217,14 @@ class StationarySearch:
 def grid_points(region: Box, m: int) -> np.ndarray:
     """The nodes of an m-per-axis grid over ``region``, one row per point,
     in lexicographic order.  A degenerate axis (lo == hi) has one node."""
-    axes = [
-        np.array([lo]) if lo == hi else np.linspace(lo, hi, max(m, 2))
-        for lo, hi in zip(region.lower, region.upper)
-    ]
-    total = math.prod(len(a) for a in axes)
-    if total > MAX_GRID_POINTS:
+    lengths = [1 if lo == hi else max(m, 2) for lo, hi in zip(region.lower, region.upper)]
+    total = math.prod(lengths)
+    if total > MAX_GRID_POINTS:  # before any axis is allocated
         raise RandoptError(f"grid of {total} points exceeds cap {MAX_GRID_POINTS}")
+    axes = [
+        np.array([lo]) if lo == hi else np.linspace(lo, hi, count)
+        for lo, hi, count in zip(region.lower, region.upper, lengths)
+    ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
@@ -632,21 +633,16 @@ def global_min_per_scenario(
     """``global_min_compact`` for every scenario, in the space's order.
 
     The result depends only on the scenario's parameter vector and set
-    description, so it is computed once per distinct pair (bit-exact, see
-    ``exact_key`` and ``description_key``) and shared by later scenarios;
-    consecutive computations over bit-identical boxes share one grid.  A
-    failure is raised at the first scenario in order that fails.
+    description, so ``per_distinct_input`` computes it once per distinct
+    pair; consecutive computations over bit-identical boxes share one grid.
+    A failure is raised at the first scenario in order that fails.
     """
     grids = _LastGrid()
-    by_input: dict[tuple, GlobalMinResult] = {}
-    results: dict[Scenario, GlobalMinResult] = {}
-    for omega in rf.space.scenarios:
-        desc = descriptions[omega]
-        key = (exact_key(rf.params_of(omega)), description_key(desc))
-        if key not in by_input:
-            by_input[key] = _global_min(rf, omega, desc, grid_m, grids)
-        results[omega] = by_input[key]
-    return results
+    return per_distinct_input(
+        rf,
+        lambda omega: _global_min(rf, omega, descriptions[omega], grid_m, grids),
+        descriptions,
+    )
 
 
 # --- the optimal-value random variable --------------------------------------------------

@@ -156,22 +156,25 @@ def _sup_dist(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def _first_failure(
-    atom: tuple[Scenario, ...],
+    atoms: Iterable[tuple[Scenario, ...]],
     gap: Callable[[Scenario, Scenario], float],
     tol: float,
-) -> Optional[tuple[Scenario, Scenario, float]]:
-    """First pair (a, b, gap(a, b)) of the pairwise scan of ``atom`` with a
-    gap above ``tol``, or None.
+    values: Mapping[Scenario, Any],
+) -> Optional[Witness]:
+    """Witness of the first pair (a, b) of the pairwise scan of each atom in
+    turn with a gap above ``tol``, carrying ``values[a]`` and ``values[b]``;
+    None if there is no such pair.
 
     At tol 0 only the pairs that start at the representative ``atom[0]``
     are compared: zero gap between finite values is an equivalence.
     """
-    firsts = atom[:1] if tol == 0.0 else atom
-    for i, a in enumerate(firsts):
-        for b in atom[i + 1 :]:
-            g = gap(a, b)
-            if g > tol:
-                return a, b, g
+    for atom in atoms:
+        firsts = atom[:1] if tol == 0.0 else atom
+        for i, a in enumerate(firsts):
+            for b in atom[i + 1 :]:
+                g = gap(a, b)
+                if g > tol:
+                    return Witness(atom, a, b, g, value_a=values[a], value_b=values[b])
     return None
 
 
@@ -188,14 +191,8 @@ def is_measurable_rv(
     def gap(a: Scenario, b: Scenario) -> float:
         return _sup_dist(values[a], values[b])
 
-    for atom in space.atoms:
-        hit = _first_failure(atom, gap, tol)
-        if hit is not None:
-            wa, wb, g = hit
-            return MeasurabilityVerdict(
-                False, Witness(atom, wa, wb, g, value_a=values[wa], value_b=values[wb])
-            )
-    return MeasurabilityVerdict(True)
+    witness = _first_failure(space.atoms, gap, tol, values)
+    return MeasurabilityVerdict(witness is None, witness)
 
 
 def is_measurable_setmap(space: ProbSpace, C: "RandomSet") -> MeasurabilityVerdict:
@@ -211,11 +208,5 @@ def is_measurable_setmap(space: ProbSpace, C: "RandomSet") -> MeasurabilityVerdi
     def gap(a: Scenario, b: Scenario) -> float:
         return descs[a].distance(descs[b])
 
-    for atom in space.atoms:
-        hit = _first_failure(atom, gap, 0.0)
-        if hit is not None:
-            wa, wb, g = hit
-            return MeasurabilityVerdict(
-                False, Witness(atom, wa, wb, g, value_a=descs[wa], value_b=descs[wb])
-            )
-    return MeasurabilityVerdict(True)
+    witness = _first_failure(space.atoms, gap, 0.0, descs)
+    return MeasurabilityVerdict(witness is None, witness)

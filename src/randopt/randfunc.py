@@ -8,14 +8,18 @@ difference checker as the numerical oracle.
 A :class:`RandomSet` maps each scenario to one of three compact
 descriptions: an axis-aligned box, a finite point cloud, or the zero set
 of smooth constraints clipped to a bounding box.
+
+Work that depends on a scenario only through its parameter vector and set
+description is done once per bit-exact input by :func:`per_distinct_input`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .probspace import (
     Point,
     ProbSpace,
     Scenario,
-    Witness,
+    _first_failure,
     _require_finite,
     _sup_dist,
 )
@@ -321,6 +325,31 @@ class RandomFunction:
             raise DomainMismatch(f"scenario {omega!r} not in this space") from None
 
 
+T = TypeVar("T")
+
+
+def per_distinct_input(
+    rf: RandomFunction,
+    compute: Callable[[Scenario], T],
+    descriptions: Optional[Mapping[Scenario, SetDescription]] = None,
+) -> dict[Scenario, T]:
+    """``compute(omega)`` for every scenario in the space's order, for work
+    that depends on omega only through its parameter vector and, if given,
+    its set description.  It runs at the first scenario of each bit-exact
+    input (``exact_key``, ``description_key``), whose result later ones
+    share, so the first scenario that fails is the one that raises."""
+    by_input: dict[tuple, T] = {}
+    results: dict[Scenario, T] = {}
+    for omega in rf.space.scenarios:
+        key = exact_key(rf.params_of(omega))
+        if descriptions is not None:
+            key = (key, description_key(descriptions[omega]))
+        if key not in by_input:
+            by_input[key] = compute(omega)
+        results[omega] = by_input[key]
+    return results
+
+
 def eval_f(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> float:
     return rf.body.compiled(tuple(x), rf.params_of(omega))[0]
 
@@ -418,46 +447,42 @@ def check_joint_measurability(
 
     Comparison is exact (tolerance 0): scenarios with identical parameters
     run the identical expression tree, so equality is bitwise.  f is
-    evaluated once per distinct parameter vector (by ``exact_key``),
-    and each scenario is compared with its atom's first scenario: the
-    values are finite, so equality is transitive.
+    evaluated once per distinct parameter vector, and the atoms are scanned
+    by ``_first_failure``; the witness holds the first probe at which the
+    failing pair differs.
     """
     if not probe_grid:
         raise ValueError("probe grid must be nonempty")
     X = np.asarray([tuple(p) for p in probe_grid], dtype=float)
-    by_params: dict[tuple, np.ndarray] = {}
-    values: dict[Scenario, np.ndarray] = {}
-    for omega in rf.space.scenarios:
-        key = exact_key(rf.params_of(omega))
-        if key not in by_params:
-            vals, valid = eval_f_batch(rf, omega, X)
-            if not valid.all():
-                bad = int(np.flatnonzero(~valid)[0])
-                raise DomainViolation(
-                    f"objective undefined at probe {tuple(float(v) for v in X[bad])} "
-                    f"in scenario {omega!r}"
-                )
-            by_params[key] = vals
-        values[omega] = by_params[key]
-    for atom in rf.space.atoms:
-        wa = atom[0]
-        for wb in atom[1:]:
-            diff = values[wa] != values[wb]
-            if diff.any():
-                idx = int(np.flatnonzero(diff)[0])
-                return MeasurabilityVerdict(
-                    False,
-                    Witness(
-                        atom,
-                        wa,
-                        wb,
-                        gap=abs(float(values[wa][idx] - values[wb][idx])),
-                        probe=tuple(float(v) for v in X[idx]),
-                        value_a=float(values[wa][idx]),
-                        value_b=float(values[wb][idx]),
-                    ),
-                )
-    return MeasurabilityVerdict(True)
+
+    def evaluate(omega: Scenario) -> np.ndarray:
+        vals, valid = eval_f_batch(rf, omega, X)
+        if not valid.all():
+            bad = int(np.flatnonzero(~valid)[0])
+            raise DomainViolation(
+                f"objective undefined at probe {tuple(float(v) for v in X[bad])} "
+                f"in scenario {omega!r}"
+            )
+        return vals
+
+    values = per_distinct_input(rf, evaluate)
+
+    def first_diff(a: Scenario, b: Scenario) -> int:  # 0 if a and b agree
+        return int(np.argmax(values[a] != values[b]))
+
+    def gap(a: Scenario, b: Scenario) -> float:
+        i = first_diff(a, b)
+        return abs(float(values[a][i] - values[b][i]))
+
+    w = _first_failure(rf.space.atoms, gap, 0.0, values)
+    if w is None:
+        return MeasurabilityVerdict(True)
+    i = first_diff(w.scenario_a, w.scenario_b)
+    probe = tuple(float(v) for v in X[i])
+    witness = dataclasses.replace(
+        w, probe=probe, value_a=float(w.value_a[i]), value_b=float(w.value_b[i])
+    )
+    return MeasurabilityVerdict(False, witness)
 
 
 # --- probe grids --------------------------------------------------------------------

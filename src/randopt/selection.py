@@ -2,26 +2,29 @@
 
 All solve routines share one scheme: verify the measurability hypotheses,
 compute per atom using a single representative scenario, and broadcast the
-result to the whole atom.  The canonical tie-break (lexicographically
-smallest point) makes the output deterministic, hence constant on atoms,
-hence measurable by construction with tolerance 0.
+result to the whole atom (``_broadcast``).  The canonical tie-break
+(lexicographically smallest point) makes the output deterministic, hence
+constant on atoms, hence measurable by construction with tolerance 0.
 
 Refusals (``NonMeasurableF``/``NonMeasurableEta``/``NonMeasurableC``) are
-raised when a hypothesis fails: computing per representative would be
-unsound exactly in those cases, and the witness shows why.
+raised by ``_refuse_unless`` when a hypothesis fails: computing per
+representative would be unsound exactly in those cases, and the witness
+shows why.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     DomainMismatch,
     EmptySetError,
+    EvalError,
+    HypothesisViolation,
     IncompatibleRepresentation,
     NonMeasurableC,
     NonMeasurableEta,
@@ -55,7 +58,6 @@ from .probspace import (
 from .randfunc import (
     Box,
     EmptySet,
-    EvalError,
     PointCloud,
     RandomFunction,
     RandomSet,
@@ -126,16 +128,44 @@ class NoPDStationaryPoint:
     atom: tuple[Scenario, ...]
 
 
+def _refuse_unless(
+    verdict: MeasurabilityVerdict, error: type[HypothesisViolation], what: str
+) -> None:
+    """Raise ``error`` with the verdict's witness unless it is measurable;
+    the message names ``what`` differs, the atom and any probe."""
+    if not verdict.measurable:
+        w = verdict.witness
+        probe = "" if w.probe is None else f" at probe {w.probe}"
+        raise error(f"{what} within atom {w.atom}{probe}", w)
+
+
 def _require_jointly_measurable(rf: RandomFunction, region: Box) -> None:
     """Refuse with NonMeasurableF unless f is constant on atoms at every
     probe point of ``region``."""
-    verdict = check_joint_measurability(rf, default_probe_grid(region))
-    if not verdict.measurable:
-        raise NonMeasurableF(
-            "objective is not jointly measurable: values differ within atom "
-            f"{verdict.witness.atom} at probe {verdict.witness.probe}",
-            verdict.witness,
-        )
+    _refuse_unless(
+        check_joint_measurability(rf, default_probe_grid(region)),
+        NonMeasurableF,
+        "objective is not jointly measurable: values differ",
+    )
+
+
+def _broadcast(
+    space: ProbSpace,
+    solved: Sequence[tuple[tuple[Scenario, ...], Point, Certificate]],
+    **extra,
+) -> Selection:
+    """The selection giving every scenario of each solved atom the atom's
+    point and certificate, with the points' measurability verdict.  A local
+    certificate is restated for each scenario it is given to."""
+    points: dict[Scenario, Point] = {}
+    certs: dict[Scenario, Certificate] = {}
+    for atom, point, cert in solved:
+        local = isinstance(cert, LocalMinCertificate)
+        for omega in atom:
+            points[omega] = point
+            certs[omega] = dataclasses.replace(cert, omega=omega) if local else cert
+    verdict = is_measurable_rv(space, RandomVariableRn(space, points), tol=0.0)
+    return Selection(space, points, verdict, certs, **extra)
 
 
 # --- canonical selection ---------------------------------------------------------
@@ -285,16 +315,14 @@ def solve_random_equation(
         raise DomainMismatch("function, target, and space must agree")
     if eta.dim != 1:
         raise ValueError("eta must be scalar-valued")
-    eta_verdict = is_measurable_rv(space, eta, tol=1e-9)
-    if not eta_verdict.measurable:
-        raise NonMeasurableEta(
-            "target eta is not measurable: it differs within atom "
-            f"{eta_verdict.witness.atom}", eta_verdict.witness
-        )
+    _refuse_unless(
+        is_measurable_rv(space, eta, tol=1e-9),
+        NonMeasurableEta,
+        "target eta is not measurable: it differs",
+    )
     _require_jointly_measurable(rf, region)
 
-    points: dict[Scenario, Point] = {}
-    certs: dict[Scenario, Certificate] = {}
+    solved = []
     failed: list[Scenario] = []
     for atom in space.atoms:
         rep = atom[0]
@@ -302,14 +330,11 @@ def solve_random_equation(
         sol = _solve_scalar_equation(rf, rep, target, region, opts)
         if sol is None:
             failed.extend(atom)
-            continue
-        for omega in atom:
-            points[omega] = sol
-            certs[omega] = GlobalCert(target)
+        else:
+            solved.append((atom, sol, GlobalCert(target)))
     if failed:
         return NoDeterministicSolution(tuple(sorted(failed)))
-    verdict = is_measurable_rv(space, RandomVariableRn(space, points), tol=0.0)
-    return Selection(space, points, verdict, certs)
+    return _broadcast(space, solved)
 
 
 # --- global random optimization -------------------------------------------------------
@@ -331,15 +356,13 @@ def solve_rop(
     if C.space != space or rf.space != space:
         raise DomainMismatch("function, set, and space must agree")
     _require_jointly_measurable(rf, C.bounding_box())
-    c_verdict = is_measurable_setmap(space, C)
-    if not c_verdict.measurable:
-        raise NonMeasurableC(
-            "feasible map is not measurable: descriptions differ within atom "
-            f"{c_verdict.witness.atom}", c_verdict.witness
-        )
+    _refuse_unless(
+        is_measurable_setmap(space, C),
+        NonMeasurableC,
+        "feasible map is not measurable: descriptions differ",
+    )
 
-    points: dict[Scenario, Point] = {}
-    certs: dict[Scenario, Certificate] = {}
+    solved = []
     excluded = 0
     grids = _LastGrid()  # representatives with bit-identical boxes share a grid
     for atom in space.atoms:
@@ -350,19 +373,9 @@ def solve_rop(
         excluded += rep_excluded
         eta = float(values.min())
         idx = int(np.flatnonzero(np.abs(values - eta) <= EQUATION_TOL)[0])
-        sol = tuple(float(v) for v in X[idx])
+        solved.append((atom, tuple(float(v) for v in X[idx]), GlobalCert(eta)))
         del X, values  # free this scan's values before the next one
-        for omega in atom:
-            points[omega] = sol
-            certs[omega] = GlobalCert(eta)
-    verdict = is_measurable_rv(space, RandomVariableRn(space, points), tol=0.0)
-    return Selection(
-        space,
-        points,
-        verdict,
-        certs,
-        diagnostics=(("excluded_grid_points", excluded),),
-    )
+    return _broadcast(space, solved, diagnostics=(("excluded_grid_points", excluded),))
 
 
 # --- local random optimization --------------------------------------------------------
@@ -398,11 +411,10 @@ def solve_rlop(
         raise DomainMismatch("function and space must agree")
     _require_jointly_measurable(rf, region)
 
-    pd_sets: dict[tuple[Scenario, ...], PointCloud] = {}
+    selected = []  # (atom, canonical point)
     skipped = stalled = 0
     for atom in space.atoms:
-        rep = atom[0]
-        search: StationarySearch = find_stationary_points(rf, rep, region, opts)
+        search: StationarySearch = find_stationary_points(rf, atom[0], region, opts)
         skipped += search.skipped_singular
         stalled += search.stalled
         if not search.points:
@@ -410,47 +422,28 @@ def solve_rlop(
         pd_points = [sp.x for sp in search.points if sp.classification is Definiteness.PD]
         if not pd_points:
             return NoPDStationaryPoint(atom)
-        pd_sets[atom] = PointCloud(tuple(pd_points))
+        selected.append((atom, min(pd_points)))
 
-    M = RandomSet(
-        space,
-        {omega: pd_sets[atom] for atom in space.atoms for omega in atom},
-    )
-    base = canonical_select(M, space)
-
-    certs: dict[Scenario, Certificate] = {}
+    solved = []
     grids = _LastGrid()  # the convex atoms scan one grid over ``region``
-    for atom in space.atoms:
+    for atom, x in selected:
         rep = atom[0]
-        x = base.points[rep]
-        outcome = verify_local_min(rf, rep, x, opts)
-        if isinstance(outcome, LocalMinFailure):
+        cert = verify_local_min(rf, rep, x, opts)
+        if isinstance(cert, LocalMinFailure):
             raise RandoptError(
                 f"ball verification failed at a PD stationary point {x} "
-                f"(margin {outcome.margin:g}); this contradicts the sufficient "
+                f"(margin {cert.margin:g}); this contradicts the sufficient "
                 "condition and indicates a numerical inconsistency"
             )
         if _atom_is_convex(rf, rep, region):
             gm = _global_min(rf, rep, region, opts.grid_m, grids)
             fx = eval_f(rf, rep, x)
             if fx <= gm.grid_value + EQUATION_TOL:
-                for omega in atom:
-                    certs[omega] = GlobalCert(float(fx))
-                continue
-        for omega in atom:
-            certs[omega] = dataclasses.replace(outcome, omega=omega)
+                cert = GlobalCert(float(fx))
+        solved.append((atom, x, cert))
 
-    return Selection(
-        base.space,
-        base.points,
-        base.measurable,
-        certs,
-        notes=base.notes,
-        diagnostics=(
-            ("skipped_newton_starts", skipped),
-            ("stalled_newton_starts", stalled),
-        ),
-    )
+    diagnostics = (("skipped_newton_starts", skipped), ("stalled_newton_starts", stalled))
+    return _broadcast(space, solved, diagnostics=diagnostics)
 
 
 # --- necessary conditions -------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randopt import exprlang
+from randopt.errors import EvalError
 from randopt.exprlang import (
     FUNCTIONS,
     Add,
@@ -35,7 +36,6 @@ from randopt.exprlang import (
     Pow,
     Sub,
     Env,
-    EvalError,
     Var,
     eval_batch,
     evaluate,

@@ -436,6 +436,55 @@ def test_non_finite_number_is_an_input_error(tmp_path, text, pointer):
     assert report["error"]["message"].startswith(pointer)
 
 
+def test_huge_grid_is_an_input_error_without_a_traceback(tmp_path, capsys):
+    # the cap is checked before np.linspace builds an axis of 10^20 points
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    argv = ["oracle", "--input", str(GALLERY / "cubic_inflection.json"), "--output", str(out)]
+    assert main([*argv, "--grid", "100000000000000000000"]) == 3
+    report = json.loads(out.read_text())
+    assert (report["status"], report["exit_code"]) == ("input_error", 3)
+    assert report["error"] == {
+        "type": "RandoptError",
+        "message": "grid of 100000000000000000000 points exceeds cap 20000000",
+    }
+    assert "Traceback" not in capsys.readouterr().err
+
+
+TWO_BOXES = {
+    "schema_version": 1,
+    "space": {"scenarios": [1, 2], "weights": [0.5, 0.5], "atoms": [[1, 2]]},
+    "dimension": 1,
+    "objective": {"expression": "x1^2"},
+    "feasible_set": {
+        "kind": "box",
+        "per_scenario": {
+            "1": {"lower": [-1], "upper": [1]},
+            "2": {"lower": [-1], "upper": [1]},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        (["1", "2", "99"], "/feasible_set/per_scenario/99: unknown scenario id"),
+        (["1"], "/feasible_set/per_scenario: missing entries for scenarios ['2']"),
+    ],
+)
+def test_feasible_per_scenario_ids_must_match_the_space(tmp_path, entries, message):
+    doc = json.loads(json.dumps(TWO_BOXES))
+    box = doc["feasible_set"]["per_scenario"]["1"]
+    doc["feasible_set"]["per_scenario"] = {key: box for key in entries}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--input", str(path), "--output", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["error"] == {"type": "SchemaError", "message": message}
+
+
 def test_console_script_subprocess(tmp_path):
     out = tmp_path / "report.json"
     proc = subprocess.run(

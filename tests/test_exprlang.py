@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from randopt import exprlang
-from randopt.errors import DimensionError, DivByZero, DomainViolation, ParseError
+from randopt.errors import DimensionError, DivByZero, DomainViolation, EvalError, ParseError
 from randopt.exprlang import Env, differentiate, evaluate, parse, to_string
 
 
@@ -222,7 +222,7 @@ def test_print_parse_round_trip_evaluates_identically():
         )
         try:
             v1 = evaluate(e, env)
-        except exprlang.EvalError:
+        except EvalError:
             continue
         assert evaluate(e2, env) == v1
         checked += 1
@@ -263,7 +263,7 @@ def test_derivative_matches_finite_difference():
                 fd = _central_diff(e, env, i)
                 if max(abs(sym), abs(fd)) >= 1e-3:
                     assert abs(sym - fd) <= 1e-6 * max(abs(sym), abs(fd))
-        except exprlang.EvalError:
+        except EvalError:
             continue
         checked += 1
 
@@ -280,7 +280,7 @@ def test_mixed_partials_commute():
         try:
             v12 = evaluate(d12, env)
             v21 = evaluate(d21, env)
-        except exprlang.EvalError:
+        except EvalError:
             continue
         assert abs(v12 - v21) <= 1e-9 * max(1.0, abs(v12))
         checked += 1

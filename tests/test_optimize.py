@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import randopt as r
 from randopt.errors import EmptyFeasible, IncompatibleRepresentation, NotSymmetric
+from randopt import optimize
 from randopt.optimize import (
+    MAX_GRID_POINTS,
     Definiteness,
     LocalMinFailure,
     SolverOptions,
+    grid_points,
     jacobi_eigenvalues,
     leading_principal_minors,
     sup_norm,
@@ -363,3 +366,22 @@ def test_sup_norm_matches_max_of_abs(values):
     v = np.array(values)
     expected = float(np.max(np.abs(v)))
     assert struct.pack("<d", sup_norm(v)) == struct.pack("<d", expected)
+
+
+def test_grid_cap_raises_before_any_axis_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(optimize.np, "linspace", lambda *a, **k: built.append(a))
+    box = r.Box((-1.0, 0.5, -2.0), (1.0, 0.5, 2.0))  # the middle axis has one node
+    m = math.isqrt(MAX_GRID_POINTS) + 1
+    with pytest.raises(r.RandoptError, match=f"grid of {m * m} points exceeds cap"):
+        grid_points(box, m)
+    assert built == []
+
+
+def test_grid_of_exactly_the_cap_is_built(monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 12)
+    X = grid_points(r.Box((-1.0, 0.5), (1.0, 0.5)), 12)
+    assert X.shape == (12, 2)
+    assert (X[0, 0], X[-1, 0], X[0, 1]) == (-1.0, 1.0, 0.5)
+    with pytest.raises(r.RandoptError, match="grid of 16 points exceeds cap 12"):
+        grid_points(r.Box((-1.0, -1.0), (1.0, 1.0)), 4)

@@ -10,7 +10,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
-from randopt import exprlang
+from randopt.errors import EvalError
 from randopt.exprlang import Env, differentiate, evaluate, parse, to_string
 
 N_VARS = 2
@@ -68,7 +68,7 @@ def test_round_trip_evaluates_identically(text, x, p):
     env = Env(x, p)
     try:
         v = evaluate(e, env)
-    except exprlang.EvalError:
+    except EvalError:
         return
     assert evaluate(e2, env) == v
 
@@ -82,7 +82,7 @@ def test_derivative_is_linear(text, x, p):
     try:
         v1 = evaluate(differentiate(e, 1), env)
         v2 = evaluate(differentiate(doubled, 1), env)
-    except exprlang.EvalError:
+    except EvalError:
         return
     assert math.isclose(v2, 2 * v1, rel_tol=1e-12, abs_tol=1e-12)
 

@@ -263,6 +263,26 @@ def test_solve_rlop_refuses_non_measurable_f(space3):
         r.solve_rlop(rf, space3, r.Box((-5.0,), (5.0,)))
 
 
+def test_solve_rlop_compares_no_point_clouds(monkeypatch):
+    # the selection is constant on each atom by construction, so no set
+    # map of stationary points is built and scanned for measurability
+    n = 40
+    space = r.make_space(list(range(n)), [1 / n] * n, [list(range(n))])
+    calls = []
+    original = r.PointCloud.distance
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(r.PointCloud, "distance", counted)
+    sel = r.solve_rlop(make_rf(space, "x1^4 - 2*x1^2"), space, r.Box((-2.0,), (2.0,)))
+    assert all(sel.points[s] == (-1.0,) for s in space.scenarios)
+    assert all(sel.certificates[s].omega == s for s in space.scenarios)
+    assert sel.measurable.measurable
+    assert len(calls) == 0
+
+
 # --- refusal messages ------------------------------------------------------------------
 # the message bytes of each refusal; NonMeasurableEta has no golden report
 
