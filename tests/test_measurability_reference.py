@@ -325,3 +325,19 @@ def test_parameter_vectors_are_shared_only_between_equal_types():
     v = r.check_joint_measurability(rf, [(0.0,)])
     assert (v.witness.value_a, v.witness.value_b) == (1.0, 2.0)
     assert_same_verdict(v, reference_check_joint_measurability(rf, [(0.0,)]))
+
+
+@pytest.mark.parametrize(
+    "probes,probe",
+    [([(-1.0,), (0.5,), (3.0,)], (0.5,)), ([(3.0,), (-1.0,), (0.5,)], (3.0,))],
+    ids=["agree-first", "differ-first"],
+)
+def test_joint_witness_is_the_first_probe_where_the_pair_differs(probes, probe):
+    # x1*p1 + p2 is 1.0 at x1 = -1 for both vectors and differs elsewhere
+    space = _one_atom(2)
+    rf = r.RandomFunction(
+        space, 1, r.parse("x1*p1 + p2", 1, 2), {1: (0.0, 1.0), 2: (1.0, 2.0)}
+    )
+    v = r.check_joint_measurability(rf, probes)
+    assert (v.measurable, v.witness.probe) == (False, probe)
+    assert_same_verdict(v, reference_check_joint_measurability(rf, probes))
