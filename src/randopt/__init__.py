@@ -12,12 +12,10 @@ from .errors import (
     DomainMismatch,
     DomainViolation,
     EmptyFeasible,
-    EmptySetError,
     EvalError,
     HypothesisViolation,
     IncompatibleRepresentation,
     NonMeasurableC,
-    NonMeasurableEta,
     NonMeasurableF,
     NoRadiusFound,
     NotSymmetric,
@@ -40,7 +38,6 @@ from .probspace import (
 from .randfunc import (
     Box,
     EmptySet,
-    GraphSample,
     LevelSet,
     PointCloud,
     RandomFunction,
@@ -48,11 +45,8 @@ from .randfunc import (
     check_joint_measurability,
     default_probe_grid,
     eval_f,
-    fd_check,
     gradient,
     hessian,
-    intersect_setmaps,
-    sample_graph,
 )
 from .optimize import (
     Definiteness,
@@ -73,15 +67,11 @@ from .optimize import (
 )
 from .selection import (
     GlobalCert,
-    NecessaryOnly,
     NecessaryReport,
-    NoDeterministicSolution,
     NoPDStationaryPoint,
     NoStationaryPoints,
     Selection,
-    canonical_select,
     check_necessary_conditions,
-    solve_random_equation,
     solve_rlop,
     solve_rop,
 )

@@ -38,7 +38,6 @@ from .probspace import (
 from .randfunc import Box, check_joint_measurability, default_probe_grid, per_distinct_input
 from .selection import (
     GlobalCert,
-    NecessaryOnly,
     NoPDStationaryPoint,
     NoStationaryPoints,
     Selection,
@@ -101,8 +100,6 @@ def _cert_json(cert) -> dict:
             "samples_checked": cert.samples_checked,
             "min_margin": float(cert.min_margin),
         }
-    if isinstance(cert, NecessaryOnly):
-        return {"kind": "necessary_only"}
     raise TypeError(f"unknown certificate {cert!r}")
 
 

@@ -62,6 +62,11 @@ def _validate_schema(raw: dict, schema: dict, prefix: str = "") -> None:
         raise SchemaError(pointer, err.message)
 
 
+def _child(pointer: str, key: str) -> str:
+    """The JSON pointer to member ``key`` of the object at ``pointer``."""
+    return pointer + "/" + key.replace("~", "~0").replace("/", "~1")
+
+
 def _reject_non_finite(value: object, pointer: str) -> None:
     """Raise SchemaError at the first NaN, infinity or integer too large
     for a float, in document order.
@@ -81,8 +86,7 @@ def _reject_non_finite(value: object, pointer: str) -> None:
             raise SchemaError(pointer, "integer is too large for a float") from None
     if isinstance(value, dict):
         for key, item in value.items():
-            escaped = key.replace("~", "~0").replace("/", "~1")
-            _reject_non_finite(item, f"{pointer}/{escaped}")
+            _reject_non_finite(item, _child(pointer, key))
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _reject_non_finite(item, f"{pointer}/{i}")
@@ -258,14 +262,25 @@ class _SchemaCompiler:
         return check
 
 
+# the fields of a feasible set that each kind reads
+_KIND_FIELDS = {
+    "box": ("lower", "upper"),
+    "point_cloud": ("points",),
+    "level_set": ("expressions", "box"),
+}
+
+
 @dataclass(frozen=True)
 class _Bundled:
-    """The bundled problem schema, and its checks of a document and of the
-    ``options`` object alone."""
+    """The bundled problem schema, and its checks of a document, of the
+    ``options`` object alone, and of a feasible set's ``per_scenario``
+    entry, whose schema is ``entry``."""
 
     schema: dict
     document: _Check
     options: _Check
+    entry: dict
+    entry_check: _Check
 
 
 @functools.cache
@@ -273,8 +288,18 @@ def _bundled() -> _Bundled:
     text = resources.files("randopt").joinpath("schemas/problem.schema.json").read_text()
     schema = json.loads(text)
     compiler = _SchemaCompiler(schema)
+    # an entry's fields obey the schema of the same top-level fields
+    entry = {
+        "type": "object",
+        "properties": schema["properties"]["feasible_set"]["properties"],
+        "$defs": schema["$defs"],
+    }
     return _Bundled(
-        schema, compiler.compile(schema, root=True), compiler.compile(schema["properties"]["options"])
+        schema,
+        compiler.compile(schema, root=True),
+        compiler.compile(schema["properties"]["options"]),
+        entry,
+        compiler.compile(entry, root=True),
     )
 
 
@@ -310,15 +335,34 @@ def _build_box(raw: dict, n: int, pointer: str) -> Box:
         raise SchemaError(pointer, str(e)) from None
 
 
+def _reject_fields(fields: dict, allowed: tuple, pointer: str, message: str) -> None:
+    """SchemaError at the first key of ``fields``, in document order, that
+    is not ``allowed``."""
+    for key in fields:
+        if key not in allowed:
+            raise SchemaError(_child(pointer, key), message)
+
+
 def _build_feasible(
     raw: dict, space: ProbSpace, rf: RandomFunction, n: int, k: int
 ) -> RandomSet:
     kind = raw["kind"]
+    used = _KIND_FIELDS[kind]
+    unused = f"not used by kind {kind!r}"
     if "per_scenario" in raw:
+        _reject_fields(
+            raw, ("kind", "per_scenario"), "/feasible_set", "not allowed beside 'per_scenario'"
+        )
         pointer = "/feasible_set/per_scenario"
         entries = _lookup_per_scenario(raw["per_scenario"], space, pointer)
         sources = {s: (entries[s], f"{pointer}/{_scenario_key(s)}") for s in space.scenarios}
+        bundled = _bundled()
+        for fields, at in sources.values():
+            _reject_fields(fields, used, at, unused)
+            if not bundled.entry_check(fields):
+                _validate_schema(fields, bundled.entry, at)
     else:
+        _reject_fields(raw, ("kind", *used), "/feasible_set", unused)
         sources = {s: (raw, "/feasible_set") for s in space.scenarios}
 
     descs = {}

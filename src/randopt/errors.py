@@ -92,14 +92,6 @@ class NoRadiusFound(RandoptError):
 
 # --- selection pipelines ----------------------------------------------------
 
-class EmptySetError(RandoptError):
-    """A set-valued map handed to a selection routine has an empty value."""
-
-    def __init__(self, scenario):
-        super().__init__(f"set is empty for scenario {scenario!r}")
-        self.scenario = scenario
-
-
 class HypothesisViolation(RandoptError):
     """A solve routine refused to run because a measurability hypothesis of
     the underlying existence result does not hold.  The witness explains
@@ -112,10 +104,6 @@ class HypothesisViolation(RandoptError):
 
 class NonMeasurableF(HypothesisViolation):
     """The objective is not jointly measurable (not constant on atoms)."""
-
-
-class NonMeasurableEta(HypothesisViolation):
-    """The target value function is not measurable."""
 
 
 class NonMeasurableC(HypothesisViolation):

@@ -519,28 +519,6 @@ class GlobalMinResult:
     excluded: int        # grid points where evaluation failed
 
 
-def polish_point(
-    rf: RandomFunction,
-    omega: Scenario,
-    x0: Sequence[float],
-    region: Box,
-) -> Optional[Point]:
-    """Newton-refine a near-stationary point; None unless it stays in the
-    region, reaches stationarity, and does not increase f."""
-    X, _, status = _newton(rf, omega, np.asarray(x0, dtype=float).reshape(1, -1))
-    x = X[0]
-    if status[0] != "converged":
-        return None
-    if not region.contains(x, tol=1e-9):
-        return None
-    try:
-        if eval_f(rf, omega, x) > eval_f(rf, omega, x0) + MARGIN_TOL:
-            return None
-    except EvalError:
-        return None
-    return tuple(float(v) for v in x)
-
-
 class _LastGrid:
     """The grid of the last Box scanned through it.
 

@@ -2,8 +2,7 @@
 
 A :class:`RandomFunction` is one expression body shared by all scenarios,
 made scenario-dependent through per-scenario parameter vectors.  Its
-gradient and Hessian are exact symbolic derivatives, with a finite
-difference checker as the numerical oracle.
+gradient and Hessian are exact symbolic derivatives.
 
 A :class:`RandomSet` maps each scenario to one of three compact
 descriptions: an axis-aligned box, a finite point cloud, or the zero set
@@ -167,7 +166,8 @@ class LevelSet:
 
 @dataclass(frozen=True)
 class EmptySet:
-    """Empty value; only produced by intersections, never accepted as input."""
+    """Empty value.  No problem document yields one; a grid scan over it
+    raises EmptyFeasible."""
 
     dim: int
 
@@ -240,25 +240,6 @@ class RandomSet:
         if any(not math.isfinite(v) for v in lo + hi):
             raise IncompatibleRepresentation("cannot bound an all-empty random set")
         return Box(tuple(lo), tuple(hi))
-
-
-@dataclass(frozen=True)
-class GraphSample:
-    """Probe-grid sample of the graph {(scenario, x) : x in C(scenario)}."""
-
-    pairs: tuple[tuple[Scenario, Point], ...]
-
-
-def sample_graph(
-    C: RandomSet, probe_grid: Sequence[Sequence[float]], tol: float = 0.0
-) -> GraphSample:
-    pairs = []
-    for omega in C.space.scenarios:
-        desc = C.descriptions[omega]
-        for x in probe_grid:
-            if desc.contains(x, tol):
-                pairs.append((omega, tuple(float(v) for v in x)))
-    return GraphSample(tuple(pairs))
 
 
 def _hausdorff(A: Sequence[Point], B: Sequence[Point]) -> float:
@@ -372,71 +353,6 @@ def hessian(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> np.ndarr
     return (H + H.T) / 2.0
 
 
-# --- finite-difference oracle -----------------------------------------------------
-
-FD_REL_TOL = 1e-6
-FD_ABS_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FdReport:
-    grad_errors: np.ndarray  # absolute |symbolic - fd|, shape (n,)
-    hess_errors: np.ndarray  # shape (n, n)
-    max_rel_error: float
-    passed: bool
-
-
-def _entry_ok(sym: float, fd: float) -> bool:
-    return abs(sym - fd) <= max(FD_REL_TOL * max(abs(sym), abs(fd)), FD_ABS_TOL)
-
-
-def fd_check(rf: RandomFunction, omega: Scenario, x: Sequence[float], h: float) -> FdReport:
-    """Compare symbolic derivatives against central differences.
-
-    The gradient differences f directly; the Hessian differences the
-    symbolic gradient, which keeps roundoff at O(eps/h) instead of the
-    O(eps/h^2) a double difference of f would give.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    n = rf.n
-
-    def f(pt: np.ndarray) -> float:
-        return eval_f(rf, omega, pt)
-
-    def g(pt: np.ndarray) -> np.ndarray:
-        return gradient(rf, omega, pt)
-
-    grad_sym = g(x)
-    grad_fd = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        grad_fd[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-
-    hess_sym = hessian(rf, omega, x)
-    hess_fd = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        hess_fd[:, j] = (g(x + e) - g(x - e)) / (2.0 * h)
-    hess_fd = (hess_fd + hess_fd.T) / 2.0
-
-    grad_errors = np.abs(grad_sym - grad_fd)
-    hess_errors = np.abs(hess_sym - hess_fd)
-    ok = all(_entry_ok(s, d) for s, d in zip(grad_sym, grad_fd)) and all(
-        _entry_ok(hess_sym[i, j], hess_fd[i, j]) for i in range(n) for j in range(n)
-    )
-    denoms = np.maximum(
-        np.maximum(np.abs(grad_sym), np.abs(grad_fd)), 1e-300
-    )
-    rel = grad_errors / denoms
-    hdenoms = np.maximum(np.maximum(np.abs(hess_sym), np.abs(hess_fd)), 1e-300)
-    rel_h = hess_errors / hdenoms
-    return FdReport(grad_errors, hess_errors, float(max(rel.max(), rel_h.max())), ok)
-
-
 # --- joint measurability ------------------------------------------------------------
 
 
@@ -523,57 +439,3 @@ def default_probe_grid(box: Box, extra: int = 32) -> list[Point]:
     for row in halton_points(extra, box.dim):
         pts.append(tuple(float(v) for v in lo + row * (hi - lo)))
     return pts
-
-
-# --- intersections -------------------------------------------------------------------
-
-
-def _box_intersect(a: Box, b: Box) -> SetDescription:
-    lo = tuple(max(u, v) for u, v in zip(a.lower, b.lower))
-    hi = tuple(min(u, v) for u, v in zip(a.upper, b.upper))
-    if any(l > h for l, h in zip(lo, hi)):
-        return EmptySet(a.dim)
-    return Box(lo, hi)
-
-
-def _intersect_desc(a: SetDescription, b: SetDescription, tol: float) -> SetDescription:
-    if a.dim != b.dim:
-        raise IncompatibleRepresentation("cannot intersect sets of different dimension")
-    if isinstance(a, EmptySet) or isinstance(b, EmptySet):
-        return EmptySet(a.dim)
-    if isinstance(a, PointCloud) or isinstance(b, PointCloud):
-        cloud, other = (a, b) if isinstance(a, PointCloud) else (b, a)
-        kept = tuple(p for p in cloud.points if other.contains(p, tol))
-        return PointCloud(kept) if kept else EmptySet(a.dim)
-    if isinstance(a, Box) and isinstance(b, Box):
-        return _box_intersect(a, b)
-    if isinstance(a, LevelSet) and isinstance(b, Box):
-        inner = _box_intersect(a.box, b)
-        if isinstance(inner, EmptySet):
-            return inner
-        return LevelSet(a.constraints, a.params, inner)
-    if isinstance(a, Box) and isinstance(b, LevelSet):
-        return _intersect_desc(b, a, tol)
-    if isinstance(a, LevelSet) and isinstance(b, LevelSet):
-        inner = _box_intersect(a.box, b.box)
-        if isinstance(inner, EmptySet):
-            return inner
-        return LevelSet(a.substituted() + b.substituted(), (), inner)
-    raise IncompatibleRepresentation(
-        f"cannot intersect {type(a).__name__} with {type(b).__name__}"
-    )  # pragma: no cover - all combinations handled above
-
-
-def intersect_setmaps(maps: Sequence[RandomSet], tol: float = 0.0) -> RandomSet:
-    """Scenario-wise intersection; empty values become EmptySet markers."""
-    if not maps:
-        raise ValueError("need at least one random set")
-    space = maps[0].space
-    for m in maps[1:]:
-        if m.space != space:
-            raise DomainMismatch("random sets live on different spaces")
-    descs: dict[Scenario, SetDescription] = dict(maps[0].descriptions)
-    for m in maps[1:]:
-        for omega in space.scenarios:
-            descs[omega] = _intersect_desc(descs[omega], m.descriptions[omega], tol)
-    return RandomSet(space, descs)

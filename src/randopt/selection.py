@@ -6,28 +6,24 @@ result to the whole atom (``_broadcast``).  The canonical tie-break
 (lexicographically smallest point) makes the output deterministic, hence
 constant on atoms, hence measurable by construction with tolerance 0.
 
-Refusals (``NonMeasurableF``/``NonMeasurableEta``/``NonMeasurableC``) are
-raised by ``_refuse_unless`` when a hypothesis fails: computing per
-representative would be unsound exactly in those cases, and the witness
-shows why.
+Refusals (``NonMeasurableF``/``NonMeasurableC``) are raised by
+``_refuse_unless`` when a hypothesis fails: computing per representative
+would be unsound exactly in those cases, and the witness shows why.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     DomainMismatch,
-    EmptySetError,
     EvalError,
     HypothesisViolation,
-    IncompatibleRepresentation,
     NonMeasurableC,
-    NonMeasurableEta,
     NonMeasurableF,
     RandoptError,
 )
@@ -39,7 +35,6 @@ from .optimize import (
     StationarySearch,
     classify_definiteness,
     find_stationary_points,
-    grid_points,
     sup_norm,
     verify_local_min,
     _LastGrid,
@@ -57,14 +52,11 @@ from .probspace import (
 )
 from .randfunc import (
     Box,
-    EmptySet,
-    PointCloud,
     RandomFunction,
     RandomSet,
     check_joint_measurability,
     default_probe_grid,
     eval_f,
-    eval_f_batch,
     gradient,
     hessian,
 )
@@ -77,18 +69,13 @@ EQUATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GlobalCert:
-    """The selected point attains this value (global minimum or equation
-    target) within EQUATION_TOL."""
+    """The selected point attains this value, the global minimum, within
+    EQUATION_TOL."""
 
     value: float
 
 
-@dataclass(frozen=True)
-class NecessaryOnly:
-    """No optimality certificate beyond, at most, necessary conditions."""
-
-
-Certificate = Union[GlobalCert, LocalMinCertificate, NecessaryOnly]
+Certificate = Union[GlobalCert, LocalMinCertificate]
 
 
 @dataclass(frozen=True)
@@ -104,13 +91,6 @@ class Selection:
 
     def as_random_variable(self) -> RandomVariableRn:
         return RandomVariableRn(self.space, dict(self.points))
-
-
-@dataclass(frozen=True)
-class NoDeterministicSolution:
-    """The equation has an empty solution set for these scenarios."""
-
-    scenarios: tuple[Scenario, ...]
 
 
 @dataclass(frozen=True)
@@ -166,175 +146,6 @@ def _broadcast(
             certs[omega] = dataclasses.replace(cert, omega=omega) if local else cert
     verdict = is_measurable_rv(space, RandomVariableRn(space, points), tol=0.0)
     return Selection(space, points, verdict, certs, **extra)
-
-
-# --- canonical selection ---------------------------------------------------------
-
-
-def canonical_select(M: RandomSet, space: ProbSpace) -> Selection:
-    """Pick the lexicographically smallest point of each scenario's set.
-
-    The rule is deterministic, so a measurable (atom-constant) input yields
-    an atom-constant, hence measurable, selection.  A non-measurable input
-    is flagged in ``notes`` but still selected per scenario: that is how
-    the stationary-assignment counterexamples are represented.
-    """
-    if M.space != space:
-        raise DomainMismatch("set-valued map is defined on a different space")
-    input_verdict = is_measurable_setmap(space, M)
-    points: dict[Scenario, Point] = {}
-    for omega in space.scenarios:
-        desc = M.descriptions[omega]
-        if isinstance(desc, EmptySet):
-            raise EmptySetError(omega)
-        if not isinstance(desc, PointCloud):
-            raise IncompatibleRepresentation(
-                "canonical selection needs per-scenario finite point sets"
-            )
-        points[omega] = min(desc.points)
-    verdict = is_measurable_rv(space, RandomVariableRn(space, points), tol=0.0)
-    notes = () if input_verdict.measurable else ("non_measurable_input",)
-    certs = {omega: NecessaryOnly() for omega in space.scenarios}
-    return Selection(space, points, verdict, certs, notes)
-
-
-# --- the random-equation reduction --------------------------------------------------
-
-
-def _gn_refine(
-    rf: RandomFunction, omega: Scenario, target: float, x0: np.ndarray
-) -> np.ndarray:
-    """Gauss-Newton steps for the scalar equation f(omega,x) = target."""
-    x = np.asarray(x0, dtype=float).copy()
-    for _ in range(60):
-        try:
-            r = eval_f(rf, omega, x) - target
-            if abs(r) <= 1e-13:
-                break
-            g = gradient(rf, omega, x)
-        except EvalError:
-            break
-        gg = float(g @ g)
-        if gg < 1e-30 or sup_norm(x) > 1e8:
-            break
-        x = x - (r / gg) * g
-    return x
-
-
-def _solve_scalar_equation(
-    rf: RandomFunction,
-    omega: Scenario,
-    target: float,
-    region: Box,
-    opts: SolverOptions,
-) -> Optional[Point]:
-    """Lexicographically smallest x in ``region`` with |f(omega,x) - target|
-    <= EQUATION_TOL, located by grid scan plus bisection/Newton refinement.
-
-    Candidates within 1e-6 of each other are treated as one root; the
-    member with the smallest residual represents the cluster.
-    """
-    X = grid_points(region, opts.grid_m)
-    values, valid = eval_f_batch(rf, omega, X)
-    phi = values - target
-    cands: list[tuple[Point, float]] = []
-
-    def consider(x) -> None:
-        pt = tuple(float(v) for v in x)
-        try:
-            resid = abs(eval_f(rf, omega, pt) - target)
-        except EvalError:
-            return
-        if resid <= EQUATION_TOL and region.contains(pt, tol=1e-9):
-            cands.append((pt, resid))
-
-    hits = np.flatnonzero(valid & (np.abs(phi) <= EQUATION_TOL))
-    for i in hits[:200]:
-        consider(X[i])
-
-    if rf.n == 1:
-        # bracket roots between adjacent grid nodes and bisect
-        xs = X[:, 0]
-        for i in range(len(xs) - 1):
-            if not (valid[i] and valid[i + 1]):
-                continue
-            if phi[i] == 0.0 or phi[i + 1] == 0.0 or (phi[i] > 0) == (phi[i + 1] > 0):
-                continue
-            a, b, fa = float(xs[i]), float(xs[i + 1]), float(phi[i])
-            for _ in range(90):
-                mid = (a + b) / 2.0
-                try:
-                    fm = eval_f(rf, omega, (mid,)) - target
-                except EvalError:
-                    break
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            consider(_gn_refine(rf, omega, target, np.array([(a + b) / 2.0])))
-
-    # Gauss-Newton from the most promising grid points; this also catches
-    # tangential roots that never change sign
-    finite_phi = np.where(valid, np.abs(phi), np.inf)
-    seeds = np.argsort(finite_phi, kind="stable")[: min(64, len(X))]
-    for si in seeds:
-        if not np.isfinite(finite_phi[si]):
-            break
-        consider(_gn_refine(rf, omega, target, X[si]))
-
-    if not cands:
-        return None
-    cands.sort(key=lambda c: c[0])
-    clusters: list[list[tuple[Point, float]]] = [[cands[0]]]
-    for cand in cands[1:]:
-        last = clusters[-1][-1][0]
-        if max(abs(u - v) for u, v in zip(cand[0], last)) <= 1e-6:
-            clusters[-1].append(cand)
-        else:
-            clusters.append([cand])
-    reps = [min(cluster, key=lambda c: (c[1], c[0]))[0] for cluster in clusters]
-    return min(reps)
-
-
-def solve_random_equation(
-    rf: RandomFunction,
-    space: ProbSpace,
-    eta: RandomVariableRn,
-    region: Box,
-    opts: SolverOptions = SolverOptions(),
-) -> Union[Selection, NoDeterministicSolution]:
-    """Find a measurable solution of f(omega, x) = eta(omega) on ``region``.
-
-    Solves once per atom at a representative scenario and broadcasts, which
-    is sound precisely because both hypotheses are verified first.
-    """
-    if eta.space != space or rf.space != space:
-        raise DomainMismatch("function, target, and space must agree")
-    if eta.dim != 1:
-        raise ValueError("eta must be scalar-valued")
-    _refuse_unless(
-        is_measurable_rv(space, eta, tol=1e-9),
-        NonMeasurableEta,
-        "target eta is not measurable: it differs",
-    )
-    _require_jointly_measurable(rf, region)
-
-    solved = []
-    failed: list[Scenario] = []
-    for atom in space.atoms:
-        rep = atom[0]
-        target = eta.values[rep][0]
-        sol = _solve_scalar_equation(rf, rep, target, region, opts)
-        if sol is None:
-            failed.extend(atom)
-        else:
-            solved.append((atom, sol, GlobalCert(target)))
-    if failed:
-        return NoDeterministicSolution(tuple(sorted(failed)))
-    return _broadcast(space, solved)
 
 
 # --- global random optimization -------------------------------------------------------

@@ -485,6 +485,102 @@ def test_feasible_per_scenario_ids_must_match_the_space(tmp_path, entries, messa
     assert report["error"] == {"type": "SchemaError", "message": message}
 
 
+GOOD_ENTRY = {
+    "box": {"lower": [-1], "upper": [1]},
+    "point_cloud": {"points": [[0]]},
+    "level_set": {"expressions": ["x1"], "box": {"lower": [-1], "upper": [1]}},
+}
+
+
+def _beside(field, value):
+    return {"kind": "box", field: value, **TWO_BOXES["feasible_set"]}
+
+
+def _entries(kind, first, second):
+    return {"kind": kind, "per_scenario": {"1": first, "2": second}}
+
+
+# each was accepted at exit 0, with the field ignored, or ended in a
+# traceback with exit 1 (the entry values of the wrong type)
+@pytest.mark.parametrize(
+    "feasible,message",
+    [
+        (_beside("lower", [5]), "/feasible_set/lower: not allowed beside 'per_scenario'"),
+        (_beside("upper", [6]), "/feasible_set/upper: not allowed beside 'per_scenario'"),
+        (_beside("points", [[7]]), "/feasible_set/points: not allowed beside 'per_scenario'"),
+        (
+            _beside("expressions", ["x1 - 1"]),
+            "/feasible_set/expressions: not allowed beside 'per_scenario'",
+        ),
+        (
+            _beside("box", {"lower": [5], "upper": [6]}),
+            "/feasible_set/box: not allowed beside 'per_scenario'",
+        ),
+        (
+            _entries("box", GOOD_ENTRY["box"], {**GOOD_ENTRY["box"], "points": [[7]], "bogus": 3}),
+            "/feasible_set/per_scenario/2/points: not used by kind 'box'",
+        ),
+        (
+            _entries("box", GOOD_ENTRY["box"], {**GOOD_ENTRY["box"], "bogus": 3}),
+            "/feasible_set/per_scenario/2/bogus: not used by kind 'box'",
+        ),
+        (
+            _entries(
+                "point_cloud", GOOD_ENTRY["point_cloud"], {"kind": "point_cloud", "points": [[0]]}
+            ),
+            "/feasible_set/per_scenario/2/kind: not used by kind 'point_cloud'",
+        ),
+        (
+            _entries("level_set", GOOD_ENTRY["level_set"], {**GOOD_ENTRY["level_set"], "a/b": 1}),
+            "/feasible_set/per_scenario/2/a~1b: not used by kind 'level_set'",
+        ),
+        (
+            _entries("box", {"lower": "a", "upper": [1]}, GOOD_ENTRY["box"]),
+            "/feasible_set/per_scenario/1/lower: 'a' is not of type 'array'",
+        ),
+        (
+            _entries("point_cloud", {"points": [["x"]]}, GOOD_ENTRY["point_cloud"]),
+            "/feasible_set/per_scenario/1/points/0/0: 'x' is not of type 'number'",
+        ),
+        (
+            _entries(
+                "level_set",
+                {**GOOD_ENTRY["level_set"], "expressions": [1]},
+                GOOD_ENTRY["level_set"],
+            ),
+            "/feasible_set/per_scenario/1/expressions/0: 1 is not of type 'string'",
+        ),
+        (
+            {"kind": "box", "lower": [-1], "upper": [1], "points": [[7]]},
+            "/feasible_set/points: not used by kind 'box'",
+        ),
+    ],
+    ids=[
+        "lower-beside-per-scenario",
+        "upper-beside-per-scenario",
+        "points-beside-per-scenario",
+        "expressions-beside-per-scenario",
+        "box-beside-per-scenario",
+        "box-entry-with-points-and-bogus",
+        "box-entry-with-bogus",
+        "point-cloud-entry-with-kind",
+        "level-set-entry-with-slash-key",
+        "box-entry-string-bound",
+        "point-cloud-entry-string-coordinate",
+        "level-set-entry-number-expression",
+        "box-with-points",
+    ],
+)
+def test_feasible_set_holds_only_the_fields_its_kind_reads(tmp_path, feasible, message):
+    doc = dict(TWO_BOXES, feasible_set=feasible)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--input", str(path), "--output", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["error"] == {"type": "SchemaError", "message": message}
+
+
 def test_console_script_subprocess(tmp_path):
     out = tmp_path / "report.json"
     proc = subprocess.run(

@@ -33,6 +33,8 @@ from randopt.optimize import (
 )
 from randopt.randfunc import eval_f, gradient, hessian
 
+from numeric_helpers import polish_point
+
 # --- the previous sequential Newton -------------------------------------------------
 
 
@@ -222,7 +224,7 @@ def test_double_wells_match_the_sequential_newton(problem):
     search = assert_same_search(rf, 1, box, opts)
     # polishing shares the routine: polish every point found, and a start
     for x0 in [sp.x for sp in search.points] + [box.center()]:
-        assert r.optimize.polish_point(rf, 1, x0, box) == reference_polish_point(
+        assert polish_point(rf, 1, x0, box) == reference_polish_point(
             rf, 1, x0, box
         )
 

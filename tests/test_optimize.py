@@ -344,9 +344,7 @@ def test_optimal_value_non_measurable_example(space3):
 
 def test_optimal_value_empty_feasible(space3):
     rf = make_rf(space3, "x1^2")
-    A = r.RandomSet(space3, {s: r.Box((0.0,), (1.0,)) for s in space3.scenarios})
-    B = r.RandomSet(space3, {s: r.Box((2.0,), (3.0,)) for s in space3.scenarios})
-    C = r.intersect_setmaps([A, B])
+    C = r.RandomSet(space3, {s: r.EmptySet(1) for s in space3.scenarios})
     with pytest.raises(EmptyFeasible):
         r.optimal_value(rf, space3, C, 11)
 

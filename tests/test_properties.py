@@ -139,28 +139,3 @@ def test_powerset_makes_everything_measurable(sv):
     )
     xi = r.RandomVariableRn(powerset, values)
     assert r.is_measurable_rv(powerset, xi).measurable
-
-
-@st.composite
-def atom_constant_boxes(draw, space):
-    descs = {}
-    for atom in space.atoms:
-        lo = draw(st.floats(-2.0, 0.0, allow_nan=False))
-        hi = draw(st.floats(0.5, 2.0, allow_nan=False))
-        for s in atom:
-            descs[s] = r.Box((lo,), (hi,))
-    return r.RandomSet(space, descs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(space_and_values().flatmap(
-    lambda sv: st.tuples(
-        st.just(sv[0]), atom_constant_boxes(sv[0]), atom_constant_boxes(sv[0])
-    )
-))
-def test_intersection_preserves_setmap_measurability(args):
-    space, A, B = args
-    assert r.is_measurable_setmap(space, A).measurable
-    assert r.is_measurable_setmap(space, B).measurable
-    out = r.intersect_setmaps([A, B])
-    assert r.is_measurable_setmap(space, out).measurable

@@ -5,7 +5,7 @@ import pytest
 
 import randopt as r
 from randopt.errors import DomainMismatch, DomainViolation, IncompatibleRepresentation
-from randopt.randfunc import fd_check, halton_points
+from randopt.randfunc import halton_points
 
 
 @pytest.fixture
@@ -95,33 +95,6 @@ def test_hessian_raw_asymmetry_tiny_on_polynomials(space3):
         assert abs(h12 - h21) <= 1e-12 * max(1.0, abs(h12))
 
 
-# --- finite-difference oracle -------------------------------------------------------
-
-
-def test_fd_check_quartic(space3):
-    report = fd_check(quartic(space3), 1, (0.7,), 1e-5)
-    assert report.passed
-
-
-def test_fd_check_quadratic_near_exact(space3):
-    rf = r.RandomFunction(
-        space3, 1, r.parse("x1^2", 1, 0), {s: () for s in space3.scenarios}
-    )
-    report = fd_check(rf, 1, (3.0,), 1e-5)
-    assert report.passed
-    assert report.grad_errors[0] <= 1e-9
-
-
-def test_fd_check_exp_error_h_squared(space3):
-    rf = r.RandomFunction(
-        space3, 1, r.parse("exp(x1)", 1, 0), {s: () for s in space3.scenarios}
-    )
-    report = fd_check(rf, 1, (0.0,), 1e-5)
-    assert report.passed
-    # central difference truncation is h^2/6 for exp at 0
-    assert report.grad_errors[0] == pytest.approx(1e-10 / 6, rel=0.5)
-
-
 # --- joint measurability --------------------------------------------------------------
 
 
@@ -188,98 +161,6 @@ def test_halton_low_discrepancy_range():
     assert pts.shape == (64, 3)
     assert np.all(pts > 0) and np.all(pts < 1)
     assert len({tuple(p) for p in pts}) == 64
-
-
-# --- intersections ---------------------------------------------------------------------
-
-
-def _const_set(space, desc):
-    return r.RandomSet(space, {s: desc for s in space.scenarios})
-
-
-def test_intersect_boxes(space3):
-    A = _const_set(space3, r.Box((0.0,), (2.0,)))
-    B = _const_set(space3, r.Box((1.0,), (3.0,)))
-    out = r.intersect_setmaps([A, B])
-    assert out.descriptions[1] == r.Box((1.0,), (2.0,))
-
-
-def test_intersect_cloud_with_box(space3):
-    A = _const_set(space3, r.PointCloud(((-1.0,), (0.0,), (1.0,))))
-    B = _const_set(space3, r.Box((0.0,), (2.0,)))
-    out = r.intersect_setmaps([A, B])
-    assert out.descriptions[1] == r.PointCloud(((0.0,), (1.0,)))
-
-
-def test_intersect_level_sets_merge_constraints(space3):
-    box = r.Box((-2.0, -2.0), (2.0, 2.0))
-    g1 = r.LevelSet((r.parse("x1 - 1", 2, 0),), (), box)
-    g2 = r.LevelSet((r.parse("x2 + 1", 2, 0),), (), box)
-    out = r.intersect_setmaps([_const_set(space3, g1), _const_set(space3, g2)])
-    merged = out.descriptions[1]
-    assert isinstance(merged, r.LevelSet)
-    assert len(merged.constraints) == 2
-    assert merged.contains((1.0, -1.0), tol=0.0)
-    assert not merged.contains((1.0, 0.0), tol=0.0)
-
-
-def test_intersect_empty_result_recorded(space3):
-    A = _const_set(space3, r.Box((0.0,), (1.0,)))
-    B = _const_set(space3, r.Box((2.0,), (3.0,)))
-    out = r.intersect_setmaps([A, B])
-    assert isinstance(out.descriptions[1], r.EmptySet)
-
-
-def test_intersect_dimension_mismatch(space3):
-    A = _const_set(space3, r.Box((0.0,), (1.0,)))
-    B = _const_set(space3, r.Box((0.0, 0.0), (1.0, 1.0)))
-    with pytest.raises(IncompatibleRepresentation):
-        r.intersect_setmaps([A, B])
-
-
-def test_intersect_spaces_must_agree(space3):
-    other = r.make_space([1, 2], [0.5, 0.5], [[1, 2]])
-    A = _const_set(space3, r.Box((0.0,), (1.0,)))
-    B = _const_set(other, r.Box((0.0,), (1.0,)))
-    with pytest.raises(DomainMismatch):
-        r.intersect_setmaps([A, B])
-
-
-def test_intersection_preserves_measurability(space3):
-    rng = random.Random(11)
-    for _ in range(50):
-        # atom-constant random boxes
-        def atom_boxes():
-            descs = {}
-            for atom in space3.atoms:
-                lo = rng.uniform(-2, 0)
-                hi = rng.uniform(0.5, 2)
-                for s in atom:
-                    descs[s] = r.Box((lo,), (hi,))
-            return r.RandomSet(space3, descs)
-
-        A, B = atom_boxes(), atom_boxes()
-        assert r.is_measurable_setmap(space3, A).measurable
-        assert r.is_measurable_setmap(space3, B).measurable
-        out = r.intersect_setmaps([A, B])
-        assert r.is_measurable_setmap(space3, out).measurable
-
-
-# --- graph sampling ----------------------------------------------------------------------
-
-
-def test_sample_graph(space3):
-    C = r.RandomSet(
-        space3,
-        {
-            1: r.Box((0.0,), (1.0,)),
-            2: r.Box((0.0,), (1.0,)),
-            3: r.Box((2.0,), (3.0,)),
-        },
-    )
-    grid = [(0.5,), (2.5,), (5.0,)]
-    gs = r.sample_graph(C, grid)
-    assert gs.pairs == ((1, (0.5,)), (2, (0.5,)), (3, (2.5,)))
 
 
 def test_box_validation():

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 import randopt as r
-from randopt.errors import (
-    EmptySetError,
-    NonMeasurableC,
-    NonMeasurableEta,
-    NonMeasurableF,
-)
+from randopt.errors import NonMeasurableC, NonMeasurableF
 from randopt.optimize import SolverOptions
 from randopt.selection import (
     GlobalCert,
-    NoDeterministicSolution,
     NoPDStationaryPoint,
     NoStationaryPoints,
 )
@@ -37,113 +31,6 @@ def const_rv(space, value):
 
 def const_set(space, desc):
     return r.RandomSet(space, {s: desc for s in space.scenarios})
-
-
-# --- canonical selection -----------------------------------------------------------
-
-
-def test_canonical_select_picks_minus_one(space3):
-    M = const_set(space3, r.PointCloud(((1.0,), (-1.0,))))
-    sel = r.canonical_select(M, space3)
-    assert all(sel.points[s] == (-1.0,) for s in space3.scenarios)
-    assert sel.measurable.measurable
-    assert sel.notes == ()
-
-
-def test_canonical_select_singleton(space3):
-    M = const_set(space3, r.PointCloud(((0.0, 0.0),)))
-    sel = r.canonical_select(M, space3)
-    assert sel.points[1] == (0.0, 0.0)
-
-
-def test_canonical_select_lexicographic_tie_break(space3):
-    M = const_set(space3, r.PointCloud(((1.0, 0.0), (0.0, 5.0), (0.0, 2.0))))
-    sel = r.canonical_select(M, space3)
-    assert sel.points[1] == (0.0, 2.0)
-
-
-def test_canonical_select_flags_non_measurable_input(space3):
-    M = r.RandomSet(
-        space3,
-        {
-            1: r.PointCloud(((1.0,),)),
-            2: r.PointCloud(((2.0,),)),
-            3: r.PointCloud(((3.0,),)),
-        },
-    )
-    sel = r.canonical_select(M, space3)
-    assert "non_measurable_input" in sel.notes
-    assert not sel.measurable.measurable
-
-
-def test_canonical_select_empty_set_error(space3):
-    A = const_set(space3, r.PointCloud(((0.0,),)))
-    B = const_set(space3, r.Box((1.0,), (2.0,)))
-    M = r.intersect_setmaps([A, B])
-    with pytest.raises(EmptySetError):
-        r.canonical_select(M, space3)
-
-
-# --- random equation -----------------------------------------------------------------
-
-
-def test_solve_equation_square_root(space3):
-    rf = make_rf(space3, "x1^2")
-    sel = r.solve_random_equation(
-        rf, space3, const_rv(space3, (4.0,)), r.Box((-5.0,), (5.0,))
-    )
-    assert all(sel.points[s] == (-2.0,) for s in space3.scenarios)
-    assert sel.measurable.measurable
-    assert sel.certificates[1] == GlobalCert(4.0)
-
-
-def test_solve_equation_quartic_level(space3):
-    rf = make_rf(space3, "x1^4 - 2*x1^2")
-    sel = r.solve_random_equation(
-        rf, space3, const_rv(space3, (-1.0,)), r.Box((-2.0,), (2.0,))
-    )
-    assert all(sel.points[s] == (-1.0,) for s in space3.scenarios)
-
-
-def test_solve_equation_no_solution(space3):
-    rf = make_rf(space3, "x1^2")
-    out = r.solve_random_equation(
-        rf, space3, const_rv(space3, (-1.0,)), r.Box((-5.0,), (5.0,))
-    )
-    assert out == NoDeterministicSolution((1, 2, 3))
-
-
-def test_solve_equation_eta_varies_across_atoms(space3):
-    rf = make_rf(space3, "x1^2")
-    eta = r.RandomVariableRn(space3, {1: (4.0,), 2: (4.0,), 3: (9.0,)})
-    sel = r.solve_random_equation(rf, space3, eta, r.Box((-5.0,), (5.0,)))
-    assert sel.points[1] == (-2.0,)
-    assert sel.points[3] == (-3.0,)
-    assert sel.measurable.measurable
-
-
-def test_solve_equation_tangential_root(space3):
-    # x^2 = 0 has a double root: no sign change anywhere
-    rf = make_rf(space3, "(x1 - 0.35)^2")
-    sel = r.solve_random_equation(
-        rf, space3, const_rv(space3, (0.0,)), r.Box((-1.0,), (1.0,))
-    )
-    assert sel.points[1][0] == pytest.approx(0.35, abs=1e-5)
-
-
-def test_solve_equation_refuses_non_measurable_eta(space3):
-    rf = make_rf(space3, "x1^2")
-    eta = r.RandomVariableRn(space3, {1: (4.0,), 2: (9.0,), 3: (4.0,)})
-    with pytest.raises(NonMeasurableEta):
-        r.solve_random_equation(rf, space3, eta, r.Box((-5.0,), (5.0,)))
-
-
-def test_solve_equation_refuses_non_measurable_f(space3):
-    rf = make_rf(space3, "(x1 - p1)^2", params={1: (1.0,), 2: (2.0,), 3: (0.0,)})
-    with pytest.raises(NonMeasurableF):
-        r.solve_random_equation(
-            rf, space3, const_rv(space3, (0.0,)), r.Box((-5.0,), (5.0,))
-        )
 
 
 # --- ROP ---------------------------------------------------------------------------------
@@ -284,25 +171,16 @@ def test_solve_rlop_compares_no_point_clouds(monkeypatch):
 
 
 # --- refusal messages ------------------------------------------------------------------
-# the message bytes of each refusal; NonMeasurableEta has no golden report
+# the message bytes of each refusal
 
 
-def test_non_measurable_eta_message(space3):
-    eta = r.RandomVariableRn(space3, {1: (4.0,), 2: (9.0,), 3: (4.0,)})
-    with pytest.raises(NonMeasurableEta) as exc:
-        r.solve_random_equation(make_rf(space3, "x1^2"), space3, eta, r.Box((-5.0,), (5.0,)))
-    assert str(exc.value) == "target eta is not measurable: it differs within atom (1, 2)"
-    assert (exc.value.witness.gap, exc.value.witness.probe) == (5.0, None)
-
-
-@pytest.mark.parametrize("solve", ["solve_rop", "solve_rlop", "solve_random_equation"])
+@pytest.mark.parametrize("solve", ["solve_rop", "solve_rlop"])
 def test_non_measurable_f_message(space3, solve):
     rf = make_rf(space3, "(x1 - p1)^2", params={1: (1.0,), 2: (2.0,), 3: (0.0,)})
     box = r.Box((-5.0,), (5.0,))
     args = {
         "solve_rop": (rf, space3, const_set(space3, box)),
         "solve_rlop": (rf, space3, box),
-        "solve_random_equation": (rf, space3, const_rv(space3, (0.0,)), box),
     }[solve]
     with pytest.raises(NonMeasurableF) as exc:
         getattr(r, solve)(*args)
