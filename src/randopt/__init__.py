@@ -11,7 +11,6 @@ from .errors import (
     DivByZero,
     DomainMismatch,
     DomainViolation,
-    EmptyFeasible,
     EvalError,
     HypothesisViolation,
     IncompatibleRepresentation,
@@ -25,7 +24,7 @@ from .errors import (
     SchemaError,
     WeightSumError,
 )
-from .exprlang import Env, Expression, differentiate, evaluate, parse, to_string
+from .exprlang import Env, Expression, differentiate, evaluate, parse
 from .probspace import (
     MeasurabilityVerdict,
     ProbSpace,
@@ -37,7 +36,6 @@ from .probspace import (
 )
 from .randfunc import (
     Box,
-    EmptySet,
     LevelSet,
     PointCloud,
     RandomFunction,

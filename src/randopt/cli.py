@@ -17,12 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import _jsonout
 from .document import ProblemDocument, load_problem, with_overrides
-from .errors import (
-    EmptyFeasible,
-    HypothesisViolation,
-    RandoptError,
-    SchemaError,
-)
+from .errors import HypothesisViolation, RandoptError, SchemaError
 from .optimize import (
     GlobalMinResult,
     LocalMinCertificate,
@@ -308,10 +303,6 @@ def run(command: str, doc: ProblemDocument, output_path: str) -> int:
         if e.witness is not None:
             refusal["witness"] = _witness_json(e.witness)
         report["refusal"] = refusal
-    except EmptyFeasible as e:
-        code = EXIT_NO_SOLUTION
-        report["status"] = "no_solution"
-        report["no_solution"] = {"kind": "EmptyFeasible", "scenarios": [e.scenario]}
     except RandoptError as e:
         code = EXIT_INPUT_ERROR
         report["status"] = "input_error"

@@ -38,7 +38,6 @@ from .randfunc import Box, LevelSet, PointCloud, RandomFunction, RandomSet
 class ProblemDocument:
     space: ProbSpace
     n: int
-    objective_source: str
     rf: RandomFunction
     feasible: Optional[RandomSet]
     search_box: Optional[Box]
@@ -307,6 +306,12 @@ def _scenario_key(scenario: Scenario) -> str:
     return str(scenario)
 
 
+def _scenario_id(value: Scenario) -> Scenario:
+    """The schema admits an integer-valued float id such as 1.0; it names
+    the scenario 1, as the report lists it."""
+    return int(value) if type(value) is float else value
+
+
 def _lookup_per_scenario(
     mapping: dict, space: ProbSpace, pointer: str
 ) -> dict[Scenario, object]:
@@ -412,14 +417,17 @@ def load_problem(path: str) -> ProblemDocument:
 
     sp = raw["space"]
     try:
-        space = make_space(sp["scenarios"], sp["weights"], sp["atoms"])
+        space = make_space(
+            [_scenario_id(s) for s in sp["scenarios"]],
+            sp["weights"],
+            [[_scenario_id(s) for s in atom] for atom in sp["atoms"]],
+        )
     except WeightSumError as e:
         raise SchemaError("/space/weights", str(e)) from None
     except PartitionError as e:
         raise SchemaError("/space/atoms", str(e)) from None
 
     n = raw["dimension"]
-    source = raw["objective"]["expression"]
     raw_params = raw["objective"].get("parameters")
     if raw_params is None:
         params = {s: () for s in space.scenarios}
@@ -434,7 +442,8 @@ def load_problem(path: str) -> ProblemDocument:
             )
         k = lengths.pop()
         params = {s: tuple(float(v) for v in vec) for s, vec in resolved.items()}
-    body = exprlang.parse(source, n, k)  # ParseError/DimensionError propagate
+    # ParseError and DimensionError propagate
+    body = exprlang.parse(raw["objective"]["expression"], n, k)
     rf = RandomFunction(space, n, body, params)
 
     search_box = None
@@ -467,7 +476,7 @@ def load_problem(path: str) -> ProblemDocument:
             seed=o.get("seed", opts.seed),
         )
 
-    return ProblemDocument(space, n, source, rf, feasible, search_box, candidate, opts)
+    return ProblemDocument(space, n, rf, feasible, search_box, candidate, opts)
 
 
 def with_overrides(

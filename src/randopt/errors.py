@@ -77,14 +77,6 @@ class NotSymmetric(RandoptError):
     """Matrix argument is not symmetric within tolerance."""
 
 
-class EmptyFeasible(RandoptError):
-    """The feasible set of some scenario is empty."""
-
-    def __init__(self, scenario):
-        super().__init__(f"feasible set is empty for scenario {scenario!r}")
-        self.scenario = scenario
-
-
 class NoRadiusFound(RandoptError):
     """No ball with a positive-definite Hessian was found around the point,
     and sampling produced no descent witness either (degenerate case)."""

@@ -13,9 +13,6 @@ integer literals, which keeps symbolic differentiation closed over the
 language.  ``^`` binds tighter than unary minus, so ``-x1^2`` is
 ``-(x1^2)``.
 
-Printed form uses minimal parentheses; ``parse(str(e))`` rebuilds the
-identical tree for every tree this module produces.
-
 Evaluation has one lowering and two runners.  ``_Compiler`` lowers a
 bundle of trees (an objective, its n partial derivatives, or its n^2
 second partials) to one list of steps: a value step per distinct node,
@@ -122,9 +119,6 @@ class Expression:
     root: Node
     n: int  # decision dimension (x1..xn)
     k: int  # parameter dimension (p1..pk)
-
-    def __str__(self) -> str:
-        return to_string(self)
 
     @cached_property
     def compiled(self) -> Callable[[Sequence, Sequence], tuple]:
@@ -333,7 +327,6 @@ class _Parser:
         if tok.kind == "op" and tok.text == "-":
             self.advance()
             inner = self.factor()
-            # fold a negated literal so printed negative numbers round-trip
             if isinstance(inner, Num):
                 return Num(-inner.value)
             return Neg(inner)
@@ -401,77 +394,6 @@ class _Parser:
 def parse(text: str, n: int, k: int = 0) -> Expression:
     """Parse ``text`` into an expression over x1..xn and p1..pk."""
     return Expression(_Parser(text, n, k).parse(), n, k)
-
-
-# --- printing ----------------------------------------------------------------
-
-_PREC_ADD = 10
-_PREC_MUL = 20
-_PREC_NEG = 25
-_PREC_POW = 30
-_PREC_ATOM = 100
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _render(node: Node) -> str:
-    if isinstance(node, Num):
-        return _fmt_number(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Param):
-        return f"p{node.index}"
-    if isinstance(node, Call):
-        return f"{node.func}({_render(node.arg)})"
-    if isinstance(node, Neg):
-        inner = _render(node.arg)
-        if _prec(node.arg) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = _render(node.base)
-        plain = isinstance(node.base, (Var, Param, Call)) or (
-            isinstance(node.base, Num) and node.base.value >= 0
-        )
-        if not plain:
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    # binary operators: parenthesize right children of equal precedence so
-    # the left-associative grammar rebuilds the identical tree
-    op, prec = {
-        Add: (" + ", _PREC_ADD),
-        Sub: (" - ", _PREC_ADD),
-        Mul: ("*", _PREC_MUL),
-        Div: ("/", _PREC_MUL),
-    }[type(node)]
-    left = _render(node.left)
-    if _prec(node.left) < prec:
-        left = f"({left})"
-    right = _render(node.right)
-    if _prec(node.right) <= prec:
-        right = f"({right})"
-    return f"{left}{op}{right}"
-
-
-def to_string(e: Expression) -> str:
-    """Minimal-parentheses source form; reparses to the identical tree."""
-    return _render(e.root)
 
 
 # --- evaluation ----------------------------------------------------------------

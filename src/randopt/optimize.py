@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     DomainMismatch,
     DomainViolation,
-    EmptyFeasible,
     EvalError,
     IncompatibleRepresentation,
     NoRadiusFound,
@@ -40,7 +39,6 @@ from .probspace import (
 )
 from .randfunc import (
     Box,
-    EmptySet,
     PointCloud,
     RandomFunction,
     RandomSet,
@@ -56,6 +54,7 @@ from .randfunc import (
 SYMMETRY_TOL = 1e-9
 STATIONARITY_TOL = 1e-8
 JACOBI_OFF_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
 MARGIN_TOL = 1e-12
 MAX_GRID_POINTS = 20_000_000
 NEWTON_TOL = 1e-10  # sup-norm gradient tolerance for convergence
@@ -124,21 +123,20 @@ def leading_principal_minors(H: np.ndarray) -> np.ndarray:
     return minors
 
 
-def jacobi_eigenvalues(
-    H: np.ndarray, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = 100
-) -> np.ndarray:
+def jacobi_eigenvalues(H: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps until the Frobenius norm of the off-diagonal part drops to
-    ``off_tol``; returns eigenvalues sorted ascending.
+    Sweeps, at most JACOBI_MAX_SWEEPS times, until the Frobenius norm of
+    the off-diagonal part drops to JACOBI_OFF_TOL; returns eigenvalues
+    sorted ascending.
     """
     A = _as_symmetric(H).copy()
     n = A.shape[0]
     if n == 1:
         return A.diagonal().copy()
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(max(float(np.sum(A * A) - np.sum(A.diagonal() ** 2)), 0.0))
-        if off <= off_tol:
+        if off <= JACOBI_OFF_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -198,7 +196,6 @@ def classify_definiteness(H: np.ndarray, tol_rel: float = DEFINITENESS_TOL_REL) 
 
 @dataclass(frozen=True)
 class StationaryPoint:
-    omega: Scenario
     x: Point
     grad_norm: float
     minors: tuple[float, ...]
@@ -375,7 +372,6 @@ def find_stationary_points(
             continue
         points.append(
             StationaryPoint(
-                omega=omega,
                 x=tuple(float(v) for v in x),
                 grad_norm=sup_norm(g),
                 minors=tuple(float(v) for v in leading_principal_minors(H)),
@@ -391,8 +387,6 @@ def find_stationary_points(
 
 @dataclass(frozen=True)
 class LocalMinCertificate:
-    omega: Scenario
-    x: Point
     delta: float          # verified ball radius
     samples_checked: int
     min_margin: float     # min over samples of f(x + d) - f(x)
@@ -400,8 +394,6 @@ class LocalMinCertificate:
 
 @dataclass(frozen=True)
 class LocalMinFailure:
-    omega: Scenario
-    x: Point
     witness: Point        # direction d with f(x + d) < f(x) - MARGIN_TOL
     margin: float
 
@@ -476,12 +468,7 @@ def verify_local_min(
                     best_margin = margin
                     best_d = r * d
         if best_d is not None and best_margin < -MARGIN_TOL:
-            return LocalMinFailure(
-                omega,
-                tuple(float(v) for v in x),
-                tuple(float(v) for v in best_d),
-                float(best_margin),
-            )
+            return LocalMinFailure(tuple(float(v) for v in best_d), float(best_margin))
         raise NoRadiusFound(
             "no ball with positive definite Hessian after 40 halvings, "
             "and sampling found no descent direction"
@@ -498,15 +485,8 @@ def verify_local_min(
         if margin < min_margin:
             min_margin = margin
             if min_margin < -MARGIN_TOL:
-                return LocalMinFailure(
-                    omega,
-                    tuple(float(v) for v in x),
-                    tuple(float(v) for v in r * d),
-                    float(min_margin),
-                )
-    return LocalMinCertificate(
-        omega, tuple(float(v) for v in x), delta, K, float(min_margin)
-    )
+                return LocalMinFailure(tuple(float(v) for v in r * d), float(min_margin))
+    return LocalMinCertificate(delta, K, float(min_margin))
 
 
 # --- global minimization on compact sets ----------------------------------------------
@@ -556,8 +536,6 @@ def _scan_feasible(
     number of such failed points.  A Box's points are shared with later
     scans and read-only.
     """
-    if isinstance(C_omega, EmptySet):
-        raise EmptyFeasible(omega)
     if not isinstance(C_omega, (Box, PointCloud)):
         raise IncompatibleRepresentation(
             f"grid minimization needs a Box or PointCloud, got {type(C_omega).__name__}"
@@ -630,7 +608,6 @@ def global_min_per_scenario(
 class OptimalValue:
     eta: RandomVariableRn                    # scenario -> (min value,)
     verdict: MeasurabilityVerdict            # measurability of eta, tol 1e-9
-    per_scenario: dict[Scenario, GlobalMinResult] = field(repr=False, default=None)
 
 
 def optimal_value(
@@ -646,4 +623,4 @@ def optimal_value(
     results = global_min_per_scenario(rf, C.descriptions, grid_m)
     eta = RandomVariableRn(space, {s: (res.grid_value,) for s, res in results.items()})
     verdict = is_measurable_rv(space, eta, tol=1e-9)
-    return OptimalValue(eta, verdict, results)
+    return OptimalValue(eta, verdict)

@@ -52,6 +52,15 @@ class ProbSpace:
     atoms: tuple[tuple[Scenario, ...], ...]
 
 
+def _sorted_ids(items: Iterable, key=None) -> list:
+    """``sorted(items, key=key)``, raising PartitionError when scenario ids
+    cannot be ordered, such as 1 and "a"."""
+    try:
+        return sorted(items, key=key)
+    except TypeError as e:
+        raise PartitionError(f"scenario ids cannot be ordered: {e}") from None
+
+
 def make_space(
     scenario_ids: Sequence[Scenario],
     weights: Sequence[float],
@@ -97,11 +106,11 @@ def make_space(
             if s in seen:
                 raise PartitionError(f"scenario {s!r} appears in two atoms")
             seen.add(s)
-        atoms.append(tuple(sorted(block)))
+        atoms.append(tuple(_sorted_ids(block)))
     if seen != id_set:
-        missing = sorted(id_set - seen)
+        missing = _sorted_ids(id_set - seen)
         raise PartitionError(f"scenarios not covered by any atom: {missing}")
-    atoms.sort(key=lambda a: a[0])
+    atoms = _sorted_ids(atoms, key=lambda a: a[0])
     return ProbSpace(ids, w, tuple(atoms))
 
 

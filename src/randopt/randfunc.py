@@ -26,10 +26,10 @@ from . import exprlang
 from .errors import (
     DomainMismatch,
     DomainViolation,
-    EvalError,
     IncompatibleRepresentation,
+    RandoptError,
 )
-from .exprlang import Env, Expression
+from .exprlang import Expression
 from .probspace import (
     MeasurabilityVerdict,
     Point,
@@ -103,9 +103,6 @@ class PointCloud:
     def dim(self) -> int:
         return len(self.points[0])
 
-    def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
-        return any(_sup_dist(x, p) <= tol for p in self.points)
-
     def distance(self, other) -> float:
         if not isinstance(other, PointCloud) or other.dim != self.dim:
             return math.inf
@@ -142,15 +139,6 @@ class LevelSet:
     def substituted(self) -> tuple[Expression, ...]:
         return tuple(exprlang.substitute_params(c, self.params) for c in self.constraints)
 
-    def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
-        if not self.box.contains(x, tol):
-            return False
-        env = Env(tuple(x), self.params)
-        try:
-            return all(abs(exprlang.evaluate(c, env)) <= tol for c in self.constraints)
-        except EvalError:
-            return False
-
     def distance(self, other) -> float:
         if (
             not isinstance(other, LevelSet)
@@ -164,23 +152,7 @@ class LevelSet:
         return gap
 
 
-@dataclass(frozen=True)
-class EmptySet:
-    """Empty value.  No problem document yields one; a grid scan over it
-    raises EmptyFeasible."""
-
-    dim: int
-
-    def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
-        return False
-
-    def distance(self, other) -> float:
-        if isinstance(other, EmptySet) and other.dim == self.dim:
-            return 0.0
-        return math.inf
-
-
-SetDescription = Union[Box, PointCloud, LevelSet, EmptySet]
+SetDescription = Union[Box, PointCloud, LevelSet]
 
 
 def exact_key(values: Sequence[float]) -> tuple:
@@ -231,14 +203,10 @@ class RandomSet:
             elif isinstance(d, PointCloud):
                 dlo = tuple(min(p[i] for p in d.points) for i in range(self.dim))
                 dhi = tuple(max(p[i] for p in d.points) for i in range(self.dim))
-            elif isinstance(d, LevelSet):
+            else:  # LevelSet
                 dlo, dhi = d.box.lower, d.box.upper
-            else:
-                continue
             lo = [min(a, b) for a, b in zip(lo, dlo)]
             hi = [max(a, b) for a, b in zip(hi, dhi)]
-        if any(not math.isfinite(v) for v in lo + hi):
-            raise IncompatibleRepresentation("cannot bound an all-empty random set")
         return Box(tuple(lo), tuple(hi))
 
 
@@ -417,9 +385,8 @@ def _radical_inverse(i: int, base: int) -> float:
 
 
 def halton_points(count: int, dim: int) -> np.ndarray:
-    """First ``count`` Halton points in [0,1]^dim (deterministic)."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"halton sequence supports up to {len(_PRIMES)} dimensions")
+    """First ``count`` Halton points in [0,1]^dim (deterministic), for
+    ``dim`` up to ``len(_PRIMES)``."""
     pts = np.empty((count, dim))
     for j in range(dim):
         b = _PRIMES[j]
@@ -428,14 +395,20 @@ def halton_points(count: int, dim: int) -> np.ndarray:
     return pts
 
 
-def default_probe_grid(box: Box, extra: int = 32) -> list[Point]:
-    """Corners and center of ``box`` plus ``extra`` low-discrepancy points."""
-    pts: list[Point] = []
-    if box.dim <= 12:
-        pts.extend(box.corners())
+PROBE_EXTRA = 32  # low-discrepancy points of a probe grid
+
+
+def default_probe_grid(box: Box) -> list[Point]:
+    """Corners and center of ``box`` plus ``PROBE_EXTRA`` low-discrepancy
+    points."""
+    if box.dim > len(_PRIMES):
+        raise RandoptError(
+            f"probe grid supports up to {len(_PRIMES)} dimensions, got {box.dim}"
+        )
+    pts = box.corners()
     pts.append(box.center())
     lo = np.array(box.lower)
     hi = np.array(box.upper)
-    for row in halton_points(extra, box.dim):
+    for row in halton_points(PROBE_EXTRA, box.dim):
         pts.append(tuple(float(v) for v in lo + row * (hi - lo)))
     return pts

@@ -13,7 +13,6 @@ would be unsound exactly in those cases, and the witness shows why.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -135,15 +134,13 @@ def _broadcast(
     **extra,
 ) -> Selection:
     """The selection giving every scenario of each solved atom the atom's
-    point and certificate, with the points' measurability verdict.  A local
-    certificate is restated for each scenario it is given to."""
+    point and certificate, with the points' measurability verdict."""
     points: dict[Scenario, Point] = {}
     certs: dict[Scenario, Certificate] = {}
     for atom, point, cert in solved:
-        local = isinstance(cert, LocalMinCertificate)
         for omega in atom:
             points[omega] = point
-            certs[omega] = dataclasses.replace(cert, omega=omega) if local else cert
+            certs[omega] = cert
     verdict = is_measurable_rv(space, RandomVariableRn(space, points), tol=0.0)
     return Selection(space, points, verdict, certs, **extra)
 

@@ -451,6 +451,69 @@ def test_huge_grid_is_an_input_error_without_a_traceback(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _write(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["check-measurable", "solve-rlop"])
+def test_more_dimensions_than_the_probe_grid_is_an_input_error(tmp_path, capsys, command):
+    n = 13
+    doc = {
+        "schema_version": 1,
+        "space": {"scenarios": [1], "weights": [1.0], "atoms": [[1]]},
+        "dimension": n,
+        "objective": {"expression": " + ".join(f"x{i}^2" for i in range(1, n + 1))},
+        "search_box": {"lower": [-1] * n, "upper": [1] * n},
+    }
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    assert main([command, "--input", str(_write(tmp_path, doc)), "--output", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert (report["status"], report["exit_code"]) == ("input_error", 3)
+    assert report["error"] == {
+        "type": "RandoptError",
+        "message": "probe grid supports up to 12 dimensions, got 13",
+    }
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("atoms", [[[1, "a"]], [[1], ["a"]]])
+def test_scenario_ids_that_cannot_be_ordered_are_an_input_error(tmp_path, atoms):
+    doc = {
+        "schema_version": 1,
+        "space": {"scenarios": [1, "a"], "weights": [0.5, 0.5], "atoms": atoms},
+        "dimension": 1,
+        "objective": {"expression": "x1^2"},
+        "search_box": {"lower": [-1], "upper": [1]},
+    }
+    out = tmp_path / "report.json"
+    assert main(["stationary", "--input", str(_write(tmp_path, doc)), "--output", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith("/space/atoms: scenario ids cannot be ordered")
+
+
+def test_an_integer_valued_float_id_names_the_integer_scenario(tmp_path):
+    doc = {
+        "schema_version": 1,
+        "space": {"scenarios": [1.0, 2], "weights": [0.5, 0.5], "atoms": [[1.0], [2.0]]},
+        "dimension": 1,
+        "objective": {"expression": "(x1 - p1)^2", "parameters": {"1": [0.5], "2": [-0.5]}},
+        "search_box": {"lower": [-1], "upper": [1]},
+    }
+    out = tmp_path / "report.json"
+    argv = ["oracle", "--input", str(_write(tmp_path, doc)), "--output", str(out), "--grid", "5"]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["scenarios"] == [1, 2]
+    assert report["results"]["eta"] == {"1": 0.0, "2": 0.0}
+    doc = load_problem(str(tmp_path / "doc.json"))
+    assert doc.space.scenarios == (1, 2) and doc.space.atoms == ((1,), (2,))
+    assert {type(s) for s in (*doc.space.scenarios, *sum(doc.space.atoms, ()))} == {int}
+
+
 TWO_BOXES = {
     "schema_version": 1,
     "space": {"scenarios": [1, 2], "weights": [0.5, 0.5], "atoms": [[1, 2]]},

@@ -257,16 +257,6 @@ def test_first_scenario_undefined_on_its_whole_set_is_named(tmp_path, monkeypatc
     }
 
 
-def test_first_empty_set_is_named():
-    space = r.make_space([1, 2, 3, 4], [0.25] * 4, [[1, 2], [3, 4]])
-    rf = r.RandomFunction(space, 1, r.parse("x1^2 + p1", 1, 1), {s: (1.0,) for s in space.scenarios})
-    box = r.Box((-1.0,), (1.0,))
-    descs = {1: box, 2: r.EmptySet(1), 3: box, 4: r.EmptySet(1)}
-    with pytest.raises(r.EmptyFeasible) as exc:
-        optimize.global_min_per_scenario(rf, descs, 5)
-    assert exc.value.scenario == 2
-
-
 # --- counts --------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from randopt import exprlang
 from randopt.errors import DimensionError, DivByZero, DomainViolation, EvalError, ParseError
-from randopt.exprlang import Env, differentiate, evaluate, parse, to_string
+from randopt.exprlang import Env, differentiate, evaluate, parse
 
 
 # --- parsing ----------------------------------------------------------------
@@ -16,7 +16,10 @@ from randopt.exprlang import Env, differentiate, evaluate, parse, to_string
 
 def test_parse_paper_example():
     e = parse("x1^4 - 2*x1^2", 1, 0)
-    assert to_string(e) == "x1^4 - 2*x1^2"
+    x1 = exprlang.Var(1)
+    assert e.root == exprlang.Sub(
+        exprlang.Pow(x1, 4), exprlang.Mul(exprlang.Num(2.0), exprlang.Pow(x1, 2))
+    )
 
 
 def test_parse_two_vars():
@@ -135,18 +138,18 @@ def test_eval_batch_matches_scalar_and_masks():
 def test_derivative_paper_gradient():
     e = parse("x1^4 - 2*x1^2", 1, 0)
     d = differentiate(e, 1)
-    assert to_string(d) == "4*x1^3 - 4*x1"
+    assert d == parse("4*x1^3 - 4*x1", 1, 0)
     # vanishes at the three stationary points of the double well
     for x in (-1.0, 0.0, 1.0):
         assert evaluate(d, Env((x,))) == 0.0
 
 
 def test_derivative_power_rule():
-    assert to_string(differentiate(parse("x1^2", 1, 0), 1)) == "2*x1"
+    assert differentiate(parse("x1^2", 1, 0), 1) == parse("2*x1", 1, 0)
 
 
 def test_derivative_independence():
-    assert to_string(differentiate(parse("x1^2", 2, 0), 2)) == "0"
+    assert differentiate(parse("x1^2", 2, 0), 2) == parse("0", 2, 0)
 
 
 def test_derivative_out_of_range():
@@ -201,43 +204,6 @@ def random_expression(rng: random.Random, n: int, k: int, depth: int = 0) -> str
     return f"({sub()})/(x1^2 + 2)"
 
 
-def test_print_parse_round_trip_structural():
-    rng = random.Random(5)
-    for _ in range(300):
-        n, k = rng.randint(1, 3), rng.randint(0, 2)
-        e = parse(random_expression(rng, n, k), n, k)
-        assert parse(to_string(e), n, k) == e
-
-
-def test_print_parse_round_trip_evaluates_identically():
-    rng = random.Random(6)
-    checked = 0
-    while checked < 100:
-        n, k = rng.randint(1, 3), rng.randint(0, 2)
-        e = parse(random_expression(rng, n, k), n, k)
-        e2 = parse(to_string(e), n, k)
-        env = Env(
-            tuple(rng.uniform(-1.5, 1.5) for _ in range(n)),
-            tuple(rng.uniform(-2, 2) for _ in range(k)),
-        )
-        try:
-            v1 = evaluate(e, env)
-        except EvalError:
-            continue
-        assert evaluate(e2, env) == v1
-        checked += 1
-
-
-def test_derivative_round_trips_identically():
-    rng = random.Random(7)
-    for _ in range(200):
-        n, k = rng.randint(1, 3), rng.randint(0, 2)
-        e = parse(random_expression(rng, n, k), n, k)
-        for i in range(1, n + 1):
-            d = differentiate(e, i)
-            assert parse(to_string(d), n, k) == d
-
-
 def _central_diff(e, env, i, h=1e-5):
     x = list(env.x)
     x[i - 1] += h
@@ -290,7 +256,7 @@ def test_substitute_params_folds_literals():
     e = parse("p1*x1 + p2", 1, 2)
     s = exprlang.substitute_params(e, (2.0, 3.0))
     assert s.k == 0
-    assert to_string(s) == "2*x1 + 3"
+    assert s == parse("2*x1 + 3", 1, 0)
     assert evaluate(s, Env((1.0,))) == 5.0
 
 

@@ -121,7 +121,6 @@ def reference_find_stationary_points(rf, omega, region, opts=SolverOptions()):
             continue
         points.append(
             StationaryPoint(
-                omega=omega,
                 x=tuple(float(v) for v in x),
                 grad_norm=sup_norm(g),
                 minors=tuple(float(v) for v in leading_principal_minors(H)),
@@ -179,11 +178,7 @@ def assert_same_search(rf, omega, region, opts):
         assert _point_bytes(a.x) == _point_bytes(b.x)
         assert _point_bytes(a.grad_norm) == _point_bytes(b.grad_norm)
         assert _point_bytes(a.minors) == _point_bytes(b.minors)
-        assert (a.classification, a.newton_iters, a.omega) == (
-            b.classification,
-            b.newton_iters,
-            b.omega,
-        )
+        assert (a.classification, a.newton_iters) == (b.classification, b.newton_iters)
         assert type(a.newton_iters) is int
     return got
 

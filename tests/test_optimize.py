@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
-from randopt.errors import EmptyFeasible, IncompatibleRepresentation, NotSymmetric
+from randopt.errors import IncompatibleRepresentation, NotSymmetric
 from randopt import optimize
 from randopt.optimize import (
     MAX_GRID_POINTS,
@@ -340,13 +340,6 @@ def test_optimal_value_non_measurable_example(space3):
     # consistent: f itself fails joint measurability, so no measurable
     # optimal value was promised in the first place
     assert not r.check_joint_measurability(rf, [(5.0,)]).measurable
-
-
-def test_optimal_value_empty_feasible(space3):
-    rf = make_rf(space3, "x1^2")
-    C = r.RandomSet(space3, {s: r.EmptySet(1) for s in space3.scenarios})
-    with pytest.raises(EmptyFeasible):
-        r.optimal_value(rf, space3, C, 11)
 
 
 # --- sup norm ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import randopt as r
 from randopt.errors import EvalError
-from randopt.exprlang import Env, differentiate, evaluate, parse, to_string
+from randopt.exprlang import Env, differentiate, evaluate, parse
 
 N_VARS = 2
 N_PARAMS = 1
@@ -51,26 +51,6 @@ points = st.tuples(
     st.floats(-1.5, 1.5, allow_nan=False), st.floats(-1.5, 1.5, allow_nan=False)
 )
 params = st.tuples(st.floats(-2.0, 2.0, allow_nan=False))
-
-
-@settings(max_examples=80, deadline=None)
-@given(expr_text())
-def test_print_parse_round_trip(text):
-    e = parse(text, N_VARS, N_PARAMS)
-    assert parse(to_string(e), N_VARS, N_PARAMS) == e
-
-
-@settings(max_examples=80, deadline=None)
-@given(expr_text(), points, params)
-def test_round_trip_evaluates_identically(text, x, p):
-    e = parse(text, N_VARS, N_PARAMS)
-    e2 = parse(to_string(e), N_VARS, N_PARAMS)
-    env = Env(x, p)
-    try:
-        v = evaluate(e, env)
-    except EvalError:
-        return
-    assert evaluate(e2, env) == v
 
 
 @settings(max_examples=60, deadline=None)

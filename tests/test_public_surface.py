@@ -5,8 +5,11 @@ acceptance tests.
 Reachability is by name.  The roots are ``cli.main``, the names used by
 each module-level statement other than an import, and the names used in
 ``tests/test_acceptance.py``.  A reached definition reaches every name in
-its decorators, bases and body.  A helper that only other tests use
-belongs under ``tests/``.
+its decorators, bases and body, except the names of a class's ``__str__``
+and ``__repr__``: reports are built from fields, and the only instances
+of package classes that a command formats as text are errors, whose
+classes define neither.  A helper that only other tests use belongs under
+``tests/``.
 """
 
 import ast
@@ -22,6 +25,19 @@ def _names(node: ast.AST) -> set:
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
     }
+
+
+def _reached_from(node: ast.AST) -> set:
+    if not isinstance(node, ast.ClassDef):
+        return _names(node)
+    printing = ("__str__", "__repr__")
+    kept = [
+        stmt
+        for stmt in node.body
+        if not (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name in printing)
+    ]
+    parts = [*node.decorator_list, *node.bases, *node.keywords, *kept]
+    return set().union(*map(_names, parts))
 
 
 def unreachable() -> list:
@@ -46,7 +62,7 @@ def unreachable() -> list:
         if name not in reached:
             reached.add(name)
             for _, node in defs.get(name, ()):
-                pending.extend(_names(node) - reached)
+                pending.extend(_reached_from(node) - reached)
     named = {f"{module}.{name}" for name, found in defs.items() for module, _ in found}
     named |= {f"randopt.{name}" for name in exports}
     return sorted(n for n in named if n.rpartition(".")[2] not in reached)

@@ -24,8 +24,6 @@ from randopt.selection import EQUATION_TOL, GlobalCert
 
 
 def _reference_grid_min(rf, omega, desc, grid_m):
-    if isinstance(desc, r.EmptySet):
-        raise r.EmptyFeasible(omega)
     if isinstance(desc, r.Box):
         if desc.dim != rf.n:
             raise r.IncompatibleRepresentation("set dimension differs from function")
