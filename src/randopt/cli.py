@@ -21,8 +21,8 @@ from .errors import HypothesisViolation, RandoptError, SchemaError
 from .optimize import (
     GlobalMinResult,
     LocalMinCertificate,
-    find_stationary_points,
     global_min_per_scenario,
+    stationary_searches,
 )
 from .probspace import (
     MeasurabilityVerdict,
@@ -30,7 +30,7 @@ from .probspace import (
     is_measurable_rv,
     is_measurable_setmap,
 )
-from .randfunc import Box, check_joint_measurability, default_probe_grid, per_distinct_input
+from .randfunc import Box, check_joint_measurability, default_probe_grid, first_of_input
 from .selection import (
     GlobalCert,
     NoPDStationaryPoint,
@@ -154,14 +154,16 @@ def _cmd_check_measurable(doc: ProblemDocument) -> tuple[int, dict, dict]:
 def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.search_box is not None, "/search_box", "stationary needs a search_box")
 
-    # the search depends on the scenario only through its parameter vector
-    searches = per_distinct_input(
-        doc.rf,
-        lambda omega: find_stationary_points(doc.rf, omega, doc.search_box, doc.options),
-    )
+    # the search depends on the scenario only through its parameter vector,
+    # so one stack runs the first scenario of each
+    first = first_of_input(doc.rf)
+    searched = list(dict.fromkeys(first.values()))
+    searches = stationary_searches(doc.rf, searched, doc.search_box, doc.options)
+    by_first = dict(zip(searched, searches))
     per_scenario = {}
     skipped = stalled = 0
-    for omega, search in searches.items():
+    for omega in doc.space.scenarios:
+        search = by_first[first[omega]]
         skipped += search.skipped_singular
         stalled += search.stalled
         per_scenario[str(omega)] = [

@@ -425,7 +425,7 @@ def load_problem(path: str) -> ProblemDocument:
     except WeightSumError as e:
         raise SchemaError("/space/weights", str(e)) from None
     except PartitionError as e:
-        raise SchemaError("/space/atoms", str(e)) from None
+        raise SchemaError(f"/space/{e.field}", str(e)) from None
 
     n = raw["dimension"]
     raw_params = raw["objective"].get("parameters")

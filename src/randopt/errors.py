@@ -18,7 +18,13 @@ class WeightSumError(RandoptError):
 
 
 class PartitionError(RandoptError):
-    """The proposed atom list is not a partition of the scenario set."""
+    """The proposed atom list is not a partition of the scenario set, or
+    the scenario ids or the weights cannot make one.  ``field`` names the
+    argument at fault: "scenarios", "weights" or "atoms"."""
+
+    def __init__(self, message: str, field: str = "atoms"):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainMismatch(RandoptError):

@@ -13,9 +13,9 @@ integer literals, which keeps symbolic differentiation closed over the
 language.  ``^`` binds tighter than unary minus, so ``-x1^2`` is
 ``-(x1^2)``.
 
-Evaluation has one lowering and two runners.  ``_Compiler`` lowers a
-bundle of trees (an objective, its n partial derivatives, or its n^2
-second partials) to one list of steps: a value step per distinct node,
+Evaluation has one lowering, one renderer and one runner.  ``_Compiler``
+lowers a bundle of trees (an objective, its n partial derivatives, or its
+n^2 second partials) to one list of steps: a value step per distinct node,
 and the checks as steps of their own.  Nodes are hash-consed bottom-up by
 node type, the names of their children and their payload; a number is
 keyed by its type and its bits, since ``Num(0.0) == Num(-0.0)``.  Steps
@@ -29,13 +29,25 @@ every node other than a leaf or a negation.
 ``compile_bundle`` renders the steps as straight-line Python that raises
 at the first failing check, with the walk's exception class and message;
 ``np.float64`` inputs pass through and keep numpy's scalar arithmetic.
-``eval_batch`` runs the steps of one tree on the rows of an array with
-numpy: a failing check clears its rows in a mask, leaves are one-element
-arrays that broadcast, and each value is freed after its last use.
+The bundle carries its steps as ``bundle.lowered``.
+
+``_Compiler.run_rows`` runs the steps on the rows of an array, with a
+parameter column of one element or one per row, through a kernel table:
+a failing check clears its rows in a mask, leaves are one-element arrays
+that broadcast, and each value is freed after its last use.
+``eval_batch`` runs it with numpy's array kernels.  ``_ROW_KERNELS`` keep
+the bundles' bits instead: ``+ - * /``, negation, ``sqrt`` and the checks
+are numpy, which rounds them as the scalars do, while ``**``, ``exp``,
+``log``, ``sin`` and ``cos`` call the scalar operation on each element.
+An element whose operation raises (overflow, a math domain error, zero to
+a negative power, also on a row already cleared) becomes NaN, and the
+finite check after it clears the row.  So ``eval_rows`` finds a row
+valid exactly where the bundle returns, with the bundle's values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -528,10 +540,13 @@ class _Compiler:
                 what = "power" if op == "**" else "function application"
                 yield f"    raise DomainViolation('overflow in {what}') from None"
 
-    def run_rows(self, X: np.ndarray, p: Sequence, valid: np.ndarray) -> np.ndarray:
-        """The steps on the rows of ``X``; a failed check clears its rows in
-        ``valid``.  Constants and parameters are one-element arrays of the
-        dtype ``np.full`` gives them, and columns of ``X`` are views."""
+    def run_rows(self, X: np.ndarray, P: Sequence, valid: np.ndarray, kernels: dict) -> list:
+        """The steps on the rows of ``X``, with ``P[j]`` the column of
+        parameter j (one element, or one per row), through ``kernels``; a
+        failed check clears its rows in ``valid``.  Returns the values of
+        the results, each of one element or one per row.  Constants are
+        one-element arrays of the dtype ``np.full`` gives them, and columns
+        of ``X`` are views."""
         env = {name: np.full(1, value) for name, value in self.constants.items()}
         for (op, t, args, extra), dead in zip(self.steps, self.dead):
             if op == "finite":
@@ -541,27 +556,58 @@ class _Compiler:
             elif op == "x":
                 env[t] = X[:, extra]
             elif op == "p":
-                env[t] = np.full(1, p[extra])
+                env[t] = P[extra]
             elif op == "**":
-                env[t] = env[args[0]] ** float(self.constants[extra])
+                env[t] = kernels["**"](env[args[0]], self.constants[extra])
             elif op == "log":
                 a = env[args[0]]
                 valid &= a > 0.0
-                env[t] = np.log(np.where(a > 0.0, a, 1.0))
+                env[t] = kernels["log"](np.where(a > 0.0, a, 1.0))
             elif op == "sqrt":
                 a = env[args[0]]
                 valid &= a >= 0.0
                 env[t] = np.sqrt(np.where(a >= 0.0, a, 0.0))
             else:
-                env[t] = _ARRAY_OPS[op](*[env[a] for a in args])
+                env[t] = kernels[op](*[env[a] for a in args])
             for name in dead:
                 del env[name]
-        return env[self.results[0]]
+        return [env[name] for name in self.results]
 
 
-# the value steps that are one array operation, operators included
-_ARRAY_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+# what a scalar operation of a bundle raises where numpy returns inf or NaN
+_SCALAR_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+
+def _or_nan(f: Callable, *args) -> float:
+    try:
+        return f(*args)
+    except _SCALAR_ERRORS:
+        return math.nan
+
+
+def _elementwise(f: Callable) -> Callable:
+    """The kernel calling ``f(v, *extra)`` on each element ``v`` as a
+    Python float, as a bundle does; where ``f`` raises, the element is NaN."""
+
+    def kernel(a: np.ndarray, *extra) -> np.ndarray:
+        values = a.tolist()
+        try:
+            return np.array(list(map(f, values, *map(itertools.repeat, extra))), dtype=float)
+        except _SCALAR_ERRORS:
+            return np.array([_or_nan(f, v, *extra) for v in values], dtype=float)
+
+    return kernel
+
+
+_ARITHMETIC = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+               "*": operator.mul, "/": operator.truediv}
+# numpy's array kernels, which eval_batch runs
+_ARRAY_KERNELS = {**_ARITHMETIC, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+                  "log": np.log, "**": lambda a, k: a ** float(k)}
+# kernels with the bundles' bits, which eval_rows runs
+_ROW_KERNELS = {**_ARITHMETIC, "sin": _elementwise(math.sin), "cos": _elementwise(math.cos),
+               "exp": _elementwise(math.exp), "log": _elementwise(math.log),
+               "**": _elementwise(operator.pow)}
 
 
 def compile_bundle(
@@ -588,7 +634,9 @@ def compile_bundle(
     namespace = {**_RUNTIME, **c.constants}
     # a file name per bundle keeps profilers from merging bundles by name
     exec(compile(source, f"<exprlang bundle {id(namespace):#x}>", "exec"), namespace)
-    return namespace["bundle"]
+    bundle = namespace["bundle"]
+    bundle.lowered = c
+    return bundle
 
 
 def evaluate(e: Expression, env: Env) -> float:
@@ -615,8 +663,29 @@ def eval_batch(
         raise ValueError(f"p has length {len(p)}, expected {e.k}")
     valid = np.ones(X.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        values = e.lowered.run_rows(X, p, valid)
+        values = e.lowered.run_rows(X, [np.full(1, v) for v in p], valid, _ARRAY_KERNELS)[0]
     return np.where(valid, values, np.nan), valid
+
+
+def eval_rows(bundle: Callable, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bundle(x, p)`` at every row x of ``X`` (shape (N, n)) with the row
+    p of ``P`` (shape (N, k)) of the same index, for a bundle from
+    ``compile_bundle``, run on ``_ROW_KERNELS``.
+
+    Returns the values, one row of the bundle's results per row, and the
+    mask of rows where the bundle returns; the values of the other rows
+    are NaN.  Where the bundle returns, the values are its bits when given
+    ``tuple(x)`` of a float array and ``p`` as floats; see the module
+    docstring.
+    """
+    valid = np.ones(len(X), dtype=bool)
+    with np.errstate(all="ignore"):
+        results = bundle.lowered.run_rows(X, P.T, valid, _ROW_KERNELS)
+    out = np.empty((len(X), len(results)))
+    for j, values in enumerate(results):
+        out[:, j] = values
+    out[~valid] = np.nan
+    return out, valid
 
 
 # --- differentiation -----------------------------------------------------------

@@ -3,12 +3,14 @@
 Positive definiteness is decided by Sylvester's criterion (leading
 principal minors); the semidefinite and indefinite cases fall back to a
 cyclic Jacobi eigenvalue sweep.  Stationary points come from damped
-Newton iterations started on a grid.  The starts of a scenario advance in
-lock step: each iteration takes the sup-norms by array reductions and
-makes one stacked solve for all their Newton steps, with the bits of
-running each start alone.  Local minimality is certified by finding a
-ball on which the Hessian stays positive definite and then sampling the
-objective inside it.
+Newton iterations started on a grid.  The starts of every scenario
+searched together advance in lock step, each with its own parameter row:
+each iteration evaluates the derivatives of the whole stack at once (on
+row kernels unless the stack is small), takes the sup-norms by array
+reductions and makes one stacked solve for all the Newton steps, with the
+bits of running each start alone.  Local minimality is certified by finding a ball on which the
+Hessian stays positive definite and then sampling the objective inside
+it; each halving's Hessians and all the samples are one stack of rows.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     NotSymmetric,
     RandoptError,
 )
+from .exprlang import eval_rows
 from .probspace import (
     MeasurabilityVerdict,
     Point,
@@ -226,22 +229,55 @@ def grid_points(region: Box, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _at_rows(bundle, X: np.ndarray, p: tuple, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``bundle(x, p)`` at every row x of ``X``: the values as a
-    (len(X), width) array, and the mask of rows where the bundle did not
-    raise EvalError (the other rows hold NaN).  Rows pass as tuples of
-    ``np.float64`` elements, as ``tuple(row)`` would give them: the
-    bundles' arithmetic, and so their bits, follow the element type."""
+# A stack of this many rows or more runs on row kernels; a smaller one
+# calls the bundle per row, which is faster there (see CHANGES.md).
+ROW_KERNEL_MIN_ROWS = 40
+# Newton stacks at most this many starts at once, splitting the scenarios.
+NEWTON_STACK_ROWS = 1 << 15
+
+
+def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bundle(x, p)`` at every row x of ``X`` with the row p of ``P`` of
+    the same index: the values as a (len(X), results) array, and the mask
+    of rows where the bundle returned (the other rows hold NaN).
+
+    Either way the values are the bundle's bits at ``tuple(x)``, whose
+    elements are ``np.float64``, and at ``p`` as floats.  A stack of
+    ``ROW_KERNEL_MIN_ROWS`` rows or more runs the bundle's steps on row
+    kernels (``exprlang.eval_rows``); a smaller one calls the bundle per
+    row, where a math domain error (``ValueError``) clears the row as the
+    row kernels do."""
+    if len(X) >= ROW_KERNEL_MIN_ROWS:
+        return eval_rows(bundle, X, P)
+    width = len(bundle.lowered.results)
     ok = np.ones(len(X), dtype=bool)
     undefined = (math.nan,) * width
     values = []
-    for j, x in enumerate(zip(*X.T)):
-        try:
-            values.append(bundle(x, p))
-        except EvalError:
-            ok[j] = False
-            values.append(undefined)
+    with np.errstate(all="ignore"):
+        for j, (x, p) in enumerate(zip(zip(*X.T), P.tolist())):
+            try:
+                values.append(bundle(x, p))
+            except (EvalError, ValueError):
+                ok[j] = False
+                values.append(undefined)
     return np.array(values, dtype=float).reshape(len(X), width), ok
+
+
+def _solve_stack(H: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solutions of H[i] d = B[i], and the mask of the regular H[i].
+
+    A singular matrix makes the stacked solve raise for all of them, so
+    the stack is bisected until each singular matrix is alone; each
+    matrix still gets its own solve's bits."""
+    try:
+        return np.linalg.solve(H, B[..., None])[..., 0], np.ones(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(H) == 1:
+            return np.full(B.shape, math.nan), np.zeros(1, dtype=bool)
+    half = len(H) // 2
+    D1, ok1 = _solve_stack(H[:half], B[:half])
+    D2, ok2 = _solve_stack(H[half:], B[half:])
+    return np.concatenate([D1, D2]), np.concatenate([ok1, ok2])
 
 
 # Why a Newton run stopped; a run still iterating holds _LIMIT.
@@ -250,10 +286,11 @@ _LIMIT, _ZERO_GRADIENT, _RUNAWAY, _SINGULAR, _NODECREASE = range(5)
 
 def _newton(
     rf: RandomFunction,
-    omega: Scenario,
     X0: np.ndarray,
+    P: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton on the gradient from every row of ``X0`` at once.
+    """Damped Newton on the gradient from every row of ``X0`` at once, the
+    start in row i with the scenario parameters in row i of ``P``.
 
     Returns (X, iters, status) with one entry per start: the point
     reached, the Newton steps taken and "converged", "singular" or
@@ -266,15 +303,14 @@ def _newton(
     looks definite.  A step tries lambda = 1, 1/2, 1/4, ... (2 tries
     once |g| <= NEWTON_TOL, else 30) until the gradient's sup-norm
     decreases; an undefined gradient counts as no decrease.  The
-    starts advance in lock step, so the sup-norms, the symmetrization
-    and the Newton solves are whole-stack numpy operations, which give
-    the bits of the per-start ones.  The derivatives stay per point:
-    the compiled scalar bundles.
+    starts advance in lock step, so the sup-norms, the symmetrization,
+    the Newton solves and the derivatives are whole-stack operations
+    (``_at_rows``, ``_solve_stack``), which give the bits of the
+    per-start ones.
     """
-    p = rf.params_of(omega)
     X = np.array(X0, dtype=float)
     N, n = X.shape
-    G, defined = _at_rows(rf.grad_bundle, X, p, n)  # NaN rows never converge
+    G, defined = _at_rows(rf.grad_bundle, X, P)  # NaN rows never converge
     reason = np.where(defined, _LIMIT, _SINGULAR)
     iters = np.zeros(N, dtype=int)
     active = np.flatnonzero(defined)
@@ -290,19 +326,12 @@ def _newton(
         iters[active[stop]] = it
         active, gn = active[~stop], gn[~stop]
 
-        H, solvable = _at_rows(rf.hess_bundle, X[active], p, n * n)
+        H, solvable = _at_rows(rf.hess_bundle, X[active], P[active])
         H = H.reshape(-1, n, n)
         H = (H + H.swapaxes(1, 2)) / 2.0
         D = np.empty((len(active), n))
-        rhs = -G[active]
-        try:
-            D[solvable] = np.linalg.solve(H[solvable], rhs[solvable, :, None])[..., 0]
-        except np.linalg.LinAlgError:  # some matrix is singular: solve one by one
-            for j in np.flatnonzero(solvable):
-                try:
-                    D[j] = np.linalg.solve(H[j], rhs[j])
-                except np.linalg.LinAlgError:
-                    solvable[j] = False
+        regular = np.flatnonzero(solvable)
+        D[regular], solvable[regular] = _solve_stack(H[regular], -G[active[regular]])
         reason[active[~solvable]] = _SINGULAR
 
         # the line search, every pending start at the same lambda
@@ -313,10 +342,11 @@ def _newton(
             trying = np.flatnonzero(solvable & ~moved & (k < attempts))
             if not len(trying):
                 break
-            Xn = X[active[trying]] + lam * D[trying]
-            Gn, _ = _at_rows(rf.grad_bundle, Xn, p, n)  # NaN rows: no decrease
+            rows = active[trying]
+            Xn = X[rows] + lam * D[trying]
+            Gn, _ = _at_rows(rf.grad_bundle, Xn, P[rows])  # NaN rows: no decrease
             better = np.abs(Gn).max(axis=1) < gn[trying]
-            won = active[trying[better]]
+            won = rows[better]
             X[won], G[won] = Xn[better], Gn[better]
             moved[trying[better]] = True
             lam /= 2.0
@@ -332,6 +362,37 @@ def _newton(
     return X, iters, status
 
 
+def _params_rows(rf: RandomFunction, scenarios: Sequence[Scenario], repeats: int) -> np.ndarray:
+    """The parameter vector of each scenario in turn, ``repeats`` rows each."""
+    P = np.array([rf.params_of(omega) for omega in scenarios], dtype=float)
+    return np.repeat(P.reshape(len(scenarios), rf.body.k), repeats, axis=0)
+
+
+def stationary_searches(
+    rf: RandomFunction,
+    scenarios: Sequence[Scenario],
+    region: Box,
+    opts: SolverOptions = SolverOptions(),
+) -> list[StationarySearch]:
+    """``find_stationary_points`` for each scenario in turn, with the starts
+    of all of them in one Newton stack (of at most ``NEWTON_STACK_ROWS``
+    rows; more scenarios take more stacks)."""
+    if region.dim != rf.n:
+        raise IncompatibleRepresentation("region dimension differs from function")
+    starts = grid_points(region, opts.newton_grid_m)
+    m = len(starts)
+    per_stack = max(1, NEWTON_STACK_ROWS // m)
+    searches = []
+    for first in range(0, len(scenarios), per_stack):
+        chunk = scenarios[first : first + per_stack]
+        X0 = np.tile(starts, (len(chunk), 1))
+        X, iters, status = _newton(rf, X0, _params_rows(rf, chunk, m))
+        for i, omega in enumerate(chunk):
+            rows = slice(i * m, (i + 1) * m)
+            searches.append(_search_result(rf, omega, region, X[rows], iters[rows], status[rows]))
+    return searches
+
+
 def find_stationary_points(
     rf: RandomFunction,
     omega: Scenario,
@@ -344,10 +405,20 @@ def find_stationary_points(
     ``DEDUP_RADIUS``.  Singular or undefined starts are skipped and
     counted, never fatal.
     """
-    if region.dim != rf.n:
-        raise IncompatibleRepresentation("region dimension differs from function")
-    starts = grid_points(region, opts.newton_grid_m)
-    X, newton_iters, status = _newton(rf, omega, starts)
+    return stationary_searches(rf, [omega], region, opts)[0]
+
+
+def _search_result(
+    rf: RandomFunction,
+    omega: Scenario,
+    region: Box,
+    X: np.ndarray,
+    newton_iters: np.ndarray,
+    status: np.ndarray,
+) -> StationarySearch:
+    """The search of one scenario from its Newton runs: the converged
+    points inside ``region``, deduplicated in lexicographic order, each
+    classified by its Hessian."""
     skipped = int(np.count_nonzero(status == "singular"))
     stalled = int(np.count_nonzero(status == "stalled"))
     converged = [
@@ -379,7 +450,7 @@ def find_stationary_points(
                 newton_iters=iters,
             )
         )
-    return StationarySearch(tuple(points), len(starts), skipped, stalled)
+    return StationarySearch(tuple(points), len(X), skipped, stalled)
 
 
 # --- local minimality certificates ---------------------------------------------------
@@ -432,17 +503,29 @@ def verify_local_min(
     count = 8 * n
     dirs = np.concatenate([np.eye(n), -np.eye(n), _unit_directions(rng, count - 2 * n, n)])
     radii = np.array([(1.0, 0.75, 0.5, 0.25)[i % 4] for i in range(len(dirs))])
+    P = _params_rows(rf, [omega], count)
+    try:
+        center_pd = classify_definiteness(hessian(rf, omega, x)) is Definiteness.PD
+    except EvalError:
+        center_pd = False
 
     def ball_is_pd(delta: float) -> bool:
-        try:
-            if classify_definiteness(hessian(rf, omega, x)) is not Definiteness.PD:
-                return False
-            for d, r in zip(dirs, radii):
-                H = hessian(rf, omega, x + delta * r * d)
-                if classify_definiteness(H) is not Definiteness.PD:
-                    return False
-        except EvalError:
+        """The Hessian is PD at the center and at every sample, taken in
+        order; an undefined Hessian is not."""
+        if not center_pd:
             return False
+        X = x + (delta * radii)[:, None] * dirs
+        H, ok = _at_rows(rf.hess_bundle, X, P)
+        H = H.reshape(-1, n, n)
+        H = (H + H.swapaxes(1, 2)) / 2.0
+        for i in range(count):
+            if not ok[i]:
+                try:  # the error that the sample raises
+                    hessian(rf, omega, X[i])
+                except EvalError:
+                    return False
+            if classify_definiteness(H[i]) is not Definiteness.PD:
+                return False
         return True
 
     delta = None
@@ -478,15 +561,18 @@ def verify_local_min(
     K = 200 * n
     exponents = np.arange(K) / max(K - 1, 1)
     sample_radii = delta * (1.0 / 1024.0) ** exponents
-    sample_dirs = _unit_directions(rng2, K, n)
-    min_margin = math.inf
-    for r, d in zip(sample_radii, sample_dirs):
-        margin = eval_f(rf, omega, x + r * d) - f0
-        if margin < min_margin:
-            min_margin = margin
-            if min_margin < -MARGIN_TOL:
-                return LocalMinFailure(tuple(float(v) for v in r * d), float(min_margin))
-    return LocalMinCertificate(delta, K, float(min_margin))
+    steps = sample_radii[:, None] * _unit_directions(rng2, K, n)
+    X = x + steps
+    values, ok = _at_rows(rf.body.compiled, X, _params_rows(rf, [omega], K))
+    margins = values[:, 0] - f0
+    # the first sample that is undefined or a descent ends the scan
+    failing = np.flatnonzero(~ok | (margins < -MARGIN_TOL))
+    if len(failing):
+        i = failing[0]
+        margin = eval_f(rf, omega, X[i]) - f0  # raises where the sample is undefined
+        return LocalMinFailure(tuple(float(v) for v in steps[i]), float(margin))
+    # the smallest margin, taken first where equal ones differ in sign
+    return LocalMinCertificate(delta, K, float(margins[np.argmin(margins)]))
 
 
 # --- global minimization on compact sets ----------------------------------------------

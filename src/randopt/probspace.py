@@ -58,7 +58,7 @@ def _sorted_ids(items: Iterable, key=None) -> list:
     try:
         return sorted(items, key=key)
     except TypeError as e:
-        raise PartitionError(f"scenario ids cannot be ordered: {e}") from None
+        raise PartitionError(f"scenario ids cannot be ordered: {e}", "scenarios") from None
 
 
 def make_space(
@@ -74,11 +74,9 @@ def make_space(
     ids = tuple(scenario_ids)
     id_set = set(ids)
     if len(id_set) != len(ids):
-        raise PartitionError("duplicate scenario ids")
+        raise PartitionError("duplicate scenario ids", "scenarios")
     if len(weights) != len(ids):
-        raise PartitionError(
-            f"{len(weights)} weights for {len(ids)} scenarios"
-        )
+        raise PartitionError(f"{len(weights)} weights for {len(ids)} scenarios", "weights")
     try:
         w = tuple(float(v) for v in weights)
     except OverflowError:

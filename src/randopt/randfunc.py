@@ -9,7 +9,8 @@ descriptions: an axis-aligned box, a finite point cloud, or the zero set
 of smooth constraints clipped to a bounding box.
 
 Work that depends on a scenario only through its parameter vector and set
-description is done once per bit-exact input by :func:`per_distinct_input`.
+description is done once per bit-exact input by :func:`per_distinct_input`,
+or by the caller at the scenarios that :func:`first_of_input` names.
 """
 
 from __future__ import annotations
@@ -277,6 +278,22 @@ class RandomFunction:
 T = TypeVar("T")
 
 
+def first_of_input(
+    rf: RandomFunction, descriptions: Optional[Mapping[Scenario, SetDescription]] = None
+) -> dict[Scenario, Scenario]:
+    """Each scenario in the space's order, mapped to the first scenario
+    with the same bit-exact parameter vector (``exact_key``) and, if
+    given, set description (``description_key``)."""
+    first: dict[tuple, Scenario] = {}
+    out: dict[Scenario, Scenario] = {}
+    for omega in rf.space.scenarios:
+        key = exact_key(rf.params_of(omega))
+        if descriptions is not None:
+            key = (key, description_key(descriptions[omega]))
+        out[omega] = first.setdefault(key, omega)
+    return out
+
+
 def per_distinct_input(
     rf: RandomFunction,
     compute: Callable[[Scenario], T],
@@ -284,18 +301,12 @@ def per_distinct_input(
 ) -> dict[Scenario, T]:
     """``compute(omega)`` for every scenario in the space's order, for work
     that depends on omega only through its parameter vector and, if given,
-    its set description.  It runs at the first scenario of each bit-exact
-    input (``exact_key``, ``description_key``), whose result later ones
-    share, so the first scenario that fails is the one that raises."""
-    by_input: dict[tuple, T] = {}
+    its set description.  It runs at the first scenario of each input
+    (``first_of_input``), whose result later ones share, so the first
+    scenario that fails is the one that raises."""
     results: dict[Scenario, T] = {}
-    for omega in rf.space.scenarios:
-        key = exact_key(rf.params_of(omega))
-        if descriptions is not None:
-            key = (key, description_key(descriptions[omega]))
-        if key not in by_input:
-            by_input[key] = compute(omega)
-        results[omega] = by_input[key]
+    for omega, first in first_of_input(rf, descriptions).items():
+        results[omega] = compute(omega) if first == omega else results[first]
     return results
 
 

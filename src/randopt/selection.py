@@ -31,9 +31,8 @@ from .optimize import (
     LocalMinCertificate,
     LocalMinFailure,
     SolverOptions,
-    StationarySearch,
     classify_definiteness,
-    find_stationary_points,
+    stationary_searches,
     sup_norm,
     verify_local_min,
     _LastGrid,
@@ -211,6 +210,9 @@ def solve_rlop(
 
     Per atom: enumerate stationary points, keep those with positive
     definite Hessian, select canonically, certify with a verified ball.
+    The representatives' Newton runs share one stack; the atoms are then
+    taken in order, so the first atom without a (PD) stationary point is
+    the one a no-solution outcome names.
     When the Hessian is positive semidefinite on the whole probe grid the
     function is treated as convex and the certificate upgrades to a global
     one after a confirming grid scan.
@@ -221,8 +223,8 @@ def solve_rlop(
 
     selected = []  # (atom, canonical point)
     skipped = stalled = 0
-    for atom in space.atoms:
-        search: StationarySearch = find_stationary_points(rf, atom[0], region, opts)
+    searches = stationary_searches(rf, [atom[0] for atom in space.atoms], region, opts)
+    for atom, search in zip(space.atoms, searches):
         skipped += search.skipped_singular
         stalled += search.stalled
         if not search.points:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from randopt.errors import EvalError
-from randopt.optimize import MARGIN_TOL, _newton
+from randopt.optimize import MARGIN_TOL, _newton, _params_rows
 from randopt.probspace import Point, Scenario
 from randopt.randfunc import Box, RandomFunction, eval_f, gradient, hessian
 
@@ -96,7 +96,8 @@ def polish_point(
 ) -> Optional[Point]:
     """Newton-refine a near-stationary point; None unless it stays in the
     region, reaches stationarity, and does not increase f."""
-    X, _, status = _newton(rf, omega, np.asarray(x0, dtype=float).reshape(1, -1))
+    X0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    X, _, status = _newton(rf, X0, _params_rows(rf, [omega], 1))
     x = X[0]
     if status[0] != "converged":
         return None

@@ -492,7 +492,40 @@ def test_scenario_ids_that_cannot_be_ordered_are_an_input_error(tmp_path, atoms)
     assert main(["stationary", "--input", str(_write(tmp_path, doc)), "--output", str(out)]) == 3
     report = json.loads(out.read_text())
     assert report["error"]["type"] == "SchemaError"
-    assert report["error"]["message"].startswith("/space/atoms: scenario ids cannot be ordered")
+    assert report["error"]["message"].startswith("/space/scenarios: scenario ids cannot be ordered")
+
+
+@pytest.mark.parametrize(
+    "space,message",
+    [
+        (
+            {"scenarios": [1, 1], "weights": [0.5, 0.5], "atoms": [[1]]},
+            "/space/scenarios: duplicate scenario ids",
+        ),
+        (
+            {"scenarios": [1, "a"], "weights": [0.5, 0.5], "atoms": [[1], ["a"]]},
+            "/space/scenarios: scenario ids cannot be ordered: ",
+        ),
+        (
+            {"scenarios": [1, 2], "weights": [0.25, 0.25, 0.5], "atoms": [[1, 2]]},
+            "/space/weights: 3 weights for 2 scenarios",
+        ),
+    ],
+    ids=["duplicate-ids", "unordered-ids", "weight-count"],
+)
+def test_a_space_error_names_the_field_at_fault(tmp_path, space, message):
+    doc = {
+        "schema_version": 1,
+        "space": space,
+        "dimension": 1,
+        "objective": {"expression": "x1^2"},
+        "search_box": {"lower": [-1], "upper": [1]},
+    }
+    out = tmp_path / "report.json"
+    assert main(["stationary", "--input", str(_write(tmp_path, doc)), "--output", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith(message)
 
 
 def test_an_integer_valued_float_id_names_the_integer_scenario(tmp_path):

@@ -314,11 +314,11 @@ def test_stationary_searches_once_per_distinct_parameter_vector(tmp_path, monkey
     params = [PARAMS[i] for i in (0, 1, 0, 2, 1, 1, 0, 2, 2, 0)]
     doc = _fixed_document("x1^2 + x2^2 + p1*x1 + p2*x2", params)
     searches = []
-    _counted(monkeypatch, cli, "find_stationary_points", searches)
+    _counted(monkeypatch, cli, "stationary_searches", searches)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli.run("stationary", load_problem(str(path)), str(tmp_path / "out.json")) == 0
-    assert [args[1] for args in searches] == [1, 2, 4]
+    assert [list(args[1]) for args in searches] == [[1, 2, 4]]  # one stack
 
 
 def test_solve_rop_builds_one_grid_per_run_of_identical_boxes(monkeypatch):
@@ -336,9 +336,9 @@ def test_solve_rop_builds_one_grid_per_run_of_identical_boxes(monkeypatch):
 
 def test_solve_rlop_builds_one_grid_across_its_convex_atoms(tmp_path, monkeypatch):
     # both atoms are convex, so each gets a global certificate after a scan
-    # of the same search box
+    # of the same search box; the atoms' Newton runs share one start grid
     grids = []
     _counted(monkeypatch, optimize, "grid_points", grids)
     doc = load_problem(str(GALLERY / "convex_quadratic_2d.json"))
     assert cli.run("solve-rlop", doc, str(tmp_path / "out.json")) == 0
-    assert [m for _, m in grids] == [5, 5, 61]  # two Newton start grids, one scan
+    assert [m for _, m in grids] == [5, 61]  # one Newton start grid, one scan

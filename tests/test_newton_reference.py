@@ -4,8 +4,9 @@
 for one fix: a start that takes all ``NEWTON_MAX_ITERS`` steps reports
 that many (the ``else`` clause of its loop), where it used to report one
 less.  ``reference_find_stationary_points`` is the previous multistart
-loop around it.  ``optimize._newton`` advances every start of a
-scenario together, with whole-stack sup-norms, symmetrization and solves.
+loop around it.  ``optimize._newton`` advances a stack of starts
+together, of one scenario or of several, each with its own parameter
+row, with whole-stack derivatives, sup-norms, symmetrization and solves.
 On every start it must reach the same point (same bytes), after the same
 number of steps, with the same status; the searches built on it must
 agree on every point, skip and stall.
@@ -22,13 +23,17 @@ from randopt.optimize import (
     MARGIN_TOL,
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
+    ROW_KERNEL_MIN_ROWS,
     SolverOptions,
     StationaryPoint,
     StationarySearch,
     _newton,
+    _params_rows,
+    _solve_stack,
     classify_definiteness,
     grid_points,
     leading_principal_minors,
+    stationary_searches,
     sup_norm,
 )
 from randopt.randfunc import eval_f, gradient, hessian
@@ -148,6 +153,12 @@ def reference_polish_point(rf, omega, x0, region):
 # --- comparison ---------------------------------------------------------------------
 
 
+def newton_of(rf, scenarios, starts):
+    """``_newton`` from every start, for each scenario in turn, in one stack."""
+    X0 = np.tile(starts, (len(scenarios), 1))
+    return _newton(rf, X0, _params_rows(rf, scenarios, len(starts)))
+
+
 def _point_bytes(point):
     return np.asarray(point, dtype=float).tobytes()
 
@@ -155,7 +166,7 @@ def _point_bytes(point):
 def assert_same_runs(rf, omega, starts):
     """Every start reaches the reference's point, step count and status;
     returns the statuses."""
-    X, iters, status = _newton(rf, omega, starts)
+    X, iters, status = newton_of(rf, [omega], starts)
     assert X.shape == starts.shape and len(iters) == len(status) == len(starts)
     for i, x0 in enumerate(starts):
         x, steps, want = _newton_from(rf, omega, x0)
@@ -165,8 +176,9 @@ def assert_same_runs(rf, omega, starts):
     return list(status)
 
 
-def assert_same_search(rf, omega, region, opts):
-    got = r.find_stationary_points(rf, omega, region, opts)
+def assert_same_search(rf, omega, region, opts, got=None):
+    if got is None:
+        got = r.find_stationary_points(rf, omega, region, opts)
     want = reference_find_stationary_points(rf, omega, region, opts)
     assert (got.starts, got.skipped_singular, got.stalled) == (
         want.starts,
@@ -234,7 +246,7 @@ def test_undefined_gradient_at_a_start_is_singular_from_the_start():
     box = r.Box((-2.0,), (2.0,))
     starts = grid_points(box, 9)
     statuses = assert_same_runs(rf, 1, starts)
-    X, iters, status = _newton(rf, 1, starts)
+    X, iters, status = newton_of(rf, [1], starts)
     assert (status[4], iters[4]) == ("singular", 0)
     assert statuses.count("singular") == 1
     assert_same_search(rf, 1, box, SolverOptions(newton_grid_m=9))
@@ -277,7 +289,7 @@ def test_a_start_at_the_iteration_cap_reports_every_step():
     rf = _rf("x1^3", 1)
     starts = grid_points(r.Box((-1.0,), (1.0,)), 9)
     assert_same_runs(rf, 1, starts)
-    X, iters, status = _newton(rf, 1, starts)
+    X, iters, status = newton_of(rf, [1], starts)
     capped = [i for i in range(len(starts)) if iters[i] == NEWTON_MAX_ITERS]
     assert capped and all(status[i] == "converged" for i in capped)
 
@@ -291,7 +303,7 @@ def test_a_start_below_the_tolerance_gets_two_damping_tries():
     starts = grid_points(box, 9)
     assert_same_runs(rf, 1, starts)
     i = next(i for i, x in enumerate(starts) if tuple(x) == (-0.65, -0.23499999999999988))
-    X, iters, status = _newton(rf, 1, starts[i : i + 1])
+    X, iters, status = newton_of(rf, [1], starts[i : i + 1])
     assert (status[0], iters[0]) == ("converged", 5)
     assert_same_search(rf, 1, box, SolverOptions(newton_grid_m=9))
 
@@ -302,5 +314,129 @@ def test_a_runaway_start_stalls_though_its_gradient_vanishes():
     rf = _rf("1/x1", 1)
     starts = grid_points(r.Box((1.0,), (2.0,)), 5)
     assert assert_same_runs(rf, 1, starts) == ["stalled"] * 5
-    X, iters, status = _newton(rf, 1, starts)
+    X, iters, status = newton_of(rf, [1], starts)
     assert np.all(np.abs(X[:, 0]) > 1e8) and np.all(iters < NEWTON_MAX_ITERS)
+
+
+# --- stacks of scenarios ---------------------------------------------------------------
+
+
+def _stack_rf(text, n, params):
+    """One scenario per parameter vector, each its own atom."""
+    ids = list(range(1, len(params) + 1))
+    space = r.make_space(ids, [1 / len(ids)] * len(ids), [[s] for s in ids])
+    body = r.parse(text, n, len(params[0]))
+    return r.RandomFunction(space, n, body, {s: tuple(p) for s, p in zip(ids, params)})
+
+
+def assert_same_stack(rf, starts):
+    """One stack runs every start of every scenario; each start reaches the
+    reference's point, step count and status.  Returns the statuses by
+    scenario."""
+    scenarios = rf.space.scenarios
+    X, iters, status = newton_of(rf, scenarios, starts)
+    by_scenario = []
+    for j, omega in enumerate(scenarios):
+        for i, x0 in enumerate(starts):
+            row = j * len(starts) + i
+            x, steps, want = _newton_from(rf, omega, x0)
+            assert (status[row], iters[row]) == (want, steps), (omega, x0)
+            if want == "converged":
+                assert X[row].tobytes() == x.tobytes(), (omega, x0, X[row], x)
+        by_scenario.append(list(status[j * len(starts) : (j + 1) * len(starts)]))
+    return by_scenario
+
+
+@st.composite
+def stacked_problems(draw):
+    """Double wells plus c*sqrt(x1 - s) over 2 to 4 scenarios: s = -10 keeps
+    the term smooth on the box, and s = 10 leaves the gradient undefined at
+    every start of the scenario that draws it."""
+    n = draw(st.integers(1, 2))
+    count = draw(st.integers(2, 4))
+    undefined = draw(st.integers(0, count))  # count: every scenario is defined
+    params = [
+        [draw(_coord) for _ in range(n)]
+        + [draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 0.5)), 10.0 if j == undefined else -10.0]
+        for j in range(count)
+    ]
+    text = _double_well(n) + f" + p{n + 2}*sqrt(x1 - p{n + 3})"
+    lower = [draw(st.floats(-3.0, 1.0)) for _ in range(n)]
+    width = [draw(st.sampled_from([0.0, 0.5]) | st.floats(0.1, 4.0)) for _ in range(n)]
+    box = r.Box(tuple(lower), tuple(lo + w for lo, w in zip(lower, width)))
+    m = draw(st.sampled_from([2, 5, 9]))
+    return _stack_rf(text, n, params), box, SolverOptions(newton_grid_m=m), undefined
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacked_problems())
+def test_a_stack_of_scenarios_matches_the_sequential_newton(problem):
+    rf, box, opts, undefined = problem
+    starts = grid_points(box, opts.newton_grid_m)
+    statuses = assert_same_stack(rf, starts)
+    if undefined < len(statuses):
+        assert statuses[undefined] == ["singular"] * len(starts)
+    scenarios = rf.space.scenarios
+    for omega, got in zip(scenarios, stationary_searches(rf, scenarios, box, opts)):
+        assert_same_search(rf, omega, box, opts, got)
+
+
+def test_stacks_on_both_sides_of_the_row_kernel_crossover():
+    # 3 scenarios of 9 starts each stay below the crossover, 3 of 81 above it
+    params = [(0.3, -0.2, 0.5), (-1.1, 0.4, 0.25), (0.0, 1.4, 1.0)]
+    rf = _stack_rf(_double_well(2), 2, params)
+    small = grid_points(r.Box((-3.0, 0.0), (3.0, 0.0)), 9)
+    large = grid_points(r.Box((-3.0, -3.0), (3.0, 3.0)), 9)
+    assert 3 * len(small) < ROW_KERNEL_MIN_ROWS <= 3 * len(large)
+    for starts in (small, large):
+        assert_same_stack(rf, starts)
+
+
+def _recording_solves(monkeypatch):
+    """Record the size and outcome of every stacked solve."""
+    calls = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        try:
+            out = solve(a, b)
+        except np.linalg.LinAlgError:
+            if np.ndim(a) == 3:
+                calls.append((len(a), False))
+            raise
+        if np.ndim(a) == 3:
+            calls.append((len(a), True))
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    return calls
+
+
+def test_one_singular_hessian_in_the_middle_of_a_stack(monkeypatch):
+    # the Hessian 6*(x1 - p1) is singular at the start x1 = p1 of the middle
+    # scenario alone: no other p1 lies on the grid
+    params = [(-0.3,), (0.2,), (0.0,), (0.35,), (-0.15,)]
+    rf = _stack_rf("(x1 - p1)^3 - 3*x1", 1, params)
+    box, opts = r.Box((-1.0,), (1.0,)), SolverOptions(newton_grid_m=9)
+    calls = _recording_solves(monkeypatch)
+    statuses = assert_same_stack(rf, grid_points(box, 9))
+    assert [s.count("singular") for s in statuses] == [0, 0, 1, 0, 0]
+    # the failed stack is bisected down to the singular matrix alone: each
+    # halving fails once, on the half that holds it
+    failed = [size for size, ok in calls if not ok]
+    assert failed[0] > 40 and failed[-1] == 1
+    assert all(a // 2 <= b <= (a + 1) // 2 for a, b in zip(failed, failed[1:]))
+    scenarios = rf.space.scenarios
+    for omega, got in zip(scenarios, stationary_searches(rf, scenarios, box, opts)):
+        assert_same_search(rf, omega, box, opts, got)
+
+
+def test_a_bisected_solve_gives_each_matrix_its_own_bits():
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((13, 3, 3))
+    H[[0, 6, 12]] = 0.0  # singular at both ends and in the middle
+    B = rng.standard_normal((13, 3))
+    D, ok = _solve_stack(H, B)
+    assert ok.tolist() == [i not in (0, 6, 12) for i in range(13)]
+    for i in np.flatnonzero(ok):
+        assert D[i].tobytes() == np.linalg.solve(H[i], B[i]).tobytes()

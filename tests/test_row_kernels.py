@@ -1,0 +1,122 @@
+"""The row kernels against the compiled bundles whose bits they keep.
+
+``exprlang.eval_rows`` runs a bundle's lowered steps on the rows of an
+array, numpy for the exact operations and the scalar operation on each
+element for ``**``, ``exp``, ``log``, ``sin`` and ``cos``.  At every row
+it must find the row valid exactly when the bundle, called at that row as
+``optimize`` calls it (``tuple(x)`` of ``np.float64`` elements, the
+parameters as floats), returns; and there every value must have the
+bundle's bits.  The trees are those of ``test_evaluator_reference.py``.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from randopt.exprlang import compile_bundle, eval_rows, parse
+from test_evaluator_reference import K, N, trees
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-308, 1e200, 1e308, -1e308, math.inf, -math.inf, math.nan]
+values = st.one_of(st.sampled_from(SPECIAL), st.floats(-10.0, 10.0), st.floats())
+
+
+def bundle_rows(bundle, X, P):
+    """What the bundle does at each row: None where it raises, else its
+    values' bits."""
+    out = []
+    for x, p in zip(zip(*X.T), P.tolist()):
+        try:
+            with np.errstate(all="ignore"):
+                out.append(tuple(struct.pack("<d", v) for v in bundle(x, p)))
+        except Exception:
+            out.append(None)
+    return out
+
+
+def assert_rows_match(bundle, X, P):
+    got, valid = eval_rows(bundle, X, P)
+    assert got.shape == (len(X), len(bundle.lowered.results)) and valid.dtype == bool
+    for i, want in enumerate(bundle_rows(bundle, X, P)):
+        assert valid[i] == (want is not None), i
+        if want is None:
+            assert np.isnan(got[i]).all()
+        else:
+            assert tuple(struct.pack("<d", v) for v in got[i]) == want, i
+    return valid
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(trees, min_size=1, max_size=3),
+    st.lists(st.tuples(st.tuples(*[values] * N), st.tuples(*[values] * K)), min_size=1, max_size=8),
+)
+def test_row_kernels_match_the_bundle(roots, rows):
+    # the drawn rows, then seeded ordinary ones, where numpy's array power,
+    # exp and log would differ from the scalar operations now and then
+    ordinary = np.random.default_rng(len(rows)).uniform(-5.0, 5.0, (32, N + K))
+    X = np.concatenate([np.array([x for x, _ in rows], dtype=float), ordinary[:, :N]])
+    P = np.concatenate([np.array([p for _, p in rows], dtype=float).reshape(-1, K), ordinary[:, N:]])
+    assert_rows_match(compile_bundle(roots, N, K), X, P)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x1^2", "x1^3", "x1^-3", "x1^31", "exp(x1)", "log(x1)", "sin(x1)", "cos(x1)", "sqrt(x1)",
+     "exp(x1)/log(x1) - x1^-2"],
+)
+def test_seeded_rows_match_the_bundle(text):
+    # numpy's array power, exp and log differ from the scalar operations on
+    # a few inputs in a thousand; thousands of rows find them
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-5.0, 5.0, (4000, 1))
+    valid = assert_rows_match(compile_bundle([parse(text, 1).root], 1, 0), X, np.empty((4000, 0)))
+    assert valid.any()
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        ("x1^2", 1e200),  # Python's float power raises OverflowError
+        ("x1^-400", 0.01),  # a negative exponent overflows too
+        ("x1^-3", 0.0),  # zero to a negative power is checked first
+        ("x1^-3", -0.0),
+        ("1/x1", 0.0),  # a zero denominator
+        ("1/(x1 - x1)", 1.0),
+        ("exp(x1)", 1000.0),  # math.exp raises OverflowError
+        ("sin(x1)", math.inf),  # math.sin raises ValueError
+        ("cos(-x1)", -math.inf),
+        ("log(x1)", math.nan),
+        ("log(x1)", -1.0),
+        ("sqrt(x1)", -1.0),
+        ("x1^0", math.nan),
+        ("-x1", math.inf),  # a negation is not checked
+        ("(x1 + 0)*(x1 + -0)", -0.0),  # signed zeros stay apart
+    ],
+)
+def test_guarded_rows_match_the_bundle(text, x):
+    # the failing row sits between two valid ones, so its error must clear
+    # it alone, also where the operation raises on the whole column
+    X = np.array([[0.5], [x], [2.0]])
+    valid = assert_rows_match(compile_bundle([parse(text, 1).root], 1, 0), X, np.empty((3, 0)))
+    assert valid[0] or text.startswith("1/(")
+
+
+def test_an_error_on_a_cleared_row_leaves_the_others():
+    # row 0 fails the zero check, then raises in the power on its cleared
+    # value; row 1 stays valid
+    bundle = compile_bundle([parse("exp(1/x1) + (x1 - 1)^-2", 1).root], 1, 0)
+    X = np.array([[0.0], [2.0], [1.0]])
+    valid = assert_rows_match(bundle, X, np.empty((3, 0)))
+    assert valid.tolist() == [False, True, False]
+
+
+def test_parameters_come_one_row_each():
+    bundle = compile_bundle([parse("(x1 - p1)^3", 1, 1).root, parse("p1^2", 1, 1).root], 1, 1)
+    X = np.array([[1.0], [1.0], [1.0]])
+    P = np.array([[0.0], [1.0], [3.0]])
+    got, valid = eval_rows(bundle, X, P)
+    assert valid.all()
+    assert got.tolist() == [[1.0, 0.0], [0.0, 1.0], [-8.0, 9.0]]
