@@ -30,7 +30,7 @@ from .probspace import (
     is_measurable_rv,
     is_measurable_setmap,
 )
-from .randfunc import Box, check_joint_measurability, default_probe_grid, first_of_input
+from .randfunc import Box, check_joint_measurability, default_probe_grid
 from .selection import (
     GlobalCert,
     NoPDStationaryPoint,
@@ -154,16 +154,11 @@ def _cmd_check_measurable(doc: ProblemDocument) -> tuple[int, dict, dict]:
 def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.search_box is not None, "/search_box", "stationary needs a search_box")
 
-    # the search depends on the scenario only through its parameter vector,
-    # so one stack runs the first scenario of each
-    first = first_of_input(doc.rf)
-    searched = list(dict.fromkeys(first.values()))
-    searches = stationary_searches(doc.rf, searched, doc.search_box, doc.options)
-    by_first = dict(zip(searched, searches))
+    scenarios = doc.space.scenarios
+    searches = stationary_searches(doc.rf, scenarios, doc.search_box, doc.options)
     per_scenario = {}
     skipped = stalled = 0
-    for omega in doc.space.scenarios:
-        search = by_first[first[omega]]
+    for omega, search in zip(scenarios, searches):
         skipped += search.skipped_singular
         stalled += search.stalled
         per_scenario[str(omega)] = [

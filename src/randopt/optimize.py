@@ -3,14 +3,13 @@
 Positive definiteness is decided by Sylvester's criterion (leading
 principal minors); the semidefinite and indefinite cases fall back to a
 cyclic Jacobi eigenvalue sweep.  Stationary points come from damped
-Newton iterations started on a grid.  The starts of every scenario
-searched together advance in lock step, each with its own parameter row:
-each iteration evaluates the derivatives of the whole stack at once (on
-row kernels unless the stack is small), takes the sup-norms by array
-reductions and makes one stacked solve for all the Newton steps, with the
-bits of running each start alone.  Local minimality is certified by finding a ball on which the
-Hessian stays positive definite and then sampling the objective inside
-it; each halving's Hessians and all the samples are one stack of rows.
+Newton iterations started on a grid, once per distinct parameter vector,
+all starts in one lock-step stack whose derivatives, sup-norms and solves
+are whole-stack operations with the bits of each start run alone.  A
+search reads its points' gradients from that stack and their Hessians
+from one more.  A local minimum is certified on a ball where the Hessian
+stays positive definite, by sampling the objective in it; each halving's
+Hessians, the samples and the descent hunt are each one stack of rows.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from .randfunc import (
     description_key,
     eval_f,
     eval_f_batch,
+    first_of_input,
     gradient,
-    hessian,
     per_distinct_input,
 )
 
@@ -106,7 +105,11 @@ def leading_principal_minors(H: np.ndarray) -> np.ndarray:
 
     Closed form up to 3x3; LU with partial pivoting (LAPACK) above.
     """
-    H = _as_symmetric(H)
+    return _minors(_as_symmetric(H))
+
+
+def _minors(H: np.ndarray) -> np.ndarray:
+    """``leading_principal_minors`` of a matrix already symmetric."""
     n = H.shape[0]
     minors = np.empty(n)
     for k in range(1, n + 1):
@@ -133,7 +136,12 @@ def jacobi_eigenvalues(H: np.ndarray) -> np.ndarray:
     the off-diagonal part drops to JACOBI_OFF_TOL; returns eigenvalues
     sorted ascending.
     """
-    A = _as_symmetric(H).copy()
+    return _jacobi(_as_symmetric(H))
+
+
+def _jacobi(H: np.ndarray) -> np.ndarray:
+    """``jacobi_eigenvalues`` of a matrix already symmetric."""
+    A = H.copy()
     n = A.shape[0]
     if n == 1:
         return A.diagonal().copy()
@@ -174,11 +182,11 @@ def classify_definiteness(H: np.ndarray, tol_rel: float = DEFINITENESS_TOL_REL) 
     """
     H = _as_symmetric(H)
     norm = float(np.max(np.sum(np.abs(H), axis=1)))
-    minors = leading_principal_minors(H)
+    minors = _minors(H)
     scale = 1.0 + norm
     if all(minors[k] > tol_rel * scale ** (k + 1) for k in range(len(minors))):
         return Definiteness.PD
-    lam = jacobi_eigenvalues(H)
+    lam = _jacobi(H)
     tau = tol_rel * scale
     lmin, lmax = float(lam[0]), float(lam[-1])
     if lmin > tau:
@@ -263,6 +271,15 @@ def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.array(values, dtype=float).reshape(len(X), width), ok
 
 
+def _hessians(rf: RandomFunction, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized Hessians at the rows of ``X`` (parameters in ``P``)
+    as an (N, n, n) stack, and the mask of rows where they are defined;
+    each has the bits of ``randfunc.hessian`` at its row."""
+    H, ok = _at_rows(rf.hess_bundle, X, P)
+    H = H.reshape(len(X), rf.n, rf.n)
+    return (H + H.swapaxes(1, 2)) / 2.0, ok
+
+
 def _solve_stack(H: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The solutions of H[i] d = B[i], and the mask of the regular H[i].
 
@@ -288,13 +305,14 @@ def _newton(
     rf: RandomFunction,
     X0: np.ndarray,
     P: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the gradient from every row of ``X0`` at once, the
     start in row i with the scenario parameters in row i of ``P``.
 
-    Returns (X, iters, status) with one entry per start: the point
-    reached, the Newton steps taken and "converged", "singular" or
-    "stalled".  A row of X is meaningful only where the start converged.
+    Returns (X, G, iters, status) with one entry per start: the point
+    reached, the gradient there (``_at_rows``'s bits, NaN where undefined),
+    the Newton steps taken and "converged", "singular" or "stalled".  A
+    row of X is meaningful only where the start converged.
 
     Each start runs exactly as it would alone.  Iteration continues past
     the convergence tolerance as long as steps keep shrinking the
@@ -326,9 +344,7 @@ def _newton(
         iters[active[stop]] = it
         active, gn = active[~stop], gn[~stop]
 
-        H, solvable = _at_rows(rf.hess_bundle, X[active], P[active])
-        H = H.reshape(-1, n, n)
-        H = (H + H.swapaxes(1, 2)) / 2.0
+        H, solvable = _hessians(rf, X[active], P[active])
         D = np.empty((len(active), n))
         regular = np.flatnonzero(solvable)
         D[regular], solvable[regular] = _solve_stack(H[regular], -G[active[regular]])
@@ -359,7 +375,7 @@ def _newton(
     status = np.where(
         converged, "converged", np.where(reason == _SINGULAR, "singular", "stalled")
     )
-    return X, iters, status
+    return X, G, iters, status
 
 
 def _params_rows(rf: RandomFunction, scenarios: Sequence[Scenario], repeats: int) -> np.ndarray:
@@ -374,23 +390,30 @@ def stationary_searches(
     region: Box,
     opts: SolverOptions = SolverOptions(),
 ) -> list[StationarySearch]:
-    """``find_stationary_points`` for each scenario in turn, with the starts
-    of all of them in one Newton stack (of at most ``NEWTON_STACK_ROWS``
-    rows; more scenarios take more stacks)."""
+    """``find_stationary_points`` for each of ``scenarios``, in order: run
+    once per distinct parameter vector (at its ``first_of_input``) and
+    shared, with the starts of all runs in one Newton stack (of at most
+    ``NEWTON_STACK_ROWS`` rows; more runs take more stacks)."""
     if region.dim != rf.n:
         raise IncompatibleRepresentation("region dimension differs from function")
+    for omega in scenarios:
+        rf.params_of(omega)  # a scenario outside the space raises here
+    first = first_of_input(rf)
+    searched = list(dict.fromkeys(first[omega] for omega in scenarios))
     starts = grid_points(region, opts.newton_grid_m)
     m = len(starts)
     per_stack = max(1, NEWTON_STACK_ROWS // m)
-    searches = []
-    for first in range(0, len(scenarios), per_stack):
-        chunk = scenarios[first : first + per_stack]
-        X0 = np.tile(starts, (len(chunk), 1))
-        X, iters, status = _newton(rf, X0, _params_rows(rf, chunk, m))
+    found: dict[Scenario, StationarySearch] = {}
+    for lo in range(0, len(searched), per_stack):
+        chunk = searched[lo : lo + per_stack]
+        P = _params_rows(rf, chunk, m)
+        X, G, iters, status = _newton(rf, np.tile(starts, (len(chunk), 1)), P)
         for i, omega in enumerate(chunk):
             rows = slice(i * m, (i + 1) * m)
-            searches.append(_search_result(rf, omega, region, X[rows], iters[rows], status[rows]))
-    return searches
+            found[omega] = _search_result(
+                rf, region, X[rows], G[rows], P[rows], iters[rows], status[rows]
+            )
+    return [found[first[omega]] for omega in scenarios]
 
 
 def find_stationary_points(
@@ -410,47 +433,43 @@ def find_stationary_points(
 
 def _search_result(
     rf: RandomFunction,
-    omega: Scenario,
     region: Box,
     X: np.ndarray,
+    G: np.ndarray,
+    P: np.ndarray,
     newton_iters: np.ndarray,
     status: np.ndarray,
 ) -> StationarySearch:
-    """The search of one scenario from its Newton runs: the converged
-    points inside ``region``, deduplicated in lexicographic order, each
-    classified by its Hessian."""
+    """The search of one scenario from its rows of ``_newton``: the converged
+    points inside ``region``, deduplicated in lexicographic order, with
+    their gradients' sup-norms from ``G`` and classified by their Hessians,
+    one stack at the rows' parameters ``P``; an undefined one is skipped."""
     skipped = int(np.count_nonzero(status == "singular"))
     stalled = int(np.count_nonzero(status == "stalled"))
     converged = [
-        (X[i], int(newton_iters[i]))
-        for i in np.flatnonzero(status == "converged")
-        if region.contains(X[i], tol=1e-9)
+        i for i in np.flatnonzero(status == "converged") if region.contains(X[i], tol=1e-9)
     ]
-    converged.sort(key=lambda pair: tuple(pair[0]))
+    converged.sort(key=lambda i: tuple(X[i]))
     kept_x = np.empty((len(converged), rf.n))
-    kept: list[tuple[np.ndarray, int]] = []
-    for x, iters in converged:
-        if np.all(np.abs(kept_x[: len(kept)] - x).max(axis=1) > DEDUP_RADIUS):
-            kept_x[len(kept)] = x
-            kept.append((x, iters))
-    points = []
-    for x, iters in kept:
-        try:
-            g = gradient(rf, omega, x)
-            H = hessian(rf, omega, x)
-        except EvalError:
-            skipped += 1
-            continue
-        points.append(
-            StationaryPoint(
-                x=tuple(float(v) for v in x),
-                grad_norm=sup_norm(g),
-                minors=tuple(float(v) for v in leading_principal_minors(H)),
-                classification=classify_definiteness(H),
-                newton_iters=iters,
-            )
+    kept: list[int] = []
+    for i in converged:
+        if np.all(np.abs(kept_x[: len(kept)] - X[i]).max(axis=1) > DEDUP_RADIUS):
+            kept_x[len(kept)] = X[i]
+            kept.append(i)
+    H, defined = _hessians(rf, kept_x[: len(kept)], P[kept])
+    points = tuple(
+        StationaryPoint(
+            x=tuple(float(v) for v in X[i]),
+            grad_norm=sup_norm(G[i]),
+            minors=tuple(float(v) for v in leading_principal_minors(H[j])),
+            classification=classify_definiteness(H[j]),
+            newton_iters=int(newton_iters[i]),
         )
-    return StationarySearch(tuple(points), len(X), skipped, stalled)
+        for j, i in enumerate(kept)
+        if defined[j]
+    )
+    skipped += int(np.count_nonzero(~defined))
+    return StationarySearch(points, len(X), skipped, stalled)
 
 
 # --- local minimality certificates ---------------------------------------------------
@@ -504,29 +523,16 @@ def verify_local_min(
     dirs = np.concatenate([np.eye(n), -np.eye(n), _unit_directions(rng, count - 2 * n, n)])
     radii = np.array([(1.0, 0.75, 0.5, 0.25)[i % 4] for i in range(len(dirs))])
     P = _params_rows(rf, [omega], count)
-    try:
-        center_pd = classify_definiteness(hessian(rf, omega, x)) is Definiteness.PD
-    except EvalError:
-        center_pd = False
+    H, ok = _hessians(rf, x[None], P[:1])
+    center_pd = bool(ok[0]) and classify_definiteness(H[0]) is Definiteness.PD
 
     def ball_is_pd(delta: float) -> bool:
-        """The Hessian is PD at the center and at every sample, taken in
-        order; an undefined Hessian is not."""
+        """The Hessian is PD at the center and at every sample; an undefined
+        Hessian is not."""
         if not center_pd:
             return False
-        X = x + (delta * radii)[:, None] * dirs
-        H, ok = _at_rows(rf.hess_bundle, X, P)
-        H = H.reshape(-1, n, n)
-        H = (H + H.swapaxes(1, 2)) / 2.0
-        for i in range(count):
-            if not ok[i]:
-                try:  # the error that the sample raises
-                    hessian(rf, omega, X[i])
-                except EvalError:
-                    return False
-            if classify_definiteness(H[i]) is not Definiteness.PD:
-                return False
-        return True
+        H, ok = _hessians(rf, x + (delta * radii)[:, None] * dirs, P)
+        return bool(ok.all()) and all(classify_definiteness(h) is Definiteness.PD for h in H)
 
     delta = None
     for halving in range(41):
@@ -536,22 +542,15 @@ def verify_local_min(
             break
 
     if delta is None:
-        # no PD ball: look for an explicit descent direction instead
+        # no PD ball: hunt for a descent direction, at radii 1 to 2^-40 in turn
         hunt_dirs = np.concatenate([np.eye(n), -np.eye(n), _unit_directions(rng, 10 * n, n)])
-        best_margin = math.inf
-        best_d = None
-        for j in range(41):
-            r = 2.0 ** -j
-            for d in hunt_dirs:
-                try:
-                    margin = eval_f(rf, omega, x + r * d) - f0
-                except EvalError:
-                    continue
-                if margin < best_margin:
-                    best_margin = margin
-                    best_d = r * d
-        if best_d is not None and best_margin < -MARGIN_TOL:
-            return LocalMinFailure(tuple(float(v) for v in best_d), float(best_margin))
+        hunt_radii = np.repeat(2.0 ** -np.arange(41), len(hunt_dirs))
+        steps = hunt_radii[:, None] * np.tile(hunt_dirs, (41, 1))
+        values, ok = _at_rows(rf.body.compiled, x + steps, _params_rows(rf, [omega], len(steps)))
+        margins = np.where(ok, values[:, 0] - f0, math.inf)
+        best = int(np.argmin(margins))  # the first strict minimum; none if all undefined
+        if margins[best] < -MARGIN_TOL:
+            return LocalMinFailure(tuple(float(v) for v in steps[best]), float(margins[best]))
         raise NoRadiusFound(
             "no ball with positive definite Hessian after 40 halvings, "
             "and sampling found no descent direction"

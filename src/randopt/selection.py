@@ -117,11 +117,11 @@ def _refuse_unless(
         raise error(f"{what} within atom {w.atom}{probe}", w)
 
 
-def _require_jointly_measurable(rf: RandomFunction, region: Box) -> None:
+def _require_jointly_measurable(rf: RandomFunction, probes: Sequence[Point]) -> None:
     """Refuse with NonMeasurableF unless f is constant on atoms at every
-    probe point of ``region``."""
+    point of ``probes``."""
     _refuse_unless(
-        check_joint_measurability(rf, default_probe_grid(region)),
+        check_joint_measurability(rf, probes),
         NonMeasurableF,
         "objective is not jointly measurable: values differ",
     )
@@ -162,7 +162,7 @@ def solve_rop(
     """
     if C.space != space or rf.space != space:
         raise DomainMismatch("function, set, and space must agree")
-    _require_jointly_measurable(rf, C.bounding_box())
+    _require_jointly_measurable(rf, default_probe_grid(C.bounding_box()))
     _refuse_unless(
         is_measurable_setmap(space, C),
         NonMeasurableC,
@@ -188,9 +188,9 @@ def solve_rop(
 # --- local random optimization --------------------------------------------------------
 
 
-def _atom_is_convex(rf: RandomFunction, rep: Scenario, region: Box) -> bool:
-    """Hessian PSD (or PD) at every probe point of the region."""
-    for x in default_probe_grid(region):
+def _atom_is_convex(rf: RandomFunction, rep: Scenario, probes: Sequence[Point]) -> bool:
+    """Hessian PSD (or PD) at every point of ``probes``."""
+    for x in probes:
         try:
             cls = classify_definiteness(hessian(rf, rep, x))
         except EvalError:
@@ -210,7 +210,8 @@ def solve_rlop(
 
     Per atom: enumerate stationary points, keep those with positive
     definite Hessian, select canonically, certify with a verified ball.
-    The representatives' Newton runs share one stack; the atoms are then
+    The representatives share one Newton stack, with one run per distinct
+    parameter vector (``stationary_searches``); the atoms are then
     taken in order, so the first atom without a (PD) stationary point is
     the one a no-solution outcome names.
     When the Hessian is positive semidefinite on the whole probe grid the
@@ -219,7 +220,8 @@ def solve_rlop(
     """
     if rf.space != space:
         raise DomainMismatch("function and space must agree")
-    _require_jointly_measurable(rf, region)
+    probes = default_probe_grid(region)
+    _require_jointly_measurable(rf, probes)
 
     selected = []  # (atom, canonical point)
     skipped = stalled = 0
@@ -245,7 +247,7 @@ def solve_rlop(
                 f"(margin {cert.margin:g}); this contradicts the sufficient "
                 "condition and indicates a numerical inconsistency"
             )
-        if _atom_is_convex(rf, rep, region):
+        if _atom_is_convex(rf, rep, probes):
             gm = _global_min(rf, rep, region, opts.grid_m, grids)
             fx = eval_f(rf, rep, x)
             if fx <= gm.grid_value + EQUATION_TOL:

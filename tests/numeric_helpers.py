@@ -97,7 +97,7 @@ def polish_point(
     """Newton-refine a near-stationary point; None unless it stays in the
     region, reaches stationarity, and does not increase f."""
     X0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    X, _, status = _newton(rf, X0, _params_rows(rf, [omega], 1))
+    X, _, _, status = _newton(rf, X0, _params_rows(rf, [omega], 1))
     x = X[0]
     if status[0] != "converged":
         return None

@@ -6,19 +6,23 @@ documents whose scenarios repeat parameter vectors and set descriptions
 (within and across atoms, with 0.0 next to -0.0, per-scenario boxes equal
 in value, point clouds listed in different orders, and objectives
 undefined on a whole set) the reports must be byte-identical.  The count
-tests pin the work: one grid-sized evaluation and one stationary search
-per distinct input, one grid per run of identical boxes.
+tests pin the work: one grid-sized evaluation per distinct input, one
+Newton run per distinct parameter vector (also across the atom
+representatives of solve-rlop), one grid per run of identical boxes, no
+scalar gradient or Hessian in stationary and one probe grid per solve-rlop.
 """
 
 import json
 import random
 import struct
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import randopt as r
-from randopt import cli, exprlang, optimize
+from randopt import cli, exprlang, optimize, randfunc
 from randopt.cli import EXIT_OK, _global_min_json, _point_json, _require
 from randopt.document import load_problem
 from randopt.optimize import find_stationary_points, global_min_compact
@@ -313,12 +317,73 @@ def test_oracle_works_once_per_distinct_input(tmp_path, monkeypatch, seed):
 def test_stationary_searches_once_per_distinct_parameter_vector(tmp_path, monkeypatch):
     params = [PARAMS[i] for i in (0, 1, 0, 2, 1, 1, 0, 2, 2, 0)]
     doc = _fixed_document("x1^2 + x2^2 + p1*x1 + p2*x2", params)
-    searches = []
-    _counted(monkeypatch, cli, "stationary_searches", searches)
+    runs = []
+    _counted(monkeypatch, optimize, "_newton", runs)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli.run("stationary", load_problem(str(path)), str(tmp_path / "out.json")) == 0
-    assert [list(args[1]) for args in searches] == [[1, 2, 4]]  # one stack
+    # one stack, whose parameter rows are those of scenarios 1, 2 and 4
+    ((rf, X0, P),) = runs
+    want = np.repeat(np.array([params[0], params[1], params[3]]), len(X0) // 3, axis=0)
+    assert P.tobytes() == want.tobytes()
+
+
+def test_atoms_whose_representatives_share_parameters_share_one_newton_run(monkeypatch):
+    # representatives 1 and 3 share a parameter vector, and 4 has its own:
+    # one Newton run each, and the selection and certificates of solving
+    # every atom alone
+    text = "((x1 - p1)^2 - 1)^2 + ((x2 - p2)^2 - 1)^2 + 0.25*x1*x2"
+    space = r.make_space([1, 2, 3, 4], [0.25] * 4, [[1, 2], [3], [4]])
+    params = {1: (0.3, -0.2), 2: (0.3, -0.2), 3: (0.3, -0.2), 4: (-0.5, 0.1)}
+    rf = r.RandomFunction(space, 2, r.parse(text, 2, 2), params)
+    box, opts = r.Box((-3.0, -3.0), (3.0, 3.0)), r.SolverOptions(newton_grid_m=5)
+    runs = []
+    _counted(monkeypatch, optimize, "_newton", runs)
+    sel = r.solve_rlop(rf, space, box, opts)
+    ((_, X0, P),) = runs
+    assert len(X0) == 2 * 25
+    assert P.tobytes() == np.repeat(np.array([params[1], params[4]]), 25, axis=0).tobytes()
+    for atom in space.atoms:
+        alone = r.make_space([atom[0]], [1.0], [[atom[0]]])
+        rf_alone = r.RandomFunction(alone, 2, rf.body, {atom[0]: params[atom[0]]})
+        want = r.solve_rlop(rf_alone, alone, box, opts)
+        for omega in atom:
+            assert repr(sel.points[omega]) == repr(want.points[atom[0]])
+            assert repr(sel.certificates[omega]) == repr(want.certificates[atom[0]])
+
+
+def _counted_everywhere(monkeypatch, function, record):
+    """Count the calls of ``function`` through every randopt module that
+    holds it under some name."""
+
+    def counted(*args, **kwargs):
+        record.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "randopt" or name.startswith("randopt."):
+            for attr in [a for a, v in vars(module).items() if v is function]:
+                monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("document", ["quartic_double_well", "convex_quadratic_2d"])
+def test_stationary_makes_no_scalar_derivative_call(tmp_path, monkeypatch, document):
+    calls = []
+    _counted_everywhere(monkeypatch, randfunc.gradient, calls)
+    _counted_everywhere(monkeypatch, randfunc.hessian, calls)
+    doc = load_problem(str(GALLERY / f"{document}.json"))
+    assert cli.run("stationary", doc, str(tmp_path / "out.json")) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("document", ["quartic_double_well", "convex_quadratic_2d"])
+def test_solve_rlop_builds_one_probe_grid(tmp_path, monkeypatch, document):
+    grids = []
+    _counted_everywhere(monkeypatch, randfunc.default_probe_grid, grids)
+    doc = load_problem(str(GALLERY / f"{document}.json"))
+    assert len(doc.space.atoms) > 1
+    assert cli.run("solve-rlop", doc, str(tmp_path / "out.json")) == 0
+    assert len(grids) == 1
 
 
 def test_solve_rop_builds_one_grid_per_run_of_identical_boxes(monkeypatch):

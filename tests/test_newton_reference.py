@@ -164,15 +164,16 @@ def _point_bytes(point):
 
 
 def assert_same_runs(rf, omega, starts):
-    """Every start reaches the reference's point, step count and status;
-    returns the statuses."""
-    X, iters, status = newton_of(rf, [omega], starts)
-    assert X.shape == starts.shape and len(iters) == len(status) == len(starts)
+    """Every start reaches the reference's point, step count and status, and
+    a converged start holds the gradient there; returns the statuses."""
+    X, G, iters, status = newton_of(rf, [omega], starts)
+    assert X.shape == G.shape == starts.shape and len(iters) == len(status) == len(starts)
     for i, x0 in enumerate(starts):
         x, steps, want = _newton_from(rf, omega, x0)
         assert (status[i], iters[i]) == (want, steps), (x0, i)
         if want == "converged":
             assert X[i].tobytes() == x.tobytes(), (x0, X[i], x)
+            assert G[i].tobytes() == gradient(rf, omega, x).tobytes(), (x0, G[i])
     return list(status)
 
 
@@ -239,6 +240,21 @@ def test_double_wells_match_the_sequential_newton(problem):
 # --- the cases the lock step must reach ---------------------------------------------------
 
 
+@pytest.mark.parametrize("text", ["x1^2 + p1*log(x1 - p2)", "(x1^2 - 1)^2 + p1*log(x1 - p2)"])
+def test_a_point_whose_hessian_is_undefined_is_skipped(text):
+    # with p1 = 0 the log term leaves the gradient 0/(x1 - p2), defined at
+    # the root x1 = 0, but the Hessian divides by (x1 - p2)^2 = 1e-400,
+    # which underflows to 0: the point converges and is then skipped
+    space = r.make_space([1], [1.0], [[1]])
+    rf = r.RandomFunction(space, 1, r.parse(text, 1, 2), {1: (0.0, -1e-200)})
+    with pytest.raises(EvalError):
+        hessian(rf, 1, (0.0,))
+    box = r.Box((-2.0,), (2.0,))
+    assert "converged" in assert_same_runs(rf, 1, grid_points(box, 9))
+    search = assert_same_search(rf, 1, box, SolverOptions(newton_grid_m=9))
+    assert search.skipped_singular == 1 and (0.0,) not in [sp.x for sp in search.points]
+
+
 def test_undefined_gradient_at_a_start_is_singular_from_the_start():
     # d/dx log(x1) = 1/x1 is undefined at the start 0.0 and defined elsewhere,
     # where Newton runs away from the root-free gradient
@@ -246,7 +262,7 @@ def test_undefined_gradient_at_a_start_is_singular_from_the_start():
     box = r.Box((-2.0,), (2.0,))
     starts = grid_points(box, 9)
     statuses = assert_same_runs(rf, 1, starts)
-    X, iters, status = newton_of(rf, [1], starts)
+    X, G, iters, status = newton_of(rf, [1], starts)
     assert (status[4], iters[4]) == ("singular", 0)
     assert statuses.count("singular") == 1
     assert_same_search(rf, 1, box, SolverOptions(newton_grid_m=9))
@@ -289,7 +305,7 @@ def test_a_start_at_the_iteration_cap_reports_every_step():
     rf = _rf("x1^3", 1)
     starts = grid_points(r.Box((-1.0,), (1.0,)), 9)
     assert_same_runs(rf, 1, starts)
-    X, iters, status = newton_of(rf, [1], starts)
+    X, G, iters, status = newton_of(rf, [1], starts)
     capped = [i for i in range(len(starts)) if iters[i] == NEWTON_MAX_ITERS]
     assert capped and all(status[i] == "converged" for i in capped)
 
@@ -303,7 +319,7 @@ def test_a_start_below_the_tolerance_gets_two_damping_tries():
     starts = grid_points(box, 9)
     assert_same_runs(rf, 1, starts)
     i = next(i for i, x in enumerate(starts) if tuple(x) == (-0.65, -0.23499999999999988))
-    X, iters, status = newton_of(rf, [1], starts[i : i + 1])
+    X, G, iters, status = newton_of(rf, [1], starts[i : i + 1])
     assert (status[0], iters[0]) == ("converged", 5)
     assert_same_search(rf, 1, box, SolverOptions(newton_grid_m=9))
 
@@ -314,7 +330,7 @@ def test_a_runaway_start_stalls_though_its_gradient_vanishes():
     rf = _rf("1/x1", 1)
     starts = grid_points(r.Box((1.0,), (2.0,)), 5)
     assert assert_same_runs(rf, 1, starts) == ["stalled"] * 5
-    X, iters, status = newton_of(rf, [1], starts)
+    X, G, iters, status = newton_of(rf, [1], starts)
     assert np.all(np.abs(X[:, 0]) > 1e8) and np.all(iters < NEWTON_MAX_ITERS)
 
 
@@ -334,7 +350,7 @@ def assert_same_stack(rf, starts):
     reference's point, step count and status.  Returns the statuses by
     scenario."""
     scenarios = rf.space.scenarios
-    X, iters, status = newton_of(rf, scenarios, starts)
+    X, G, iters, status = newton_of(rf, scenarios, starts)
     by_scenario = []
     for j, omega in enumerate(scenarios):
         for i, x0 in enumerate(starts):
