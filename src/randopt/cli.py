@@ -105,7 +105,6 @@ def _selection_json(sel: Selection) -> dict:
         "certificates": {
             str(s): _cert_json(sel.certificates[s]) for s in sel.space.scenarios
         },
-        "notes": list(sel.notes),
     }
 
 

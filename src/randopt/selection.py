@@ -84,7 +84,6 @@ class Selection:
     points: Mapping[Scenario, Point]
     measurable: MeasurabilityVerdict
     certificates: Mapping[Scenario, Certificate]
-    notes: tuple[str, ...] = ()
     diagnostics: tuple[tuple[str, int], ...] = ()
 
     def as_random_variable(self) -> RandomVariableRn:
