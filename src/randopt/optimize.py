@@ -4,11 +4,10 @@ Positive definiteness is decided by Sylvester's criterion (leading
 principal minors); the semidefinite and indefinite cases fall back to a
 cyclic Jacobi eigenvalue sweep.  Stationary points come from damped
 Newton iterations started on a grid, once per distinct parameter vector,
-all starts in one lock-step stack whose derivatives, sup-norms and solves
-are whole-stack operations with the bits of each start run alone.  A
-search reads its points' gradients from that stack and their Hessians
-from one more.  A local minimum is certified on a ball where the Hessian
-stays positive definite, by sampling the objective in it; each halving's
+all starts in one lock-step stack with the bits of each start run alone;
+a search reads its gradients from that stack and its Hessians from one
+more.  A local minimum is certified on a ball where the Hessian stays
+positive definite, by sampling the objective in it; each halving's
 Hessians, the samples and the descent hunt are each one stack of rows.
 """
 
@@ -441,9 +440,9 @@ def _search_result(
     status: np.ndarray,
 ) -> StationarySearch:
     """The search of one scenario from its rows of ``_newton``: the converged
-    points inside ``region``, deduplicated in lexicographic order, with
-    their gradients' sup-norms from ``G`` and classified by their Hessians,
-    one stack at the rows' parameters ``P``; an undefined one is skipped."""
+    points inside ``region``, deduplicated in lexicographic order, with the
+    sup-norms of their gradients in ``G``; their Hessians are one stack at
+    the parameter rows ``P``, and a point with an undefined one is skipped."""
     skipped = int(np.count_nonzero(status == "singular"))
     stalled = int(np.count_nonzero(status == "stalled"))
     converged = [

@@ -209,8 +209,7 @@ def solve_rlop(
 
     Per atom: enumerate stationary points, keep those with positive
     definite Hessian, select canonically, certify with a verified ball.
-    The representatives share one Newton stack, with one run per distinct
-    parameter vector (``stationary_searches``); the atoms are then
+    The representatives' Newton runs share one stack; the atoms are then
     taken in order, so the first atom without a (PD) stationary point is
     the one a no-solution outcome names.
     When the Hessian is positive semidefinite on the whole probe grid the

@@ -198,18 +198,19 @@ def test_a_sample_beyond_the_objective_domain_raises_with_its_value():
 
 
 @pytest.mark.parametrize(
-    "text,n",
+    "text",
     [
-        ("x1^4", 1),
-        ("x1^3", 1),
-        ("x1^4 + 1e-30*log(x1 + 0.5)", 1),
-        ("x1^3 + 1e-30*log(x1 + 0.5)", 1),
-        ("x1^3 + x2^4 + 1e-30*sqrt(x1 + x2 + 0.3)", 2),
+        "x1^4",
+        "x1^3",
+        "x1^4 + 1e-30*log(x1 + 0.5)",
+        "x1^3 + 1e-30*log(x1 + 0.5)",
+        "x1^3 + x2^4 + 1e-30*sqrt(x1 + x2 + 0.3)",
     ],
 )
-def test_no_pd_ball_hunts_alike(text, n):
+def test_no_pd_ball_hunts_alike(text):
     # a vanishing Hessian at the center: the hunt finds descent for x1^3
     # and none for x1^4; the log and sqrt domains end inside the hunt
     # radius 1, so some hunt samples are undefined
+    n = 2 if "x2" in text else 1
     got = assert_same(_rf(text, n), (0.0,) * n)
     assert got[0] == ("failure" if "x1^3" in text else "raised")
