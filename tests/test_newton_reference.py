@@ -347,8 +347,8 @@ def _stack_rf(text, n, params):
 
 def assert_same_stack(rf, starts):
     """One stack runs every start of every scenario; each start reaches the
-    reference's point, step count and status.  Returns the statuses by
-    scenario."""
+    reference's point, step count and status, and a converged one holds
+    the gradient there.  Returns the statuses by scenario."""
     scenarios = rf.space.scenarios
     X, G, iters, status = newton_of(rf, scenarios, starts)
     by_scenario = []
@@ -359,6 +359,7 @@ def assert_same_stack(rf, starts):
             assert (status[row], iters[row]) == (want, steps), (omega, x0)
             if want == "converged":
                 assert X[row].tobytes() == x.tobytes(), (omega, x0, X[row], x)
+                assert G[row].tobytes() == gradient(rf, omega, x).tobytes(), (omega, x0)
         by_scenario.append(list(status[j * len(starts) : (j + 1) * len(starts)]))
     return by_scenario
 
