@@ -108,6 +108,15 @@ def _selection_json(sel: Selection) -> dict:
     }
 
 
+def _stationary_point_json(sp) -> dict:
+    out = {"x": _point_json(sp.x), "grad_norm": float(sp.grad_norm)}
+    if all(map(math.isfinite, sp.minors)):  # a minor may overflow, as a gap may
+        out["minors"] = _point_json(sp.minors)
+    out["classification"] = sp.classification.value
+    out["newton_iters"] = sp.newton_iters
+    return out
+
+
 def _global_min_json(res: GlobalMinResult) -> dict:
     return {
         "grid_x": _point_json(res.grid_x),
@@ -160,16 +169,7 @@ def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
     for omega, search in zip(scenarios, searches):
         skipped += search.skipped_singular
         stalled += search.stalled
-        per_scenario[str(omega)] = [
-            {
-                "x": _point_json(sp.x),
-                "grad_norm": float(sp.grad_norm),
-                "minors": _point_json(sp.minors),
-                "classification": sp.classification.value,
-                "newton_iters": sp.newton_iters,
-            }
-            for sp in search.points
-        ]
+        per_scenario[str(omega)] = [_stationary_point_json(sp) for sp in search.points]
     diag = {"skipped_newton_starts": skipped, "stalled_newton_starts": stalled}
     return EXIT_OK, {"stationary_points": per_scenario}, diag
 

@@ -9,6 +9,8 @@ a search reads its gradients from that stack and its Hessians from one
 more.  A local minimum is certified on a ball where the Hessian stays
 positive definite, by sampling the objective in it; each halving's
 Hessians, the samples and the descent hunt are each one stack of rows.
+Each Hessian is symmetrized once (``randfunc.symmetrize``) and classified
+once, minors and class together (``_classify``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .probspace import (
     ProbSpace,
     RandomVariableRn,
     Scenario,
+    _require_finite,
     is_measurable_rv,
 )
 from .randfunc import (
@@ -50,6 +53,7 @@ from .randfunc import (
     first_of_input,
     gradient,
     per_distinct_input,
+    symmetrize,
 )
 
 SYMMETRY_TOL = 1e-9
@@ -93,12 +97,15 @@ def _as_symmetric(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise NotSymmetric(f"matrix has shape {H.shape}, expected square")
-    asym = sup_norm(H - H.T) if H.size else 0.0
+    _require_finite(H.ravel().tolist(), NotSymmetric)
+    with np.errstate(over="ignore"):
+        asym = sup_norm(H - H.T) if H.size else 0.0
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"asymmetry {asym:g} exceeds {SYMMETRY_TOL:g}")
-    return (H + H.T) / 2.0
+    return symmetrize(H)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def leading_principal_minors(H: np.ndarray) -> np.ndarray:
     """Determinants of the top-left k x k submatrices, k = 1..n.
 
@@ -128,6 +135,7 @@ def _minors(H: np.ndarray) -> np.ndarray:
     return minors
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def jacobi_eigenvalues(H: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -174,31 +182,39 @@ def _jacobi(H: np.ndarray) -> np.ndarray:
 
 
 def classify_definiteness(H: np.ndarray, tol_rel: float = DEFINITENESS_TOL_REL) -> Definiteness:
-    """Sylvester's criterion for PD; Jacobi eigenvalues for the rest.
+    """Sylvester's criterion for PD; Jacobi eigenvalues for the rest (``_classify``)."""
+    return _classify(_as_symmetric(H), tol_rel)[1]
 
-    Minor k is compared against tol_rel * (1 + |H|_inf)^k so the test is
-    scale-invariant; eigenvalues against tol_rel * (1 + |H|_inf).
+
+@np.errstate(over="ignore", invalid="ignore")
+def _classify(S: np.ndarray, tol_rel: float = DEFINITENESS_TOL_REL) -> tuple[tuple, Definiteness]:
+    """The leading principal minors of a matrix already symmetric, and its class.
+
+    Minor k is compared against tol_rel * (1 + |S|_inf)^k, and fails a threshold
+    past the largest double; eigenvalues against tol_rel * (1 + |S|_inf).
     """
-    H = _as_symmetric(H)
-    norm = float(np.max(np.sum(np.abs(H), axis=1)))
-    minors = _minors(H)
+    norm = float(np.max(np.sum(np.abs(S), axis=1)))
+    minors = tuple(_minors(S).tolist())
     scale = 1.0 + norm
-    if all(minors[k] > tol_rel * scale ** (k + 1) for k in range(len(minors))):
-        return Definiteness.PD
-    lam = _jacobi(H)
+    try:
+        if all(minors[k] > tol_rel * scale ** (k + 1) for k in range(len(minors))):
+            return minors, Definiteness.PD
+    except OverflowError:
+        pass
+    lam = _jacobi(S)
     tau = tol_rel * scale
     lmin, lmax = float(lam[0]), float(lam[-1])
     if lmin > tau:
-        return Definiteness.PD
+        return minors, Definiteness.PD
     if lmax < -tau:
-        return Definiteness.ND
+        return minors, Definiteness.ND
     if lmin < -tau and lmax > tau:
-        return Definiteness.INDEFINITE
+        return minors, Definiteness.INDEFINITE
     if lmin >= -tau and lmax > tau:
-        return Definiteness.PSD_DEGENERATE
+        return minors, Definiteness.PSD_DEGENERATE
     if lmax <= tau and lmin < -tau:
-        return Definiteness.NSD_DEGENERATE
-    return Definiteness.PSD_DEGENERATE  # numerically zero matrix
+        return minors, Definiteness.NSD_DEGENERATE
+    return minors, Definiteness.PSD_DEGENERATE  # numerically zero matrix
 
 
 # --- stationary points ------------------------------------------------------------
@@ -275,8 +291,7 @@ def _hessians(rf: RandomFunction, X: np.ndarray, P: np.ndarray) -> tuple[np.ndar
     as an (N, n, n) stack, and the mask of rows where they are defined;
     each has the bits of ``randfunc.hessian`` at its row."""
     H, ok = _at_rows(rf.hess_bundle, X, P)
-    H = H.reshape(len(X), rf.n, rf.n)
-    return (H + H.swapaxes(1, 2)) / 2.0, ok
+    return symmetrize(H.reshape(len(X), rf.n, rf.n)), ok
 
 
 def _solve_stack(H: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,10 +309,6 @@ def _solve_stack(H: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     D1, ok1 = _solve_stack(H[:half], B[:half])
     D2, ok2 = _solve_stack(H[half:], B[half:])
     return np.concatenate([D1, D2]), np.concatenate([ok1, ok2])
-
-
-# Why a Newton run stopped; a run still iterating holds _LIMIT.
-_LIMIT, _ZERO_GRADIENT, _RUNAWAY, _SINGULAR, _NODECREASE = range(5)
 
 
 def _newton(
@@ -328,7 +339,7 @@ def _newton(
     X = np.array(X0, dtype=float)
     N, n = X.shape
     G, defined = _at_rows(rf.grad_bundle, X, P)  # NaN rows never converge
-    reason = np.where(defined, _LIMIT, _SINGULAR)
+    singular, runaway = ~defined, np.zeros(N, dtype=bool)
     iters = np.zeros(N, dtype=int)
     active = np.flatnonzero(defined)
     for it in range(NEWTON_MAX_ITERS):
@@ -336,10 +347,9 @@ def _newton(
             break
         gn = np.abs(G[active]).max(axis=1)
         stop = gn == 0.0
-        reason[active[stop]] = _ZERO_GRADIENT
-        runaway = ~stop & (np.abs(X[active]).max(axis=1) > 1e8)
-        reason[active[runaway]] = _RUNAWAY
-        stop |= runaway
+        away = ~stop & (np.abs(X[active]).max(axis=1) > 1e8)
+        runaway[active[away]] = True
+        stop |= away
         iters[active[stop]] = it
         active, gn = active[~stop], gn[~stop]
 
@@ -347,7 +357,7 @@ def _newton(
         D = np.empty((len(active), n))
         regular = np.flatnonzero(solvable)
         D[regular], solvable[regular] = _solve_stack(H[regular], -G[active[regular]])
-        reason[active[~solvable]] = _SINGULAR
+        singular[active[~solvable]] = True
 
         # the line search, every pending start at the same lambda
         attempts = np.where(gn <= NEWTON_TOL, 2, 30)
@@ -365,15 +375,12 @@ def _newton(
             X[won], G[won] = Xn[better], Gn[better]
             moved[trying[better]] = True
             lam /= 2.0
-        reason[active[solvable & ~moved]] = _NODECREASE
         iters[active[~moved]] = it
         active = active[moved]
     iters[active] = NEWTON_MAX_ITERS
 
-    converged = (np.abs(G).max(axis=1) <= NEWTON_TOL) & (reason != _RUNAWAY)
-    status = np.where(
-        converged, "converged", np.where(reason == _SINGULAR, "singular", "stalled")
-    )
+    converged = (np.abs(G).max(axis=1) <= NEWTON_TOL) & ~runaway
+    status = np.where(converged, "converged", np.where(singular, "singular", "stalled"))
     return X, G, iters, status
 
 
@@ -440,32 +447,24 @@ def _search_result(
     status: np.ndarray,
 ) -> StationarySearch:
     """The search of one scenario from its rows of ``_newton``: the converged
-    points inside ``region``, deduplicated in lexicographic order, with the
-    sup-norms of their gradients in ``G``; their Hessians are one stack at
-    the parameter rows ``P``, and a point with an undefined one is skipped."""
+    points within 1e-9 of ``region``, each kept in lexicographic order unless
+    within ``DEDUP_RADIUS`` of one kept before, with the sup-norms of their
+    gradients in ``G``; their Hessians are one stack at the parameter rows
+    ``P``, and a point with an undefined one is skipped."""
     skipped = int(np.count_nonzero(status == "singular"))
     stalled = int(np.count_nonzero(status == "stalled"))
-    converged = [
-        i for i in np.flatnonzero(status == "converged") if region.contains(X[i], tol=1e-9)
-    ]
-    converged.sort(key=lambda i: tuple(X[i]))
-    kept_x = np.empty((len(converged), rf.n))
+    lower, upper = np.array(region.lower) - 1e-9, np.array(region.upper) + 1e-9
+    inside = (status == "converged") & ((lower <= X) & (X <= upper)).all(axis=1)
+    rows = X.tolist()
     kept: list[int] = []
-    for i in converged:
-        if np.all(np.abs(kept_x[: len(kept)] - X[i]).max(axis=1) > DEDUP_RADIUS):
-            kept_x[len(kept)] = X[i]
+    for i in sorted(np.flatnonzero(inside).tolist(), key=rows.__getitem__):
+        if all(max(abs(a - b) for a, b in zip(rows[k], rows[i])) > DEDUP_RADIUS for k in kept):
             kept.append(i)
-    H, defined = _hessians(rf, kept_x[: len(kept)], P[kept])
+    H, defined = _hessians(rf, X[kept], P[kept])
+    classified = [(i, *_classify(H[j])) for j, i in enumerate(kept) if defined[j]]
     points = tuple(
-        StationaryPoint(
-            x=tuple(float(v) for v in X[i]),
-            grad_norm=sup_norm(G[i]),
-            minors=tuple(float(v) for v in leading_principal_minors(H[j])),
-            classification=classify_definiteness(H[j]),
-            newton_iters=int(newton_iters[i]),
-        )
-        for j, i in enumerate(kept)
-        if defined[j]
+        StationaryPoint(tuple(rows[i]), sup_norm(G[i]), minors, cls, int(newton_iters[i]))
+        for i, minors, cls in classified
     )
     skipped += int(np.count_nonzero(~defined))
     return StationarySearch(points, len(X), skipped, stalled)
@@ -522,23 +521,19 @@ def verify_local_min(
     dirs = np.concatenate([np.eye(n), -np.eye(n), _unit_directions(rng, count - 2 * n, n)])
     radii = np.array([(1.0, 0.75, 0.5, 0.25)[i % 4] for i in range(len(dirs))])
     P = _params_rows(rf, [omega], count)
-    H, ok = _hessians(rf, x[None], P[:1])
-    center_pd = bool(ok[0]) and classify_definiteness(H[0]) is Definiteness.PD
 
-    def ball_is_pd(delta: float) -> bool:
-        """The Hessian is PD at the center and at every sample; an undefined
-        Hessian is not."""
-        if not center_pd:
-            return False
-        H, ok = _hessians(rf, x + (delta * radii)[:, None] * dirs, P)
-        return bool(ok.all()) and all(classify_definiteness(h) is Definiteness.PD for h in H)
+    def all_pd(X: np.ndarray) -> bool:
+        """The Hessian is PD at every row of ``X``; an undefined one is not."""
+        H, ok = _hessians(rf, X, P[: len(X)])
+        return bool(ok.all()) and all(_classify(h)[1] is Definiteness.PD for h in H)
 
     delta = None
-    for halving in range(41):
-        cand = 2.0 ** -halving
-        if ball_is_pd(cand):
-            delta = cand
-            break
+    if all_pd(x[None]):  # the center, then the samples of each ball in turn
+        for halving in range(41):
+            cand = 2.0 ** -halving
+            if all_pd(x + (cand * radii)[:, None] * dirs):
+                delta = cand
+                break
 
     if delta is None:
         # no PD ball: hunt for a descent direction, at radii 1 to 2^-40 in turn

@@ -72,11 +72,6 @@ class Box:
             pts = [p + (v,) for p in pts for v in ((lo,) if lo == hi else (lo, hi))]
         return [tuple(p) for p in pts]
 
-    def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
-        return all(
-            lo - tol <= v <= hi + tol for v, lo, hi in zip(x, self.lower, self.upper)
-        )
-
     def distance(self, other) -> float:
         if not isinstance(other, Box) or other.dim != self.dim:
             return math.inf
@@ -325,11 +320,22 @@ def gradient(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> np.ndar
     return np.array(rf.grad_bundle(tuple(x), rf.params_of(omega)))
 
 
+def symmetrize(H: np.ndarray) -> np.ndarray:
+    """The average of ``H`` and its transpose over the last two axes, (a + b) / 2
+    per pair, or a / 2 + b / 2 where a + b overflows: never inf for finite entries."""
+    T = np.swapaxes(H, -1, -2)
+    with np.errstate(over="ignore"):
+        S = (H + T) / 2.0
+    over = np.isinf(S)
+    if over.any():
+        S[over] = H[over] / 2.0 + T[over] / 2.0
+    return S
+
+
 def hessian(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> np.ndarray:
-    """Symbolic Hessian, symmetrized by averaging the (i,j) and (j,i) entries."""
-    entries = rf.hess_bundle(tuple(x), rf.params_of(omega))
-    H = np.array(entries, dtype=float).reshape(rf.n, rf.n)
-    return (H + H.T) / 2.0
+    """Symbolic Hessian, symmetrized (``symmetrize``)."""
+    H = np.array(rf.hess_bundle(tuple(x), rf.params_of(omega)), dtype=float)
+    return symmetrize(H.reshape(rf.n, rf.n))
 
 
 # --- joint measurability ------------------------------------------------------------

@@ -31,11 +31,11 @@ from .optimize import (
     LocalMinCertificate,
     LocalMinFailure,
     SolverOptions,
-    classify_definiteness,
     stationary_searches,
     sup_norm,
     verify_local_min,
     _LastGrid,
+    _classify,
     _global_min,
     _scan_feasible,
 )
@@ -191,7 +191,7 @@ def _atom_is_convex(rf: RandomFunction, rep: Scenario, probes: Sequence[Point]) 
     """Hessian PSD (or PD) at every point of ``probes``."""
     for x in probes:
         try:
-            cls = classify_definiteness(hessian(rf, rep, x))
+            cls = _classify(hessian(rf, rep, x))[1]
         except EvalError:
             return False
         if cls not in (Definiteness.PD, Definiteness.PSD_DEGENERATE):
@@ -291,9 +291,8 @@ def check_necessary_conditions(
     per: dict[Scenario, ScenarioConditions] = {}
     for omega in space.scenarios:
         x = xi.values[omega]
-        g = gradient(rf, omega, x)
-        cls = classify_definiteness(hessian(rf, omega, x))
-        gn = sup_norm(g)
+        gn = sup_norm(gradient(rf, omega, x))
+        cls = _classify(hessian(rf, omega, x))[1]
         per[omega] = ScenarioConditions(
             grad_ok=gn <= 1e-8,
             psd_ok=cls in (Definiteness.PD, Definiteness.PSD_DEGENERATE),

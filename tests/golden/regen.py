@@ -30,8 +30,10 @@ DOCUMENTS = HERE / "documents"
 # documents the schema accepts that a command cannot evaluate, then two
 # whose witness gap is infinite and so left out of the report, then the
 # batch mask rules (grid points excluded by the log domain and by a zero
-# denominator, and the first undefined probe) and a solve-rlop with no
-# stationary point
+# denominator, and the first undefined probe), a solve-rlop with no
+# stationary point, and then the three Hessian commands on a Hessian of
+# 1e308, whose entry doubled overflows, and on one of 2e160, whose second
+# minor overflows and is left out of the stationary report
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -57,6 +59,12 @@ CORPUS = [
     (DOCUMENTS / "reciprocal_candidate.json", "oracle"),
     (DOCUMENTS / "reciprocal_candidate.json", "check-measurable"),
     (DOCUMENTS / "linear_objective.json", "solve-rlop"),
+    (DOCUMENTS / "huge_curvature.json", "stationary"),
+    (DOCUMENTS / "huge_curvature.json", "solve-rlop"),
+    (DOCUMENTS / "huge_curvature.json", "necessary"),
+    (DOCUMENTS / "overflowing_minors.json", "stationary"),
+    (DOCUMENTS / "overflowing_minors.json", "solve-rlop"),
+    (DOCUMENTS / "overflowing_minors.json", "necessary"),
 ]
 
 

@@ -225,6 +225,11 @@ def test_criterion_5_sylvester_matches_oracles():
         pd_chol = _cholesky_pivots_ok(H, tau)
         pd_jacobi = float(jacobi_eigenvalues(H)[0]) > tau
         assert pd_classify == pd_chol == pd_jacobi
+        # the minors Sylvester's criterion reads are the leading determinants
+        minors = r.leading_principal_minors(H)
+        for k in range(1, len(H) + 1):
+            det = np.linalg.det(H[:k, :k])
+            assert abs(minors[k - 1] - det) <= 1e-9 * (tau / tol_rel) ** k
         agree += 1
     assert agree == 1200
     _passed(5, "1200/1200 matrices: Sylvester PD == Cholesky == Jacobi")

@@ -370,6 +370,34 @@ def test_infinite_witness_gap_is_left_out_of_a_fresh_report(
     assert "gap" not in report["witness"]
 
 
+@pytest.mark.parametrize("command", ["stationary", "solve-rlop", "necessary"])
+@pytest.mark.parametrize("document", ["huge_curvature.json", "overflowing_minors.json"])
+def test_a_large_finite_hessian_is_pd_in_a_fresh_report(tmp_path, capsys, document, command):
+    # f'' = 1e308 doubles past the largest double when averaged with its
+    # transpose, and 2e160 * 2e160 overflows the second minor and its
+    # Sylvester threshold; the minor is left out, as an infinite gap is
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    code = main([command, "--input", str(ERROR_DOCUMENTS / document), "--output", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text())
+    jsonschema.Draft202012Validator(schema).validate(report)
+    results = report["results"]
+    if command == "stationary":
+        (point,) = results["stationary_points"]["1"]
+        assert point["classification"] == "PD"
+        assert point.get("minors", "left out") == (
+            [1e308] if document == "huge_curvature.json" else "left out"
+        )
+    elif command == "necessary":
+        assert results["per_scenario"]["1"]["classification"] == "PD"
+    else:
+        n = json.loads((ERROR_DOCUMENTS / document).read_text())["dimension"]
+        assert results["selection"]["points"]["1"] == [0.0] * n
+
+
 NAN_CANDIDATE = {
     "schema_version": 1,
     "space": {"scenarios": [1, 2, 3], "weights": [0.25, 0.25, 0.5], "atoms": [[1, 2, 3]]},

@@ -10,6 +10,13 @@ row, with whole-stack derivatives, sup-norms, symmetrization and solves.
 On every start it must reach the same point (same bytes), after the same
 number of steps, with the same status; the searches built on it must
 agree on every point, skip and stall.
+
+``reference_search_result`` is the previous tail of a search, verbatim:
+``box_contains`` per point, a greedy dedup with numpy reductions per
+point, and ``leading_principal_minors`` plus ``classify_definiteness`` on
+each kept Hessian.  ``optimize._search_result`` must give the same search
+on stacks whose points lie one ulp either side of ``DEDUP_RADIUS`` from
+each other and of the region's boundary widened by 1e-9.
 """
 
 import numpy as np
@@ -27,8 +34,10 @@ from randopt.optimize import (
     SolverOptions,
     StationaryPoint,
     StationarySearch,
+    _hessians,
     _newton,
     _params_rows,
+    _search_result,
     _solve_stack,
     classify_definiteness,
     grid_points,
@@ -38,7 +47,7 @@ from randopt.optimize import (
 )
 from randopt.randfunc import eval_f, gradient, hessian
 
-from numeric_helpers import polish_point
+from numeric_helpers import box_contains, polish_point
 
 # --- the previous sequential Newton -------------------------------------------------
 
@@ -109,7 +118,7 @@ def reference_find_stationary_points(rf, omega, region, opts=SolverOptions()):
             skipped += 1
         elif status == "stalled":
             stalled += 1
-        elif region.contains(x, tol=1e-9):
+        elif box_contains(region, x, tol=1e-9):
             converged.append((x, iters))
     converged.sort(key=lambda pair: tuple(pair[0]))
     kept = []
@@ -140,7 +149,7 @@ def reference_polish_point(rf, omega, x0, region):
     x, _, status = _newton_from(rf, omega, x0)
     if status != "converged" or x is None:
         return None
-    if not region.contains(x, tol=1e-9):
+    if not box_contains(region, x, tol=1e-9):
         return None
     try:
         if eval_f(rf, omega, x) > eval_f(rf, omega, x0) + MARGIN_TOL:
@@ -148,6 +157,35 @@ def reference_polish_point(rf, omega, x0, region):
     except EvalError:
         return None
     return tuple(float(v) for v in x)
+
+
+def reference_search_result(rf, region, X, G, P, newton_iters, status):
+    skipped = int(np.count_nonzero(status == "singular"))
+    stalled = int(np.count_nonzero(status == "stalled"))
+    converged = [
+        i for i in np.flatnonzero(status == "converged") if box_contains(region, X[i], tol=1e-9)
+    ]
+    converged.sort(key=lambda i: tuple(X[i]))
+    kept_x = np.empty((len(converged), rf.n))
+    kept: list[int] = []
+    for i in converged:
+        if np.all(np.abs(kept_x[: len(kept)] - X[i]).max(axis=1) > DEDUP_RADIUS):
+            kept_x[len(kept)] = X[i]
+            kept.append(i)
+    H, defined = _hessians(rf, kept_x[: len(kept)], P[kept])
+    points = tuple(
+        StationaryPoint(
+            x=tuple(float(v) for v in X[i]),
+            grad_norm=sup_norm(G[i]),
+            minors=tuple(float(v) for v in leading_principal_minors(H[j])),
+            classification=classify_definiteness(H[j]),
+            newton_iters=int(newton_iters[i]),
+        )
+        for j, i in enumerate(kept)
+        if defined[j]
+    )
+    skipped += int(np.count_nonzero(~defined))
+    return StationarySearch(points, len(X), skipped, stalled)
 
 
 # --- comparison ---------------------------------------------------------------------
@@ -177,10 +215,11 @@ def assert_same_runs(rf, omega, starts):
     return list(status)
 
 
-def assert_same_search(rf, omega, region, opts, got=None):
+def assert_same_search(rf, omega, region, opts, got=None, want=None):
     if got is None:
         got = r.find_stationary_points(rf, omega, region, opts)
-    want = reference_find_stationary_points(rf, omega, region, opts)
+    if want is None:
+        want = reference_find_stationary_points(rf, omega, region, opts)
     assert (got.starts, got.skipped_singular, got.stalled) == (
         want.starts,
         want.skipped_singular,
@@ -457,3 +496,86 @@ def test_a_bisected_solve_gives_each_matrix_its_own_bits():
     assert ok.tolist() == [i not in (0, 6, 12) for i in range(13)]
     for i in np.flatnonzero(ok):
         assert D[i].tobytes() == np.linalg.solve(H[i], B[i]).tobytes()
+
+
+# --- the tail of a search -----------------------------------------------------------
+
+_EDGES = tuple(np.nextafter(DEDUP_RADIUS, [0.0, DEDUP_RADIUS, 1.0]).tolist())
+_STATUSES = ["converged"] * 4 + ["singular", "stalled"]
+
+
+@st.composite
+def search_tails(draw):
+    """Newton rows of one scenario of f = (x1 - p1)^2*(x1 - p2) +
+    sqrt(x1 - p3) + x2^4 over a box around 0: chains of points that start
+    at 0.0 or -0.0 and step DEDUP_RADIUS, one ulp less or one ulp more,
+    along an axis, and points one ulp either side of the box widened by
+    1e-9.  sqrt leaves the Hessian undefined left of p3."""
+    n = draw(st.integers(1, 2))
+    lower = [-draw(st.sampled_from([1e-5, 1e-6, 0.5])) for _ in range(n)]
+    upper = [draw(st.sampled_from([1e-5, 1e-6, 0.5])) for _ in range(n)]
+    box = r.Box(tuple(lower), tuple(upper))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = [draw(st.sampled_from([0.0, -0.0])) for _ in range(n)]
+        for _ in range(draw(st.integers(1, 4))):
+            rows.append(list(x))
+            axis = draw(st.integers(0, n - 1))
+            x[axis] += draw(st.sampled_from(_EDGES)) * draw(st.sampled_from([1.0, -1.0]))
+    for _ in range(draw(st.integers(0, 4))):
+        x = [draw(st.sampled_from([lo, 0.0, hi])) for lo, hi in zip(lower, upper)]
+        axis = draw(st.integers(0, n - 1))
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        edge = lower[axis] - 1e-9 if side < 0 else upper[axis] + 1e-9
+        x[axis] = float(np.nextafter(edge, edge + draw(st.sampled_from([-1.0, 0.0, 1.0]))))
+        rows.append(x)
+    order = draw(st.permutations(range(len(rows))))
+    X = np.array([rows[i] for i in order], dtype=float)
+    status = np.array([draw(st.sampled_from(_STATUSES)) for _ in rows])
+    G = np.array([[draw(st.floats(-1e-10, 1e-10)) for _ in range(n)] for _ in rows])
+    iters = np.array([draw(st.integers(0, NEWTON_MAX_ITERS)) for _ in rows])
+    p = (draw(st.sampled_from([0.0, 2e-6])), draw(st.sampled_from([-1.0, 1e-6])))
+    p3 = draw(st.sampled_from([-1.0, 1e-6]))
+    text = "(x1 - p1)^2*(x1 - p2) + sqrt(x1 - p3)" + (" + x2^4" if n == 2 else "")
+    rf = _rf(text, n, (*p, p3))
+    P = _params_rows(rf, [1], len(rows))
+    return rf, box, X, G, P, iters, status
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_tails())
+def test_the_tail_of_a_search_matches_the_previous_tail(tail):
+    rf, box, X, G, P, iters, status = tail
+    got = _search_result(rf, box, X, G, P, iters, status)
+    want = reference_search_result(rf, box, X, G, P, iters, status)
+    assert_same_search(rf, 1, box, None, got, want)
+
+
+@pytest.mark.parametrize(
+    "step,kept",
+    [(_EDGES[0], 1), (_EDGES[1], 1), (_EDGES[2], 2)],
+    ids=["one ulp less", "the radius", "one ulp more"],
+)
+def test_points_merge_at_the_radius_and_not_beyond(step, kept):
+    # 0.0 and step differ by exactly step, which merges up to DEDUP_RADIUS
+    rf = _rf("x1^2", 1)
+    X = np.array([[step], [0.0]])
+    status = np.array(["converged"] * 2)
+    args = rf, r.Box((-1.0,), (1.0,)), X, np.zeros((2, 1)), _params_rows(rf, [1], 2)
+    search = _search_result(*args, np.array([3, 4]), status)
+    assert [sp.x for sp in search.points] == [(0.0,), (step,)][:kept]
+    assert [sp.newton_iters for sp in search.points] == [4, 3][:kept]
+
+
+@pytest.mark.parametrize(
+    "step,inside", [(-1.0, False), (0.0, True), (1.0, True)], ids=["out", "edge", "in"]
+)
+def test_points_count_within_1e9_of_the_region(step, inside):
+    # the region [-1, 1] widened by 1e-9; a point one ulp outward is out
+    rf = _rf("x1^2", 1)
+    box = r.Box((-1.0,), (1.0,))
+    for edge, inward in ((-1.0 - 1e-9, 1.0), (1.0 + 1e-9, -1.0)):
+        x = float(np.nextafter(edge, edge + step * inward))
+        args = rf, box, np.array([[x]]), np.zeros((1, 1)), _params_rows(rf, [1], 1)
+        search = _search_result(*args, np.array([1]), np.array(["converged"]))
+        assert [sp.x for sp in search.points] == ([(x,)] if inside else [])

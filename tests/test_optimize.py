@@ -1,5 +1,7 @@
 import math
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import randopt as r
 from randopt.errors import IncompatibleRepresentation, NotSymmetric
-from randopt import optimize
+from randopt import cli, optimize
+from randopt.document import load_problem
 from randopt.optimize import (
     MAX_GRID_POINTS,
     Definiteness,
@@ -18,6 +21,9 @@ from randopt.optimize import (
     leading_principal_minors,
     sup_norm,
 )
+from randopt.randfunc import symmetrize
+
+GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
 
 @pytest.fixture
@@ -136,6 +142,90 @@ def test_sylvester_equals_cholesky_and_eigen_oracles():
         pd_cholesky = _cholesky_pivots_ok(H, tau)
         pd_jacobi = float(jacobi_eigenvalues(H)[0]) > tau
         assert pd_sylvester == pd_cholesky == pd_jacobi
+
+
+# --- one symmetrization, one classification ----------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "public", [r.classify_definiteness, leading_principal_minors, jacobi_eigenvalues]
+)
+def test_the_public_matrix_functions_reject_a_non_finite_matrix(public, bad):
+    with pytest.raises(NotSymmetric, match=f"number {bad!r} is not finite"):
+        public(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+@pytest.mark.parametrize("big", [1e308, 2e160])
+def test_a_pd_matrix_whose_minors_overflow_is_pd(big):
+    # 1e308 + 1e308 overflows an averaging that adds first, and the second
+    # minor and its Sylvester threshold pass the largest double
+    H = np.diag([big, big])
+    assert r.classify_definiteness(H) is Definiteness.PD
+    assert leading_principal_minors(H).tolist() == [big, math.inf]
+    assert jacobi_eigenvalues(H).tolist() == [big, big]
+    minors, cls = optimize._classify(H)
+    assert (minors, cls) == ((big, math.inf), Definiteness.PD)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.sampled_from([1e308, -1.7e308, 5e-324, -0.0]), _finite),
+                min_size=n * n,
+                max_size=n * n,
+            ),
+            min_size=1,
+            max_size=3,
+        ).map(lambda rows: np.array(rows).reshape(len(rows), n, n))
+    )
+)
+def test_symmetrize_averages_each_pair_exactly(H):
+    S = symmetrize(H)
+    assert np.isfinite(S).all()
+    for idx in np.ndindex(H.shape):
+        k, i, j = idx
+        a, b = float(H[k, i, j]), float(H[k, j, i])
+        want = (a + b) / 2.0
+        if math.isinf(want):  # a + b overflowed
+            want = a / 2.0 + b / 2.0
+        assert struct.pack("<d", S[idx]) == struct.pack("<d", want)
+    sym = np.triu(H) + np.swapaxes(np.triu(H, 1), 1, 2)  # the upper triangle, mirrored
+    assert symmetrize(sym).tobytes() == sym.tobytes()
+
+
+def _counted_everywhere(monkeypatch, function, record):
+    """Count the calls of ``function`` through every randopt module that
+    holds it under some name."""
+
+    def counted(*args, **kwargs):
+        record.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "randopt" or name.startswith("randopt."):
+            for attr in [a for a, v in vars(module).items() if v is function]:
+                monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("command", ["stationary", "solve-rlop", "necessary"])
+def test_each_hessian_is_symmetrized_once_and_classified_once(tmp_path, monkeypatch, command):
+    # the Hessians arrive symmetrized from ``randfunc.hessian`` or
+    # ``optimize._hessians``: nothing checks or averages them again, and
+    # each classification takes its minors once
+    checks, minors, classifications = [], [], []
+    _counted_everywhere(monkeypatch, optimize._as_symmetric, checks)
+    _counted_everywhere(monkeypatch, optimize._minors, minors)
+    _counted_everywhere(monkeypatch, optimize._classify, classifications)
+    for path in sorted(GALLERY.glob("*.json")):
+        cli.run(command, load_problem(str(path)), str(tmp_path / "out.json"))
+    assert checks == []
+    assert len(minors) == len(classifications) > 0
 
 
 # --- stationary point search --------------------------------------------------------------
