@@ -33,7 +33,8 @@ DOCUMENTS = HERE / "documents"
 # denominator, and the first undefined probe), a solve-rlop with no
 # stationary point, and then the three Hessian commands on a Hessian of
 # 1e308, whose entry doubled overflows, and on one of 2e160, whose second
-# minor overflows and is left out of the stationary report
+# minor overflows and is left out of the stationary report, and last a
+# necessary check of a Hessian of -1.7e308 whose row sums overflow
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -65,6 +66,7 @@ CORPUS = [
     (DOCUMENTS / "overflowing_minors.json", "stationary"),
     (DOCUMENTS / "overflowing_minors.json", "solve-rlop"),
     (DOCUMENTS / "overflowing_minors.json", "necessary"),
+    (DOCUMENTS / "overflowing_norm.json", "necessary"),
 ]
 
 
