@@ -191,10 +191,14 @@ def _classify(S: np.ndarray, tol_rel: float = DEFINITENESS_TOL_REL) -> tuple[tup
     """The leading principal minors of a matrix already symmetric, and its class.
 
     Minor k is compared against tol_rel * (1 + |S|_inf)^k, and fails a threshold
-    past the largest double; eigenvalues against tol_rel * (1 + |S|_inf).
+    past the largest double; eigenvalues against tol_rel * (1 + |S|_inf).  Where
+    a row sum overflows, the class is that of S times an exact power of two
+    that brings every row sum below the largest double.
     """
     norm = float(np.max(np.sum(np.abs(S), axis=1)))
     minors = tuple(_minors(S).tolist())
+    if norm == math.inf:  # n * 2^-bit_length(n) < 1
+        return minors, _classify(np.ldexp(S, -len(S).bit_length()), tol_rel)[1]
     scale = 1.0 + norm
     try:
         if all(minors[k] > tol_rel * scale ** (k + 1) for k in range(len(minors))):

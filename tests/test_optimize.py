@@ -168,6 +168,19 @@ def test_a_pd_matrix_whose_minors_overflow_is_pd(big):
     assert (minors, cls) == ((big, math.inf), Definiteness.PD)
 
 
+@pytest.mark.parametrize(
+    "sign, expected", [(-1.0, Definiteness.NSD_DEGENERATE), (1.0, Definiteness.PSD_DEGENERATE)]
+)
+def test_a_matrix_whose_row_sums_overflow_keeps_its_class(sign, expected):
+    # each row sums past the largest double, so the norm, every threshold
+    # and tau are inf unless the matrix is scaled; its minors are not
+    H = sign * np.full((2, 2), 1.7e308)
+    assert r.classify_definiteness(H) is expected
+    minors, cls = optimize._classify(H)
+    assert cls is expected
+    assert minors[0] == sign * 1.7e308 and math.isnan(minors[1])
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
