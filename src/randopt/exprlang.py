@@ -31,11 +31,14 @@ at the first failing check, with the walk's exception class and message;
 ``np.float64`` inputs pass through and keep numpy's scalar arithmetic.
 The bundle carries its steps as ``bundle.lowered``.
 
-``_Compiler.run_rows`` runs the steps on the rows of an array, with a
-parameter column of one element or one per row, through a kernel table:
-a failing check clears its rows in a mask, leaves are one-element arrays
-that broadcast, and each value is freed after its last use.
-``eval_batch`` runs it with numpy's array kernels.  ``_ROW_KERNELS`` keep
+``_Compiler.run_rows`` runs the steps on rows given as one column per
+variable and one per parameter (of one element or one per row), through a
+kernel table: a failing check clears its rows in a mask, leaves are
+one-element arrays that broadcast, and each value is freed after its last
+use.  ``eval_batch`` runs it with numpy's array kernels on the columns of
+an array; ``eval_grid`` on the axes of a grid, each shaped to broadcast
+along its own dimension, with the mask in the grid's shape, which gives
+``eval_batch``'s bits on the grid's rows.  ``_ROW_KERNELS`` keep
 the bundles' bits instead: ``+ - * /``, negation, ``sqrt`` and the checks
 are numpy, which rounds them as the scalars do, while ``**``, ``exp``,
 ``log``, ``sin`` and ``cos`` call the scalar operation on each element.
@@ -540,13 +543,14 @@ class _Compiler:
                 what = "power" if op == "**" else "function application"
                 yield f"    raise DomainViolation('overflow in {what}') from None"
 
-    def run_rows(self, X: np.ndarray, P: Sequence, valid: np.ndarray, kernels: dict) -> list:
-        """The steps on the rows of ``X``, with ``P[j]`` the column of
-        parameter j (one element, or one per row), through ``kernels``; a
-        failed check clears its rows in ``valid``.  Returns the values of
-        the results, each of one element or one per row.  Constants are
-        one-element arrays of the dtype ``np.full`` gives them, and columns
-        of ``X`` are views."""
+    def run_rows(self, X: Sequence, P: Sequence, valid: np.ndarray, kernels: dict) -> list:
+        """The steps on rows, with ``X[j]`` the column of variable j and
+        ``P[j]`` that of parameter j (one element, or one per row), through
+        ``kernels``; a failed check clears its rows in ``valid``.  Returns
+        the values of the results, each of one element or one per row.
+        Constants are one-element arrays of the dtype ``np.full`` gives
+        them.  Columns only need to broadcast with ``valid``, so a grid's
+        axes can stand for its rows (``eval_grid``)."""
         env = {name: np.full(1, value) for name, value in self.constants.items()}
         for (op, t, args, extra), dead in zip(self.steps, self.dead):
             if op == "finite":
@@ -554,7 +558,7 @@ class _Compiler:
             elif op == "nonzero":
                 valid &= ~(env[args[0]] == 0.0)
             elif op == "x":
-                env[t] = X[:, extra]
+                env[t] = X[extra]
             elif op == "p":
                 env[t] = P[extra]
             elif op == "**":
@@ -663,8 +667,31 @@ def eval_batch(
         raise ValueError(f"p has length {len(p)}, expected {e.k}")
     valid = np.ones(X.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        values = e.lowered.run_rows(X, [np.full(1, v) for v in p], valid, _ARRAY_KERNELS)[0]
+        values = e.lowered.run_rows(X.T, [np.full(1, v) for v in p], valid, _ARRAY_KERNELS)[0]
     return np.where(valid, values, np.nan), valid
+
+
+def eval_grid(
+    e: Expression, axes: Sequence[np.ndarray], p: Sequence[float] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_batch`` at the nodes of the grid with these ``axes``, one per
+    variable, in the order of ``meshgrid(*axes, indexing="ij")`` raveled.
+
+    Axis i is loaded shaped (1, ..., m_i, ..., 1) and the mask has the
+    grid's shape, so a step computes the grid's full shape only from the
+    first step that mixes axes on; before it, a step computes one value
+    per node of the axes it depends on.
+    """
+    if len(axes) != e.n:
+        raise ValueError(f"axes has length {len(axes)}, expected {e.n}")
+    if len(p) != e.k:
+        raise ValueError(f"p has length {len(p)}, expected {e.k}")
+    shape = tuple(len(a) for a in axes)
+    columns = [np.reshape(a, (1,) * i + (-1,) + (1,) * (e.n - 1 - i)) for i, a in enumerate(axes)]
+    valid = np.ones(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        values = e.lowered.run_rows(columns, [np.full(1, v) for v in p], valid, _ARRAY_KERNELS)[0]
+    return np.where(valid, values, np.nan).ravel(), valid.ravel()
 
 
 def eval_rows(bundle: Callable, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -680,7 +707,7 @@ def eval_rows(bundle: Callable, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarra
     """
     valid = np.ones(len(X), dtype=bool)
     with np.errstate(all="ignore"):
-        results = bundle.lowered.run_rows(X, P.T, valid, _ROW_KERNELS)
+        results = bundle.lowered.run_rows(X.T, P.T, valid, _ROW_KERNELS)
     out = np.empty((len(X), len(results)))
     for j, values in enumerate(results):
         out[:, j] = values

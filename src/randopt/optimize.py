@@ -10,7 +10,9 @@ more.  A local minimum is certified on a ball where the Hessian stays
 positive definite, by sampling the objective in it; each halving's
 Hessians, the samples and the descent hunt are each one stack of rows.
 Each Hessian is symmetrized once (``randfunc.symmetrize``) and classified
-once, minors and class together (``_classify``).
+once, minors and class together (``_classify``).  A grid minimization over
+a box evaluates the objective on the grid's axes (``exprlang.eval_grid``)
+and reads the selected point from them; no grid of points is built.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
     NotSymmetric,
     RandoptError,
 )
-from .exprlang import eval_rows
+from .exprlang import eval_grid, eval_rows
 from .probspace import (
     MeasurabilityVerdict,
     Point,
@@ -47,7 +49,6 @@ from .randfunc import (
     RandomFunction,
     RandomSet,
     SetDescription,
-    description_key,
     eval_f,
     eval_f_batch,
     first_of_input,
@@ -241,18 +242,23 @@ class StationarySearch:
     stalled: int           # damping exhausted or iteration cap hit
 
 
-def grid_points(region: Box, m: int) -> np.ndarray:
-    """The nodes of an m-per-axis grid over ``region``, one row per point,
-    in lexicographic order.  A degenerate axis (lo == hi) has one node."""
+def grid_axes(region: Box, m: int) -> list[np.ndarray]:
+    """The axes of an m-per-axis grid over ``region``; a degenerate axis
+    (lo == hi) has one node."""
     lengths = [1 if lo == hi else max(m, 2) for lo, hi in zip(region.lower, region.upper)]
     total = math.prod(lengths)
     if total > MAX_GRID_POINTS:  # before any axis is allocated
         raise RandoptError(f"grid of {total} points exceeds cap {MAX_GRID_POINTS}")
-    axes = [
+    return [
         np.array([lo]) if lo == hi else np.linspace(lo, hi, count)
         for lo, hi, count in zip(region.lower, region.upper, lengths)
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
+
+
+def grid_points(region: Box, m: int) -> np.ndarray:
+    """The nodes of ``grid_axes(region, m)``, one row per point, in
+    lexicographic order."""
+    mesh = np.meshgrid(*grid_axes(region, m), indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
@@ -582,42 +588,18 @@ class GlobalMinResult:
     excluded: int        # grid points where evaluation failed
 
 
-class _LastGrid:
-    """The grid of the last Box scanned through it.
-
-    A caller keeps one across consecutive scans, so that a run of
-    bit-identical boxes at one grid size builds its grid once.  The old
-    grid is dropped before a new one is built: one grid is alive at a time.
-    """
-
-    def __init__(self) -> None:
-        self.key: Optional[tuple] = None
-        self.points: Optional[np.ndarray] = None
-
-    def of(self, box: Box, m: int) -> np.ndarray:
-        key = (description_key(box), m)
-        if key != self.key:
-            self.key = self.points = None
-            self.points = grid_points(box, m)
-            self.points.flags.writeable = False  # shared by the scans that follow
-            self.key = key
-        return self.points
-
-
 def _scan_feasible(
     rf: RandomFunction,
     omega: Scenario,
     C_omega: Union[Box, PointCloud],
     grid_m: int,
-    grids: _LastGrid,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Evaluate f(omega, .) once on the grid (Box) or the sorted points
-    (PointCloud) of ``C_omega``; a Box's grid comes from ``grids``.
+) -> tuple[Callable[[int], Point], np.ndarray, int]:
+    """Evaluate f(omega, .) once on the grid (Box, on its axes) or the
+    sorted points (PointCloud) of ``C_omega``.
 
-    Returns (points, values, excluded): the points in lexicographic order,
-    their objective values with +inf where evaluation failed, and the
-    number of such failed points.  A Box's points are shared with later
-    scans and read-only.
+    Returns (point, values, excluded): the function giving the point of
+    index i in lexicographic order, the objective values in that order
+    with +inf where evaluation failed, and the number of such points.
     """
     if not isinstance(C_omega, (Box, PointCloud)):
         raise IncompatibleRepresentation(
@@ -626,28 +608,24 @@ def _scan_feasible(
     if C_omega.dim != rf.n:
         raise IncompatibleRepresentation("set dimension differs from function")
     if isinstance(C_omega, Box):
-        X = grids.of(C_omega, grid_m)
+        axes = grid_axes(C_omega, grid_m)
+        values, valid = eval_grid(rf.body, axes, rf.params_of(omega))
+        shape = [len(a) for a in axes]
+
+        def point(i: int) -> Point:
+            return tuple(float(a[j]) for a, j in zip(axes, np.unravel_index(i, shape)))
     else:
         X = np.asarray(sorted(C_omega.points), dtype=float)
-    values, valid = eval_f_batch(rf, omega, X)
+        values, valid = eval_f_batch(rf, omega, X)
+
+        def point(i: int) -> Point:
+            return tuple(float(v) for v in X[i])
     excluded = int(np.count_nonzero(~valid))
-    if excluded == len(X):
+    if excluded == len(values):
         raise DomainViolation(
             f"objective undefined at every point of the set for scenario {omega!r}"
         )
-    return X, np.where(valid, values, np.inf), excluded
-
-
-def _global_min(
-    rf: RandomFunction,
-    omega: Scenario,
-    C_omega: Union[Box, PointCloud],
-    grid_m: int,
-    grids: _LastGrid,
-) -> GlobalMinResult:
-    X, values, excluded = _scan_feasible(rf, omega, C_omega, grid_m, grids)
-    idx = int(np.argmin(values))  # first occurrence = lexicographically smallest
-    return GlobalMinResult(tuple(float(v) for v in X[idx]), float(values[idx]), excluded)
+    return point, np.where(valid, values, np.inf), excluded
 
 
 def global_min_compact(
@@ -661,7 +639,9 @@ def global_min_compact(
     Exact value ties break to the lexicographically smallest point.  Grid
     points where evaluation fails are excluded and counted.
     """
-    return _global_min(rf, omega, C_omega, grid_m, _LastGrid())
+    point, values, excluded = _scan_feasible(rf, omega, C_omega, grid_m)
+    idx = int(np.argmin(values))  # first occurrence = lexicographically smallest
+    return GlobalMinResult(point(idx), float(values[idx]), excluded)
 
 
 def global_min_per_scenario(
@@ -673,13 +653,11 @@ def global_min_per_scenario(
 
     The result depends only on the scenario's parameter vector and set
     description, so ``per_distinct_input`` computes it once per distinct
-    pair; consecutive computations over bit-identical boxes share one grid.
-    A failure is raised at the first scenario in order that fails.
+    pair.  A failure is raised at the first scenario in order that fails.
     """
-    grids = _LastGrid()
     return per_distinct_input(
         rf,
-        lambda omega: _global_min(rf, omega, descriptions[omega], grid_m, grids),
+        lambda omega: global_min_compact(rf, omega, descriptions[omega], grid_m),
         descriptions,
     )
 

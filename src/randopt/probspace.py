@@ -131,13 +131,6 @@ class RandomVariableRn:
             raise DomainMismatch(f"inconsistent value dimensions {sorted(dims)}")
         _require_finite((v for p in self.values.values() for v in p), DomainMismatch)
 
-    @property
-    def dim(self) -> int:
-        return len(next(iter(self.values.values())))
-
-    def __call__(self, scenario: Scenario) -> Point:
-        return self.values[scenario]
-
 
 @dataclass(frozen=True)
 class Witness:

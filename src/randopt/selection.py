@@ -31,12 +31,11 @@ from .optimize import (
     LocalMinCertificate,
     LocalMinFailure,
     SolverOptions,
+    global_min_compact,
     stationary_searches,
     sup_norm,
     verify_local_min,
-    _LastGrid,
     _classify,
-    _global_min,
     _scan_feasible,
 )
 from .probspace import (
@@ -170,17 +169,14 @@ def solve_rop(
 
     solved = []
     excluded = 0
-    grids = _LastGrid()  # representatives with bit-identical boxes share a grid
     for atom in space.atoms:
         rep = atom[0]
-        X, values, rep_excluded = _scan_feasible(
-            rf, rep, C.descriptions[rep], opts.grid_m, grids
-        )
+        point, values, rep_excluded = _scan_feasible(rf, rep, C.descriptions[rep], opts.grid_m)
         excluded += rep_excluded
         eta = float(values.min())
         idx = int(np.flatnonzero(np.abs(values - eta) <= EQUATION_TOL)[0])
-        solved.append((atom, tuple(float(v) for v in X[idx]), GlobalCert(eta)))
-        del X, values  # free this scan's values before the next one
+        solved.append((atom, point(idx), GlobalCert(eta)))
+        del values  # free this scan's values before the next one
     return _broadcast(space, solved, diagnostics=(("excluded_grid_points", excluded),))
 
 
@@ -235,7 +231,6 @@ def solve_rlop(
         selected.append((atom, min(pd_points)))
 
     solved = []
-    grids = _LastGrid()  # the convex atoms scan one grid over ``region``
     for atom, x in selected:
         rep = atom[0]
         cert = verify_local_min(rf, rep, x, opts)
@@ -246,7 +241,7 @@ def solve_rlop(
                 "condition and indicates a numerical inconsistency"
             )
         if _atom_is_convex(rf, rep, probes):
-            gm = _global_min(rf, rep, region, opts.grid_m, grids)
+            gm = global_min_compact(rf, rep, region, opts.grid_m)
             fx = eval_f(rf, rep, x)
             if fx <= gm.grid_value + EQUATION_TOL:
                 cert = GlobalCert(float(fx))

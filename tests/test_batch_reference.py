@@ -9,6 +9,11 @@ the hash-consed steps that ``compile_bundle`` renders, with one-element
 leaves.  On every input both must return the same values (dtype, shape and
 bytes) and the same valid mask, or raise the same exception class with the
 same message.
+
+``eval_grid`` runs the same steps on a box's grid axes, each shaped to
+broadcast along its own dimension.  On every box and grid size it must
+return what ``eval_batch`` returns on the rows of ``grid_points``, bit for
+bit, with the same mask.
 """
 
 import copy
@@ -38,9 +43,12 @@ from randopt.exprlang import (
     Env,
     Var,
     eval_batch,
+    eval_grid,
     evaluate,
     parse,
 )
+from randopt.optimize import grid_axes, grid_points
+from randopt.randfunc import Box
 
 # --- the previous batch evaluator -------------------------------------------------
 
@@ -198,6 +206,32 @@ ps = st.tuples(*[parameter] * K)
 def test_eval_batch_matches_the_tree_walk(root, X, p):
     e = Expression(root, N, K)
     assert outcome(eval_batch, e, X, p) == outcome(reference_eval_batch, e, X, p)
+
+
+# bounds whose grids hold nodes where steps overflow; no span overflows
+bounds = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-308, 1e200, -1e200, 1e308]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def boxes(draw):
+    """A box of 2 or 3 axes, each degenerate (lo == hi) one time in four."""
+    lower, upper = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        lo, hi = sorted((draw(bounds), draw(bounds)))
+        lower.append(lo)
+        upper.append(lo if draw(st.integers(0, 3)) == 0 else hi)
+    return Box(tuple(lower), tuple(upper))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, boxes(), st.integers(2, 5), ps)
+def test_eval_grid_matches_eval_batch_on_the_grid_points(root, box, m, p):
+    e = Expression(root, box.dim, K)
+    grid = outcome(eval_grid, e, grid_axes(box, m), p)
+    assert grid == outcome(eval_batch, e, grid_points(box, m), p)
 
 
 # --- fixed cases ------------------------------------------------------------------------

@@ -485,6 +485,40 @@ def _write(tmp_path, doc):
     return path
 
 
+def _one_atom_document(**sections):
+    return {
+        "schema_version": 1,
+        "space": {"scenarios": [1, 2], "weights": [0.5, 0.5], "atoms": [[1, 2]]},
+        "dimension": 1,
+        "objective": {"expression": "(x1 - p1)^2", "parameters": {"1": [1.0], "2": [2.0]}},
+        **sections,
+    }
+
+
+def test_check_measurable_probes_the_feasible_sets_bounding_box(tmp_path):
+    # no search_box: the first probe is the lower corner of [1, 2] u [2, 3]
+    boxes = {"1": {"lower": [1], "upper": [2]}, "2": {"lower": [2], "upper": [3]}}
+    doc = _one_atom_document(feasible_set={"kind": "box", "per_scenario": boxes})
+    out = tmp_path / "report.json"
+    assert main(["check-measurable", "--input", str(_write(tmp_path, doc)), "--output", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    witness = results["objective"]["witness"]
+    assert (witness["probe"], witness["value_a"], witness["value_b"]) == ([1], 0, 1)
+    assert results["feasible_set"]["measurable"] is False
+
+
+def test_check_measurable_without_a_region_is_an_input_error(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    path = _write(tmp_path, _one_atom_document())
+    assert main(["check-measurable", "--input", str(path), "--output", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["error"] == {
+        "type": "SchemaError",
+        "message": "/search_box: this command needs a search_box or a feasible_set",
+    }
+
+
 @pytest.mark.parametrize("command", ["check-measurable", "solve-rlop"])
 def test_more_dimensions_than_the_probe_grid_is_an_input_error(tmp_path, capsys, command):
     n = 13

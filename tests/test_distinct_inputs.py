@@ -8,8 +8,9 @@ in value, point clouds listed in different orders, and objectives
 undefined on a whole set) the reports must be byte-identical.  The count
 tests pin the work: one grid-sized evaluation per distinct input, one
 Newton run per distinct parameter vector (also across the atom
-representatives of solve-rlop), one grid per run of identical boxes, no
-scalar gradient or Hessian in stationary and one probe grid per solve-rlop.
+representatives of solve-rlop), one scan of a box's grid axes per distinct
+input or atom with no grid matrix, no scalar gradient or Hessian in
+stationary and one probe grid per solve-rlop.
 """
 
 import json
@@ -301,17 +302,19 @@ def test_oracle_works_once_per_distinct_input(tmp_path, monkeypatch, seed):
         key = (_bits(p), _bits(b["lower"] + b["upper"]))
         if key not in firsts:
             firsts.append(key)
-    box_runs = sum(1 for i, key in enumerate(firsts) if i == 0 or key[1] != firsts[i - 1][1])
 
-    evals, grids = [], []
+    scans, evals, grids = [], [], []
+    _counted_everywhere(monkeypatch, exprlang.eval_grid, scans)
     _counted(monkeypatch, exprlang, "eval_batch", evals)
-    _counted(monkeypatch, optimize, "grid_points", grids)
+    _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli.run("oracle", load_problem(str(path)), str(tmp_path / "out.json")) == 0
-    assert sum(len(X) == 49 for _, X, *rest in evals) == len(firsts)
-    assert len(evals) == len(firsts)
-    assert len(grids) == box_runs
+    # one scan of the 7 x 7 grid's axes per distinct input, in order, and
+    # no grid of points
+    assert [tuple(map(len, axes)) for _, axes, _ in scans] == [(7, 7)] * len(firsts)
+    assert [_bits(p) for *_, p in scans] == [p for p, _ in firsts]
+    assert evals == grids == []
 
 
 def test_stationary_searches_once_per_distinct_parameter_vector(tmp_path, monkeypatch):
@@ -386,24 +389,29 @@ def test_solve_rlop_builds_one_probe_grid(tmp_path, monkeypatch, document):
     assert len(grids) == 1
 
 
-def test_solve_rop_builds_one_grid_per_run_of_identical_boxes(monkeypatch):
+def test_solve_rop_scans_the_grid_axes_once_per_atom(monkeypatch):
     space = r.make_space(list(range(1, 7)), [1 / 6] * 6, [[1, 2], [3], [4], [5, 6]])
     body = r.parse("(x1 - p1)^2", 1, 1)
     params = {s: (i / 10,) for i, atom in enumerate(space.atoms) for s in atom}
     rf = r.RandomFunction(space, 1, body, params)
     a, b = r.Box((-1.0,), (1.0,)), r.Box((-0.0,), (1.0,))
     C = r.RandomSet(space, {1: a, 2: a, 3: r.Box((-1.0,), (1.0,)), 4: b, 5: a, 6: a})
-    grids = []
-    _counted(monkeypatch, optimize, "grid_points", grids)
+    scans, grids = [], []
+    _counted_everywhere(monkeypatch, exprlang.eval_grid, scans)
+    _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     r.solve_rop(rf, space, C, r.SolverOptions(grid_m=11))
-    assert len(grids) == 3  # atoms {1,2}+{3} share one grid, then {4}, then {5,6}
+    # the representatives 1, 3, 4 and 5, one 11-node axis each
+    assert [(p, len(axes[0])) for _, axes, p in scans] == [((i / 10,), 11) for i in range(4)]
+    assert grids == []
 
 
-def test_solve_rlop_builds_one_grid_across_its_convex_atoms(tmp_path, monkeypatch):
+def test_solve_rlop_scans_the_grid_axes_once_per_convex_atom(tmp_path, monkeypatch):
     # both atoms are convex, so each gets a global certificate after a scan
-    # of the same search box; the atoms' Newton runs share one start grid
-    grids = []
-    _counted(monkeypatch, optimize, "grid_points", grids)
+    # of the search box's axes; the atoms' Newton runs share one start grid
+    scans, grids = [], []
+    _counted_everywhere(monkeypatch, exprlang.eval_grid, scans)
+    _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     doc = load_problem(str(GALLERY / "convex_quadratic_2d.json"))
     assert cli.run("solve-rlop", doc, str(tmp_path / "out.json")) == 0
-    assert [m for _, m in grids] == [5, 61]  # one Newton start grid, one scan
+    assert [tuple(map(len, axes)) for _, axes, _ in scans] == [(61, 61)] * 2
+    assert [m for _, m in grids] == [5]  # the Newton start grid only

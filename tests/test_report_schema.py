@@ -3,7 +3,9 @@ command's ``results`` its own shape: a key that a command does not write
 fails validation instead of slipping through."""
 
 import copy
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -30,6 +32,29 @@ def test_every_golden_report_validates(path):
 def test_every_gallery_report_validates(tmp_path, document, command):
     out = tmp_path / "report.json"
     run(command, load_problem(str(document)), str(out))
+    VALIDATOR.validate(json.loads(out.read_text()))
+
+
+# the benchmark's job lists, imported from their file; a dataclass needs
+# its module in sys.modules
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+)
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+BENCHMARK_JOBS = [
+    (name, job) for name in ("local-2d", "global-grid", "wide-atoms")
+    for job in workloads.WORKLOADS[name](1, str(ROOT))
+]
+
+
+@pytest.mark.parametrize(
+    "job", [job for _, job in BENCHMARK_JOBS], ids=[f"{n}.{job.name}" for n, job in BENCHMARK_JOBS]
+)
+def test_every_benchmark_report_at_seed_1_validates(tmp_path, job):
+    path, out = tmp_path / "doc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(job.doc))
+    run(job.command, load_problem(str(path)), str(out))
     VALIDATOR.validate(json.loads(out.read_text()))
 
 
