@@ -33,8 +33,10 @@ DOCUMENTS = HERE / "documents"
 # denominator, and the first undefined probe), a solve-rlop with no
 # stationary point, and then the three Hessian commands on a Hessian of
 # 1e308, whose entry doubled overflows, and on one of 2e160, whose second
-# minor overflows and is left out of the stationary report, and last a
-# necessary check of a Hessian of -1.7e308 whose row sums overflow
+# minor overflows and is left out of the stationary report, then a
+# necessary check of a Hessian of -1.7e308 whose row sums overflow, and
+# last a zero minimum whose first grid node gives -0 and a box whose span
+# passes the largest double
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -67,6 +69,9 @@ CORPUS = [
     (DOCUMENTS / "overflowing_minors.json", "solve-rlop"),
     (DOCUMENTS / "overflowing_minors.json", "necessary"),
     (DOCUMENTS / "overflowing_norm.json", "necessary"),
+    (DOCUMENTS / "signed_zero_minimum.json", "solve-rop"),
+    (DOCUMENTS / "signed_zero_minimum.json", "oracle"),
+    (DOCUMENTS / "overflowing_span.json", "oracle"),
 ]
 
 
