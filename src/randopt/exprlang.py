@@ -449,6 +449,20 @@ class _Compiler:
         for name, i in last.items():
             if name not in self.results:
                 self.dead[i].append(name)
+        # covered: the finite checks that run_rows skips, of a value that is
+        # no result and that only + - * steps read.  A non-finite operand
+        # makes their values non-finite (inf - inf and inf * 0 are NaN), and
+        # each of them is checked, so a row fails the same checks.
+        readers: dict[str, set] = {}
+        for op, _, args, _ in self.steps:
+            for name in args:
+                readers.setdefault(name, set()).add(op)
+        self.covered: set[int] = set()
+        for i, (op, _, args, _) in enumerate(self.steps):
+            if op == "finite" and args[0] not in self.results:
+                ops = readers[args[0]] - {"finite"}
+                if ops and ops <= {"+", "-", "*"}:
+                    self.covered.add(i)
 
     def constant(self, value) -> str:
         # keyed by type and bits: Num(0.0) == Num(-0.0), yet they differ
@@ -550,11 +564,13 @@ class _Compiler:
         the values of the results, each of one element or one per row.
         Constants are one-element arrays of the dtype ``np.full`` gives
         them.  Columns only need to broadcast with ``valid``, so a grid's
-        axes can stand for its rows (``eval_grid``)."""
+        axes can stand for its rows (``eval_grid``).  The checks in
+        ``covered`` are skipped: a later check clears the same rows."""
         env = {name: np.full(1, value) for name, value in self.constants.items()}
-        for (op, t, args, extra), dead in zip(self.steps, self.dead):
+        for i, ((op, t, args, extra), dead) in enumerate(zip(self.steps, self.dead)):
             if op == "finite":
-                valid &= np.isfinite(env[args[0]])
+                if i not in self.covered:
+                    valid &= np.isfinite(env[args[0]])
             elif op == "nonzero":
                 valid &= ~(env[args[0]] == 0.0)
             elif op == "x":

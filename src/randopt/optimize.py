@@ -10,9 +10,12 @@ more.  A local minimum is certified on a ball where the Hessian stays
 positive definite, by sampling the objective in it; each halving's
 Hessians, the samples and the descent hunt are each one stack of rows.
 Each Hessian is symmetrized once (``randfunc.symmetrize``) and classified
-once, minors and class together (``_classify``).  A grid minimization over
-a box evaluates the objective on the grid's axes (``exprlang.eval_grid``)
-and reads the selected point from them; no grid of points is built.
+once, minors and class together (``_classify``).  A grid minimization
+(``scan_min``) evaluates the objective on blocks of at most
+``SCAN_BLOCK_NODES`` grid nodes, each on the grid's axes with one axis
+sliced (``exprlang.eval_grid``), and reduces each block as it is made,
+keeping its values only while it can still hold the selected point; no
+grid of points or of values is built, and each node is evaluated once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -250,9 +253,17 @@ def grid_axes(region: Box, m: int) -> list[np.ndarray]:
     if total > MAX_GRID_POINTS:  # before any axis is allocated
         raise RandoptError(f"grid of {total} points exceeds cap {MAX_GRID_POINTS}")
     return [
-        np.array([lo]) if lo == hi else np.linspace(lo, hi, count)
+        np.array([lo]) if lo == hi else _linspace(lo, hi, count)
         for lo, hi, count in zip(region.lower, region.upper, lengths)
     ]
+
+
+def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
+    """``np.linspace(lo, hi, count)``; where ``hi - lo`` passes the largest
+    double, the nodes of the halves doubled, which are exact."""
+    if math.isinf(hi - lo):
+        return 2.0 * np.linspace(lo / 2.0, hi / 2.0, count)
+    return np.linspace(lo, hi, count)
 
 
 def grid_points(region: Box, m: int) -> np.ndarray:
@@ -267,6 +278,9 @@ def grid_points(region: Box, m: int) -> np.ndarray:
 ROW_KERNEL_MIN_ROWS = 40
 # Newton stacks at most this many starts at once, splitting the scenarios.
 NEWTON_STACK_ROWS = 1 << 15
+# A box scan evaluates at most this many grid nodes at once, unless one
+# slab of its split axis holds more.
+SCAN_BLOCK_NODES = 1 << 15
 
 
 def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -588,18 +602,21 @@ class GlobalMinResult:
     excluded: int        # grid points where evaluation failed
 
 
-def _scan_feasible(
+def _scan_blocks(
     rf: RandomFunction,
     omega: Scenario,
     C_omega: Union[Box, PointCloud],
     grid_m: int,
-) -> tuple[Callable[[int], Point], np.ndarray, int]:
-    """Evaluate f(omega, .) once on the grid (Box, on its axes) or the
-    sorted points (PointCloud) of ``C_omega``.
+) -> Iterator[tuple[np.ndarray, np.ndarray, Callable[[int], Point]]]:
+    """f(omega, .) on the grid (Box) or the sorted points (PointCloud) of
+    ``C_omega``, block by block in lexicographic order.
 
-    Returns (point, values, excluded): the function giving the point of
-    index i in lexicographic order, the objective values in that order
-    with +inf where evaluation failed, and the number of such points.
+    Yields (values, valid, point) per block: the values (NaN where
+    evaluation failed), the mask of nodes where it did not, and the
+    function giving the block's node of index i.  A box splits along its
+    first axis of more than one node, so each block is a run of the grid's
+    raveled order; a block takes as many whole slabs of that axis as fit
+    in ``SCAN_BLOCK_NODES``, and at least one.  A point cloud is one block.
     """
     if not isinstance(C_omega, (Box, PointCloud)):
         raise IncompatibleRepresentation(
@@ -607,25 +624,67 @@ def _scan_feasible(
         )
     if C_omega.dim != rf.n:
         raise IncompatibleRepresentation("set dimension differs from function")
-    if isinstance(C_omega, Box):
-        axes = grid_axes(C_omega, grid_m)
-        values, valid = eval_grid(rf.body, axes, rf.params_of(omega))
-        shape = [len(a) for a in axes]
-
-        def point(i: int) -> Point:
-            return tuple(float(a[j]) for a, j in zip(axes, np.unravel_index(i, shape)))
-    else:
+    if isinstance(C_omega, PointCloud):
         X = np.asarray(sorted(C_omega.points), dtype=float)
-        values, valid = eval_f_batch(rf, omega, X)
+        yield (*eval_f_batch(rf, omega, X), lambda i: tuple(float(v) for v in X[i]))
+        return
+    axes = grid_axes(C_omega, grid_m)
+    p = rf.params_of(omega)
+    shape = [len(a) for a in axes]
+    d = next((j for j, m in enumerate(shape) if m > 1), 0)
+    slabs = max(1, SCAN_BLOCK_NODES // math.prod(shape[d + 1:]))
+    for start in range(0, shape[d], slabs):
+        block = [*axes[:d], axes[d][start:start + slabs], *axes[d + 1:]]
 
-        def point(i: int) -> Point:
-            return tuple(float(v) for v in X[i])
-    excluded = int(np.count_nonzero(~valid))
-    if excluded == len(values):
+        def point(i: int, block=block) -> Point:
+            index = np.unravel_index(i, [len(a) for a in block])
+            return tuple(float(a[j]) for a, j in zip(block, index))
+
+        yield (*eval_grid(rf.body, block, p), point)
+
+
+def scan_min(
+    rf: RandomFunction,
+    omega: Scenario,
+    C_omega: Union[Box, PointCloud],
+    grid_m: int,
+    tol: float,
+) -> tuple[Point, float, int]:
+    """The least value eta of f(omega, .) on the grid (Box) or the points
+    (PointCloud) of ``C_omega``, evaluating each node once.
+
+    Returns (point, eta, excluded): the first node in lexicographic order
+    with value - eta <= ``tol``; eta with the bits of the value at the
+    first node attaining it (a -0 before a 0 gives -0); and the number of
+    nodes where evaluation failed, which take no part.  Each block is
+    reduced as it is made, and its values are kept only while the block
+    can still hold the point: eta only falls, so a block whose least value
+    is more than ``tol`` above it never can again.
+    """
+    eta = math.inf
+    excluded = 0
+    kept = []  # (least value, values, point) per block, least values falling
+    for values, valid, point in _scan_blocks(rf, omega, C_omega, grid_m):
+        ok = int(np.count_nonzero(valid))
+        excluded += values.size - ok
+        if ok == 0:
+            continue
+        if ok < values.size:
+            values[~valid] = np.inf
+        low = float(values[int(np.argmin(values))])  # first occurrence
+        if not kept or low < eta:  # else an earlier block holds the point if this one does
+            eta = low
+            kept.append((low, values, point))
+            while kept[0][0] - eta > tol:
+                del kept[0]
+    if not kept:
         raise DomainViolation(
             f"objective undefined at every point of the set for scenario {omega!r}"
         )
-    return point, np.where(valid, values, np.inf), excluded
+    _, values, point = kept[0]
+    with np.errstate(over="ignore"):
+        i = int(np.argmax(values - eta <= tol))
+    return point(i), eta, excluded
 
 
 def global_min_compact(
@@ -639,9 +698,7 @@ def global_min_compact(
     Exact value ties break to the lexicographically smallest point.  Grid
     points where evaluation fails are excluded and counted.
     """
-    point, values, excluded = _scan_feasible(rf, omega, C_omega, grid_m)
-    idx = int(np.argmin(values))  # first occurrence = lexicographically smallest
-    return GlobalMinResult(point(idx), float(values[idx]), excluded)
+    return GlobalMinResult(*scan_min(rf, omega, C_omega, grid_m, 0.0))
 
 
 def global_min_per_scenario(

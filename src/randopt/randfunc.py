@@ -417,15 +417,17 @@ PROBE_EXTRA = 32  # low-discrepancy points of a probe grid
 
 def default_probe_grid(box: Box) -> list[Point]:
     """Corners and center of ``box`` plus ``PROBE_EXTRA`` low-discrepancy
-    points."""
+    points; on an axis whose span passes the largest double, the points of
+    the halved bounds doubled."""
     if box.dim > len(_PRIMES):
         raise RandoptError(
             f"probe grid supports up to {len(_PRIMES)} dimensions, got {box.dim}"
         )
     pts = box.corners()
     pts.append(box.center())
-    lo = np.array(box.lower)
-    hi = np.array(box.upper)
+    scale = np.array([2.0 if math.isinf(hi - lo) else 1.0 for lo, hi in zip(box.lower, box.upper)])
+    lo = np.array(box.lower) / scale
+    hi = np.array(box.upper) / scale
     for row in halton_points(PROBE_EXTRA, box.dim):
-        pts.append(tuple(float(v) for v in lo + row * (hi - lo)))
+        pts.append(tuple(float(v) for v in scale * (lo + row * (hi - lo))))
     return pts

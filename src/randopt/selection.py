@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from .errors import (
     DomainMismatch,
     EvalError,
@@ -36,7 +34,7 @@ from .optimize import (
     sup_norm,
     verify_local_min,
     _classify,
-    _scan_feasible,
+    scan_min,
 )
 from .probspace import (
     MeasurabilityVerdict,
@@ -155,8 +153,8 @@ def solve_rop(
 
     Per atom, one scan of the representative's grid (Box) or points
     (PointCloud) gives eta, the grid minimum, and the selection: the first
-    point in lexicographic order with |f - eta| <= EQUATION_TOL.  Both are
-    broadcast to the atom.
+    point in lexicographic order with f - eta <= EQUATION_TOL
+    (``scan_min``).  Both are broadcast to the atom.
     """
     if C.space != space or rf.space != space:
         raise DomainMismatch("function, set, and space must agree")
@@ -171,12 +169,9 @@ def solve_rop(
     excluded = 0
     for atom in space.atoms:
         rep = atom[0]
-        point, values, rep_excluded = _scan_feasible(rf, rep, C.descriptions[rep], opts.grid_m)
+        point, eta, rep_excluded = scan_min(rf, rep, C.descriptions[rep], opts.grid_m, EQUATION_TOL)
         excluded += rep_excluded
-        eta = float(values.min())
-        idx = int(np.flatnonzero(np.abs(values - eta) <= EQUATION_TOL)[0])
-        solved.append((atom, point(idx), GlobalCert(eta)))
-        del values  # free this scan's values before the next one
+        solved.append((atom, point, GlobalCert(eta)))
     return _broadcast(space, solved, diagnostics=(("excluded_grid_points", excluded),))
 
 
