@@ -35,15 +35,18 @@ The bundle carries its steps as ``bundle.lowered``.
 variable and one per parameter (of one element or one per row), through a
 kernel table: a failing check clears its rows in a mask, leaves are
 one-element arrays that broadcast, and each value is freed after its last
-use.  ``eval_batch`` runs it with numpy's array kernels on the columns of
-an array; ``eval_grid`` on the axes of a grid, each shaped to broadcast
-along its own dimension, with the mask in the grid's shape, which gives
-``eval_batch``'s bits on the grid's rows.  ``_ROW_KERNELS`` keep
-the bundles' bits instead: ``+ - * /``, negation, ``sqrt`` and the checks
-are numpy, which rounds them as the scalars do, while ``**``, ``exp``,
-``log``, ``sin`` and ``cos`` call the scalar operation on each element.
+use.  It skips the finite check of a value that only ``+ - *`` steps read
+(``covered``): those steps give a non-finite operand a non-finite value,
+which their own checks catch.  ``eval_batch`` runs it with numpy's array
+kernels on the columns of an array; ``eval_grid`` on the axes of a grid,
+each shaped to broadcast along its own dimension, with the mask in the
+grid's shape, which gives ``eval_batch``'s bits on the grid's rows.
+``_ROW_KERNELS`` keep the bundles' bits instead: ``+ - * /``, negation,
+``sqrt`` and the checks are numpy, which rounds them as the scalars do,
+while ``**``, ``exp``, ``log``, ``sin`` and ``cos`` call the scalar
+operation on each element.
 An element whose operation raises (overflow, a math domain error, zero to
-a negative power, also on a row already cleared) becomes NaN, and the
+a negative power, also on a row already cleared) becomes NaN, and a
 finite check after it clears the row.  So ``eval_rows`` finds a row
 valid exactly where the bundle returns, with the bundle's values.
 """

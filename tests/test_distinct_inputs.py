@@ -9,14 +9,14 @@ undefined on a whole set) the reports must be byte-identical.  The count
 tests pin the work: one grid-sized evaluation per distinct input, one
 Newton run per distinct parameter vector (also across the atom
 representatives of solve-rlop), one scan of a box's grid axes per distinct
-input or atom with no grid matrix, no scalar gradient or Hessian in
-stationary and one probe grid per solve-rlop.
+input or atom with no grid matrix, its blocks covering the grid's nodes
+once each and in order, no scalar gradient or Hessian in stationary and
+one probe grid per solve-rlop.
 """
 
 import json
 import random
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from randopt import cli, exprlang, optimize, randfunc
 from randopt.cli import EXIT_OK, _global_min_json, _point_json, _require
 from randopt.document import load_problem
 from randopt.optimize import find_stationary_points, global_min_compact
+from scan_records import patch_everywhere, record_scans, scanned_grids
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
@@ -303,17 +304,19 @@ def test_oracle_works_once_per_distinct_input(tmp_path, monkeypatch, seed):
         if key not in firsts:
             firsts.append(key)
 
-    scans, evals, grids = [], [], []
-    _counted_everywhere(monkeypatch, exprlang.eval_grid, scans)
+    evals, grids = [], []
+    scans = record_scans(monkeypatch, 10)  # one 7-node slab of x1 per block
     _counted(monkeypatch, exprlang, "eval_batch", evals)
     _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli.run("oracle", load_problem(str(path)), str(tmp_path / "out.json")) == 0
-    # one scan of the 7 x 7 grid's axes per distinct input, in order, and
-    # no grid of points
-    assert [tuple(map(len, axes)) for _, axes, _ in scans] == [(7, 7)] * len(firsts)
-    assert [_bits(p) for *_, p in scans] == [p for p, _ in firsts]
+    # one scan of the 7 x 7 grid's axes per distinct input, in order, its
+    # blocks covering the grid once, and no grid of points
+    grids_scanned = scanned_grids(scans, 10)
+    assert [shape for shape, _ in grids_scanned] == [(7, 7)] * len(firsts)
+    assert [_bits(p) for _, p in grids_scanned] == [p for p, _ in firsts]
+    assert [len(blocks) for *_, blocks in scans] == [7] * len(firsts)
     assert evals == grids == []
 
 
@@ -363,10 +366,7 @@ def _counted_everywhere(monkeypatch, function, record):
         record.append(args)
         return function(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "randopt" or name.startswith("randopt."):
-            for attr in [a for a, v in vars(module).items() if v is function]:
-                monkeypatch.setattr(module, attr, counted)
+    patch_everywhere(monkeypatch, function, counted)
 
 
 @pytest.mark.parametrize("document", ["quartic_double_well", "convex_quadratic_2d"])
@@ -396,22 +396,24 @@ def test_solve_rop_scans_the_grid_axes_once_per_atom(monkeypatch):
     rf = r.RandomFunction(space, 1, body, params)
     a, b = r.Box((-1.0,), (1.0,)), r.Box((-0.0,), (1.0,))
     C = r.RandomSet(space, {1: a, 2: a, 3: r.Box((-1.0,), (1.0,)), 4: b, 5: a, 6: a})
-    scans, grids = [], []
-    _counted_everywhere(monkeypatch, exprlang.eval_grid, scans)
+    grids = []
+    scans = record_scans(monkeypatch, 4)  # blocks of 4, 4 and 3 nodes
     _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     r.solve_rop(rf, space, C, r.SolverOptions(grid_m=11))
     # the representatives 1, 3, 4 and 5, one 11-node axis each
-    assert [(p, len(axes[0])) for _, axes, p in scans] == [((i / 10,), 11) for i in range(4)]
+    assert scanned_grids(scans, 4) == [((11,), (i / 10,)) for i in range(4)]
+    assert [len(blocks) for *_, blocks in scans] == [3] * 4
     assert grids == []
 
 
 def test_solve_rlop_scans_the_grid_axes_once_per_convex_atom(tmp_path, monkeypatch):
     # both atoms are convex, so each gets a global certificate after a scan
     # of the search box's axes; the atoms' Newton runs share one start grid
-    scans, grids = [], []
-    _counted_everywhere(monkeypatch, exprlang.eval_grid, scans)
+    grids = []
+    scans = record_scans(monkeypatch, 1000)  # 16 slabs of 61 nodes per block
     _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     doc = load_problem(str(GALLERY / "convex_quadratic_2d.json"))
     assert cli.run("solve-rlop", doc, str(tmp_path / "out.json")) == 0
-    assert [tuple(map(len, axes)) for _, axes, _ in scans] == [(61, 61)] * 2
+    assert [shape for shape, _ in scanned_grids(scans, 1000)] == [(61, 61)] * 2
+    assert [len(blocks) for *_, blocks in scans] == [4] * 2
     assert [m for _, m in grids] == [5]  # the Newton start grid only

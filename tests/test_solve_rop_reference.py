@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import randopt as r
-from randopt import exprlang, optimize
+from randopt import exprlang
 from randopt.errors import EvalError, RandoptError
 from randopt.optimize import SolverOptions
 from randopt.selection import EQUATION_TOL, GlobalCert
+from scan_records import record_scans, scanned_grids
 
 
 def _reference_grid_min(rf, omega, desc, grid_m):
@@ -188,22 +189,21 @@ def test_solve_rop_scans_each_representative_once(monkeypatch):
     rf = r.RandomFunction(space, 2, r.parse("((x1 - p1)^2 - 1)^2 + x2^2", 2, 1), params)
     C = r.RandomSet(space, {s: r.Box((-2.0, -2.0), (2.0, 2.0)) for s in space.scenarios})
     grid_m = 81  # nodes every 0.05, so the wells at +-0.5 +- 1 are nodes
-    shapes, rows = [], []
-    eval_grid, eval_batch = exprlang.eval_grid, exprlang.eval_batch
-
-    def counting(e, axes, p=()):
-        shapes.append(tuple(map(len, axes)))
-        return eval_grid(e, axes, p)
+    rows = []
+    eval_batch = exprlang.eval_batch
 
     def counting_rows(e, X, p=()):
         rows.append(len(X))
         return eval_batch(e, X, p)
 
-    monkeypatch.setattr(optimize, "eval_grid", counting)
+    scans = record_scans(monkeypatch, 2000)  # 24 slabs of 81 nodes per block
     monkeypatch.setattr(exprlang, "eval_batch", counting_rows)
     sel = r.solve_rop(rf, space, C, SolverOptions(grid_m=grid_m))
-    # one scan of the axes per atom; the rows are the measurability probes
-    assert shapes == [(grid_m, grid_m)] * len(space.atoms)
+    # one scan of the axes per atom, its blocks covering the grid once; the
+    # rows are the measurability probes
+    grids = scanned_grids(scans, 2000)
+    assert [shape for shape, _ in grids] == [(grid_m, grid_m)] * len(space.atoms)
+    assert [len(blocks) for *_, blocks in scans] == [4] * len(space.atoms)
     assert grid_m**2 not in rows
     assert sel.points[1] == (-0.5, 0.0) and sel.points[4] == (-1.5, 0.0)
     assert math.isclose(sel.certificates[7].value, 0.0, abs_tol=1e-12)
