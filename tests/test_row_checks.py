@@ -113,7 +113,9 @@ def test_generated_trees_keep_their_grids(root, box, m, p):
 # --- fixed trees --------------------------------------------------------------------------
 
 # rows where 1e308*x1 overflows (x1 = +-2, +-10) and where it does not
-ROWS = np.array([[x1, x2] for x1 in (-10.0, -2.0, -1.0, 0.0, 0.5, 2.0, 10.0) for x2 in (-1.0, 0.0, 3.0)])
+ROWS = np.array(
+    [[x1, x2] for x1 in (-10.0, -2.0, -1.0, 0.0, 0.5, 2.0, 10.0) for x2 in (-1.0, 0.0, 3.0)]
+)
 BIG = Mul(Num(1e308), Var(1))  # inf at |x1| > 1.8
 
 

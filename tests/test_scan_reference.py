@@ -176,7 +176,12 @@ LINE = Box((-2.0,), (2.0,))  # 41 nodes every 0.1: blocks of 5 nodes make 9
         ("(x1 - 1)^2 + 0*log(x1)", (), LINE, ((1.0,), 0.0)),
         # a degenerate leading axis: the scan splits along x2
         ("x1 + (x2^2 - 1)^2", (), Box((0.5, -2.0), (0.5, 2.0)), ((0.5, -1.0), 0.5)),
-        ("x1*x3 + (x2^2 - 1)^2", (), Box((0.5, -2.0, -1.0), (0.5, 2.0, 1.0)), ((0.5, -1.0, -1.0), -0.5)),
+        (
+            "x1*x3 + (x2^2 - 1)^2",
+            (),
+            Box((0.5, -2.0, -1.0), (0.5, 2.0, 1.0)),
+            ((0.5, -1.0, -1.0), -0.5),
+        ),
         # a degenerate axis after the split axis, and a grid of one node
         ("(x1^2 - 1)^2 + x2", (), Box((-2.0, 3.0), (2.0, 3.0)), ((-1.0, 3.0), 3.0)),
         ("x1 + x2", (), Box((1.0, 2.0), (1.0, 2.0)), ((1.0, 2.0), 3.0)),
