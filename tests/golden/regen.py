@@ -35,8 +35,9 @@ DOCUMENTS = HERE / "documents"
 # 1e308, whose entry doubled overflows, and on one of 2e160, whose second
 # minor overflows and is left out of the stationary report, then a
 # necessary check of a Hessian of -1.7e308 whose row sums overflow, and
-# last a zero minimum whose first grid node gives -0 and a box whose span
-# passes the largest double
+# a zero minimum whose first grid node gives -0, a box whose span passes
+# the largest double, and last a box whose bound sum passes it, so that its
+# center is a probe
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -72,6 +73,8 @@ CORPUS = [
     (DOCUMENTS / "signed_zero_minimum.json", "solve-rop"),
     (DOCUMENTS / "signed_zero_minimum.json", "oracle"),
     (DOCUMENTS / "overflowing_span.json", "oracle"),
+    (DOCUMENTS / "overflowing_center.json", "check-measurable"),
+    (DOCUMENTS / "overflowing_center.json", "solve-rop"),
 ]
 
 
