@@ -64,7 +64,11 @@ class Box:
         return len(self.lower)
 
     def center(self) -> Point:
-        return tuple((lo + hi) / 2.0 for lo, hi in zip(self.lower, self.upper))
+        """(lo + hi) / 2 per axis, or lo / 2 + hi / 2 where lo + hi overflows."""
+        return tuple(
+            (lo + hi) / 2.0 if math.isfinite(lo + hi) else lo / 2.0 + hi / 2.0
+            for lo, hi in zip(self.lower, self.upper)
+        )
 
     def corners(self) -> list[Point]:
         pts = [()]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,25 @@ def test_default_probe_grid_contents():
     assert len(grid) == 4 + 1 + 32
     assert (-1.0, 0.0) in grid and (1.0, 2.0) in grid
     assert (0.0, 1.0) in grid  # center
+    assert all(box_contains(box, p) for p in grid)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,mid",
+    [
+        (1e308, 1.5e308, float((Fraction(1e308) + Fraction(1.5e308)) / 2)),
+        (-1.7e308, -1e308, float((Fraction(-1.7e308) + Fraction(-1e308)) / 2)),
+        (-1.7e308, 1.7e308, 0.0),
+        # halving first would give 5e-324 here: a sum that stays finite
+        # keeps the bits of (lo + hi) / 2
+        (5e-324, 1e-323, 1e-323),
+    ],
+    ids=["overflow", "negative-overflow", "symmetric", "subnormal"],
+)
+def test_box_center_is_finite_where_the_bound_sum_overflows(lo, hi, mid):
+    box = r.Box((lo, 0.0), (hi, 2.0))
+    assert box.center() == (mid, 1.0)
+    grid = r.default_probe_grid(box)
     assert all(box_contains(box, p) for p in grid)
 
 
