@@ -351,9 +351,40 @@ def _reject_fields(fields: dict, allowed: tuple, pointer: str, message: str) -> 
 def _build_feasible(
     raw: dict, space: ProbSpace, rf: RandomFunction, n: int, k: int
 ) -> RandomSet:
+    """The feasible map of ``raw``, the document's ``feasible_set``.
+
+    A top-level box or point cloud is built once, and every scenario holds
+    that same frozen object, which the within-atom scans skip as equal to
+    itself (``probspace._first_failure``).  A level set holds its
+    scenario's parameter vector, and a ``per_scenario`` entry is its
+    scenario's own, so each of those is one object per scenario.
+    """
     kind = raw["kind"]
     used = _KIND_FIELDS[kind]
     unused = f"not used by kind {kind!r}"
+
+    def build(fields: dict, pointer: str, omega: Scenario):
+        if kind == "box":
+            if "lower" not in fields or "upper" not in fields:
+                raise SchemaError(pointer, "box needs 'lower' and 'upper'")
+            return _build_box(fields, n, pointer)
+        if kind == "point_cloud":
+            points = fields.get("points")
+            if not points:
+                raise SchemaError(pointer, "point_cloud needs nonempty 'points'")
+            for i, p in enumerate(points):
+                if len(p) != n:
+                    raise SchemaError(f"{pointer}/points/{i}", f"point must have length {n}")
+            return PointCloud(tuple(tuple(float(v) for v in p) for p in points))
+        exprs = fields.get("expressions")
+        if not exprs:
+            raise SchemaError(pointer, "level_set needs nonempty 'expressions'")
+        if "box" not in fields:
+            raise SchemaError(pointer, "level_set needs a bounding 'box'")
+        box = _build_box(fields["box"], n, f"{pointer}/box")
+        parsed = tuple(exprlang.parse(text, n, k) for text in exprs)
+        return LevelSet(parsed, rf.params_of(omega), box)
+
     if "per_scenario" in raw:
         _reject_fields(
             raw, ("kind", "per_scenario"), "/feasible_set", "not allowed beside 'per_scenario'"
@@ -366,34 +397,13 @@ def _build_feasible(
             _reject_fields(fields, used, at, unused)
             if not bundled.entry_check(fields):
                 _validate_schema(fields, bundled.entry, at)
+        descs = {s: build(*sources[s], s) for s in space.scenarios}
     else:
         _reject_fields(raw, ("kind", *used), "/feasible_set", unused)
-        sources = {s: (raw, "/feasible_set") for s in space.scenarios}
-
-    descs = {}
-    for omega in space.scenarios:
-        fields, pointer = sources[omega]
-        if kind == "box":
-            if "lower" not in fields or "upper" not in fields:
-                raise SchemaError(pointer, "box needs 'lower' and 'upper'")
-            descs[omega] = _build_box(fields, n, pointer)
-        elif kind == "point_cloud":
-            points = fields.get("points")
-            if not points:
-                raise SchemaError(pointer, "point_cloud needs nonempty 'points'")
-            for i, p in enumerate(points):
-                if len(p) != n:
-                    raise SchemaError(f"{pointer}/points/{i}", f"point must have length {n}")
-            descs[omega] = PointCloud(tuple(tuple(float(v) for v in p) for p in points))
-        else:  # level_set
-            exprs = fields.get("expressions")
-            if not exprs:
-                raise SchemaError(pointer, "level_set needs nonempty 'expressions'")
-            if "box" not in fields:
-                raise SchemaError(pointer, "level_set needs a bounding 'box'")
-            box = _build_box(fields["box"], n, f"{pointer}/box")
-            parsed = tuple(exprlang.parse(text, n, k) for text in exprs)
-            descs[omega] = LevelSet(parsed, rf.params_of(omega), box)
+        if kind == "level_set":
+            descs = {s: build(raw, "/feasible_set", s) for s in space.scenarios}
+        else:
+            descs = dict.fromkeys(space.scenarios, build(raw, "/feasible_set", None))
     return RandomSet(space, descs)
 
 

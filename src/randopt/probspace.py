@@ -13,6 +13,15 @@ first scenario, the representative: the checks compare each scenario
 with it only, in time linear in the atom size.  ``is_measurable_rv`` at
 tolerance > 0 scans each atom pair by pair.  A gap can still be infinite,
 when a difference overflows or two descriptions differ in kind or shape.
+
+Scenarios often share one value object: the box or point cloud that a
+document gives every scenario, the value array that f has at one distinct
+parameter vector, the point that a selection gives a whole atom.  Such a
+value is finite, so it is at gap 0 from itself, and a pair of scenarios
+that hold one object is skipped without a comparison; the verdict and the
+witness are those of the full scan.  The skip also reads a level set as
+equal to itself where ``exprlang.tree_gap`` does not: one whose
+expression holds a literal that overflows to inf.
 """
 
 from __future__ import annotations
@@ -166,12 +175,16 @@ def _first_failure(
     None if there is no such pair.
 
     At tol 0 only the pairs that start at the representative ``atom[0]``
-    are compared: zero gap between finite values is an equivalence.
+    are compared: zero gap between finite values is an equivalence.  A
+    pair whose two values are one object is skipped without a ``gap`` call.
     """
     for atom in atoms:
         firsts = atom[:1] if tol == 0.0 else atom
         for i, a in enumerate(firsts):
+            value = values[a]
             for b in atom[i + 1 :]:
+                if values[b] is value:  # gap 0: the value is finite
+                    continue
                 g = gap(a, b)
                 if g > tol:
                     return Witness(atom, a, b, g, value_a=values[a], value_b=values[b])

@@ -38,7 +38,6 @@ from .probspace import (
     Scenario,
     _first_failure,
     _require_finite,
-    _sup_dist,
 )
 
 # --- set descriptions ---------------------------------------------------------
@@ -103,10 +102,17 @@ class PointCloud:
     def dim(self) -> int:
         return len(self.points[0])
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The points as a read-only (m, n) float array."""
+        a = np.array(self.points, dtype=float)
+        a.flags.writeable = False
+        return a
+
     def distance(self, other) -> float:
         if not isinstance(other, PointCloud) or other.dim != self.dim:
             return math.inf
-        return _hausdorff(self.points, other.points)
+        return _hausdorff(self.array, other.array)
 
 
 @dataclass(frozen=True)
@@ -210,10 +216,27 @@ class RandomSet:
         return Box(tuple(lo), tuple(hi))
 
 
-def _hausdorff(A: Sequence[Point], B: Sequence[Point]) -> float:
-    d_ab = max(min(_sup_dist(a, b) for b in B) for a in A)
-    d_ba = max(min(_sup_dist(b, a) for a in A) for b in B)
-    return max(d_ab, d_ba)
+HAUSDORFF_BLOCK_PAIRS = 1 << 14  # point pairs one block of _hausdorff holds
+
+
+def _hausdorff(A: np.ndarray, B: np.ndarray) -> float:
+    """Hausdorff distance in the sup norm between the rows of A and of B.
+
+    The rows of A go in blocks of as many rows, at least one, as make at
+    most ``HAUSDORFF_BLOCK_PAIRS`` pairs with the rows of B.  Subtraction,
+    ``abs``, ``min`` and ``max`` round as Python's do, and |b - a| is
+    |a - b|, so every gap has the bits of the scalar loop; a difference
+    that overflows is inf, as in Python.
+    """
+    rows = max(1, HAUSDORFF_BLOCK_PAIRS // len(B))
+    d_ab = 0.0  # every gap is at least +0.0
+    d_b = np.full(len(B), math.inf)  # distance of each row of B to A
+    with np.errstate(over="ignore"):
+        for start in range(0, len(A), rows):
+            D = np.abs(A[start : start + rows, None] - B[None]).max(axis=-1)
+            d_ab = max(d_ab, D.min(axis=1).max())
+            np.minimum(d_b, D.min(axis=0), out=d_b)
+    return float(max(d_ab, d_b.max()))
 
 
 # --- random functions -----------------------------------------------------------

@@ -417,3 +417,80 @@ def test_solve_rlop_scans_the_grid_axes_once_per_convex_atom(tmp_path, monkeypat
     assert [shape for shape, _ in scanned_grids(scans, 1000)] == [(61, 61)] * 2
     assert [len(blocks) for *_, blocks in scans] == [4] * 2
     assert [m for _, m in grids] == [5]  # the Newton start grid only
+
+
+# --- one feasible set shared by every scenario --------------------------------
+
+TOP_LEVEL_SETS = {
+    "box": {"kind": "box", "lower": [-1.0, -0.5], "upper": [1.0, 0.5]},
+    "point cloud": {"kind": "point_cloud", "points": [[0.0, 0.5], [-1.0, 0.25]]},
+}
+SHARED_PARAMS = [PARAMS[i] for i in (0, 1, 0, 2, 1, 1, 0, 2)]
+
+
+def _load(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return load_problem(str(path))
+
+
+@pytest.mark.parametrize("kind", sorted(TOP_LEVEL_SETS))
+def test_a_top_level_set_is_one_object_for_every_scenario(tmp_path, kind):
+    doc = _fixed_document("x1^2 + p1*x2 + p2", SHARED_PARAMS, TOP_LEVEL_SETS[kind])
+    descs = _load(tmp_path, doc).feasible.descriptions
+    first = descs[1]
+    assert list(descs) == list(range(1, len(SHARED_PARAMS) + 1))
+    assert all(d is first for d in descs.values())
+
+
+@pytest.mark.parametrize("kind", ["per-scenario boxes", "per-scenario clouds", "level set"])
+def test_per_scenario_and_level_sets_are_one_object_per_scenario(tmp_path, kind):
+    entry = {
+        "per-scenario boxes": TOP_LEVEL_SETS["box"],
+        "per-scenario clouds": TOP_LEVEL_SETS["point cloud"],
+    }.get(kind)
+    if entry is None:
+        box = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+        feasible = {"kind": "level_set", "expressions": ["x1 - p1"], "box": box}
+    else:
+        fields = {k: v for k, v in entry.items() if k != "kind"}
+        per = {str(s): fields for s in range(1, len(SHARED_PARAMS) + 1)}
+        feasible = {"kind": entry["kind"], "per_scenario": per}
+    doc = _fixed_document("x1^2 + p1*x2 + p2", SHARED_PARAMS, feasible)
+    loaded = _load(tmp_path, doc)
+    descs = loaded.feasible.descriptions
+    assert len({id(d) for d in descs.values()}) == len(SHARED_PARAMS)
+    if entry is None:  # each level set holds its own scenario's parameters
+        assert all(descs[s].params is loaded.rf.params_of(s) for s in descs)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"lower": [1.0, 0.0], "upper": [0.0, 1.0]}, "box has lower 1.0 > upper 0.0"),
+        ({"lower": [0.0], "upper": [1.0]}, "bounds must have length 2"),
+        ({"lower": [0.0, 0.0]}, "box needs 'lower' and 'upper'"),
+    ],
+    ids=["inverted", "short", "no-upper"],
+)
+def test_a_bad_top_level_box_raises_at_the_feasible_set(tmp_path, fields, message):
+    doc = _fixed_document("x1^2 + p1*x2 + p2", SHARED_PARAMS, {"kind": "box", **fields})
+    with pytest.raises(r.SchemaError) as caught:
+        _load(tmp_path, doc)
+    assert (caught.value.pointer, str(caught.value)) == (
+        "/feasible_set",
+        f"/feasible_set: {message}",
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(TOP_LEVEL_SETS))
+def test_a_shared_set_runs_once_per_distinct_parameter_vector(tmp_path, kind):
+    doc = _fixed_document("x1^2 + p1*x2 + p2", SHARED_PARAMS, TOP_LEVEL_SETS[kind])
+    loaded = _load(tmp_path, doc)
+    seen = []
+    results = randfunc.per_distinct_input(
+        loaded.rf, lambda omega: seen.append(omega) or omega, loaded.feasible.descriptions
+    )
+    # the first scenarios of PARAMS 0, 1 and 2, and each later one shares
+    assert seen == [1, 2, 4]
+    assert results == {1: 1, 2: 2, 3: 1, 4: 4, 5: 2, 6: 2, 7: 1, 8: 4}

@@ -68,15 +68,25 @@ def test_random_variable_compares_each_scenario_with_its_representative(
 
 
 def test_small_atom_is_compared_with_its_representative_only(monkeypatch):
-    # the pairwise scan of one measurable atom of 5 would compare 10 pairs
+    # the pairwise scan of one measurable atom of 5 would compare 10 pairs;
+    # equal copies cost |atom| - 1 comparisons, and one shared object none
     small = r.make_space([1, 2, 3, 4, 5], [0.2] * 5, [[1, 2, 3, 4, 5]])
-    xi = r.RandomVariableRn(small, {s: (1.0, 2.0) for s in small.scenarios})
-    C = r.RandomSet(small, {s: r.Box((0.0,), (1.0,)) for s in small.scenarios})
-    rv_calls = _count_calls(monkeypatch, probspace, "_sup_dist")
-    box_calls = _count_calls(monkeypatch, r.Box, "distance")
-    assert r.is_measurable_rv(small, xi).measurable
-    assert r.is_measurable_setmap(small, C).measurable
-    assert (len(rv_calls), len(box_calls)) == (4, 4)
+    point, box = (1.0, 2.0), r.Box((0.0,), (1.0,))
+    copies = (
+        r.RandomVariableRn(small, {s: tuple(list(point)) for s in small.scenarios}),
+        r.RandomSet(small, {s: r.Box((0.0,), (1.0,)) for s in small.scenarios}),
+    )
+    shared = (
+        r.RandomVariableRn(small, dict.fromkeys(small.scenarios, point)),
+        r.RandomSet(small, dict.fromkeys(small.scenarios, box)),
+    )
+    for (xi, C), calls in [(copies, (4, 4)), (shared, (0, 0))]:
+        rv_calls = _count_calls(monkeypatch, probspace, "_sup_dist")
+        box_calls = _count_calls(monkeypatch, r.Box, "distance")
+        assert r.is_measurable_rv(small, xi).measurable
+        assert r.is_measurable_setmap(small, C).measurable
+        assert (len(rv_calls), len(box_calls)) == calls
+        monkeypatch.undo()
 
 
 def test_objective_is_evaluated_once_per_distinct_parameter_vector(space, monkeypatch):

@@ -339,3 +339,163 @@ def test_joint_witness_is_the_first_probe_where_the_pair_differs(probes, probe):
     v = r.check_joint_measurability(rf, probes)
     assert (v.measurable, v.witness.probe) == (False, probe)
     assert_same_verdict(v, reference_check_joint_measurability(rf, probes))
+
+
+# --- point clouds as arrays, and values shared by scenarios ---------------------
+
+from randopt import randfunc  # noqa: E402
+
+
+def _hausdorff(A, B):
+    d_ab = max(min(_sup_dist(a, b) for b in B) for a in A)
+    d_ba = max(min(_sup_dist(b, a) for a in A) for b in B)
+    return max(d_ab, d_ba)
+
+
+def previous_cloud_distance(self, other):
+    """``PointCloud.distance`` before the arrays: the scalar loop above."""
+    if not isinstance(other, r.PointCloud) or other.dim != self.dim:
+        return math.inf
+    return _hausdorff(self.points, other.points)
+
+
+def assert_same_as_previous_setmap(space, C):
+    """The verdict of the pairwise scan with the scalar Hausdorff loop, which
+    compares also the pairs that share one object, bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(r.PointCloud, "distance", previous_cloud_distance)
+        old = reference_is_measurable_setmap(space, C)
+    assert_same_verdict(r.is_measurable_setmap(space, C), old)
+
+
+# coordinates whose differences overflow to inf, next to small ones
+HUGE = st.sampled_from([1.7e308, -1.7e308, 1.6e308, -1e308, 0.0, -0.0, 1.0])
+coordinate = st.one_of(number, HUGE)
+BLOCK_PAIRS = [1, 3, 7, None]  # None keeps HAUSDORFF_BLOCK_PAIRS
+
+
+def _clouds(dim, max_size):
+    point = st.tuples(*[coordinate] * dim)
+    return st.lists(point, min_size=1, max_size=max_size).map(lambda p: r.PointCloud(tuple(p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), block=st.sampled_from(BLOCK_PAIRS))
+def test_hausdorff_has_the_bits_of_the_scalar_loop(data, block):
+    dim = data.draw(st.integers(1, 3))
+    A, B = data.draw(_clouds(dim, 9)), data.draw(_clouds(dim, 9))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(randfunc, "HAUSDORFF_BLOCK_PAIRS", block)
+        gap = A.distance(B)
+    assert type(gap) is float
+    assert _bits(gap) == _bits(_hausdorff(A.points, B.points))
+
+
+@pytest.mark.parametrize(
+    "block,m_a,m_b",
+    [(1, 13, 11), (3, 13, 11), (7, 13, 11), (None, 150, 120)],
+    ids=["block1", "block3", "block7", "default"],
+)
+def test_hausdorff_of_clouds_larger_than_a_block(block, m_a, m_b, monkeypatch):
+    rng = np.random.default_rng(5)
+    A = r.PointCloud(tuple(map(tuple, rng.uniform(-1.0, 1.0, (m_a, 2)).tolist())))
+    B = r.PointCloud(tuple(map(tuple, rng.uniform(-1.0, 1.0, (m_b, 2)).tolist())))
+    if block is not None:
+        monkeypatch.setattr(randfunc, "HAUSDORFF_BLOCK_PAIRS", block)
+    assert m_a * m_b > randfunc.HAUSDORFF_BLOCK_PAIRS
+    for a, b in [(A, B), (B, A)]:
+        assert _bits(a.distance(b)) == _bits(_hausdorff(a.points, b.points))
+
+
+@pytest.mark.parametrize(
+    "a,b,gap",
+    [
+        ([(1.7e308,)], [(-1.7e308,)], math.inf),
+        ([(1.7e308, 0.0), (-1.7e308, 0.0)], [(-1.7e308, 0.0), (1.7e308, 0.0)], 0.0),
+        ([(1.7e308,), (-1.7e308,)], [(1.7e308,)], math.inf),
+        ([(1.7e308,), (0.0,)], [(0.0,), (-1.6e308,)], 1.7e308),
+    ],
+    ids=["overflow", "equal-as-sets", "one-side-overflows", "finite-beside-overflow"],
+)
+def test_hausdorff_gap_that_overflows_is_inf_as_in_python(a, b, gap):
+    A, B = r.PointCloud(tuple(a)), r.PointCloud(tuple(b))
+    assert _bits(A.distance(B)) == _bits(_hausdorff(A.points, B.points)) == _bits(gap)
+
+
+def _copy(value):
+    """An equal value that is another object."""
+    if isinstance(value, r.Box):
+        return r.Box(tuple(list(value.lower)), tuple(list(value.upper)))
+    if isinstance(value, r.PointCloud):
+        return r.PointCloud(tuple(tuple(list(p)) for p in value.points))
+    return tuple(list(value))
+
+
+@st.composite
+def shared_or_copied(draw, values):
+    """A map that gives each scenario a palette value itself or a copy."""
+    space = draw(spaces())
+    palette = draw(st.lists(values, min_size=1, max_size=3))
+    out = {}
+    for s in space.scenarios:
+        value = draw(st.sampled_from(palette))
+        out[s] = _copy(value) if draw(st.booleans()) else value
+    return space, out
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_shared_and_copied_sets_match_the_previous_code(data):
+    dim = data.draw(st.integers(1, 2))
+    space, descs = data.draw(shared_or_copied(descriptions(dim, ["box", "cloud"])))
+    assert_same_as_previous_setmap(space, r.RandomSet(space, descs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), tol=tolerance)
+def test_shared_and_copied_points_match_the_previous_code(data, tol):
+    dim = data.draw(st.integers(1, 2))
+    space, values = data.draw(shared_or_copied(st.tuples(*[coordinate] * dim)))
+    xi = r.RandomVariableRn(space, values)
+    assert_same_outcome(r.is_measurable_rv, reference_is_measurable_rv, space, xi, tol)
+
+
+@st.composite
+def mixed_size_cloud_maps(draw):
+    """Atoms of clouds of 1 to 6 points, some shared, some copied, some
+    permuted with duplicates, and some different."""
+    space = draw(spaces())
+    dim = draw(st.integers(1, 2))
+    palette = draw(st.lists(_clouds(dim, 6), min_size=1, max_size=3))
+    descs = {}
+    for s in space.scenarios:
+        cloud = draw(st.sampled_from(palette))
+        descs[s] = draw(st.sampled_from([cloud, _copy(cloud), _variant(draw, cloud)]))
+    return space, r.RandomSet(space, descs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), block=st.sampled_from(BLOCK_PAIRS))
+def test_clouds_of_mixed_sizes_match_the_previous_code(data, block):
+    space, C = data.draw(mixed_size_cloud_maps())
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(randfunc, "HAUSDORFF_BLOCK_PAIRS", block)
+        assert_same_as_previous_setmap(space, C)
+
+
+def test_a_shared_cloud_is_not_compared_and_a_copy_is(monkeypatch):
+    space = _one_atom(4)
+    cloud = r.PointCloud(((0.0, 1.0), (2.0, -1.0)))
+    other = r.PointCloud(((2.0, -1.0), (0.0, 1.0), (3.0, 3.0)))
+    C = r.RandomSet(space, {1: cloud, 2: cloud, 3: _copy(cloud), 4: other})
+    calls = []
+    original = randfunc._hausdorff
+    monkeypatch.setattr(
+        randfunc, "_hausdorff", lambda A, B: calls.append(1) or original(A, B)
+    )
+    v = r.is_measurable_setmap(space, C)
+    assert (v.witness.scenario_a, v.witness.scenario_b, len(calls)) == (1, 4, 2)
+    monkeypatch.undo()
+    assert_same_as_previous_setmap(space, C)
