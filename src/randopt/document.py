@@ -31,7 +31,7 @@ from .errors import (
 )
 from .optimize import SolverOptions
 from .probspace import ProbSpace, RandomVariableRn, Scenario, make_space
-from .randfunc import Box, LevelSet, PointCloud, RandomFunction, RandomSet
+from .randfunc import Box, LevelSet, PointCloud, RandomFunction, RandomSet, SetDescription
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ def _build_feasible(
     used = _KIND_FIELDS[kind]
     unused = f"not used by kind {kind!r}"
 
-    def build(fields: dict, pointer: str, omega: Scenario):
+    def build(fields: dict, pointer: str, omega: Scenario) -> SetDescription:
         if kind == "box":
             if "lower" not in fields or "upper" not in fields:
                 raise SchemaError(pointer, "box needs 'lower' and 'upper'")

@@ -225,8 +225,8 @@ def _hausdorff(A: np.ndarray, B: np.ndarray) -> float:
     The rows of A go in blocks of as many rows, at least one, as make at
     most ``HAUSDORFF_BLOCK_PAIRS`` pairs with the rows of B.  Subtraction,
     ``abs``, ``min`` and ``max`` round as Python's do, and |b - a| is
-    |a - b|, so every gap has the bits of the scalar loop; a difference
-    that overflows is inf, as in Python.
+    |a - b|, so on float coordinates every gap has the bits of the scalar
+    loop; a difference that overflows is inf, as in Python.
     """
     rows = max(1, HAUSDORFF_BLOCK_PAIRS // len(B))
     d_ab = 0.0  # every gap is at least +0.0

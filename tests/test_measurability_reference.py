@@ -7,6 +7,9 @@ at tolerance 0 (``is_measurable_rv`` keeps the pairwise scan at tolerance
 > 0), and evaluate f once per distinct parameter vector.  The inputs are
 finite, as every constructor requires.  On them the checks must return the
 same verdict and the same witness, bit for bit, or raise the same error.
+``_hausdorff`` is the previous scalar Hausdorff loop: the distance of point
+clouds as arrays, in blocks, must have its bits, also where scenarios
+share one object, which the checks no longer compare.
 """
 
 import math
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
+from randopt import randfunc
 from randopt.randfunc import eval_f_batch
 
 # --- the previous pairwise scans ----------------------------------------------
@@ -342,8 +346,6 @@ def test_joint_witness_is_the_first_probe_where_the_pair_differs(probes, probe):
 
 
 # --- point clouds as arrays, and values shared by scenarios ---------------------
-
-from randopt import randfunc  # noqa: E402
 
 
 def _hausdorff(A, B):
