@@ -1,66 +1,15 @@
-"""Deterministic JSON emission for reports.
+"""JSON emission for reports.
 
-The stdlib encoder writes floats via ``repr``; reports instead serialize
-every float with 17 significant digits so values round-trip exactly and
-identical runs produce byte-identical files.
+The stdlib encoder spells every float with ``repr``, the shortest text
+that reads back as the same double, so ``json.loads`` returns each float
+with its bits, the sign of -0.0 and the type of 1.0 included.  NaN and
+infinities raise ValueError: a report holds only finite numbers.
 """
 
 from __future__ import annotations
 
 import json
-import math
-
-
-def _fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value {v!r} cannot appear in a report")
-    return format(v, ".17g")
-
-
-def _emit(obj, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(inner)
-            _emit(item, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(inner + json.dumps(key) + ": ")
-            _emit(value, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def dumps(obj) -> str:
-    out: list[str] = []
-    _emit(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

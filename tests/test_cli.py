@@ -200,14 +200,6 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert out1.read_bytes() == out2.read_bytes(), (doc_name, command)
 
 
-def test_float_serialization_17_digits(tmp_path):
-    from randopt._jsonout import dumps
-
-    text = dumps({"v": 0.1})
-    assert '"v": 0.10000000000000001' in text
-    assert json.loads(text)["v"] == 0.1
-
-
 # --- argparse entry point -----------------------------------------------------------
 
 

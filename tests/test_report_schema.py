@@ -1,16 +1,20 @@
 """Every report validates against ``report.schema.json``, which gives each
 command's ``results`` its own shape: a key that a command does not write
-fails validation instead of slipping through."""
+fails validation instead of slipping through.  Every report also reads
+back with the types and bits of its numbers."""
 
 import copy
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from randopt import _jsonout
 from randopt.cli import COMMANDS, run
 from randopt.document import load_problem
 
@@ -87,3 +91,53 @@ def test_a_stationary_point_may_leave_out_its_minors_and_nothing_else():
         del broken["results"]["stationary_points"]["1"][0][key]
         with pytest.raises(jsonschema.ValidationError, match=key):
             VALIDATOR.validate(broken)
+
+
+# --- float encoding ------------------------------------------------------------
+
+
+def _same(a, b) -> bool:
+    """Equal, with the same type everywhere and the same bits in every float."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_every_report_reads_back_with_its_float_bits(tmp_path, monkeypatch):
+    # a 17-digit writer spelled -0.0 as -0 and 1.0 as 1, which read back as ints
+    reports = []
+    dumps = _jsonout.dumps
+    monkeypatch.setattr(_jsonout, "dumps", lambda obj: reports.append(obj) or dumps(obj))
+    out = tmp_path / "report.json"
+    for document in sorted(GALLERY.glob("*.json")):
+        for command in COMMANDS:
+            run(command, load_problem(str(document)), str(out))
+    path = tmp_path / "doc.json"
+    for _, job in BENCHMARK_JOBS:
+        path.write_text(json.dumps(job.doc))
+        run(job.command, load_problem(str(path)), str(out))
+    assert len(reports) == 6 * len(COMMANDS) + len(BENCHMARK_JOBS)
+    for report in reports:
+        assert _same(json.loads(dumps(report)), report), report["command"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.0**53, -1e22])
+    | st.integers(-(2**60), 2**60).map(float)
+)
+def test_a_finite_float_reads_back_with_its_bits(v):
+    assert _same(json.loads(_jsonout.dumps({"v": [v]})), {"v": [v]})
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_float_cannot_be_written(v):
+    with pytest.raises(ValueError):
+        _jsonout.dumps({"v": v})
