@@ -11,7 +11,9 @@ Identifiers are decision variables ``x1..xn``, scenario parameters
 ``p1..pk``, and the functions ``sin cos exp log sqrt``.  Exponents are
 integer literals, which keeps symbolic differentiation closed over the
 language.  ``^`` binds tighter than unary minus, so ``-x1^2`` is
-``-(x1^2)``.
+``-(x1^2)``.  A number or an exponent that overflows a float, such as
+``1e400``, is a ParseError at its offset, as the document schema rejects
+``1e400`` as a number.
 
 Evaluation has one lowering, one renderer and one runner.  ``_Compiler``
 lowers a bundle of trees (an objective, its n partial derivatives, or its
@@ -237,7 +239,10 @@ def pow_(base: Node, exponent: int) -> Node:
     if isinstance(base, Num):
         if base.value == 0.0 and exponent < 0:
             return Pow(base, exponent)  # keep: eval must raise DivByZero
-        v = base.value ** exponent
+        try:
+            v = base.value ** exponent
+        except OverflowError:  # float ** int raises where the power overflows
+            return Pow(base, exponent)
         if _finite(v):
             return Num(v)
     return Pow(base, exponent)
@@ -279,6 +284,14 @@ def _tokenize(text: str) -> Iterator[_Token]:
         yield _Token(kind, m.group(), pos)
         pos = m.end()
     yield _Token("end", "", len(text))
+
+
+def _finite_literal(tok: _Token, what: str) -> float:
+    """The float of a number token; ParseError where it overflows to inf."""
+    value = float(tok.text)
+    if math.isinf(value):
+        raise ParseError(f"{what} overflows a float", tok.offset)
+    return value
 
 
 class _Parser:
@@ -364,7 +377,9 @@ class _Parser:
             tok = self.peek()
         if tok.kind == "num" and tok.text.isdigit():
             self.advance()
-            return sign * int(tok.text)
+            _finite_literal(tok, "integer exponent")
+            # a finite float has at most 309 integral digits, within int()'s limit
+            return sign * int(tok.text.lstrip("0") or "0")
         raise ParseError(
             f"expected integer exponent, found {tok.text or 'end of input'!r}",
             tok.offset,
@@ -374,7 +389,7 @@ class _Parser:
     def base(self) -> Node:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(_finite_literal(tok, "number"))
         if tok.kind == "ident":
             m = _VAR_RE.match(tok.text)
             if m:
@@ -825,7 +840,9 @@ def tree_gap(a: Node, b: Node) -> float:
     """Largest numeric-literal deviation between structurally equal trees.
 
     Returns ``inf`` when the trees differ in shape, operator, index, or
-    exponent; 0.0 when they are identical.
+    exponent; 0.0 when they are identical.  Parsed literals are finite,
+    but a tree built by hand may hold inf, whose gap from itself is NaN;
+    that reads as inf.
     """
     if type(a) is not type(b):
         return math.inf

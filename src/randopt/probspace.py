@@ -20,8 +20,9 @@ parameter vector, the point that a selection gives a whole atom.  Such a
 value is finite, so it is at gap 0 from itself, and a pair of scenarios
 that hold one object is skipped without a comparison; the verdict and the
 witness are those of the full scan.  The skip also reads a level set as
-equal to itself where ``exprlang.tree_gap`` does not: one whose
-expression holds a literal that overflows to inf.
+equal to itself where ``exprlang.tree_gap`` does not: one whose tree,
+built by hand, holds an infinite number (the parser rejects a literal
+that overflows a float).
 """
 
 from __future__ import annotations

@@ -456,6 +456,68 @@ def test_non_finite_number_is_an_input_error(tmp_path, text, pointer):
     assert report["error"]["message"].startswith(pointer)
 
 
+LEVEL_SET_1D = {
+    "kind": "level_set",
+    "expressions": ["x1 - 1e400"],
+    "box": {"lower": [-1], "upper": [1]},
+}
+
+
+@pytest.mark.parametrize(
+    "objective,feasible,message",
+    [
+        ("x1 - 1e400", None, "number overflows a float (offset 5)"),
+        ("x1^1" + "0" * 400, None, "integer exponent overflows a float (offset 3)"),
+        ("x1^1" + "0" * 5000, None, "integer exponent overflows a float (offset 3)"),
+        ("x1^2", LEVEL_SET_1D, "number overflows a float (offset 5)"),
+    ],
+    ids=["literal", "exponent", "exponent-over-digit-limit", "level-set-literal"],
+)
+@pytest.mark.parametrize("command", ["check-measurable", "solve-rlop", "stationary"])
+def test_a_number_that_overflows_a_float_is_an_input_error(
+    tmp_path, capsys, command, objective, feasible, message
+):
+    # the exponents used to escape as OverflowError and ValueError, and a
+    # level set x1 - 1e400 was at gap inf from itself, so not measurable
+    doc = {
+        "schema_version": 1,
+        "space": {"scenarios": [1, 2], "weights": [0.5, 0.5], "atoms": [[1, 2]]},
+        "dimension": 1,
+        "objective": {"expression": objective},
+        "search_box": {"lower": [-1], "upper": [1]},
+    }
+    if feasible is not None:
+        doc["feasible_set"] = feasible
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    assert main([command, "--input", str(path), "--output", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert (report["status"], report["exit_code"]) == ("input_error", 3)
+    assert report["error"] == {"type": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize("command", ["stationary", "necessary"])
+def test_a_constant_power_that_overflows_leaves_the_gradient_defined(tmp_path, capsys, command):
+    # d/dx1 of 10^400 once folded 10.0 ** 399, which raises OverflowError
+    doc = {
+        "schema_version": 1,
+        "space": {"scenarios": [1, 2], "weights": [0.5, 0.5], "atoms": [[1, 2]]},
+        "dimension": 1,
+        "objective": {"expression": "10^400 + x1^2"},
+        "search_box": {"lower": [-1], "upper": [1]},
+        "candidate": {"1": [0.0], "2": [0.0]},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main([command, "--input", str(path), "--output", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["status"] == "ok"
+
+
 def test_huge_grid_is_an_input_error_without_a_traceback(tmp_path, capsys):
     # the cap is checked before np.linspace builds an axis of 10^20 points
     out = tmp_path / "report.json"

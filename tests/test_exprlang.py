@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randopt import exprlang
 from randopt.errors import DimensionError, DivByZero, DomainViolation, EvalError, ParseError
@@ -81,6 +82,59 @@ def test_precedence_and_associativity():
 
 def test_scientific_literals():
     assert evaluate(parse("1e-2 + 2.5E3", 1, 0), Env((0.0,))) == 0.01 + 2500.0
+
+
+# the largest integer that float() rounds down to the largest double
+LARGEST_FINITE_INT = 2**1024 - 2**970 - 1
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("x1 - 1e400", 5),
+        ("-1e400*x1", 1),
+        ("x1 + 1.7976931348623159e308", 5),
+        ("x1^1" + "0" * 400, 3),
+        ("x1^-1" + "0" * 400, 4),
+        ("x1^" + str(LARGEST_FINITE_INT + 1), 3),
+        ("2*x1^1" + "0" * 5000, 5),  # past int()'s 4300-digit limit
+    ],
+    ids=["literal", "negated-literal", "literal-rounding-to-inf", "exponent",
+         "negative-exponent", "exponent-rounding-to-inf", "exponent-over-digit-limit"],
+)
+def test_a_number_that_overflows_a_float_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError, match="overflows a float") as exc:
+        parse(text, 1, 0)
+    assert exc.value.offset == offset
+
+
+def test_the_largest_finite_numbers_parse_exactly():
+    assert parse("1.7976931348623157e308", 1, 0).root == exprlang.Num(1.7976931348623157e308)
+    assert parse("1e-400", 1, 0).root == exprlang.Num(0.0)  # underflow is finite
+    assert parse("x1^" + str(LARGEST_FINITE_INT), 1, 0).root.exponent == LARGEST_FINITE_INT
+    assert parse("x1^-" + "0" * 5000 + "3", 1, 0).root.exponent == -3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**1100) | st.integers(0, 2**40).map(lambda d: 2**1024 - 2**970 - 2**20 + d))
+def test_an_exponent_parses_exactly_where_float_can_hold_it(k):
+    try:
+        float(k)
+    except OverflowError:
+        with pytest.raises(ParseError):
+            parse(f"x1^{k}", 1, 0)
+    else:
+        assert parse(f"x1^{k}", 1, 0).root.exponent == k
+
+
+def test_a_constant_power_that_overflows_is_kept_unfolded():
+    # float ** int raises OverflowError where float * float gives inf
+    d = differentiate(parse("10^400 + x1^2", 1, 0), 1)
+    assert evaluate(d, Env((3.0,))) == 6.0
+    d = differentiate(parse("10^400*x1", 1, 0), 1)
+    with pytest.raises(EvalError):
+        evaluate(d, Env((3.0,)))
+    assert exprlang.pow_(exprlang.Num(1e-300), -2) == exprlang.Pow(exprlang.Num(1e-300), -2)
 
 
 # --- evaluation --------------------------------------------------------------
