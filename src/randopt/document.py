@@ -357,7 +357,9 @@ def _build_feasible(
     that same frozen object, which the within-atom scans skip as equal to
     itself (``probspace._first_failure``).  A level set holds its
     scenario's parameter vector, and a ``per_scenario`` entry is its
-    scenario's own, so each of those is one object per scenario.
+    scenario's own, so each of those is one object per scenario; a
+    top-level level set's expressions and box are still built once, and
+    every scenario's level set shares them.
     """
     kind = raw["kind"]
     used = _KIND_FIELDS[kind]
@@ -401,7 +403,9 @@ def _build_feasible(
     else:
         _reject_fields(raw, ("kind", *used), "/feasible_set", unused)
         if kind == "level_set":
-            descs = {s: build(raw, "/feasible_set", s) for s in space.scenarios}
+            # parsed once; each scenario's level set holds its own parameters
+            shape = build(raw, "/feasible_set", space.scenarios[0])
+            descs = {s: replace(shape, params=rf.params_of(s)) for s in space.scenarios}
         else:
             descs = dict.fromkeys(space.scenarios, build(raw, "/feasible_set", None))
     return RandomSet(space, descs)

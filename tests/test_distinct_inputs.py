@@ -464,6 +464,22 @@ def test_per_scenario_and_level_sets_are_one_object_per_scenario(tmp_path, kind)
         assert all(descs[s].params is loaded.rf.params_of(s) for s in descs)
 
 
+def test_a_top_level_level_set_is_parsed_once(tmp_path, monkeypatch):
+    # one parse per text: the objective and the two constraints, not the
+    # constraints once per scenario
+    parsed = []
+    _counted(monkeypatch, exprlang, "parse", parsed)
+    box = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    feasible = {"kind": "level_set", "expressions": ["x1 - p1", "x2 + p2"], "box": box}
+    doc = _fixed_document("x1^2 + p1*x2 + p2", SHARED_PARAMS * 63, feasible)
+    loaded = _load(tmp_path, doc)
+    assert [text for text, *_ in parsed] == ["x1^2 + p1*x2 + p2", "x1 - p1", "x2 + p2"]
+    first = loaded.feasible.descriptions[1]
+    for s, desc in loaded.feasible.descriptions.items():
+        assert (desc.constraints, desc.box) == (first.constraints, first.box)
+        assert desc.constraints is first.constraints and desc.params is loaded.rf.params_of(s)
+
+
 @pytest.mark.parametrize(
     "fields,message",
     [
