@@ -333,7 +333,7 @@ def per_distinct_input(
 
 
 def eval_f(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> float:
-    return rf.body.compiled(tuple(x), rf.params_of(omega))[0]
+    return exprlang.evaluate(rf.body, exprlang.Env(tuple(x), rf.params_of(omega)))
 
 
 def eval_f_batch(
