@@ -403,7 +403,6 @@ def _build_feasible(
     else:
         _reject_fields(raw, ("kind", *used), "/feasible_set", unused)
         if kind == "level_set":
-            # parsed once; each scenario's level set holds its own parameters
             shape = build(raw, "/feasible_set", space.scenarios[0])
             descs = {s: replace(shape, params=rf.params_of(s)) for s in space.scenarios}
         else:

@@ -477,8 +477,8 @@ LEVEL_SET_1D = {
 def test_a_number_that_overflows_a_float_is_an_input_error(
     tmp_path, capsys, command, objective, feasible, message
 ):
-    # the exponents used to escape as OverflowError and ValueError, and a
-    # level set x1 - 1e400 was at gap inf from itself, so not measurable
+    # int() and float() of these exponents raise ValueError and
+    # OverflowError, and x1 - 1e400 is at gap inf from itself
     doc = {
         "schema_version": 1,
         "space": {"scenarios": [1, 2], "weights": [0.5, 0.5], "atoms": [[1, 2]]},
@@ -501,7 +501,7 @@ def test_a_number_that_overflows_a_float_is_an_input_error(
 
 @pytest.mark.parametrize("command", ["stationary", "necessary"])
 def test_a_constant_power_that_overflows_leaves_the_gradient_defined(tmp_path, capsys, command):
-    # d/dx1 of 10^400 once folded 10.0 ** 399, which raises OverflowError
+    # d/dx1 of 10^400 holds 10^399, which float ** int cannot fold: it raises
     doc = {
         "schema_version": 1,
         "space": {"scenarios": [1, 2], "weights": [0.5, 0.5], "atoms": [[1, 2]]},

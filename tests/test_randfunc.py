@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import randopt as r
+from randopt import exprlang
 from randopt.errors import DomainMismatch, DomainViolation, IncompatibleRepresentation
 from randopt.randfunc import halton_points
 
@@ -38,6 +39,16 @@ def test_eval_f_examples(space3):
     assert r.eval_f(rf2, 1, (0.0,)) == 3.0
     rf3 = shifted_parabola(space3, {1: (2.0,), 2: (2.0,), 3: (2.0,)})
     assert r.eval_f(rf3, 3, (2.0,)) == 0.0
+
+
+def test_eval_f_goes_through_evaluate(space3, monkeypatch):
+    # the benchmark's trace-mode coverage check counts exprlang.evaluate calls
+    calls = []
+    evaluate = exprlang.evaluate
+    monkeypatch.setattr(exprlang, "evaluate", lambda e, env: calls.append(env) or evaluate(e, env))
+    rf = shifted_parabola(space3, {1: (2.0,), 2: (2.0,), 3: (-0.5,)})
+    assert r.eval_f(rf, 3, [1.5]) == 4.0
+    assert calls == [exprlang.Env((1.5,), (-0.5,))]
 
 
 def test_eval_f_unknown_scenario(space3):
