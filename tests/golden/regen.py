@@ -36,8 +36,9 @@ DOCUMENTS = HERE / "documents"
 # minor overflows and is left out of the stationary report, then a
 # necessary check of a Hessian of -1.7e308 whose row sums overflow, and
 # a zero minimum whose first grid node gives -0, a box whose span passes
-# the largest double, and last a box whose bound sum passes it, so that its
-# center is a probe
+# the largest double, a box whose bound sum passes it, so that its center
+# is a probe, and last a parameter whose square C's pow() misrounds, where
+# the certificate value and eta must agree
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -75,6 +76,8 @@ CORPUS = [
     (DOCUMENTS / "overflowing_span.json", "oracle"),
     (DOCUMENTS / "overflowing_center.json", "check-measurable"),
     (DOCUMENTS / "overflowing_center.json", "solve-rop"),
+    (DOCUMENTS / "square_rounding.json", "solve-rlop"),
+    (DOCUMENTS / "square_rounding.json", "oracle"),
 ]
 
 
