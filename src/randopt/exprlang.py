@@ -45,12 +45,22 @@ each shaped to broadcast along its own dimension, with the mask in the
 grid's shape, which gives ``eval_batch``'s bits on the grid's rows.
 ``_ROW_KERNELS`` keep the bundles' bits instead: ``+ - * /``, negation,
 ``sqrt`` and the checks are numpy, which rounds them as the scalars do,
-while ``**``, ``exp``, ``log``, ``sin`` and ``cos`` call the scalar
-operation on each element.
+while ``exp``, ``log``, ``sin``, ``cos`` and every power but a square call
+the scalar operation on each element.
 An element whose operation raises (overflow, a math domain error, zero to
 a negative power, also on a row already cleared) becomes NaN, and a
 finite check after it clears the row.  So ``eval_rows`` finds a row
 valid exactly where the bundle returns, with the bundle's values.
+
+A square ``u^2`` is one multiplication ``u * u`` in every runner, the
+bundles and ``run_rows`` on either kernel table, and so is a constant
+square that ``pow_`` folds.  The product is correctly rounded, while the
+C library's ``pow`` misrounds about one square in a thousand, so a square
+has the same bits in every evaluator.  Other powers call ``pow`` (numpy's
+power in ``eval_batch`` and ``eval_grid``).  A bundle computes the power
+too where the product is not finite, only to raise the walk's error:
+"overflow in power" for a float, a non-finite result for an
+``np.float64``.
 """
 
 from __future__ import annotations
@@ -239,10 +249,13 @@ def pow_(base: Node, exponent: int) -> Node:
     if isinstance(base, Num):
         if base.value == 0.0 and exponent < 0:
             return Pow(base, exponent)  # keep: eval must raise DivByZero
-        try:
-            v = base.value ** exponent
-        except OverflowError:  # float ** int raises where the power overflows
-            return Pow(base, exponent)
+        if exponent == 2:
+            v = base.value * base.value  # as every evaluator squares
+        else:
+            try:
+                v = base.value ** exponent
+            except OverflowError:  # float ** int raises where the power overflows
+                return Pow(base, exponent)
         if _finite(v):
             return Num(v)
     return Pow(base, exponent)
@@ -450,7 +463,8 @@ class _Compiler:
     """A bundle of trees lowered to steps ``(op, out, args, extra)``.
 
     Value steps compute ``out`` from the values named in ``args``; "x" and
-    "p" load input ``extra``, and "**" raises to the constant ``extra``.
+    "p" load input ``extra``, and "**" raises to the constant ``extra``,
+    which ``squares`` tells apart.
     Check steps, "nonzero" (message ``extra``) and "finite", test their
     one argument and have no ``out``."""
 
@@ -490,6 +504,10 @@ class _Compiler:
             self.names[key] = f"c{len(self.names)}"
             self.constants[self.names[key]] = value
         return self.names[key]
+
+    def squares(self, extra: str) -> bool:
+        """Whether the "**" step with constant ``extra`` squares."""
+        return self.constants[extra] == 2
 
     def check_nonzero(self, name: str, message: str) -> None:
         # a value that passed one zero check passes every later one
@@ -564,6 +582,14 @@ class _Compiler:
                 yield f"if not isfinite({a}): raise DomainViolation('non-finite intermediate result')"
             elif len(args) == 2:
                 yield f"{t} = {a} {op} {args[1]}"
+            elif op == "**" and self.squares(extra):
+                # the power only for its OverflowError, where a float overflows
+                yield f"{t} = {a} * {a}"
+                yield f"if not isfinite({t}):"
+                yield "    try:"
+                yield f"        {t} = {a} ** {extra}"
+                yield "    except OverflowError:"
+                yield "        raise DomainViolation('overflow in power') from None"
             else:  # a power or a function, where Python raises OverflowError
                 yield "try:"
                 if op == "log":
@@ -596,7 +622,8 @@ class _Compiler:
             elif op == "p":
                 env[t] = P[extra]
             elif op == "**":
-                env[t] = kernels["**"](env[args[0]], self.constants[extra])
+                a = env[args[0]]
+                env[t] = a * a if self.squares(extra) else kernels["**"](a, self.constants[extra])
             elif op == "log":
                 a = env[args[0]]
                 valid &= a > 0.0

@@ -1,7 +1,11 @@
 """The compiled scalar evaluator against the tree walk it replaced.
 
-``_eval_node`` below is the previous evaluator, verbatim: it walked the
-tree on every call and recomputed every shared subtree.  ``evaluate``,
+``_eval_node`` below is the previous evaluator, verbatim but for squares:
+it walked the tree on every call and recomputed every shared subtree.  It
+squared with ``base ** 2``, which calls the C library's ``pow`` and
+misrounds about one square in a thousand; every evaluator now squares by
+one multiplication, so the walk does too, and computes the power only
+where the product is not finite, for the power's error.  ``evaluate``,
 ``eval_f``, ``gradient`` and ``hessian`` now run straight-line code,
 compiled once per bundle, that computes each distinct subexpression once.
 At every input they must return the same value (same bits, same type) or
@@ -65,10 +69,13 @@ def _eval_node(node, x, p):
         base = _eval_node(node.base, x, p)
         if base == 0.0 and node.exponent < 0:
             raise DivByZero("zero raised to a negative power")
-        try:
-            v = base ** node.exponent
-        except OverflowError:
-            raise DomainViolation("overflow in power") from None
+        if node.exponent == 2 and math.isfinite(base * base):
+            v = base * base
+        else:
+            try:
+                v = base ** node.exponent
+            except OverflowError:
+                raise DomainViolation("overflow in power") from None
     elif isinstance(node, Call):
         arg = _eval_node(node.arg, x, p)
         try:

@@ -1,8 +1,9 @@
 """The row kernels against the compiled bundles whose bits they keep.
 
 ``exprlang.eval_rows`` runs a bundle's lowered steps on the rows of an
-array, numpy for the exact operations and the scalar operation on each
-element for ``**``, ``exp``, ``log``, ``sin`` and ``cos``.  At every row
+array, numpy for the exact operations and squares, and the scalar
+operation on each element for other powers, ``exp``, ``log``, ``sin`` and
+``cos``.  At every row
 it must find the row valid exactly when the bundle, called at that row as
 ``optimize`` calls it (``tuple(x)`` of ``np.float64`` elements, the
 parameters as floats), returns; and there every value must have the
