@@ -53,8 +53,9 @@ finite check after it clears the row.  So ``eval_rows`` finds a row
 valid exactly where the bundle returns, with the bundle's values.
 
 A square ``u^2`` is one multiplication ``u * u`` in every runner, the
-bundles and ``run_rows`` on either kernel table, and so is a constant
-square that ``pow_`` folds.  The product is correctly rounded, while the
+bundles and ``run_rows`` on either kernel table (``np.square``, which
+multiplies each element by itself), and so is a constant square that
+``pow_`` folds.  The product is correctly rounded, while the
 C library's ``pow`` misrounds about one square in a thousand, so a square
 has the same bits in every evaluator.  Other powers call ``pow`` (numpy's
 power in ``eval_batch`` and ``eval_grid``).  A bundle computes the power
@@ -623,7 +624,7 @@ class _Compiler:
                 env[t] = P[extra]
             elif op == "**":
                 a = env[args[0]]
-                env[t] = a * a if self.squares(extra) else kernels["**"](a, self.constants[extra])
+                env[t] = np.square(a) if self.squares(extra) else kernels["**"](a, self.constants[extra])
             elif op == "log":
                 a = env[args[0]]
                 valid &= a > 0.0
