@@ -279,8 +279,12 @@ ROW_KERNEL_MIN_ROWS = 40
 # Newton stacks at most this many starts at once, splitting the scenarios.
 NEWTON_STACK_ROWS = 1 << 15
 # A box scan evaluates at most this many grid nodes at once, unless one
-# slab of its split axis holds more.
-SCAN_BLOCK_NODES = 1 << 15
+# slab of its split axis holds more.  A block's float arrays (120 KiB)
+# stay under glibc's 128 KiB mmap threshold, and malloc reuses their pages
+# from block to block.  Blocks of 256 KiB made 12,000 to 26,000 page faults
+# per global-grid pass, as the heap's layout let malloc return pages to the
+# system and fault them in again; blocks of this size make almost none.
+SCAN_BLOCK_NODES = 15 << 10
 
 
 def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

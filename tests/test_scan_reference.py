@@ -224,13 +224,13 @@ def test_a_set_of_another_kind_or_dimension_raises_as_before(monkeypatch):
 
 
 def test_a_scan_builds_no_grid_sized_array(monkeypatch):
-    # at the default block size, 401^2 nodes make 5 blocks of 81 slabs or
+    # at the default block size, 401^2 nodes make 11 blocks of 38 slabs or
     # fewer, each evaluated once
     rf = _one_scenario("(x1 - 0.3)^2 + (x2 + 0.2)^2", 2)
     box = Box((-1.0, -1.0), (1.0, 1.0))
     scans = record_scans(monkeypatch, optimize.SCAN_BLOCK_NODES)
     point, eta, excluded = optimize.scan_min(rf, 1, box, 401, EQUATION_TOL)
     assert scanned_grids(scans, optimize.SCAN_BLOCK_NODES) == [((401, 401), ())]
-    assert [tuple(map(len, axes)) for axes, _ in scans[0][3]] == [(81, 401)] * 4 + [(77, 401)]
+    assert [tuple(map(len, axes)) for axes, _ in scans[0][3]] == [(38, 401)] * 10 + [(21, 401)]
     assert excluded == 0 and abs(eta) < 1e-12
     assert np.allclose(point, (0.3, -0.2), rtol=0.0, atol=1e-12)
