@@ -37,8 +37,8 @@ DOCUMENTS = HERE / "documents"
 # necessary check of a Hessian of -1.7e308 whose row sums overflow, and
 # a zero minimum whose first grid node gives -0, a box whose span passes
 # the largest double, a box whose bound sum passes it, so that its center
-# is a probe, and last a parameter whose square C's pow() misrounds, where
-# the certificate value and eta must agree
+# is a probe, a parameter whose square C's pow() misrounds, where the
+# certificate value and eta must agree, and last the same with exp(p1)
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -78,6 +78,8 @@ CORPUS = [
     (DOCUMENTS / "overflowing_center.json", "solve-rop"),
     (DOCUMENTS / "square_rounding.json", "solve-rlop"),
     (DOCUMENTS / "square_rounding.json", "oracle"),
+    (DOCUMENTS / "exp_rounding.json", "solve-rlop"),
+    (DOCUMENTS / "exp_rounding.json", "oracle"),
 ]
 
 
