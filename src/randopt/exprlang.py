@@ -34,39 +34,35 @@ at the first failing check, with the walk's exception class and message;
 The bundle carries its steps as ``bundle.lowered``.
 
 ``_Compiler.run_rows`` runs the steps on rows given as one column per
-variable and one per parameter (of one element or one per row), through a
-kernel table: a failing check clears its rows in a mask, leaves are
-one-element arrays that broadcast, and each value is freed after its last
-use.  It skips the finite check of a value that only ``+ - *`` steps read
-(``covered``): those steps give a non-finite operand a non-finite value,
-which their own checks catch.  ``eval_batch`` runs it with numpy's array
-kernels on the columns of an array; ``eval_grid`` on the axes of a grid,
-each shaped to broadcast along its own dimension, with the mask in the
-grid's shape, which gives ``eval_batch``'s bits on the grid's rows.
-``_ROW_KERNELS`` keep the bundles' bits instead: ``+ - * /``, negation,
-``sqrt`` and the checks are numpy, which rounds them as the scalars do,
-while ``exp``, ``log``, ``sin``, ``cos`` and every power but a square call
-the scalar operation on each element.
-An element whose operation raises (overflow, a math domain error, zero to
-a negative power, also on a row already cleared) becomes NaN, and a
-finite check after it clears the row.  So ``eval_rows`` finds a row
-valid exactly where the bundle returns, with the bundle's values.
+variable and one per parameter (of one element or one per row), with
+numpy's array kernels: a failing check clears its rows in a mask, leaves
+are one-element arrays that broadcast, and each value is freed after its
+last use.  It skips the finite check of a value that only ``+ - *`` steps
+read (``covered``): those steps give a non-finite operand a non-finite
+value, which their own checks catch.  ``eval_batch`` runs it on the
+columns of an array, ``eval_rows`` on the rows of a bundle's inputs, and
+``eval_grid`` on the axes of a grid, each shaped to broadcast along its
+own dimension, with the mask in the grid's shape.
 
-A square ``u^2`` is one multiplication ``u * u`` in every runner, the
-bundles and ``run_rows`` on either kernel table (``np.square``, which
-multiplies each element by itself), and so is a constant square that
-``pow_`` folds.  The product is correctly rounded, while the
-C library's ``pow`` misrounds about one square in a thousand, so a square
-has the same bits in every evaluator.  Other powers call ``pow`` (numpy's
-power in ``eval_batch`` and ``eval_grid``).  A bundle computes the power
-too where the product is not finite, only to raise the walk's error:
-"overflow in power" for a float, a non-finite result for an
-``np.float64``.
+Every runner takes its bits from one place.  ``+ - * /``, negation and
+``sqrt`` are correctly rounded, so Python and numpy agree on them.  A
+square ``u^2`` is one multiplication ``u * u`` (``np.square`` on arrays),
+also where ``pow_`` folds a constant.  ``exp``, ``log``, ``sin``, ``cos``
+and every other power are numpy's (``np.power`` with the exponent as a
+float), on a bundle's floats as on arrays, and so is ``pow_``'s fold.
+These are numpy's bits on the host it runs on: numpy's exp is not
+correctly rounded, and numpy picks its SIMD loop by CPU, so what the
+tests pin is that the runners agree, not a libm's bits.  A bundle turns
+each numpy value into a float, as ``math`` returned, and calls numpy under
+an ``errstate``, so no warning escapes.  Where a power or ``exp`` of a
+finite operand is not finite, the bundle raises the walk's overflow error
+("overflow in power", "overflow in function application"); a non-finite
+operand fails the finite check after the step.  So ``eval_rows`` finds a
+row valid exactly where the bundle returns, with the bundle's values.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -253,10 +249,8 @@ def pow_(base: Node, exponent: int) -> Node:
         if exponent == 2:
             v = base.value * base.value  # as every evaluator squares
         else:
-            try:
-                v = base.value ** exponent
-            except OverflowError:  # float ** int raises where the power overflows
-                return Pow(base, exponent)
+            with np.errstate(all="ignore"):  # as every evaluator powers
+                v = float(np.power(base.value, float(exponent)))
         if _finite(v):
             return Num(v)
     return Pow(base, exponent)
@@ -447,12 +441,17 @@ def parse(text: str, n: int, k: int = 0) -> Expression:
 
 # The globals of a compiled bundle.  Constants join them as c<j>, so the
 # generated source holds only generated names, indices and these names.
+# The functions and powers are numpy's ufuncs, which the array runners
+# call too.  sqrt may be math's: IEEE sqrt is correctly rounded in both
+# libraries, so the bits are the same.
 _RUNTIME = {
     "isfinite": math.isfinite,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
+    "errstate": np.errstate,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "power": np.power,
     "sqrt": math.sqrt,
     "DivByZero": DivByZero,
     "DomainViolation": DomainViolation,
@@ -464,8 +463,8 @@ class _Compiler:
     """A bundle of trees lowered to steps ``(op, out, args, extra)``.
 
     Value steps compute ``out`` from the values named in ``args``; "x" and
-    "p" load input ``extra``, and "**" raises to the constant ``extra``,
-    which ``squares`` tells apart.
+    "p" load input ``extra``, and "**" raises to the float constant
+    ``extra``, which ``squares`` tells apart.
     Check steps, "nonzero" (message ``extra``) and "finite", test their
     one argument and have no ``out``."""
 
@@ -535,7 +534,7 @@ class _Compiler:
         elif kind is Call:
             key = (kind, self.visit(node.arg), node.func)
         elif kind is Pow:
-            key = (kind, self.visit(node.base), self.constant(node.exponent))
+            key = (kind, self.visit(node.base), self.constant(float(node.exponent)))
         elif kind is Div:
             right = self.visit(node.right)  # the denominator and its check first
             self.check_nonzero(right, "division by zero")
@@ -584,28 +583,24 @@ class _Compiler:
             elif len(args) == 2:
                 yield f"{t} = {a} {op} {args[1]}"
             elif op == "**" and self.squares(extra):
-                # the power only for its OverflowError, where a float overflows
                 yield f"{t} = {a} * {a}"
-                yield f"if not isfinite({t}):"
-                yield "    try:"
-                yield f"        {t} = {a} ** {extra}"
-                yield "    except OverflowError:"
-                yield "        raise DomainViolation('overflow in power') from None"
-            else:  # a power or a function, where Python raises OverflowError
-                yield "try:"
+                yield f"if not isfinite({t}) and isfinite({a}): raise DomainViolation('overflow in power')"
+            elif op == "sqrt":
+                yield f"if {a} < 0.0: raise DomainViolation(f'sqrt of negative value {{{a}!r}}')"
+                yield f"{t} = sqrt({a})"
+            else:  # numpy, where a power or exp can overflow
                 if op == "log":
-                    yield f"    if {a} <= 0.0: raise DomainViolation(f'log of non-positive value {{{a}!r}}')"
-                elif op == "sqrt":
-                    yield f"    if {a} < 0.0: raise DomainViolation(f'sqrt of negative value {{{a}!r}}')"
-                yield f"    {t} = {a} ** {extra}" if op == "**" else f"    {t} = {op}({a})"
-                yield "except OverflowError:"
-                what = "power" if op == "**" else "function application"
-                yield f"    raise DomainViolation('overflow in {what}') from None"
+                    yield f"if {a} <= 0.0: raise DomainViolation(f'log of non-positive value {{{a}!r}}')"
+                call = f"power({a}, {extra})" if op == "**" else f"{op}({a})"
+                yield f"with errstate(all='ignore'): {t} = float({call})"
+                if op == "**" or op == "exp":
+                    what = "power" if op == "**" else "function application"
+                    yield f"if not isfinite({t}) and isfinite({a}): raise DomainViolation('overflow in {what}')"
 
-    def run_rows(self, X: Sequence, P: Sequence, valid: np.ndarray, kernels: dict) -> list:
+    def run_rows(self, X: Sequence, P: Sequence, valid: np.ndarray) -> list:
         """The steps on rows, with ``X[j]`` the column of variable j and
         ``P[j]`` that of parameter j (one element, or one per row), through
-        ``kernels``; a failed check clears its rows in ``valid``.  Returns
+        ``_ARRAY_KERNELS``; a failed check clears its rows in ``valid``.  Returns
         the values of the results, each of one element or one per row.
         Constants are one-element arrays of the dtype ``np.full`` gives
         them.  Columns only need to broadcast with ``valid``, so a grid's
@@ -624,56 +619,25 @@ class _Compiler:
                 env[t] = P[extra]
             elif op == "**":
                 a = env[args[0]]
-                env[t] = np.square(a) if self.squares(extra) else kernels["**"](a, self.constants[extra])
+                env[t] = np.square(a) if self.squares(extra) else np.power(a, self.constants[extra])
             elif op == "log":
                 a = env[args[0]]
                 valid &= a > 0.0
-                env[t] = kernels["log"](np.where(a > 0.0, a, 1.0))
+                env[t] = np.log(np.where(a > 0.0, a, 1.0))
             elif op == "sqrt":
                 a = env[args[0]]
                 valid &= a >= 0.0
                 env[t] = np.sqrt(np.where(a >= 0.0, a, 0.0))
             else:
-                env[t] = kernels[op](*[env[a] for a in args])
+                env[t] = _ARRAY_KERNELS[op](*[env[a] for a in args])
             for name in dead:
                 del env[name]
         return [env[name] for name in self.results]
 
 
-# what a scalar operation of a bundle raises where numpy returns inf or NaN
-_SCALAR_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
-
-
-def _or_nan(f: Callable, *args) -> float:
-    try:
-        return f(*args)
-    except _SCALAR_ERRORS:
-        return math.nan
-
-
-def _elementwise(f: Callable) -> Callable:
-    """The kernel calling ``f(v, *extra)`` on each element ``v`` as a
-    Python float, as a bundle does; where ``f`` raises, the element is NaN."""
-
-    def kernel(a: np.ndarray, *extra) -> np.ndarray:
-        values = a.tolist()
-        try:
-            return np.array(list(map(f, values, *map(itertools.repeat, extra))), dtype=float)
-        except _SCALAR_ERRORS:
-            return np.array([_or_nan(f, v, *extra) for v in values], dtype=float)
-
-    return kernel
-
-
-_ARITHMETIC = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
-               "*": operator.mul, "/": operator.truediv}
-# numpy's array kernels, which eval_batch runs
-_ARRAY_KERNELS = {**_ARITHMETIC, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-                  "log": np.log, "**": lambda a, k: a ** float(k)}
-# kernels with the bundles' bits, which eval_rows runs
-_ROW_KERNELS = {**_ARITHMETIC, "sin": _elementwise(math.sin), "cos": _elementwise(math.cos),
-               "exp": _elementwise(math.exp), "log": _elementwise(math.log),
-               "**": _elementwise(operator.pow)}
+_ARRAY_KERNELS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+                  "*": operator.mul, "/": operator.truediv,
+                  "sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 def compile_bundle(
@@ -729,7 +693,7 @@ def eval_batch(
         raise ValueError(f"p has length {len(p)}, expected {e.k}")
     valid = np.ones(X.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        values = e.lowered.run_rows(X.T, [np.full(1, v) for v in p], valid, _ARRAY_KERNELS)[0]
+        values = e.lowered.run_rows(X.T, [np.full(1, v) for v in p], valid)[0]
     return np.where(valid, values, np.nan), valid
 
 
@@ -752,24 +716,23 @@ def eval_grid(
     columns = [np.reshape(a, (1,) * i + (-1,) + (1,) * (e.n - 1 - i)) for i, a in enumerate(axes)]
     valid = np.ones(shape, dtype=bool)
     with np.errstate(all="ignore"):
-        values = e.lowered.run_rows(columns, [np.full(1, v) for v in p], valid, _ARRAY_KERNELS)[0]
+        values = e.lowered.run_rows(columns, [np.full(1, v) for v in p], valid)[0]
     return np.where(valid, values, np.nan).ravel(), valid.ravel()
 
 
 def eval_rows(bundle: Callable, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``bundle(x, p)`` at every row x of ``X`` (shape (N, n)) with the row
     p of ``P`` (shape (N, k)) of the same index, for a bundle from
-    ``compile_bundle``, run on ``_ROW_KERNELS``.
+    ``compile_bundle``, run on its lowered steps.
 
     Returns the values, one row of the bundle's results per row, and the
     mask of rows where the bundle returns; the values of the other rows
-    are NaN.  Where the bundle returns, the values are its bits when given
-    ``tuple(x)`` of a float array and ``p`` as floats; see the module
-    docstring.
+    are NaN.  Where the bundle returns, the values are its bits; see the
+    module docstring.
     """
     valid = np.ones(len(X), dtype=bool)
     with np.errstate(all="ignore"):
-        results = bundle.lowered.run_rows(X.T, P.T, valid, _ROW_KERNELS)
+        results = bundle.lowered.run_rows(X.T, P.T, valid)
     out = np.empty((len(X), len(results)))
     for j, values in enumerate(results):
         out[:, j] = values

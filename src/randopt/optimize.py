@@ -296,8 +296,7 @@ def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarr
     elements are ``np.float64``, and at ``p`` as floats.  A stack of
     ``ROW_KERNEL_MIN_ROWS`` rows or more runs the bundle's steps on row
     kernels (``exprlang.eval_rows``); a smaller one calls the bundle per
-    row, where a math domain error (``ValueError``) clears the row as the
-    row kernels do."""
+    row, where an ``EvalError`` clears the row as the row kernels do."""
     if len(X) >= ROW_KERNEL_MIN_ROWS:
         return eval_rows(bundle, X, P)
     width = len(bundle.lowered.results)
@@ -308,7 +307,7 @@ def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarr
         for j, (x, p) in enumerate(zip(zip(*X.T), P.tolist())):
             try:
                 values.append(bundle(x, p))
-            except (EvalError, ValueError):
+            except EvalError:
                 ok[j] = False
                 values.append(undefined)
     return np.array(values, dtype=float).reshape(len(X), width), ok

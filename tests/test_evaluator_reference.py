@@ -1,15 +1,20 @@
 """The compiled scalar evaluator against the tree walk it replaced.
 
-``_eval_node`` below is the previous evaluator, verbatim but for squares:
-it walked the tree on every call and recomputed every shared subtree.  It
-squared with ``base ** 2``, which calls the C library's ``pow`` and
-misrounds about one square in a thousand; every evaluator now squares by
-one multiplication, so the walk does too, and computes the power only
-where the product is not finite, for the power's error.  ``evaluate``,
-``eval_f``, ``gradient`` and ``hessian`` now run straight-line code,
-compiled once per bundle, that computes each distinct subexpression once.
-At every input they must return the same value (same bits, same type) or
-raise the same exception class with the same message.
+``_eval_node`` below is the previous evaluator, verbatim but for the bits
+and the overflow rule it shares with every evaluator.  It walked the tree
+on every call and recomputed every shared subtree.  It squared with
+``base ** 2`` and called ``math`` and the C library's ``pow`` for the
+functions and other powers; every evaluator now squares by one
+multiplication and calls numpy's ``exp``, ``log``, ``sin``, ``cos`` and
+``power`` (sqrt stays ``math``'s, which has the same bits), so the walk
+does too.  It caught ``OverflowError``; numpy returns inf instead, so the
+walk raises the overflow error where a power or a function of a finite
+operand is not finite, and the values of numpy's calls are floats, as
+``math``'s were.  ``evaluate``, ``eval_f``, ``gradient`` and ``hessian``
+now run straight-line code, compiled once per bundle, that computes each
+distinct subexpression once.  At every input they must return the same
+value (same bits, same type) or raise the same exception class with the
+same message.
 """
 
 import copy
@@ -69,32 +74,26 @@ def _eval_node(node, x, p):
         base = _eval_node(node.base, x, p)
         if base == 0.0 and node.exponent < 0:
             raise DivByZero("zero raised to a negative power")
-        if node.exponent == 2 and math.isfinite(base * base):
+        if node.exponent == 2:
             v = base * base
         else:
-            try:
-                v = base ** node.exponent
-            except OverflowError:
-                raise DomainViolation("overflow in power") from None
+            with np.errstate(all="ignore"):
+                v = float(np.power(base, float(node.exponent)))
+        if not math.isfinite(v) and math.isfinite(base):
+            raise DomainViolation("overflow in power")
     elif isinstance(node, Call):
         arg = _eval_node(node.arg, x, p)
-        try:
-            if node.func == "sin":
-                v = math.sin(arg)
-            elif node.func == "cos":
-                v = math.cos(arg)
-            elif node.func == "exp":
-                v = math.exp(arg)
-            elif node.func == "log":
-                if arg <= 0.0:
-                    raise DomainViolation(f"log of non-positive value {arg!r}")
-                v = math.log(arg)
-            else:  # sqrt
-                if arg < 0.0:
-                    raise DomainViolation(f"sqrt of negative value {arg!r}")
-                v = math.sqrt(arg)
-        except OverflowError:
-            raise DomainViolation("overflow in function application") from None
+        if node.func == "log" and arg <= 0.0:
+            raise DomainViolation(f"log of non-positive value {arg!r}")
+        if node.func == "sqrt" and arg < 0.0:
+            raise DomainViolation(f"sqrt of negative value {arg!r}")
+        if node.func == "sqrt":
+            v = math.sqrt(arg)
+        else:
+            with np.errstate(all="ignore"):
+                v = float(getattr(np, node.func)(arg))
+        if not math.isfinite(v) and math.isfinite(arg):
+            raise DomainViolation("overflow in function application")
     else:  # pragma: no cover - exhaustive
         raise TypeError(f"unknown node {node!r}")
     if not math.isfinite(v):
@@ -227,14 +226,15 @@ def test_f_gradient_and_hessian_match_the_tree_walk(root, x, p, as_array):
     [
         ("(x1 + 0)*(x1 + -0)", (-0.0,)),  # 0 and -0 are equal, not the same
         ("x1*x1", (1e200,)),  # non-finite product
-        ("x1^2", (1e200,)),  # OverflowError of float ** int
-        ("x1^2", (np.float64(1e200),)),  # numpy overflows to inf instead
+        ("x1^2", (1e200,)),  # the product overflows
+        ("x1^2", (np.float64(1e200),)),  # the same error for numpy's scalar
         ("x1^-1", (-0.0,)),
         ("log(x1)", (-0.0,)),
         ("log(x1)", (np.float64(-1.0),)),  # the message carries the numpy repr
         ("sqrt(x1)", (-1.0,)),
         ("exp(x1)", (1000.0,)),
-        ("sin(x1)", (math.inf,)),  # math's ValueError passes through
+        ("sin(x1)", (math.inf,)),  # NaN: non-finite intermediate result
+        ("cos(-x1)", (-math.inf,)),
         ("-x1", (math.inf,)),  # Neg is not checked
         ("x1/(x1 - x1)", (1.0,)),
         ("(x1 - 1)^-2 + 1/(x1 - 1)", (1.0,)),
@@ -243,6 +243,33 @@ def test_f_gradient_and_hessian_match_the_tree_walk(root, x, p, as_array):
 def test_guards_match_the_tree_walk(text, x):
     e = parse(text, 1)
     assert outcome(evaluate, e, Env(x)) == outcome(reference_evaluate, e, Env(x))
+
+
+@pytest.mark.parametrize(
+    "text, x, message",
+    [
+        ("x1^2", 1e200, "overflow in power"),
+        ("x1^2", np.float64(1e200), "overflow in power"),
+        ("x1^3", 1e200, "overflow in power"),
+        ("x1^-400", 0.01, "overflow in power"),
+        ("exp(x1)", 1000.0, "overflow in function application"),
+        ("log(x1)", -1.0, "log of non-positive value -1.0"),
+        ("log(x1)", np.float64(-1.0), "log of non-positive value np.float64(-1.0)"),
+        ("sqrt(x1)", -1.0, "sqrt of negative value -1.0"),
+        ("sin(x1)", math.inf, "non-finite intermediate result"),
+        ("cos(-x1)", -math.inf, "non-finite intermediate result"),
+        ("x1^3", math.inf, "non-finite intermediate result"),
+    ],
+)
+def test_errors_keep_their_messages(text, x, message):
+    # numpy gives inf or NaN where math raised; the bundle raises the
+    # walk's messages from the non-finite value, and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):  # numpy's own scalar product
+            with pytest.raises(DomainViolation) as exc:
+                evaluate(parse(text, 1), Env((x,)))
+    assert str(exc.value) == message
 
 
 def test_signed_zero_constants_stay_apart():

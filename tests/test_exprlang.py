@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from randopt import exprlang
 from randopt.errors import DimensionError, DivByZero, DomainViolation, EvalError, ParseError
-from randopt.exprlang import Env, differentiate, evaluate, parse
+from randopt.exprlang import Env, differentiate, eval_batch, evaluate, parse
 
 
 # --- parsing ----------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_an_exponent_parses_exactly_where_float_can_hold_it(k):
 
 
 def test_a_constant_power_that_overflows_is_kept_unfolded():
-    # float ** int raises OverflowError where float * float gives inf
+    # numpy's power gives inf there, and the product of a square too
     d = differentiate(parse("10^400 + x1^2", 1, 0), 1)
     assert evaluate(d, Env((3.0,))) == 6.0
     d = differentiate(parse("10^400*x1", 1, 0), 1)
@@ -136,6 +136,16 @@ def test_a_constant_power_that_overflows_is_kept_unfolded():
         evaluate(d, Env((3.0,)))
     assert exprlang.pow_(exprlang.Num(1e-300), -2) == exprlang.Pow(exprlang.Num(1e-300), -2)
 
+
+
+def test_a_constant_power_folds_with_the_evaluators_bits():
+    # numpy's power and the C library's pow() give this cube different last
+    # bits on some hosts; the fold must have eval_batch's, which numpy's are
+    base = 0.16740182621363697
+    cube = eval_batch(parse("x1^3", 1), np.array([[base]]))[0][0]
+    e = exprlang.substitute_params(parse("p1^3 + x1", 1, 1), (base,))
+    assert e.root == exprlang.Add(exprlang.Num(float(cube)), exprlang.Var(1))
+    assert evaluate(parse("x1^3", 1), Env((base,))) == cube
 
 # --- evaluation --------------------------------------------------------------
 

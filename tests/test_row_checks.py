@@ -1,6 +1,7 @@
 """Row runs that skip covered finite checks against the loop that ran them all.
 
-``reference_run_rows`` is the previous ``_Compiler.run_rows``, verbatim:
+``reference_run_rows`` is the previous ``_Compiler.run_rows``, verbatim
+but for its kernels, which are now the one table that ``run_rows`` runs:
 it ran every finite check.  ``run_rows`` now skips the checks in
 ``_Compiler.covered``, those of a value that is no result and that only
 ``+ - *`` steps read: a non-finite operand gives those steps a non-finite
@@ -38,14 +39,15 @@ from test_batch_reference import K, N, boxes, outcome, points, ps, trees
 # --- the previous step loop ---------------------------------------------------------
 
 
-def reference_run_rows(self, X, P, valid, kernels):
+def reference_run_rows(self, X, P, valid):
     """The steps on rows, with ``X[j]`` the column of variable j and
     ``P[j]`` that of parameter j (one element, or one per row), through
-    ``kernels``; a failed check clears its rows in ``valid``.  Returns
+    ``exprlang._ARRAY_KERNELS``; a failed check clears its rows in ``valid``.  Returns
     the values of the results, each of one element or one per row.
     Constants are one-element arrays of the dtype ``np.full`` gives
     them.  Columns only need to broadcast with ``valid``, so a grid's
     axes can stand for its rows (``eval_grid``)."""
+    kernels = exprlang._ARRAY_KERNELS
     env = {name: np.full(1, value) for name, value in self.constants.items()}
     for (op, t, args, extra), dead in zip(self.steps, self.dead):
         if op == "finite":
@@ -57,11 +59,12 @@ def reference_run_rows(self, X, P, valid, kernels):
         elif op == "p":
             env[t] = P[extra]
         elif op == "**":
-            env[t] = kernels["**"](env[args[0]], self.constants[extra])
+            a = env[args[0]]
+            env[t] = np.square(a) if self.squares(extra) else np.power(a, self.constants[extra])
         elif op == "log":
             a = env[args[0]]
             valid &= a > 0.0
-            env[t] = kernels["log"](np.where(a > 0.0, a, 1.0))
+            env[t] = np.log(np.where(a > 0.0, a, 1.0))
         elif op == "sqrt":
             a = env[args[0]]
             valid &= a >= 0.0

@@ -1,13 +1,15 @@
 """The row kernels against the compiled bundles whose bits they keep.
 
 ``exprlang.eval_rows`` runs a bundle's lowered steps on the rows of an
-array, numpy for the exact operations and squares, and the scalar
-operation on each element for other powers, ``exp``, ``log``, ``sin`` and
-``cos``.  At every row
-it must find the row valid exactly when the bundle, called at that row as
-``optimize`` calls it (``tuple(x)`` of ``np.float64`` elements, the
-parameters as floats), returns; and there every value must have the
-bundle's bits.  The trees are those of ``test_evaluator_reference.py``.
+array with numpy's array kernels, which ``eval_batch`` and ``eval_grid``
+run too, and the bundle calls numpy's ufuncs on floats for ``exp``,
+``log``, ``sin``, ``cos`` and every power but a square.  At every row
+``eval_rows`` must find the row valid exactly when the bundle, called at
+that row as ``optimize`` calls it (``tuple(x)`` of ``np.float64``
+elements, the parameters as floats), returns; and there every value must
+have the bundle's bits.  The trees are those of
+``test_evaluator_reference.py``.  On seeded rows, ``eval_batch``,
+``eval_grid`` and the bundle called with floats must agree with it too.
 """
 
 import math
@@ -17,21 +19,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randopt.exprlang import compile_bundle, eval_rows, parse
+from randopt.exprlang import compile_bundle, eval_batch, eval_grid, eval_rows, parse
 from test_evaluator_reference import K, N, trees
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-308, 1e200, 1e308, -1e308, math.inf, -math.inf, math.nan]
 values = st.one_of(st.sampled_from(SPECIAL), st.floats(-10.0, 10.0), st.floats())
 
 
-def bundle_rows(bundle, X, P):
-    """What the bundle does at each row: None where it raises, else its
-    values' bits."""
+def bundle_rows(bundle, X, P, scalar=np.float64):
+    """What the bundle does at each row, given the elements of ``x`` as
+    ``scalar``: None where it raises, else its values' bits."""
     out = []
-    for x, p in zip(zip(*X.T), P.tolist()):
+    for x, p in zip(X.tolist(), P.tolist()):
         try:
             with np.errstate(all="ignore"):
-                out.append(tuple(struct.pack("<d", v) for v in bundle(x, p)))
+                out.append(tuple(struct.pack("<d", v) for v in bundle(tuple(map(scalar, x)), p)))
         except Exception:
             out.append(None)
     return out
@@ -55,8 +57,8 @@ def assert_rows_match(bundle, X, P):
     st.lists(st.tuples(st.tuples(*[values] * N), st.tuples(*[values] * K)), min_size=1, max_size=8),
 )
 def test_row_kernels_match_the_bundle(roots, rows):
-    # the drawn rows, then seeded ordinary ones, where numpy's array power,
-    # exp and log would differ from the scalar operations now and then
+    # the drawn rows, then seeded ordinary ones, where the C library's
+    # power, exp and log would differ from numpy's now and then
     ordinary = np.random.default_rng(len(rows)).uniform(-5.0, 5.0, (32, N + K))
     X = np.concatenate([np.array([x for x, _ in rows], dtype=float), ordinary[:, :N]])
     P = np.concatenate([np.array([p for _, p in rows], dtype=float).reshape(-1, K), ordinary[:, N:]])
@@ -69,26 +71,36 @@ def test_row_kernels_match_the_bundle(roots, rows):
      "exp(x1)/log(x1) - x1^-2"],
 )
 def test_seeded_rows_match_the_bundle(text):
-    # numpy's array power, exp and log differ from the scalar operations on
-    # a few inputs in a thousand; thousands of rows find them
+    # the C library's power, exp and log differ from numpy's on a few inputs
+    # in a thousand; on thousands of rows every runner must give eval_rows'
+    # bits and mask
     rng = np.random.default_rng(7)
     X = rng.uniform(-5.0, 5.0, (4000, 1))
-    valid = assert_rows_match(compile_bundle([parse(text, 1).root], 1, 0), X, np.empty((4000, 0)))
+    P = np.empty((4000, 0))
+    e = parse(text, 1)
+    bundle = compile_bundle([e.root], 1, 0)
+    valid = assert_rows_match(bundle, X, P)
     assert valid.any()
+    values = eval_rows(bundle, X, P)[0][:, 0]
+    for got, mask in (eval_batch(e, X), eval_grid(e, [X[:, 0]])):
+        assert mask.tolist() == valid.tolist()
+        assert got.tobytes() == values.tobytes()
+    want = [(struct.pack("<d", v),) if ok else None for v, ok in zip(values, valid)]
+    assert bundle_rows(bundle, X, P, scalar=float) == want
 
 
 @pytest.mark.parametrize(
     "text, x",
     [
-        ("x1^2", 1e200),  # Python's float power raises OverflowError
+        ("x1^2", 1e200),  # overflow in power
         ("x1^-400", 0.01),  # a negative exponent overflows too
         ("x1^-3", 0.0),  # zero to a negative power is checked first
         ("x1^-3", -0.0),
         ("1/x1", 0.0),  # a zero denominator
         ("1/(x1 - x1)", 1.0),
-        ("exp(x1)", 1000.0),  # math.exp raises OverflowError
-        ("sin(x1)", math.inf),  # math.sin raises ValueError
-        ("cos(-x1)", -math.inf),
+        ("exp(x1)", 1000.0),  # overflow in function application
+        ("sin(x1)", math.inf),  # NaN: non-finite intermediate result
+        ("cos(-x1)", -math.inf),  # the same
         ("log(x1)", math.nan),
         ("log(x1)", -1.0),
         ("sqrt(x1)", -1.0),
@@ -99,7 +111,7 @@ def test_seeded_rows_match_the_bundle(text):
 )
 def test_guarded_rows_match_the_bundle(text, x):
     # the failing row sits between two valid ones, so its error must clear
-    # it alone, also where the operation raises on the whole column
+    # it alone
     X = np.array([[0.5], [x], [2.0]])
     valid = assert_rows_match(compile_bundle([parse(text, 1).root], 1, 0), X, np.empty((3, 0)))
     assert valid[0] or text.startswith("1/(")
