@@ -588,23 +588,23 @@ class _Compiler:
             elif op == "sqrt":
                 yield f"if {a} < 0.0: raise DomainViolation(f'sqrt of negative value {{{a}!r}}')"
                 yield f"{t} = sqrt({a})"
-            else:  # numpy, where a power or exp can overflow
+            else:  # numpy under an errstate; a power or exp can overflow
                 if op == "log":
                     yield f"if {a} <= 0.0: raise DomainViolation(f'log of non-positive value {{{a}!r}}')"
-                call = f"power({a}, {extra})" if op == "**" else f"{op}({a})"
-                yield f"with errstate(all='ignore'): {t} = float({call})"
+                applied = f"power({a}, {extra})" if op == "**" else f"{op}({a})"
+                yield f"with errstate(all='ignore'): {t} = float({applied})"
                 if op == "**" or op == "exp":
                     what = "power" if op == "**" else "function application"
                     yield f"if not isfinite({t}) and isfinite({a}): raise DomainViolation('overflow in {what}')"
 
     def run_rows(self, X: Sequence, P: Sequence, valid: np.ndarray) -> list:
         """The steps on rows, with ``X[j]`` the column of variable j and
-        ``P[j]`` that of parameter j (one element, or one per row), through
-        ``_ARRAY_KERNELS``; a failed check clears its rows in ``valid``.  Returns
-        the values of the results, each of one element or one per row.
-        Constants are one-element arrays of the dtype ``np.full`` gives
-        them.  Columns only need to broadcast with ``valid``, so a grid's
-        axes can stand for its rows (``eval_grid``).  The checks in
+        ``P[j]`` that of parameter j (one element, or one per row), with
+        numpy's array kernels; a failed check clears its rows in ``valid``.
+        Returns the values of the results, each of one element or one per
+        row.  Constants are one-element arrays of the dtype ``np.full``
+        gives them.  Columns only need to broadcast with ``valid``, so a
+        grid's axes can stand for its rows (``eval_grid``).  The checks in
         ``covered`` are skipped: a later check clears the same rows."""
         env = {name: np.full(1, value) for name, value in self.constants.items()}
         for i, ((op, t, args, extra), dead) in enumerate(zip(self.steps, self.dead)):

@@ -17,6 +17,7 @@ value (same bits, same type) or raise the same exception class with the
 same message.
 """
 
+import contextlib
 import copy
 import math
 import struct
@@ -234,10 +235,10 @@ def test_f_gradient_and_hessian_match_the_tree_walk(root, x, p, as_array):
         ("sqrt(x1)", (-1.0,)),
         ("exp(x1)", (1000.0,)),
         ("sin(x1)", (math.inf,)),  # NaN: non-finite intermediate result
-        ("cos(-x1)", (-math.inf,)),
         ("-x1", (math.inf,)),  # Neg is not checked
         ("x1/(x1 - x1)", (1.0,)),
         ("(x1 - 1)^-2 + 1/(x1 - 1)", (1.0,)),
+        ("cos(-x1)", (-math.inf,)),  # the same as sin(inf)
     ],
 )
 def test_guards_match_the_tree_walk(text, x):
@@ -263,12 +264,13 @@ def test_guards_match_the_tree_walk(text, x):
 )
 def test_errors_keep_their_messages(text, x, message):
     # numpy gives inf or NaN where math raised; the bundle raises the
-    # walk's messages from the non-finite value, and no warning escapes
-    with warnings.catch_warnings():
+    # walk's messages from the non-finite value, and no warning of its
+    # numpy calls escapes (an np.float64 input's own product warns)
+    quiet = np.errstate(over="ignore") if type(x) is np.float64 else contextlib.nullcontext()
+    with warnings.catch_warnings(), quiet:
         warnings.simplefilter("error")
-        with np.errstate(over="ignore"):  # numpy's own scalar product
-            with pytest.raises(DomainViolation) as exc:
-                evaluate(parse(text, 1), Env((x,)))
+        with pytest.raises(DomainViolation) as exc:
+            evaluate(parse(text, 1), Env((x,)))
     assert str(exc.value) == message
 
 
