@@ -38,7 +38,10 @@ DOCUMENTS = HERE / "documents"
 # a zero minimum whose first grid node gives -0, a box whose span passes
 # the largest double, a box whose bound sum passes it, so that its center
 # is a probe, a parameter whose square C's pow() misrounds, where the
-# certificate value and eta must agree, and last the same with exp(p1)
+# certificate value and eta must agree, the same with exp(p1), and last a
+# necessary check whose first failing scenario fails in its Hessian while
+# a later one fails in its gradient, so the first scenario's error is the
+# one reported
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -80,6 +83,7 @@ CORPUS = [
     (DOCUMENTS / "square_rounding.json", "oracle"),
     (DOCUMENTS / "exp_rounding.json", "solve-rlop"),
     (DOCUMENTS / "exp_rounding.json", "oracle"),
+    (DOCUMENTS / "error_precedence.json", "necessary"),
 ]
 
 
