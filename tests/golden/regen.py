@@ -41,7 +41,8 @@ DOCUMENTS = HERE / "documents"
 # certificate value and eta must agree, the same with exp(p1), and last a
 # necessary check whose first failing scenario fails in its Hessian while
 # a later one fails in its gradient, so the first scenario's error is the
-# one reported
+# one reported, and a solve-rlop whose ball sample leaves the log's domain,
+# whose message carries the sample's value
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -84,6 +85,7 @@ CORPUS = [
     (DOCUMENTS / "exp_rounding.json", "solve-rlop"),
     (DOCUMENTS / "exp_rounding.json", "oracle"),
     (DOCUMENTS / "error_precedence.json", "necessary"),
+    (DOCUMENTS / "float_message.json", "solve-rlop"),
 ]
 
 
