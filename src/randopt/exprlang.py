@@ -29,9 +29,10 @@ by zero, the log and sqrt domains, overflow, and a finite result after
 every node other than a leaf or a negation.
 
 ``compile_bundle`` renders the steps as straight-line Python that raises
-at the first failing check, with the walk's exception class and message;
-``np.float64`` inputs pass through and keep numpy's scalar arithmetic.
-The bundle carries its steps as ``bundle.lowered``.
+at the first failing check, with the walk's exception class and message.
+It reads each input as a float, so an ``np.float64`` or an int computes
+in Python floats, with the same bits, and a message carries a plain
+float.  The bundle carries its steps as ``bundle.lowered``.
 
 ``_Compiler.run_rows`` runs the steps on rows given as one column per
 variable and one per parameter (of one element or one per row), with
@@ -573,7 +574,7 @@ class _Compiler:
         for op, t, args, extra in self.steps:
             a = args[0] if args else None
             if op == "x" or op == "p":
-                yield f"{t} = {op}[{extra}]"
+                yield f"{t} = float({op}[{extra}])"
             elif op == "neg":
                 yield f"{t} = -{a}"
             elif op == "nonzero":
