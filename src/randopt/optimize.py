@@ -185,32 +185,32 @@ def _jacobi(H: np.ndarray) -> np.ndarray:
     return np.sort(A.diagonal())
 
 
-def classify_definiteness(H: np.ndarray, tol_rel: float = DEFINITENESS_TOL_REL) -> Definiteness:
+def classify_definiteness(H: np.ndarray) -> Definiteness:
     """Sylvester's criterion for PD; Jacobi eigenvalues for the rest (``_classify``)."""
-    return _classify(_as_symmetric(H), tol_rel)[1]
+    return _classify(_as_symmetric(H))[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _classify(S: np.ndarray, tol_rel: float = DEFINITENESS_TOL_REL) -> tuple[tuple, Definiteness]:
+def _classify(S: np.ndarray) -> tuple[tuple, Definiteness]:
     """The leading principal minors of a matrix already symmetric, and its class.
 
-    Minor k is compared against tol_rel * (1 + |S|_inf)^k, and fails a threshold
-    past the largest double; eigenvalues against tol_rel * (1 + |S|_inf).  Where
-    a row sum overflows, the class is that of S times an exact power of two
-    that brings every row sum below the largest double.
+    Minor k is compared against tol * (1 + |S|_inf)^k, tol = DEFINITENESS_TOL_REL,
+    and fails a threshold past the largest double; eigenvalues against
+    tol * (1 + |S|_inf).  Where a row sum overflows, the class is that of S
+    times an exact power of two that brings every row sum below the largest double.
     """
     norm = float(np.max(np.sum(np.abs(S), axis=1)))
     minors = tuple(_minors(S).tolist())
     if norm == math.inf:  # n * 2^-bit_length(n) < 1
-        return minors, _classify(np.ldexp(S, -len(S).bit_length()), tol_rel)[1]
+        return minors, _classify(np.ldexp(S, -len(S).bit_length()))[1]
     scale = 1.0 + norm
     try:
-        if all(minors[k] > tol_rel * scale ** (k + 1) for k in range(len(minors))):
+        if all(minors[k] > DEFINITENESS_TOL_REL * scale ** (k + 1) for k in range(len(minors))):
             return minors, Definiteness.PD
     except OverflowError:
         pass
     lam = _jacobi(S)
-    tau = tol_rel * scale
+    tau = DEFINITENESS_TOL_REL * scale
     lmin, lmax = float(lam[0]), float(lam[-1])
     if lmin > tau:
         return minors, Definiteness.PD
@@ -292,11 +292,11 @@ def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the same index: the values as a (len(X), results) array, and the mask
     of rows where the bundle returned (the other rows hold NaN).
 
-    Either way the values are the bundle's bits at ``tuple(x)``, whose
-    elements are ``np.float64``, and at ``p`` as floats.  A stack of
-    ``ROW_KERNEL_MIN_ROWS`` rows or more runs the bundle's steps on row
-    kernels (``exprlang.eval_rows``); a smaller one calls the bundle per
-    row, where an ``EvalError`` clears the row as the row kernels do."""
+    Either way the values are the bundle's bits at x and p, read as floats.
+    A stack of ``ROW_KERNEL_MIN_ROWS`` rows or more runs the bundle's steps
+    on row kernels (``exprlang.eval_rows``), a smaller one the bundle per
+    row, where an ``EvalError`` clears the row as the row kernels do.  It is
+    the pipelines' one way to evaluate derivatives at several points."""
     if len(X) >= ROW_KERNEL_MIN_ROWS:
         return eval_rows(bundle, X, P)
     width = len(bundle.lowered.results)
@@ -304,7 +304,7 @@ def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarr
     undefined = (math.nan,) * width
     values = []
     with np.errstate(all="ignore"):
-        for j, (x, p) in enumerate(zip(zip(*X.T), P.tolist())):
+        for j, (x, p) in enumerate(zip(X.tolist(), P.tolist())):
             try:
                 values.append(bundle(x, p))
             except EvalError:

@@ -16,15 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     DomainMismatch,
-    EvalError,
     HypothesisViolation,
     NonMeasurableC,
     NonMeasurableF,
     RandoptError,
 )
 from .optimize import (
+    NEWTON_STACK_ROWS,
     Definiteness,
     LocalMinCertificate,
     LocalMinFailure,
@@ -33,7 +35,10 @@ from .optimize import (
     stationary_searches,
     sup_norm,
     verify_local_min,
+    _at_rows,
     _classify,
+    _hessians,
+    _params_rows,
     scan_min,
 )
 from .probspace import (
@@ -52,8 +57,6 @@ from .randfunc import (
     check_joint_measurability,
     default_probe_grid,
     eval_f,
-    gradient,
-    hessian,
 )
 
 EQUATION_TOL = 1e-9
@@ -178,18 +181,6 @@ def solve_rop(
 # --- local random optimization --------------------------------------------------------
 
 
-def _atom_is_convex(rf: RandomFunction, rep: Scenario, probes: Sequence[Point]) -> bool:
-    """Hessian PSD (or PD) at every point of ``probes``."""
-    for x in probes:
-        try:
-            cls = _classify(hessian(rf, rep, x))[1]
-        except EvalError:
-            return False
-        if cls not in (Definiteness.PD, Definiteness.PSD_DEGENERATE):
-            return False
-    return True
-
-
 def solve_rlop(
     rf: RandomFunction,
     space: ProbSpace,
@@ -203,9 +194,9 @@ def solve_rlop(
     The representatives' Newton runs share one stack; the atoms are then
     taken in order, so the first atom without a (PD) stationary point is
     the one a no-solution outcome names.
-    When the Hessian is positive semidefinite on the whole probe grid the
-    function is treated as convex and the certificate upgrades to a global
-    one after a confirming grid scan.
+    Where the Hessian is defined and PSD at every probe (one stack for all
+    representatives), the function is treated as convex and the
+    certificate upgrades to a global one after a confirming grid scan.
     """
     if rf.space != space:
         raise DomainMismatch("function and space must agree")
@@ -225,8 +216,18 @@ def solve_rlop(
             return NoPDStationaryPoint(atom)
         selected.append((atom, min(pd_points)))
 
+    m = len(probes)
+    psd = (Definiteness.PD, Definiteness.PSD_DEGENERATE)
+    per_stack = max(1, NEWTON_STACK_ROWS // m)  # representatives per stack, as in Newton
+    convex = []  # per selected atom; its probes are classified up to the first failing one
+    for lo in range(0, len(selected), per_stack):
+        reps = [atom[0] for atom, _ in selected[lo : lo + per_stack]]
+        H, ok = _hessians(rf, np.tile(probes, (len(reps), 1)), _params_rows(rf, reps, m))
+        for i in range(0, len(H), m):
+            convex.append(all(ok[j] and _classify(H[j])[1] in psd for j in range(i, i + m)))
+
     solved = []
-    for atom, x in selected:
+    for (atom, x), is_convex in zip(selected, convex):
         rep = atom[0]
         cert = verify_local_min(rf, rep, x, opts)
         if isinstance(cert, LocalMinFailure):
@@ -235,7 +236,7 @@ def solve_rlop(
                 f"(margin {cert.margin:g}); this contradicts the sufficient "
                 "condition and indicates a numerical inconsistency"
             )
-        if _atom_is_convex(rf, rep, probes):
+        if is_convex:
             gm = global_min_compact(rf, rep, region, opts.grid_m)
             fx = eval_f(rf, rep, x)
             if fx <= gm.grid_value + EQUATION_TOL:
@@ -270,7 +271,9 @@ class NecessaryReport:
 def check_necessary_conditions(
     rf: RandomFunction, space: ProbSpace, xi: RandomVariableRn
 ) -> NecessaryReport:
-    """First- and second-order necessary conditions at xi, per scenario.
+    """First- and second-order necessary conditions at xi, per scenario,
+    from one gradient stack and one Hessian stack; the first scenario where
+    either is undefined raises its gradient's error, else its Hessian's.
 
     The report also carries xi's measurability verdict: a stationary
     assignment that flips inside an atom passes both conditions yet is not
@@ -278,11 +281,18 @@ def check_necessary_conditions(
     """
     if xi.space != space or rf.space != space:
         raise DomainMismatch("function, candidate, and space must agree")
+    P = _params_rows(rf, space.scenarios, 1)
+    X = np.array([xi.values[omega] for omega in space.scenarios], dtype=float).reshape(len(P), rf.n)
+    G, grad_ok = _at_rows(rf.grad_bundle, X, P)
+    H, hess_ok = _hessians(rf, X, P)
+    if not (grad_ok & hess_ok).all():  # the scalar calls raise at the first undefined row
+        i = int(np.argmin(grad_ok & hess_ok))
+        rf.grad_bundle(X[i].tolist(), P[i].tolist())
+        rf.hess_bundle(X[i].tolist(), P[i].tolist())
     per: dict[Scenario, ScenarioConditions] = {}
-    for omega in space.scenarios:
-        x = xi.values[omega]
-        gn = sup_norm(gradient(rf, omega, x))
-        cls = _classify(hessian(rf, omega, x))[1]
+    for omega, g, h in zip(space.scenarios, G, H):
+        gn = sup_norm(g)
+        cls = _classify(h)[1]
         per[omega] = ScenarioConditions(
             grad_ok=gn <= 1e-8,
             psd_ok=cls in (Definiteness.PD, Definiteness.PSD_DEGENERATE),

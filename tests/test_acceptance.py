@@ -221,7 +221,7 @@ def test_criterion_5_sylvester_matches_oracles():
     agree = 0
     for H in matrices:
         tau = tol_rel * (1.0 + float(np.max(np.sum(np.abs(H), axis=1))))
-        pd_classify = r.classify_definiteness(H, tol_rel) is Definiteness.PD
+        pd_classify = r.classify_definiteness(H) is Definiteness.PD
         pd_chol = _cholesky_pivots_ok(H, tau)
         pd_jacobi = float(jacobi_eigenvalues(H)[0]) > tau
         assert pd_classify == pd_chol == pd_jacobi

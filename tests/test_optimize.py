@@ -138,7 +138,7 @@ def test_sylvester_equals_cholesky_and_eigen_oracles():
             A = rng.uniform(-5, 5, size=(n, n))
             H = (A + A.T) / 2
         tau = tol_rel * (1.0 + float(np.max(np.sum(np.abs(H), axis=1))))
-        pd_sylvester = r.classify_definiteness(H, tol_rel) is Definiteness.PD
+        pd_sylvester = r.classify_definiteness(H) is Definiteness.PD
         pd_cholesky = _cholesky_pivots_ok(H, tau)
         pd_jacobi = float(jacobi_eigenvalues(H)[0]) > tau
         assert pd_sylvester == pd_cholesky == pd_jacobi
