@@ -30,9 +30,8 @@ every node other than a leaf or a negation.
 
 ``compile_bundle`` renders the steps as straight-line Python that raises
 at the first failing check, with the walk's exception class and message.
-It reads each input as a float, so an ``np.float64`` or an int computes
-in Python floats, with the same bits, and a message carries a plain
-float.  The bundle carries its steps as ``bundle.lowered``.
+It reads its inputs as floats, so a message carries a plain float.  The
+bundle carries its steps as ``bundle.lowered``.
 
 ``_Compiler.run_rows`` runs the steps on rows given as one column per
 variable and one per parameter (of one element or one per row), with
