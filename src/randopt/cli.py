@@ -20,7 +20,7 @@ from .document import ProblemDocument, load_problem, with_overrides
 from .errors import HypothesisViolation, RandoptError, SchemaError
 from .optimize import (
     GlobalMinResult,
-    LocalMinCertificate,
+    _newton_diagnostics,
     global_min_per_scenario,
     stationary_searches,
 )
@@ -32,6 +32,7 @@ from .probspace import (
 )
 from .randfunc import Box, check_joint_measurability, default_probe_grid
 from .selection import (
+    Certificate,
     GlobalCert,
     NoPDStationaryPoint,
     NoStationaryPoints,
@@ -41,19 +42,12 @@ from .selection import (
     solve_rop,
 )
 
-COMMANDS = (
-    "solve-rop",
-    "solve-rlop",
-    "check-measurable",
-    "stationary",
-    "necessary",
-    "oracle",
-)
-
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_NO_SOLUTION = 2
 EXIT_INPUT_ERROR = 3
+# the report's status by exit code; the stdout line spells it with spaces
+_STATUS = ("ok", "refused", "no_solution", "input_error")
 
 
 # --- JSON rendering of domain objects ------------------------------------------
@@ -85,17 +79,15 @@ def _verdict_json(v: MeasurabilityVerdict) -> dict:
     return out
 
 
-def _cert_json(cert) -> dict:
+def _cert_json(cert: Certificate) -> dict:
     if isinstance(cert, GlobalCert):
         return {"kind": "global", "value": float(cert.value)}
-    if isinstance(cert, LocalMinCertificate):
-        return {
-            "kind": "local_min",
-            "delta": float(cert.delta),
-            "samples_checked": cert.samples_checked,
-            "min_margin": float(cert.min_margin),
-        }
-    raise TypeError(f"unknown certificate {cert!r}")
+    return {
+        "kind": "local_min",
+        "delta": float(cert.delta),
+        "samples_checked": cert.samples_checked,
+        "min_margin": float(cert.min_margin),
+    }
 
 
 def _selection_json(sel: Selection) -> dict:
@@ -164,14 +156,11 @@ def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
 
     scenarios = doc.space.scenarios
     searches = stationary_searches(doc.rf, scenarios, doc.search_box, doc.options)
-    per_scenario = {}
-    skipped = stalled = 0
-    for omega, search in zip(scenarios, searches):
-        skipped += search.skipped_singular
-        stalled += search.stalled
-        per_scenario[str(omega)] = [_stationary_point_json(sp) for sp in search.points]
-    diag = {"skipped_newton_starts": skipped, "stalled_newton_starts": stalled}
-    return EXIT_OK, {"stationary_points": per_scenario}, diag
+    per_scenario = {
+        str(omega): [_stationary_point_json(sp) for sp in search.points]
+        for omega, search in zip(scenarios, searches)
+    }
+    return EXIT_OK, {"stationary_points": per_scenario}, dict(_newton_diagnostics(searches))
 
 
 def _cmd_necessary(doc: ProblemDocument) -> tuple[int, dict, dict]:
@@ -236,19 +225,19 @@ def _cmd_solve_rlop(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.search_box is not None, "/search_box", "solve-rlop needs a search_box")
     outcome = solve_rlop(doc.rf, doc.space, doc.search_box, doc.options)
     if isinstance(outcome, (NoStationaryPoints, NoPDStationaryPoint)):
-        no_solution = {"kind": type(outcome).__name__, "atom": list(outcome.atom)}
-        return EXIT_NO_SOLUTION, {"no_solution": no_solution}, {}
+        return EXIT_NO_SOLUTION, {"kind": type(outcome).__name__, "atom": list(outcome.atom)}, {}
     return EXIT_OK, {"selection": _selection_json(outcome)}, dict(outcome.diagnostics)
 
 
 _DISPATCH = {
+    "solve-rop": _cmd_solve_rop,
+    "solve-rlop": _cmd_solve_rlop,
     "check-measurable": _cmd_check_measurable,
     "stationary": _cmd_stationary,
     "necessary": _cmd_necessary,
     "oracle": _cmd_oracle,
-    "solve-rop": _cmd_solve_rop,
-    "solve-rlop": _cmd_solve_rlop,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 # --- run + report ------------------------------------------------------------------
@@ -272,39 +261,42 @@ def _write_atomic(path: str, text: str) -> None:
         raise OSError(e.errno, e.strerror, path) from None
 
 
+def _report(command: str, code: int, body: dict, doc: Optional[ProblemDocument] = None) -> str:
+    """The report's text: the header, with the run's options and scenarios
+    if a document was loaded, then ``code``'s status, ``body`` and ``code``."""
+    report = {"schema_version": 1, "command": command}
+    if doc is not None:
+        report["seed"] = doc.options.seed
+        report["grid"] = doc.options.grid_m
+        report["scenarios"] = list(doc.space.scenarios)
+    report["status"] = _STATUS[code]
+    report.update(body)
+    report["exit_code"] = code
+    return _jsonout.dumps(report)
+
+
+def _input_error(e: Exception) -> dict:
+    """The body of an input error's report."""
+    return {"error": {"type": type(e).__name__, "message": str(e)}}
+
+
 def run(command: str, doc: ProblemDocument, output_path: str) -> int:
     """Execute one command against a loaded document and write the report."""
     if command not in _DISPATCH:
         raise ValueError(f"unknown command {command!r}")
-    report = {
-        "schema_version": 1,
-        "command": command,
-        "seed": doc.options.seed,
-        "grid": doc.options.grid_m,
-        "scenarios": list(doc.space.scenarios),
-    }
     try:
         code, results, diagnostics = _DISPATCH[command](doc)
-        if code == EXIT_NO_SOLUTION:
-            report["status"] = "no_solution"
-            report["no_solution"] = results["no_solution"]
-        else:
-            report["status"] = "ok"
-            report["results"] = results
-        report["diagnostics"] = diagnostics
+        key = "no_solution" if code == EXIT_NO_SOLUTION else "results"
+        body = {key: results, "diagnostics": diagnostics}
     except HypothesisViolation as e:
         code = EXIT_REFUSED
-        report["status"] = "refused"
         refusal = {"error": type(e).__name__, "message": str(e)}
         if e.witness is not None:
             refusal["witness"] = _witness_json(e.witness)
-        report["refusal"] = refusal
+        body = {"refusal": refusal}
     except RandoptError as e:
-        code = EXIT_INPUT_ERROR
-        report["status"] = "input_error"
-        report["error"] = {"type": type(e).__name__, "message": str(e)}
-    report["exit_code"] = code
-    _write_atomic(output_path, _jsonout.dumps(report))
+        code, body = EXIT_INPUT_ERROR, _input_error(e)
+    _write_atomic(output_path, _report(command, code, body, doc))
     return code
 
 
@@ -326,21 +318,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = with_overrides(load_problem(args.input), grid=args.grid, seed=args.seed)
         code = run(args.command, doc, args.output)
     except (RandoptError, OSError) as e:
-        report = {
-            "schema_version": 1,
-            "command": args.command,
-            "status": "input_error",
-            "error": {"type": type(e).__name__, "message": str(e)},
-            "exit_code": EXIT_INPUT_ERROR,
-        }
         try:
-            _write_atomic(args.output, _jsonout.dumps(report))
+            _write_atomic(args.output, _report(args.command, EXIT_INPUT_ERROR, _input_error(e)))
         except OSError:
             pass
         print(f"randopt {args.command}: input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    status = {0: "ok", 1: "refused", 2: "no solution", 3: "input error"}[code]
+    status = _STATUS[code].replace("_", " ")
     print(f"randopt {args.command}: {status} (exit {code}); report: {args.output}")
     return code
 

@@ -261,6 +261,9 @@ class _SchemaCompiler:
         return check
 
 
+# the SolverOptions field that each document option sets
+_OPTION_FIELDS = {"grid": "grid_m", "newton_grid": "newton_grid_m", "seed": "seed"}
+
 # the fields of a feasible set that each kind reads
 _KIND_FIELDS = {
     "box": ("lower", "upper"),
@@ -479,15 +482,8 @@ def load_problem(path: str) -> ProblemDocument:
             space, {s: tuple(float(v) for v in vec) for s, vec in resolved.items()}
         )
 
-    opts = SolverOptions()
-    if "options" in raw:
-        o = raw["options"]
-        opts = replace(
-            opts,
-            grid_m=o.get("grid", opts.grid_m),
-            newton_grid_m=o.get("newton_grid", opts.newton_grid_m),
-            seed=o.get("seed", opts.seed),
-        )
+    options = raw.get("options", {})
+    opts = SolverOptions(**{_OPTION_FIELDS[name]: v for name, v in options.items()})
 
     return ProblemDocument(space, n, rf, feasible, search_box, candidate, opts)
 
@@ -506,9 +502,5 @@ def with_overrides(
     bundled = _bundled()
     if not bundled.options(raw):
         _validate_schema(raw, bundled.schema["properties"]["options"], "/options")
-    options = replace(
-        doc.options,
-        grid_m=raw.get("grid", doc.options.grid_m),
-        seed=raw.get("seed", doc.options.seed),
-    )
+    options = replace(doc.options, **{_OPTION_FIELDS[name]: v for name, v in raw.items()})
     return replace(doc, options=options)

@@ -245,6 +245,15 @@ class StationarySearch:
     stalled: int           # damping exhausted or iteration cap hit
 
 
+def _newton_diagnostics(searches: Sequence[StationarySearch]) -> tuple[tuple[str, int], ...]:
+    """The report's counts of skipped and stalled Newton starts, summed
+    over ``searches``."""
+    return (
+        ("skipped_newton_starts", sum(s.skipped_singular for s in searches)),
+        ("stalled_newton_starts", sum(s.stalled for s in searches)),
+    )
+
+
 def grid_axes(region: Box, m: int) -> list[np.ndarray]:
     """The axes of an m-per-axis grid over ``region``; a degenerate axis
     (lo == hi) has one node."""
@@ -276,7 +285,8 @@ def grid_points(region: Box, m: int) -> np.ndarray:
 # A stack of this many rows or more runs on row kernels; a smaller one
 # calls the bundle per row, which is faster there (see CHANGES.md).
 ROW_KERNEL_MIN_ROWS = 40
-# Newton stacks at most this many starts at once, splitting the scenarios.
+# Newton and the convexity check stack at most this many rows at once,
+# splitting the scenarios (``_stacks``).
 NEWTON_STACK_ROWS = 1 << 15
 # A box scan evaluates at most this many grid nodes at once, unless one
 # slab of its split axis holds more.  A block's float arrays (120 KiB)
@@ -417,6 +427,19 @@ def _params_rows(rf: RandomFunction, scenarios: Sequence[Scenario], repeats: int
     return np.repeat(P.reshape(len(scenarios), rf.body.k), repeats, axis=0)
 
 
+def _stacks(
+    rf: RandomFunction, scenarios: Sequence[Scenario], points: Sequence[Point]
+) -> Iterator[tuple[Sequence[Scenario], np.ndarray, np.ndarray]]:
+    """All of ``points`` for each of ``scenarios`` in turn, in stacks of at
+    most ``NEWTON_STACK_ROWS`` rows (at least one scenario each): yields
+    each stack's scenarios, its point rows and its parameter rows."""
+    m = len(points)
+    per_stack = max(1, NEWTON_STACK_ROWS // m)
+    for lo in range(0, len(scenarios), per_stack):
+        chunk = scenarios[lo : lo + per_stack]
+        yield chunk, np.tile(points, (len(chunk), 1)), _params_rows(rf, chunk, m)
+
+
 def stationary_searches(
     rf: RandomFunction,
     scenarios: Sequence[Scenario],
@@ -435,12 +458,9 @@ def stationary_searches(
     searched = list(dict.fromkeys(first[omega] for omega in scenarios))
     starts = grid_points(region, opts.newton_grid_m)
     m = len(starts)
-    per_stack = max(1, NEWTON_STACK_ROWS // m)
     found: dict[Scenario, StationarySearch] = {}
-    for lo in range(0, len(searched), per_stack):
-        chunk = searched[lo : lo + per_stack]
-        P = _params_rows(rf, chunk, m)
-        X, G, iters, status = _newton(rf, np.tile(starts, (len(chunk), 1)), P)
+    for chunk, X0, P in _stacks(rf, searched, starts):
+        X, G, iters, status = _newton(rf, X0, P)
         for i, omega in enumerate(chunk):
             rows = slice(i * m, (i + 1) * m)
             found[omega] = _search_result(

@@ -26,7 +26,7 @@ from .errors import (
     RandoptError,
 )
 from .optimize import (
-    NEWTON_STACK_ROWS,
+    STATIONARITY_TOL,
     Definiteness,
     LocalMinCertificate,
     LocalMinFailure,
@@ -38,7 +38,9 @@ from .optimize import (
     _at_rows,
     _classify,
     _hessians,
+    _newton_diagnostics,
     _params_rows,
+    _stacks,
     scan_min,
 )
 from .probspace import (
@@ -60,6 +62,8 @@ from .randfunc import (
 )
 
 EQUATION_TOL = 1e-9
+# the classes of a positive semidefinite Hessian
+_PSD = (Definiteness.PD, Definiteness.PSD_DEGENERATE)
 
 
 # --- certificates and results -------------------------------------------------
@@ -204,11 +208,8 @@ def solve_rlop(
     _require_jointly_measurable(rf, probes)
 
     selected = []  # (atom, canonical point)
-    skipped = stalled = 0
     searches = stationary_searches(rf, [atom[0] for atom in space.atoms], region, opts)
     for atom, search in zip(space.atoms, searches):
-        skipped += search.skipped_singular
-        stalled += search.stalled
         if not search.points:
             return NoStationaryPoints(atom)
         pd_points = [sp.x for sp in search.points if sp.classification is Definiteness.PD]
@@ -217,14 +218,11 @@ def solve_rlop(
         selected.append((atom, min(pd_points)))
 
     m = len(probes)
-    psd = (Definiteness.PD, Definiteness.PSD_DEGENERATE)
-    per_stack = max(1, NEWTON_STACK_ROWS // m)  # representatives per stack, as in Newton
     convex = []  # per selected atom; its probes are classified up to the first failing one
-    for lo in range(0, len(selected), per_stack):
-        reps = [atom[0] for atom, _ in selected[lo : lo + per_stack]]
-        H, ok = _hessians(rf, np.tile(probes, (len(reps), 1)), _params_rows(rf, reps, m))
+    for _, X, P in _stacks(rf, [atom[0] for atom, _ in selected], probes):
+        H, ok = _hessians(rf, X, P)
         for i in range(0, len(H), m):
-            convex.append(all(ok[j] and _classify(H[j])[1] in psd for j in range(i, i + m)))
+            convex.append(all(ok[j] and _classify(H[j])[1] in _PSD for j in range(i, i + m)))
 
     solved = []
     for (atom, x), is_convex in zip(selected, convex):
@@ -243,8 +241,7 @@ def solve_rlop(
                 cert = GlobalCert(float(fx))
         solved.append((atom, x, cert))
 
-    diagnostics = (("skipped_newton_starts", skipped), ("stalled_newton_starts", stalled))
-    return _broadcast(space, solved, diagnostics=diagnostics)
+    return _broadcast(space, solved, diagnostics=_newton_diagnostics(searches))
 
 
 # --- necessary conditions -------------------------------------------------------------
@@ -294,8 +291,8 @@ def check_necessary_conditions(
         gn = sup_norm(g)
         cls = _classify(h)[1]
         per[omega] = ScenarioConditions(
-            grad_ok=gn <= 1e-8,
-            psd_ok=cls in (Definiteness.PD, Definiteness.PSD_DEGENERATE),
+            grad_ok=gn <= STATIONARITY_TOL,
+            psd_ok=cls in _PSD,
             grad_norm=gn,
             classification=cls,
         )

@@ -188,6 +188,9 @@ def convexity_problems(draw):
     return r.RandomFunction(space, 1, r.parse(draw(st.sampled_from(BODIES)), 1, 4), params), space
 
 
+# NEWTON_STACK_ROWS cuts Newton's stacks and the convexity check's alike
+# (optimize._stacks); each start and each probe row runs as it would
+# alone, so every cut must give the same verdicts
 @settings(max_examples=60, deadline=None)
 @given(
     convexity_problems(),
@@ -214,8 +217,7 @@ def test_convex_verdicts_match_the_per_probe_loop(problem, threshold, stack_rows
         _classify=_recording(_classify, classified),
         verify_local_min=verified,
         global_min_compact=scan,
-        NEWTON_STACK_ROWS=stack_rows,
-    ), mock.patch.object(optimize, "ROW_KERNEL_MIN_ROWS", threshold):
+    ), mock.patch.multiple(optimize, NEWTON_STACK_ROWS=stack_rows, ROW_KERNEL_MIN_ROWS=threshold):
         try:
             outcome = r.solve_rlop(rf, space, REGION, opts)
         except r.RandoptError:
