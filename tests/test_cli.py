@@ -173,6 +173,32 @@ def test_stationary_counts_every_step_up_to_the_iteration_cap(tmp_path):
     assert [pt["newton_iters"] for pts in points.values() for pt in pts] == [60, 60]
 
 
+def test_stationary_and_solve_rlop_count_the_same_newton_starts(tmp_path):
+    # every atom holds one scenario, so both commands sum over every
+    # scenario; scenario 4 shares scenario 1's search.  The sqrt is
+    # undefined below -2 and the Hessian singular at some starts, and with
+    # p2 = 8 the damping runs out at others
+    doc = {
+        "schema_version": 1,
+        "space": {"scenarios": [1, 2, 3, 4], "weights": [0.25] * 4, "atoms": [[1], [2], [3], [4]]},
+        "dimension": 1,
+        "objective": {
+            "expression": "(x1^2 - p1)^2 + p2*sqrt(x1 + 2)",
+            "parameters": {"1": [1.0, 8.0], "2": [0.75, 8.0], "3": [1.0, 0.0], "4": [1.0, 8.0]},
+        },
+        "search_box": {"lower": [-2], "upper": [2]},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    diagnostics = {}
+    for command in ("stationary", "solve-rlop"):
+        out = tmp_path / f"{command}.json"
+        assert run(command, load_problem(str(path)), str(out)) == 0
+        diagnostics[command] = json.loads(out.read_text())["diagnostics"]
+    assert diagnostics["stationary"] == diagnostics["solve-rlop"]
+    assert diagnostics["stationary"] == {"skipped_newton_starts": 4, "stalled_newton_starts": 8}
+
+
 def test_oracle_agrees_with_solve_rop_on_corpus(tmp_path):
     for doc_name in (
         "quartic_double_well.json",
@@ -285,6 +311,50 @@ def test_main_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert str(out.parent) in captured.err
     assert "Traceback" not in captured.err
     assert not out.parent.exists()
+
+
+def test_each_outcome_is_announced_on_one_stream(tmp_path, capsys):
+    # a report that was written is announced by the status line on stdout,
+    # whatever it holds, an input error found while the command ran
+    # included; an error that leaves no report of the command's (the
+    # document did not load, or the report could not be written) goes to
+    # stderr alone
+    ran = tmp_path / "report.json"
+    missing = tmp_path / "no" / "report.json"
+    cases = [
+        (GALLERY / "quartic_double_well.json", "solve-rlop", ran, 0, "ok (exit 0)"),
+        (GALLERY / "shifted_parabola_refusal.json", "solve-rop", ran, 1, "refused (exit 1)"),
+        (GALLERY / "cubic_inflection.json", "solve-rlop", ran, 2, "no solution (exit 2)"),
+        (ERROR_DOCUMENTS / "error_precedence.json", "necessary", ran, 3, "input error (exit 3)"),
+    ]
+    for document, command, out, code, status in cases:
+        assert main([command, "--input", str(document), "--output", str(out)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (f"randopt {command}: {status}; report: {out}\n", "")
+    # the run-time error's message stays in the report
+    assert json.loads(ran.read_text())["error"] == {
+        "type": "DomainViolation",
+        "message": "non-finite intermediate result",
+    }
+
+    cases = [
+        (
+            ERROR_DOCUMENTS / "huge_exponent.json",
+            "solve-rop",
+            ran,
+            "integer exponent overflows a float (offset 3)",
+        ),
+        (
+            GALLERY / "quartic_double_well.json",
+            "oracle",
+            missing,
+            f"[Errno 2] No such file or directory: '{missing}'",
+        ),
+    ]
+    for document, command, out, message in cases:
+        assert main([command, "--input", str(document), "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"randopt {command}: input error: {message}\n")
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
