@@ -2,8 +2,9 @@
 
 Exit codes: 0 solved/verified, 1 hypothesis refusal (with witness in the
 report), 2 no solution exists, 3 input error, including documents a command
-cannot evaluate and reports that cannot be written.  Reports are
-deterministic for a fixed (document, seed) pair and are written atomically.
+cannot evaluate, reports that cannot be written and usage errors, which
+write no report.  Reports are deterministic for a fixed (document, seed)
+pair and are written atomically.
 """
 
 from __future__ import annotations
@@ -290,10 +291,8 @@ def run(command: str, doc: ProblemDocument, output_path: str) -> int:
         body = {key: results, "diagnostics": diagnostics}
     except HypothesisViolation as e:
         code = EXIT_REFUSED
-        refusal = {"error": type(e).__name__, "message": str(e)}
-        if e.witness is not None:
-            refusal["witness"] = _witness_json(e.witness)
-        body = {"refusal": refusal}
+        witness = _witness_json(e.witness)
+        body = {"refusal": {"error": type(e).__name__, "message": str(e), "witness": witness}}
     except RandoptError as e:
         code, body = EXIT_INPUT_ERROR, _input_error(e)
     _write_atomic(output_path, _report(command, code, body, doc))
@@ -310,7 +309,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", required=True, help="report path (JSON)")
     parser.add_argument("--grid", type=int, default=None, help="grid points per dimension")
     parser.add_argument("--seed", type=int, default=None, help="sampling seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        if e.code == 0:
+            raise
+        return EXIT_INPUT_ERROR
 
     # a document that cannot be read and a report that cannot be written
     # both end here, with the same exit code and no traceback

@@ -8,9 +8,11 @@ invariants are enforced with a JSON-pointer diagnostic on failure.
 
 Validation is one walk compiled from the bundled schema, once per process,
 that answers only whether a document is clean: schema-valid and free of
-NaN, infinities and integers too large for a float.  Only a document that
-is not clean goes through ``_reject_non_finite`` and jsonschema, which word
-the rejection; so jsonschema is imported only to explain one.
+NaN, infinities and integers too large for a float.  ``_validate`` holds
+the document, a feasible set's per-scenario entry and the option overrides
+to that walk alike; only a part that is not clean goes through
+``_reject_non_finite`` and jsonschema, which word the rejection; so
+jsonschema is imported only to explain one.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class ProblemDocument:
     options: SolverOptions
 
 
-def _validate_schema(raw: dict, schema: dict, prefix: str = "") -> None:
+def _validate_schema(raw: object, schema: dict, prefix: str) -> None:
     """Raise SchemaError at the first violation of ``schema`` by ``raw``,
     pointing below ``prefix``, the location of ``raw`` in a document."""
     import jsonschema  # only a document that is not clean pays for the import
@@ -57,13 +59,13 @@ def _validate_schema(raw: dict, schema: dict, prefix: str = "") -> None:
     )
     if errors:
         err = errors[0]
-        pointer = prefix + "".join(f"/{p}" for p in err.absolute_path)
-        raise SchemaError(pointer, err.message)
+        raise SchemaError(functools.reduce(_child, err.absolute_path, prefix), err.message)
 
 
-def _child(pointer: str, key: str) -> str:
-    """The JSON pointer to member ``key`` of the object at ``pointer``."""
-    return pointer + "/" + key.replace("~", "~0").replace("/", "~1")
+def _child(pointer: str, key: object) -> str:
+    """The JSON pointer to member ``key`` of the object or array at
+    ``pointer``, with ``~`` and ``/`` escaped as RFC 6901 asks."""
+    return pointer + "/" + str(key).replace("~", "~0").replace("/", "~1")
 
 
 def _reject_non_finite(value: object, pointer: str) -> None:
@@ -76,19 +78,16 @@ def _reject_non_finite(value: object, pointer: str) -> None:
     such as ``1`` followed by 400 zeros stays an int, and ``float()``
     would raise OverflowError on it.
     """
-    if isinstance(value, float) and not math.isfinite(value):
+    if type(value) is float and not _is_number(value):
         raise SchemaError(pointer, f"number {value!r} is not finite")
-    if isinstance(value, int) and not isinstance(value, bool):
-        try:
-            float(value)
-        except OverflowError:
-            raise SchemaError(pointer, "integer is too large for a float") from None
+    if type(value) is int and not _is_number(value):
+        raise SchemaError(pointer, "integer is too large for a float")
     if isinstance(value, dict):
         for key, item in value.items():
             _reject_non_finite(item, _child(pointer, key))
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            _reject_non_finite(item, f"{pointer}/{i}")
+            _reject_non_finite(item, _child(pointer, i))
 
 
 # --- the compiled walk -----------------------------------------------------------
@@ -272,21 +271,11 @@ _KIND_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Bundled:
-    """The bundled problem schema, and its checks of a document, of the
-    ``options`` object alone, and of a feasible set's ``per_scenario``
-    entry, whose schema is ``entry``."""
-
-    schema: dict
-    document: _Check
-    options: _Check
-    entry: dict
-    entry_check: _Check
-
-
 @functools.cache
-def _bundled() -> _Bundled:
+def _parts() -> dict[str, tuple[dict, _Check]]:
+    """The bundled schema and its compiled check of each part of a document
+    that is validated on its own: the ``document``, a feasible set's
+    per-scenario ``entry`` and the ``options``."""
     text = resources.files("randopt").joinpath("schemas/problem.schema.json").read_text()
     schema = json.loads(text)
     compiler = _SchemaCompiler(schema)
@@ -296,23 +285,35 @@ def _bundled() -> _Bundled:
         "properties": schema["properties"]["feasible_set"]["properties"],
         "$defs": schema["$defs"],
     }
-    return _Bundled(
-        schema,
-        compiler.compile(schema, root=True),
-        compiler.compile(schema["properties"]["options"]),
-        entry,
-        compiler.compile(entry, root=True),
-    )
+    parts = {"document": schema, "entry": entry, "options": schema["properties"]["options"]}
+    return {name: (s, compiler.compile(s, root=True)) for name, s in parts.items()}
+
+
+def _validate(value: object, pointer: str, part: str) -> None:
+    """Raise SchemaError at the first fault of ``value``, the ``part`` of a
+    document at ``pointer``: a number that is not finite first, in document
+    order, then a schema violation."""
+    schema, check = _parts()[part]
+    if not check(value):  # word the rejection, or accept after all
+        _reject_non_finite(value, pointer)
+        _validate_schema(value, schema, pointer)
 
 
 def _scenario_key(scenario: Scenario) -> str:
     return str(scenario)
 
 
-def _scenario_id(value: Scenario) -> Scenario:
-    """The schema admits an integer-valued float id such as 1.0; it names
-    the scenario 1, as the report lists it."""
+def _integer(value: object) -> object:
+    """The schema admits an integer-valued float such as 1.0 wherever it
+    asks for an integer; it means the int 1, so the run and its report are
+    those of the int spelling.  A string scenario id is returned as it is."""
     return int(value) if type(value) is float else value
+
+
+def _with_options(opts: SolverOptions, raw: dict) -> SolverOptions:
+    """``opts`` with each field that the validated ``options`` object
+    ``raw`` sets replaced."""
+    return replace(opts, **{_OPTION_FIELDS[name]: _integer(v) for name, v in raw.items()})
 
 
 def _lookup_per_scenario(
@@ -323,7 +324,7 @@ def _lookup_per_scenario(
     out = {}
     for key, value in mapping.items():
         if key not in by_key:
-            raise SchemaError(f"{pointer}/{key}", "unknown scenario id")
+            raise SchemaError(_child(pointer, key), "unknown scenario id")
         out[by_key[key]] = value
     missing = [s for s in space.scenarios if s not in out]
     if missing:
@@ -396,12 +397,10 @@ def _build_feasible(
         )
         pointer = "/feasible_set/per_scenario"
         entries = _lookup_per_scenario(raw["per_scenario"], space, pointer)
-        sources = {s: (entries[s], f"{pointer}/{_scenario_key(s)}") for s in space.scenarios}
-        bundled = _bundled()
+        sources = {s: (entries[s], _child(pointer, _scenario_key(s))) for s in space.scenarios}
         for fields, at in sources.values():
             _reject_fields(fields, used, at, unused)
-            if not bundled.entry_check(fields):
-                _validate_schema(fields, bundled.entry, at)
+            _validate(fields, at, "entry")
         descs = {s: build(*sources[s], s) for s in space.scenarios}
     else:
         _reject_fields(raw, ("kind", *used), "/feasible_set", unused)
@@ -413,15 +412,6 @@ def _build_feasible(
     return RandomSet(space, descs)
 
 
-def _validate_document(raw: object) -> None:
-    """Raise SchemaError at the first fault of a loaded document: a number
-    that is not finite first, in document order, then a schema violation."""
-    bundled = _bundled()
-    if not bundled.document(raw):  # word the rejection, or accept after all
-        _reject_non_finite(raw, "")
-        _validate_schema(raw, bundled.schema)
-
-
 def load_problem(path: str) -> ProblemDocument:
     """Load, schema-validate, and fully construct a problem document."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -429,21 +419,21 @@ def load_problem(path: str) -> ProblemDocument:
             raw = json.load(fh)
         except ValueError as e:  # JSONDecodeError, or an int over 4300 digits
             raise SchemaError("", f"invalid JSON: {e}") from None
-    _validate_document(raw)
+    _validate(raw, "", "document")
 
     sp = raw["space"]
     try:
         space = make_space(
-            [_scenario_id(s) for s in sp["scenarios"]],
+            [_integer(s) for s in sp["scenarios"]],
             sp["weights"],
-            [[_scenario_id(s) for s in atom] for atom in sp["atoms"]],
+            [[_integer(s) for s in atom] for atom in sp["atoms"]],
         )
     except WeightSumError as e:
         raise SchemaError("/space/weights", str(e)) from None
     except PartitionError as e:
         raise SchemaError(f"/space/{e.field}", str(e)) from None
 
-    n = raw["dimension"]
+    n = _integer(raw["dimension"])
     raw_params = raw["objective"].get("parameters")
     if raw_params is None:
         params = {s: () for s in space.scenarios}
@@ -475,16 +465,13 @@ def load_problem(path: str) -> ProblemDocument:
         resolved = _lookup_per_scenario(raw["candidate"], space, "/candidate")
         for s, vec in resolved.items():
             if len(vec) != n:
-                raise SchemaError(
-                    f"/candidate/{_scenario_key(s)}", f"point must have length {n}"
-                )
+                at = _child("/candidate", _scenario_key(s))
+                raise SchemaError(at, f"point must have length {n}")
         candidate = RandomVariableRn(
             space, {s: tuple(float(v) for v in vec) for s, vec in resolved.items()}
         )
 
-    options = raw.get("options", {})
-    opts = SolverOptions(**{_OPTION_FIELDS[name]: v for name, v in options.items()})
-
+    opts = _with_options(SolverOptions(), raw.get("options", {}))
     return ProblemDocument(space, n, rf, feasible, search_box, candidate, opts)
 
 
@@ -493,14 +480,11 @@ def with_overrides(
 ) -> ProblemDocument:
     """``doc`` with the grid and seed options replaced where given.
 
-    The values are held to the schema's rules for ``options.grid`` and
+    The values are held to every rule of ``options.grid`` and
     ``options.seed``, as if the document had set them.
     """
     raw = {name: v for name, v in (("grid", grid), ("seed", seed)) if v is not None}
     if not raw:
         return doc
-    bundled = _bundled()
-    if not bundled.options(raw):
-        _validate_schema(raw, bundled.schema["properties"]["options"], "/options")
-    options = replace(doc.options, **{_OPTION_FIELDS[name]: v for name, v in raw.items()})
-    return replace(doc, options=options)
+    _validate(raw, "/options", "options")
+    return replace(doc, options=_with_options(doc.options, raw))

@@ -95,7 +95,7 @@ class HypothesisViolation(RandoptError):
     the underlying existence result does not hold.  The witness explains
     exactly where constancy-on-atoms fails."""
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witness):
         super().__init__(message)
         self.witness = witness
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -284,6 +285,52 @@ def test_main_accepts_overrides_at_the_schema_minimum(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert (report["grid"], report["seed"]) == (2, 0)
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--grid"])
+def test_main_overrides_too_large_for_a_float_are_input_errors(tmp_path, capsys, flag):
+    # an override obeys every rule of options: a --seed of 401 digits was
+    # written into the report at exit 0, and --grid met the grid cap instead
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    argv = ["oracle", "--input", str(GALLERY / "cubic_inflection.json"), "--output", str(out)]
+    assert main([*argv, flag, "1" + "0" * 400]) == 3
+    message = f"/options/{flag[2:]}: integer is too large for a float"
+    report = json.loads(out.read_text())
+    assert (report["status"], report["exit_code"]) == ("input_error", 3)
+    assert report["error"] == {"type": "SchemaError", "message": message}
+    assert capsys.readouterr() == ("", f"randopt oracle: input error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+        (["oracle", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+    ],
+    ids=["grid", "seed", "command"],
+)
+def test_a_usage_error_exits_3_and_writes_nothing(tmp_path, capsys, argv, message):
+    # argparse exits 2, which means "no solution exists"; its usage and
+    # message stay on stderr, and the arguments did not parse, so the
+    # report at --output is left as it was
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    document = str(GALLERY / "cubic_inflection.json")
+    assert main([*argv, "--input", document, "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: randopt ")
+    assert f"\nrandopt: error: {message}" in captured.err
+    assert out.read_text() == "stale report from an earlier run"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: randopt ")
 
 
 def test_main_input_error_writes_report(tmp_path):
@@ -731,6 +778,65 @@ def test_an_integer_valued_float_id_names_the_integer_scenario(tmp_path):
     doc = load_problem(str(tmp_path / "doc.json"))
     assert doc.space.scenarios == (1, 2) and doc.space.atoms == ((1,), (2,))
     assert {type(s) for s in (*doc.space.scenarios, *sum(doc.space.atoms, ()))} == {int}
+
+
+def _slashed_ids(**sections):
+    """Two scenarios whose ids hold the two characters a JSON pointer escapes."""
+    return {
+        "schema_version": 1,
+        "space": {"scenarios": ["a/b", "c~d"], "weights": [0.5, 0.5], "atoms": [["a/b", "c~d"]]},
+        "dimension": 1,
+        "objective": {"expression": "(x1 - p1)^2", "parameters": {"a/b": [0.5], "c~d": [0.5]}},
+        "search_box": {"lower": [-1], "upper": [1]},
+        **sections,
+    }
+
+
+def _parameters(**by_id):
+    return {"expression": "(x1 - p1)^2", "parameters": by_id}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            _slashed_ids(objective=_parameters(**{"a/b": [math.nan], "c~d": [0.5]})),
+            "/objective/parameters/a~1b/0: number nan is not finite",
+        ),
+        (
+            _slashed_ids(objective=_parameters(**{"a/b": [0.5], "c~d": ["x"]})),
+            "/objective/parameters/c~0d/0: 'x' is not of type 'number'",
+        ),
+        (
+            _slashed_ids(objective=_parameters(**{"a/b": [0.5], "c~d": [0.5], "e/f": [0.5]})),
+            "/objective/parameters/e~1f: unknown scenario id",
+        ),
+        (
+            _slashed_ids(candidate={"a/b": [0.0, 0.0], "c~d": [0.0]}),
+            "/candidate/a~1b: point must have length 1",
+        ),
+        (
+            _slashed_ids(
+                feasible_set={
+                    "kind": "box",
+                    "per_scenario": {
+                        "a/b": {"lower": [-1], "upper": [1]},
+                        "c~d": {"lower": "a", "upper": [1]},
+                    },
+                }
+            ),
+            "/feasible_set/per_scenario/c~0d/lower: 'a' is not of type 'array'",
+        ),
+    ],
+    ids=["nan-parameter", "string-parameter", "unknown-id", "candidate-length", "entry-type"],
+)
+def test_a_pointer_escapes_the_scenario_id_it_names(tmp_path, doc, message):
+    # RFC 6901: "~" is written "~0" and "/" is written "~1"; a raw "a/b"
+    # would name member "b" of member "a"
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--input", str(_write(tmp_path, doc)), "--output", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["error"] == {"type": "SchemaError", "message": message}
 
 
 TWO_BOXES = {

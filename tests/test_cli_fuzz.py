@@ -8,17 +8,24 @@ constants from 1e-300 to 1e300 and bounds up to +-1e308, over boxes, point
 clouds and level sets, top-level or per scenario, with and without a
 candidate.  Warnings are raised as errors, so a numpy warning that escapes
 an ``errstate`` fails the run.
+
+The schema accepts an integer-valued float such as ``2.0`` wherever it asks
+for an integer, so every document, and every gallery document, is run a
+second time with its dimension, scenario ids and options spelled so; each
+command must give the same exit code, report bytes and streams.
 """
 
 import json
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
 from randopt.cli import COMMANDS, main
 
 DOCUMENTS = 60
+GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
 
 def _constant(rng: random.Random) -> float:
@@ -121,3 +128,47 @@ def test_every_command_keeps_the_cli_contract(tmp_path, capsys, seed):
         if captured.err:
             message = report["error"]["message"]
             assert captured.err == f"randopt {command}: input error: {message}\n", context
+
+
+def float_spelled(doc: dict) -> dict:
+    """``doc`` with its dimension, its integer scenario ids in ``scenarios``
+    and ``atoms``, and its options written as integer-valued floats."""
+    doc = json.loads(json.dumps(doc))
+    space = doc["space"]
+
+    def spelled(s):
+        return float(s) if type(s) is int else s
+
+    doc["dimension"] = float(doc["dimension"])
+    space["scenarios"] = [spelled(s) for s in space["scenarios"]]
+    space["atoms"] = [[spelled(s) for s in atom] for atom in space["atoms"]]
+    doc["options"] = {name: float(v) for name, v in doc.get("options", {}).items()}
+    return doc
+
+
+def _runs(tmp_path, capsys, doc: dict) -> list:
+    """Every command's exit code, report bytes, stdout and stderr on ``doc``."""
+    document = tmp_path / "problem.json"
+    document.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    runs = []
+    for command in COMMANDS:
+        out.write_text("stale report from an earlier run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--input", str(document), "--output", str(out)])
+        captured = capsys.readouterr()
+        runs.append((command, code, out.read_bytes(), captured.out, captured.err))
+    return runs
+
+
+@pytest.mark.parametrize("seed", range(DOCUMENTS))
+def test_integer_valued_floats_give_the_int_spelled_runs(tmp_path, capsys, seed):
+    doc = random_document(seed)
+    assert _runs(tmp_path, capsys, float_spelled(doc)) == _runs(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("path", sorted(GALLERY.glob("*.json")), ids=lambda p: p.stem)
+def test_the_gallery_spelled_with_floats_gives_the_int_spelled_runs(tmp_path, capsys, path):
+    doc = json.loads(path.read_text())
+    assert _runs(tmp_path, capsys, float_spelled(doc)) == _runs(tmp_path, capsys, doc)

@@ -81,6 +81,17 @@ def test_a_results_key_that_the_command_does_not_write_is_rejected(command):
         VALIDATOR.validate(report)
 
 
+def test_a_refusal_without_its_witness_is_rejected():
+    # every refusal is raised with the witness of the failed verdict
+    refusals = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.json"))]
+    refusals = [report for report in refusals if report["status"] == "refused"]
+    assert refusals
+    for report in refusals:
+        del report["refusal"]["witness"]
+        with pytest.raises(jsonschema.ValidationError, match="witness"):
+            VALIDATOR.validate(report)
+
+
 def test_a_stationary_point_may_leave_out_its_minors_and_nothing_else():
     report = json.loads((GOLDEN / "overflowing_minors.stationary.json").read_text())
     (point,) = report["results"]["stationary_points"]["1"]
