@@ -42,7 +42,9 @@ DOCUMENTS = HERE / "documents"
 # necessary check whose first failing scenario fails in its Hessian while
 # a later one fails in its gradient, so the first scenario's error is the
 # one reported, and a solve-rlop whose ball sample leaves the log's domain,
-# whose message carries the sample's value
+# whose message carries the sample's value, and last solve-rop and oracle
+# on a 401 x 401 box grid of many scan blocks, with a zero denominator at
+# the grid nodes x1 = 2.5, in a block far from every minimum
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -86,6 +88,8 @@ CORPUS = [
     (DOCUMENTS / "exp_rounding.json", "oracle"),
     (DOCUMENTS / "error_precedence.json", "necessary"),
     (DOCUMENTS / "float_message.json", "solve-rlop"),
+    (DOCUMENTS / "far_pole.json", "solve-rop"),
+    (DOCUMENTS / "far_pole.json", "oracle"),
 ]
 
 
