@@ -53,9 +53,10 @@ def _validate_schema(raw: object, schema: dict, prefix: str) -> None:
     import jsonschema  # only a document that is not clean pays for the import
 
     validator = jsonschema.Draft202012Validator(schema)
+    # document order: array indices compare as ints, so /10 follows /2
     errors = sorted(
         validator.iter_errors(raw),
-        key=lambda e: (list(map(str, e.absolute_path)), e.message),
+        key=lambda e: ([(isinstance(k, str), k) for k in e.absolute_path], e.message),
     )
     if errors:
         err = errors[0]

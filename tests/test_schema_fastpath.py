@@ -38,9 +38,12 @@ SCHEMA = json.loads(
 
 def reference_validate_schema(raw, schema, prefix=""):
     validator = jsonschema.Draft202012Validator(schema)
+    # an index sorts as an int, before any key of an object
+    def place(p):
+        return (0, p, "") if isinstance(p, int) else (1, 0, p)
+
     errors = sorted(
-        validator.iter_errors(raw),
-        key=lambda e: (list(map(str, e.absolute_path)), e.message),
+        validator.iter_errors(raw), key=lambda e: (list(map(place, e.absolute_path)), e.message)
     )
     if errors:
         err = errors[0]
@@ -239,6 +242,24 @@ def test_draft_2020_12_rules(path, value, clean):
     _node(doc, path[:-1])[path[-1]] = value
     assert walk(doc) is clean
     assert_same_verdict(doc)
+
+
+def test_the_first_bad_index_is_reported_first(tmp_path):
+    # indices 2 and 10 compare as ints: as strings, "10" sorts before "2"
+    scenarios = list(range(1, 12))
+    doc = {
+        "schema_version": 1,
+        "space": {"scenarios": scenarios, "weights": [1.0 / 11] * 11, "atoms": [scenarios]},
+        "dimension": 1,
+        "objective": {"expression": "x1^2"},
+    }
+    doc["space"]["weights"][2], doc["space"]["weights"][10] = "a", "b"
+    assert_same_verdict(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as info:
+        load_problem(str(path))
+    assert str(info.value) == "/space/weights/2: 'a' is not of type 'number'"
 
 
 def test_missing_keys_are_rejected_alike():
