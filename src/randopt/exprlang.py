@@ -44,6 +44,15 @@ columns of an array, ``eval_rows`` on the rows of a bundle's inputs, and
 ``eval_grid`` on the axes of a grid, each shaped to broadcast along its
 own dimension, with the mask in the grid's shape.
 
+``_Compiler.run_bounds`` runs the same steps on intervals, one row per
+box of inputs, and ``eval_bounds`` returns per box a lower bound on the
+value at every valid point and whether every check is proved to pass
+throughout.  It bounds loads, constants, negation, ``+ - * /`` and
+squares, each rounded outward by one ulp, so a bound holds the floats the
+runners compute; a bundle with any other step (``exp``, ``log``, ``sin``,
+``cos``, ``sqrt`` or another power) is not ``bounded``, and a box scan of
+it evaluates every block.
+
 Every runner takes its bits from one place.  ``+ - * /``, negation and
 ``sqrt`` are correctly rounded, so Python and numpy agree on them.  A
 square ``u^2`` is one multiplication ``u * u`` (``np.square`` on arrays),
@@ -634,6 +643,86 @@ class _Compiler:
                 del env[name]
         return [env[name] for name in self.results]
 
+    @cached_property
+    def bounded(self) -> bool:
+        """Whether ``run_bounds`` bounds every step: loads, constants,
+        ``neg + - * /``, squares and the two checks, and no other step."""
+        return all(
+            op in _BOUNDED or (op == "**" and self.squares(extra))
+            for op, _, _, extra in self.steps
+        )
+
+    def run_bounds(
+        self, lower: Sequence, upper: Sequence, P: Sequence, proved: np.ndarray
+    ) -> list:
+        """Interval bounds of the ``bounded`` steps on boxes, one row per
+        box: variable j lies in [``lower[j]``, ``upper[j]``] and parameter j
+        is ``P[j]``, each of one element or one per box.  Returns, per
+        result, a lower bound on the value that ``run_rows`` computes at
+        every point of a box where every check passes; ``proved`` keeps the
+        boxes where every check is proved to pass at every point.
+
+        Each step bounds the floats it computes, not only the real values:
+        the ends of a sum, difference, product or quotient are the ends' own
+        results widened by one ulp outward (``np.nextafter``), and float
+        rounding is monotone.  A square's lower end is 0 where its interval
+        holds 0.  A denominator is never 0 at a valid point, so where its
+        interval holds 0 as an end the quotient has one sign, and where it
+        holds 0 inside, no bound.  A NaN end (inf - inf, 0 * inf) stands for
+        no bound: arithmetic carries it, and no comparison with it proves
+        anything.  A finite check is proved where both ends are finite, a
+        zero check where the interval excludes 0."""
+        lo = {name: np.full(1, value) for name, value in self.constants.items()}
+        hi = dict(lo)
+        for op, t, args, extra in self.steps:
+            if op == "finite":
+                proved &= np.isfinite(lo[args[0]]) & np.isfinite(hi[args[0]])
+            elif op == "nonzero":
+                proved &= (lo[args[0]] > 0.0) | (hi[args[0]] < 0.0)
+            elif op == "x":
+                lo[t], hi[t] = lower[extra], upper[extra]
+            elif op == "p":
+                lo[t] = hi[t] = P[extra]
+            elif op == "neg":  # exact
+                lo[t], hi[t] = -hi[args[0]], -lo[args[0]]
+            else:
+                lo[t], hi[t] = _interval(op, lo, hi, args)
+        return [lo[name] for name in self.results]
+
+
+def _interval(op: str, lo: dict, hi: dict, args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of a square or of ``+ - * /`` on the intervals of ``args``,
+    each widened by one ulp outward; see ``_Compiler.run_bounds``."""
+    al, ah = lo[args[0]], hi[args[0]]
+    if op == "**":  # a square, never below 0
+        low = np.where(al > 0.0, al * al, np.where(ah < 0.0, ah * ah, 0.0))
+        high = np.maximum(al * al, ah * ah)
+        return np.maximum(np.nextafter(low, -np.inf), 0.0), np.nextafter(high, np.inf)
+    bl, bh = lo[args[1]], hi[args[1]]
+    if op == "+":
+        low, high = al + bl, ah + bh
+    elif op == "-":
+        low, high = al - bh, ah - bl
+    else:
+        kernel = _ARRAY_KERNELS[op]
+        ends = [kernel(u, v) for u in (al, ah) for v in (bl, bh)]
+        low = np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3]))
+        high = np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3]))
+        if op == "/":
+            # the corners where the denominator's interval excludes 0; where
+            # it holds 0 as its lower (upper) end, a valid denominator is
+            # positive (negative), and a numerator of one sign gives one end
+            apart = (bl > 0.0) | (bh < 0.0)
+            up, down = (bl == 0.0) & (bh > 0.0), (bh == 0.0) & (bl < 0.0)
+            low = np.where(apart, low, np.where(up & (al >= 0.0), al / bh, -np.inf))
+            low = np.where(down & (ah <= 0.0), ah / bl, low)
+            high = np.where(apart, high, np.where(up & (ah <= 0.0), ah / bh, np.inf))
+            high = np.where(down & (al >= 0.0), al / bl, high)
+    return np.nextafter(low, -np.inf), np.nextafter(high, np.inf)
+
+
+# the steps that run_bounds bounds, besides squares
+_BOUNDED = frozenset({"x", "p", "neg", "+", "-", "*", "/", "finite", "nonzero"})
 
 _ARRAY_KERNELS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
                   "*": operator.mul, "/": operator.truediv,
@@ -718,6 +807,24 @@ def eval_grid(
     with np.errstate(all="ignore"):
         values = e.lowered.run_rows(columns, [np.full(1, v) for v in p], valid)[0]
     return np.where(valid, values, np.nan).ravel(), valid.ravel()
+
+
+def eval_bounds(
+    e: Expression, lower: np.ndarray, upper: np.ndarray, p: Sequence[float] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of ``e`` on the boxes [``lower[i]``, ``upper[i]``] (rows of
+    shape (B, n)), for an expression whose steps are ``bounded``.
+
+    Returns ``(least, proved)``, one entry per box: a lower bound on the
+    value that ``eval_grid`` or ``eval_batch`` returns at every valid point
+    of the box (-inf where there is none), and whether every point of the
+    box is proved valid.  See ``_Compiler.run_bounds``.
+    """
+    proved = np.ones(len(lower), dtype=bool)
+    with np.errstate(all="ignore"):
+        least = e.lowered.run_bounds(lower.T, upper.T, [np.full(1, v) for v in p], proved)[0]
+    least = np.broadcast_to(least, proved.shape)
+    return np.where(np.isnan(least), -np.inf, least), proved
 
 
 def eval_rows(bundle: Callable, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,11 @@ once, minors and class together (``_classify``).  A grid minimization
 ``SCAN_BLOCK_NODES`` grid nodes, each on the grid's axes with one axis
 sliced (``exprlang.eval_grid``), and reduces each block as it is made,
 keeping its values only while it can still hold the selected point; no
-grid of points or of values is built, and each node is evaluated once.
+grid of points or of values is built, and each node is evaluated at most
+once.  On a box of two or more blocks, an interval bound of the objective
+on each block (``exprlang.eval_bounds``) orders the first block and skips
+every block that it proves holds valid nodes only, each more than the
+tolerance above the least value found.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .errors import (
     NotSymmetric,
     RandoptError,
 )
-from .exprlang import eval_grid, eval_rows
+from .exprlang import eval_bounds, eval_grid, eval_rows
 from .probspace import (
     MeasurabilityVerdict,
     Point,
@@ -630,16 +634,20 @@ def _scan_blocks(
     omega: Scenario,
     C_omega: Union[Box, PointCloud],
     grid_m: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, Callable[[int], Point]]]:
+) -> tuple[list[Callable[[], tuple]], list[float], list[bool]]:
     """f(omega, .) on the grid (Box) or the sorted points (PointCloud) of
     ``C_omega``, block by block in lexicographic order.
 
-    Yields (values, valid, point) per block: the values (NaN where
+    Returns (blocks, least, proved), one entry per block.  Calling a block
+    evaluates it, giving (values, valid, point): the values (NaN where
     evaluation failed), the mask of nodes where it did not, and the
     function giving the block's node of index i.  A box splits along its
     first axis of more than one node, so each block is a run of the grid's
-    raveled order; a block takes as many whole slabs of that axis as fit
-    in ``SCAN_BLOCK_NODES``, and at least one.  A point cloud is one block.
+    raveled order; a block takes as many whole slabs of that axis as fit in
+    ``SCAN_BLOCK_NODES``, and at least one.  A point cloud is one block.
+    ``least`` and ``proved`` are ``exprlang.eval_bounds`` on the blocks'
+    boxes, for a box of two or more blocks whose objective it bounds, at
+    float parameters; else -inf and False.
     """
     if not isinstance(C_omega, (Box, PointCloud)):
         raise IncompatibleRepresentation(
@@ -649,21 +657,38 @@ def _scan_blocks(
         raise IncompatibleRepresentation("set dimension differs from function")
     if isinstance(C_omega, PointCloud):
         X = np.asarray(sorted(C_omega.points), dtype=float)
-        yield (*eval_f_batch(rf, omega, X), lambda i: tuple(float(v) for v in X[i]))
-        return
+
+        def cloud():
+            return (*eval_f_batch(rf, omega, X), lambda i: tuple(float(v) for v in X[i]))
+
+        return [cloud], [-math.inf], [False]
     axes = grid_axes(C_omega, grid_m)
     p = rf.params_of(omega)
     shape = [len(a) for a in axes]
     d = next((j for j, m in enumerate(shape) if m > 1), 0)
     slabs = max(1, SCAN_BLOCK_NODES // math.prod(shape[d + 1:]))
-    for start in range(0, shape[d], slabs):
-        block = [*axes[:d], axes[d][start:start + slabs], *axes[d + 1:]]
+    starts = range(0, shape[d], slabs)
 
-        def point(i: int, block=block) -> Point:
-            index = np.unravel_index(i, [len(a) for a in block])
-            return tuple(float(a[j]) for a, j in zip(block, index))
+    def block(start: int):
+        sliced = [*axes[:d], axes[d][start:start + slabs], *axes[d + 1:]]
 
-        yield (*eval_grid(rf.body, block, p), point)
+        def point(i: int) -> Point:
+            index = np.unravel_index(i, [len(a) for a in sliced])
+            return tuple(float(a[j]) for a, j in zip(sliced, index))
+
+        return lambda: (*eval_grid(rf.body, sliced, p), point)
+
+    blocks = [block(start) for start in starts]
+    # the bound follows float arithmetic: an int parameter's steps wrap
+    floats = all(isinstance(v, float) for v in p)
+    if len(blocks) < 2 or not rf.body.lowered.bounded or not floats:
+        return blocks, [-math.inf] * len(blocks), [False] * len(blocks)
+    lower = np.array([[a.min() for a in axes]] * len(blocks))
+    upper = np.array([[a.max() for a in axes]] * len(blocks))
+    lower[:, d] = np.minimum.reduceat(axes[d], starts)
+    upper[:, d] = np.maximum.reduceat(axes[d], starts)
+    least, proved = eval_bounds(rf.body, lower, upper, p)
+    return blocks, least.tolist(), proved.tolist()
 
 
 def scan_min(
@@ -674,7 +699,7 @@ def scan_min(
     tol: float,
 ) -> tuple[Point, float, int]:
     """The least value eta of f(omega, .) on the grid (Box) or the points
-    (PointCloud) of ``C_omega``, evaluating each node once.
+    (PointCloud) of ``C_omega``, evaluating each node at most once.
 
     Returns (point, eta, excluded): the first node in lexicographic order
     with value - eta <= ``tol``; eta with the bits of the value at the
@@ -683,23 +708,54 @@ def scan_min(
     reduced as it is made, and its values are kept only while the block
     can still hold the point: eta only falls, so a block whose least value
     is more than ``tol`` above it never can again.
+
+    The block of the least bound (``_scan_blocks``; the first block where
+    there are none) is evaluated first and the others follow in order, its
+    values reused when the order reaches it.  A block is skipped, never
+    evaluated, when its bound proves every node valid and bound - eta >
+    ``tol`` for the least value eta found so far.  Float rounding is
+    monotone, so each of its values v then has v - eta > ``tol`` >= 0 at
+    the final eta too: it holds neither the point nor eta, and excludes no
+    node.
     """
+    blocks, least, proved = _scan_blocks(rf, omega, C_omega, grid_m)
     eta = math.inf
     excluded = 0
-    kept = []  # (least value, values, point) per block, least values falling
-    for values, valid, point in _scan_blocks(rf, omega, C_omega, grid_m):
+
+    def reduced(block) -> tuple[float, Optional[np.ndarray], Callable[[int], Point]]:
+        """(least value, values, point) of a block, +inf at excluded nodes;
+        values None where every node is excluded."""
+        nonlocal excluded
+        values, valid, point = block()
         ok = int(np.count_nonzero(valid))
         excluded += values.size - ok
         if ok == 0:
-            continue
+            return math.inf, None, point
         if ok < values.size:
             values[~valid] = np.inf
-        low = float(values[int(np.argmin(values))])  # first occurrence
+        return float(values[int(np.argmin(values))]), values, point  # first occurrence
+
+    first = int(np.argmin(least))
+    held = reduced(blocks[first])
+    found = held[0]  # the least value found so far, in any order
+    kept = []  # (least value, values, point) per block, least values falling
+    for i, block in enumerate(blocks):
+        if i == first:
+            (low, values, point), held = held, None
+        elif proved[i] and least[i] - found > tol:
+            continue
+        else:
+            low, values, point = reduced(block)
+            found = min(found, low)
+        if values is None:
+            continue
         if not kept or low < eta:  # else an earlier block holds the point if this one does
             eta = low
             kept.append((low, values, point))
             while kept[0][0] - eta > tol:
                 del kept[0]
+            if held is not None and held[0] >= eta:  # it cannot join kept any more
+                held = (held[0], None, held[2])
     if not kept:
         raise DomainViolation(
             f"objective undefined at every point of the set for scenario {omega!r}"

@@ -9,9 +9,9 @@ undefined on a whole set) the reports must be byte-identical.  The count
 tests pin the work: one grid-sized evaluation per distinct input, one
 Newton run per distinct parameter vector (also across the atom
 representatives of solve-rlop), one scan of a box's grid axes per distinct
-input or atom with no grid matrix, its blocks covering the grid's nodes
-once each and in order, no scalar gradient or Hessian in stationary and
-one probe grid per solve-rlop.
+input or atom with no grid matrix, no node of it evaluated twice and
+every block left out excluded by an interval bound, no scalar gradient or
+Hessian in stationary and one probe grid per solve-rlop.
 """
 
 import json
@@ -311,12 +311,15 @@ def test_oracle_works_once_per_distinct_input(tmp_path, monkeypatch, seed):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli.run("oracle", load_problem(str(path)), str(tmp_path / "out.json")) == 0
-    # one scan of the 7 x 7 grid's axes per distinct input, in order, its
-    # blocks covering the grid once, and no grid of points
+    # one scan of the 7 x 7 grid's axes per distinct input, in order, no
+    # node evaluated twice, and no grid of points
     grids_scanned = scanned_grids(scans, 10)
     assert [shape for shape, _ in grids_scanned] == [(7, 7)] * len(firsts)
     assert [_bits(p) for _, p in grids_scanned] == [p for p, _ in firsts]
-    assert [len(blocks) for *_, blocks in scans] == [7] * len(firsts)
+    # each of a grid's 7 blocks is evaluated or excluded by the bound, and
+    # the bound excludes some
+    assert [len(s.blocks) + len(s.skipped) for s in scans] == [7] * len(firsts)
+    assert any(s.skipped for s in scans)
     assert evals == grids == []
 
 
@@ -400,9 +403,13 @@ def test_solve_rop_scans_the_grid_axes_once_per_atom(monkeypatch):
     scans = record_scans(monkeypatch, 4)  # blocks of 4, 4 and 3 nodes
     _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     r.solve_rop(rf, space, C, r.SolverOptions(grid_m=11))
-    # the representatives 1, 3, 4 and 5, one 11-node axis each
+    # the representatives 1, 3, 4 and 5, one 11-node axis each; the block
+    # holding p1 is evaluated and the bound excludes the other two
     assert scanned_grids(scans, 4) == [((11,), (i / 10,)) for i in range(4)]
-    assert [len(blocks) for *_, blocks in scans] == [3] * 4
+    assert [(len(s.blocks), s.skipped) for s in scans] == [(1, [0, 2])] * 2 + [
+        (1, [1, 2]),
+        (1, [0, 2]),
+    ]
     assert grids == []
 
 
@@ -415,7 +422,8 @@ def test_solve_rlop_scans_the_grid_axes_once_per_convex_atom(tmp_path, monkeypat
     doc = load_problem(str(GALLERY / "convex_quadratic_2d.json"))
     assert cli.run("solve-rlop", doc, str(tmp_path / "out.json")) == 0
     assert [shape for shape, _ in scanned_grids(scans, 1000)] == [(61, 61)] * 2
-    assert [len(blocks) for *_, blocks in scans] == [4] * 2
+    # x1*x2 leaves the bound of every block below eta: all 4 are evaluated
+    assert [(len(s.blocks), s.skipped) for s in scans] == [(4, [])] * 2
     assert [m for _, m in grids] == [5]  # the Newton start grid only
 
 

@@ -5,13 +5,16 @@ verbatim: it evaluated the whole grid (Box, on its axes) or all sorted
 points (PointCloud) at once.  ``reference_global_min`` and
 ``reference_solve_rop_min`` are the two reductions that followed it, in
 ``global_min_compact`` and ``solve_rop``.  ``scan_min`` now evaluates
-blocks of at most ``SCAN_BLOCK_NODES`` nodes and reduces each as it is
-made.  With the block size patched small, so that a scan of the test
-grids splits into many blocks, it must give the reference's point and
-excluded count, or raise the same error, and eta with the bits of the
-value at the reference argmin: ``solve_rop`` took ``values.min()``, whose
-zero sign depends on numpy's reduction order, and now reports the first
-minimum's bits as ``global_min_compact`` does.
+blocks of at most ``SCAN_BLOCK_NODES`` nodes, reduces each as it is
+made and skips the blocks that an interval bound excludes (the block of
+the least bound first, the others in order).  With the block size
+patched small, so that a scan of the test grids splits into many blocks,
+it must give the reference's point and excluded count, or raise the same
+error, and eta with the bits of the value at the reference argmin:
+``solve_rop`` took ``values.min()``, whose zero sign depends on numpy's
+reduction order, and now reports the first minimum's bits as
+``global_min_compact`` does.  Generated objectives, with and without
+steps the bound refuses, check the skipping at both tolerances.
 """
 
 import struct
@@ -19,11 +22,25 @@ from typing import Callable, Union
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import randopt as r
 from randopt import optimize
 from randopt.errors import DomainViolation, IncompatibleRepresentation, RandoptError
-from randopt.exprlang import eval_grid
+from randopt.exprlang import (
+    Add,
+    Call,
+    Div,
+    Expression,
+    Mul,
+    Neg,
+    Num,
+    Param,
+    Pow,
+    Sub,
+    Var,
+    eval_grid,
+)
 from randopt.optimize import GlobalMinResult, grid_axes
 from randopt.probspace import Point, Scenario
 from randopt.randfunc import Box, PointCloud, RandomFunction, eval_f_batch
@@ -120,11 +137,12 @@ def _got(rf, omega, C_omega, grid_m, tol):
     return point, _bits(eta), excluded
 
 
-def assert_scans_match(monkeypatch, rf, omega, C_omega, grid_m):
+def assert_scans_match(monkeypatch, rf, omega, C_omega, grid_m, sizes=BLOCK_SIZES):
     """scan_min with either tolerance, and global_min_compact, against the
-    references, at every block size; the blocks cover each grid once."""
+    references, at each block size; no node is evaluated twice, and every
+    block left out is excluded by the bound (``scanned_grids``)."""
     expected = {tol: _expected(rf, omega, C_omega, grid_m, tol) for tol in (0.0, EQUATION_TOL)}
-    for size in BLOCK_SIZES:
+    for size in sizes:
         with monkeypatch.context() as m:
             scans = record_scans(m, size)
             for tol, want in expected.items():
@@ -225,12 +243,130 @@ def test_a_set_of_another_kind_or_dimension_raises_as_before(monkeypatch):
 
 def test_a_scan_builds_no_grid_sized_array(monkeypatch):
     # at the default block size, 401^2 nodes make 11 blocks of 38 slabs or
-    # fewer, each evaluated once
+    # fewer; the bound leaves one to evaluate, the one holding (0.3, -0.2)
     rf = _one_scenario("(x1 - 0.3)^2 + (x2 + 0.2)^2", 2)
     box = Box((-1.0, -1.0), (1.0, 1.0))
     scans = record_scans(monkeypatch, optimize.SCAN_BLOCK_NODES)
     point, eta, excluded = optimize.scan_min(rf, 1, box, 401, EQUATION_TOL)
     assert scanned_grids(scans, optimize.SCAN_BLOCK_NODES) == [((401, 401), ())]
-    assert [tuple(map(len, axes)) for axes, _ in scans[0][3]] == [(38, 401)] * 10 + [(21, 401)]
+    assert [tuple(map(len, axes)) for axes, _ in scans[0].blocks] == [(38, 401)]
+    assert scans[0].skipped == [0, 1, 2, 3, 4, 5, 7, 8, 9, 10]
     assert excluded == 0 and abs(eta) < 1e-12
     assert np.allclose(point, (0.3, -0.2), rtol=0.0, atol=1e-12)
+
+
+# --- scans that skip the blocks a bound excludes -------------------------------------
+
+# dyadic ends, so that many nodes, poles and ties are exact
+_ENDS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+_NUMBERS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-12, 1e154]
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(lambda c: Pow(c, 2), children),
+    )
+
+
+_leaves = st.one_of(
+    st.builds(Num, st.sampled_from(_NUMBERS)),
+    st.builds(Param, st.integers(1, 2)),
+    st.builds(Var, st.integers(1, 2)),
+)
+_centers = st.one_of(st.builds(Num, st.sampled_from(_ENDS)), st.builds(Param, st.integers(1, 2)))
+_terms = st.one_of(
+    _leaves,
+    st.recursive(_leaves, _grow, max_leaves=3),
+    # a pole wherever x_i equals the center, at a node or between nodes
+    st.builds(lambda i, c: Div(Num(1.0), Pow(Sub(Var(i), c), 2)), st.integers(1, 2), _centers),
+)
+_bounded = st.one_of(
+    st.recursive(_leaves, _grow, max_leaves=8),
+    # a well per axis plus a term: bounds that exclude blocks
+    st.builds(
+        lambda a, b, t: Add(Add(Pow(Sub(Var(1), a), 2), Pow(Sub(Var(2), b), 2)), t),
+        _centers,
+        _centers,
+        _terms,
+    ),
+)
+# an exp, log or sin somewhere leaves the scan without bounds
+_objectives = st.one_of(
+    _bounded,
+    _bounded,
+    st.builds(
+        lambda f, g, h: Add(f, Call(h, g)), _bounded, _terms, st.sampled_from(["exp", "log", "sin"])
+    ),
+)
+
+
+@st.composite
+def _boxes(draw):
+    """A box of 2 axes, each degenerate one time in four."""
+    lower, upper = [], []
+    for _ in range(2):
+        lo, hi = sorted((draw(st.sampled_from(_ENDS)), draw(st.sampled_from(_ENDS))))
+        lower.append(lo)
+        upper.append(lo if draw(st.integers(0, 3)) == 0 else hi)
+    return Box(tuple(lower), tuple(upper))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _objectives,
+    _boxes(),
+    st.integers(2, 13),
+    st.integers(1, 8),
+    st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-12])] * 2),
+)
+def test_skipping_scans_match_the_whole_grid_scan(root, box, grid_m, size, p):
+    # the point, eta's bits, the excluded count and any error at tol 0 and
+    # EQUATION_TOL; the blocks left out are those the bound excludes
+    space = r.make_space([1], [1.0], [[1]])
+    rf = r.RandomFunction(space, 2, Expression(root, 2, 2), {1: p})
+    with np.errstate(over="ignore"):  # the reference's values - eta can overflow
+        assert_scans_match(pytest.MonkeyPatch, rf, 1, box, grid_m, sizes=(size,))
+
+
+@pytest.mark.parametrize(
+    "text, region, grid_m, size, skipped",
+    [
+        # a pole on the node x1 = -1.5, in a block far from the minimum at
+        # x1 = 1: its bound is finite but proves no node, so it is evaluated
+        ("(x1 - 1)^2 + 1/(x1 + 1.5)^2", LINE, 41, 5, [0, 2, 3, 4, 5, 7, 8]),
+        # overflow at the nodes |x1| >= 1.4, in the first two and last three
+        # blocks
+        ("(1e154*x1)^2", LINE, 41, 5, [2, 3, 5]),
+        # the node x1 = 1e-9 has the least bound and value, -1e-9; the block
+        # of x1 = 0 has bound - eta equal to EQUATION_TOL, so it is evaluated
+        # and holds the point
+        ("-x1", Box((0.0,), (1e-9,)), 2, 1, []),
+        # zeros of both signs: every bound is below eta
+        ("p1*x1", LINE, 41, 5, []),
+    ],
+)
+def test_a_block_is_skipped_only_where_its_bound_excludes_it(
+    monkeypatch, text, region, grid_m, size, skipped
+):
+    rf = _one_scenario(text, 1, 1, (0.0,))
+    expected = assert_scans_match(monkeypatch, rf, 1, region, grid_m, sizes=(size,))
+    scans = record_scans(monkeypatch, size)
+    assert optimize.scan_min(rf, 1, region, grid_m, EQUATION_TOL)[0] == expected[EQUATION_TOL][0]
+    scanned_grids(scans, size)
+    assert scans[0].skipped == skipped
+
+
+def test_an_int_parameter_scans_every_block(monkeypatch):
+    # int steps wrap where float steps do not: (p1 + p1) wraps to 2^63 - 2
+    # and twice that to -4, so the blocks get no bound
+    rf = _one_scenario("(p1 + p1) + (p1 + p1) + (x1 - 1)^2", 1, 1, (-(2**62) - 1,))
+    expected = assert_scans_match(monkeypatch, rf, 1, LINE, 41)
+    assert expected[0.0] == ((1.0,), _bits(-4.0), 0)
+    scans = record_scans(monkeypatch, 5)
+    optimize.scan_min(rf, 1, LINE, 41, 0.0)
+    assert len(scans[0].blocks) == 9

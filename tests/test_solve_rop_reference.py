@@ -199,11 +199,12 @@ def test_solve_rop_scans_each_representative_once(monkeypatch):
     scans = record_scans(monkeypatch, 2000)  # 24 slabs of 81 nodes per block
     monkeypatch.setattr(exprlang, "eval_batch", counting_rows)
     sel = r.solve_rop(rf, space, C, SolverOptions(grid_m=grid_m))
-    # one scan of the axes per atom, its blocks covering the grid once; the
-    # rows are the measurability probes
+    # one scan of the axes per atom, no node evaluated twice and every block
+    # left out excluded by the bound; the rows are the measurability probes
     grids = scanned_grids(scans, 2000)
     assert [shape for shape, _ in grids] == [(grid_m, grid_m)] * len(space.atoms)
-    assert [len(blocks) for *_, blocks in scans] == [4] * len(space.atoms)
+    # of the 4 blocks, the two holding the wells at p1 +- 1 are evaluated
+    assert [(len(s.blocks), s.skipped) for s in scans] == [(2, [0, 3]), (2, [1, 3]), (2, [1, 3])]
     assert grid_m**2 not in rows
     assert sel.points[1] == (-0.5, 0.0) and sel.points[4] == (-1.5, 0.0)
     assert math.isclose(sel.certificates[7].value, 0.0, abs_tol=1e-12)
