@@ -671,12 +671,16 @@ class _Compiler:
         holds 0 inside, no bound.  A NaN end (inf - inf, 0 * inf) stands for
         no bound: arithmetic carries it, and no comparison with it proves
         anything.  A finite check is proved where both ends are finite, a
-        zero check where the interval excludes 0."""
+        zero check where the interval excludes 0.  The checks in ``covered``
+        are skipped, as in ``run_rows``: an operand of ``+ - *`` with an
+        end that is not finite gives an end that is not finite, which a
+        later check sees."""
         lo = {name: np.full(1, value) for name, value in self.constants.items()}
         hi = dict(lo)
-        for op, t, args, extra in self.steps:
+        for i, (op, t, args, extra) in enumerate(self.steps):
             if op == "finite":
-                proved &= np.isfinite(lo[args[0]]) & np.isfinite(hi[args[0]])
+                if i not in self.covered:
+                    proved &= np.isfinite(lo[args[0]]) & np.isfinite(hi[args[0]])
             elif op == "nonzero":
                 proved &= (lo[args[0]] > 0.0) | (hi[args[0]] < 0.0)
             elif op == "x":
