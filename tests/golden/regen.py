@@ -44,7 +44,10 @@ DOCUMENTS = HERE / "documents"
 # one reported, and a solve-rlop whose ball sample leaves the log's domain,
 # whose message carries the sample's value, and last solve-rop and oracle
 # on a 401 x 401 box grid of many scan blocks, with a zero denominator at
-# the grid nodes x1 = 2.5, in a block far from every minimum
+# the grid nodes x1 = 2.5, in a block far from every minimum; then the
+# three Hessian commands on a 3-D sum of double wells of two atoms, each
+# with 27 stationary points (8 PD, 18 indefinite, 1 ND), where the 3x3
+# minors are taken in closed form
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -90,6 +93,9 @@ CORPUS = [
     (DOCUMENTS / "float_message.json", "solve-rlop"),
     (DOCUMENTS / "far_pole.json", "solve-rop"),
     (DOCUMENTS / "far_pole.json", "oracle"),
+    (DOCUMENTS / "wells_3d.json", "stationary"),
+    (DOCUMENTS / "wells_3d.json", "necessary"),
+    (DOCUMENTS / "wells_3d.json", "solve-rlop"),
 ]
 
 
