@@ -47,7 +47,8 @@ DOCUMENTS = HERE / "documents"
 # the grid nodes x1 = 2.5, in a block far from every minimum; then the
 # three Hessian commands on a 3-D sum of double wells of two atoms, each
 # with 27 stationary points (8 PD, 18 indefinite, 1 ND), where the 3x3
-# minors are taken in closed form
+# minors are taken in closed form, and a necessary check in 4-D, where
+# the fourth minor is LAPACK's determinant
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -96,6 +97,7 @@ CORPUS = [
     (DOCUMENTS / "wells_3d.json", "stationary"),
     (DOCUMENTS / "wells_3d.json", "necessary"),
     (DOCUMENTS / "wells_3d.json", "solve-rlop"),
+    (DOCUMENTS / "wells_4d.json", "necessary"),
 ]
 
 
