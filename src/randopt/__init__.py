@@ -61,7 +61,6 @@ from .optimize import (
     jacobi_eigenvalues,
     leading_principal_minors,
     optimal_value,
-    verify_local_min,
 )
 from .selection import (
     GlobalCert,

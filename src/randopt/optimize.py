@@ -2,15 +2,21 @@
 
 Positive definiteness is decided by Sylvester's criterion (leading
 principal minors); the semidefinite and indefinite cases fall back to a
-cyclic Jacobi eigenvalue sweep.  Stationary points come from damped
-Newton iterations started on a grid, once per distinct parameter vector,
-all starts in one lock-step stack with the bits of each start run alone;
-a search reads its gradients from that stack and its Hessians from one
+cyclic Jacobi eigenvalue sweep.  A stack of Hessians is classified in one
+call (``_classify_stack``): the minors, norms and Sylvester test are array
+operations with the bits of each matrix taken alone, and only a matrix
+that fails the test is swept, when its class is asked for.  Stationary
+points come from damped Newton iterations started on a grid, once per
+distinct parameter vector, all starts in one lock-step stack with the
+bits of each start run alone; the searches of a stack read their
+gradients from it and the Hessians of every point they keep from one
 more.  A local minimum is certified on a ball where the Hessian stays
-positive definite, by sampling the objective in it; each halving's
-Hessians, the samples and the descent hunt are each one stack of rows.
-Each Hessian is symmetrized once (``randfunc.symmetrize``) and classified
-once, minors and class together (``_classify``).  A grid minimization
+positive definite, by sampling the objective in it; the points of every
+atom are certified in lock step (``_certify``), so the centers' Hessians,
+each halving's, the samples and the descent hunts are each one stack of
+rows for all of them.  Each Hessian is symmetrized once
+(``randfunc.symmetrize``) and its minors are taken once, by its stack.
+A grid minimization
 (``scan_min``) evaluates the objective on blocks of at most
 ``SCAN_BLOCK_NODES`` grid nodes, each on the grid's axes with one axis
 sliced (``exprlang.eval_grid``), and reduces each block as it is made,
@@ -119,27 +125,31 @@ def leading_principal_minors(H: np.ndarray) -> np.ndarray:
 
     Closed form up to 3x3; LU with partial pivoting (LAPACK) above.
     """
-    return _minors(_as_symmetric(H))
+    return _stack_minors(_as_symmetric(H)[None])[0]
 
 
-def _minors(H: np.ndarray) -> np.ndarray:
-    """``leading_principal_minors`` of a matrix already symmetric."""
-    n = H.shape[0]
-    minors = np.empty(n)
+def _stack_minors(S: np.ndarray) -> np.ndarray:
+    """``leading_principal_minors`` of every matrix of an (N, n, n) stack
+    already symmetric, as an (N, n) array: each closed-form minor is the
+    same products, in the same order, on the stack's entries, and each
+    LAPACK one a stacked ``np.linalg.det``, so every matrix gets the bits
+    it would get alone."""
+    n = S.shape[1]
+    minors = np.empty(S.shape[:2])
+    A = S.transpose(1, 2, 0)  # A[i, j] holds entry (i, j) of every matrix
     for k in range(1, n + 1):
-        A = H[:k, :k]
         if k == 1:
-            minors[0] = A[0, 0]
+            minors[:, 0] = A[0, 0]
         elif k == 2:
-            minors[1] = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+            minors[:, 1] = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
         elif k == 3:
-            minors[2] = (
+            minors[:, 2] = (
                 A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
                 - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
                 + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
             )
         else:
-            minors[k - 1] = float(np.linalg.det(A))
+            minors[:, k - 1] = np.linalg.det(S[:, :k, :k])
     return minors
 
 
@@ -190,43 +200,85 @@ def _jacobi(H: np.ndarray) -> np.ndarray:
 
 
 def classify_definiteness(H: np.ndarray) -> Definiteness:
-    """Sylvester's criterion for PD; Jacobi eigenvalues for the rest (``_classify``)."""
-    return _classify(_as_symmetric(H))[1]
+    """Sylvester's criterion for PD; Jacobi eigenvalues for the rest (``_classify_stack``)."""
+    return _classify_stack(_as_symmetric(H)[None])[1](0)
+
+
+def _thresholds(scale: np.ndarray, n: int) -> np.ndarray:
+    """tol * s ** k, tol = DEFINITENESS_TOL_REL, for k = 1..n at every scale
+    s, as a (len(scale), n) array; inf where s ** k passes the largest double.
+
+    The powers are Python's float powers (C's ``pow``): numpy's power
+    differs from them in the last bit at some scales, and a minor within one
+    ulp of its threshold would then change class."""
+    scales = scale.tolist()
+    powers = np.empty((len(scales), n))
+    for k in range(1, n + 1):
+        try:
+            powers[:, k - 1] = [s ** k for s in scales]
+        except OverflowError:
+            powers[:, k - 1] = [_power_or_inf(s, k) for s in scales]
+    return DEFINITENESS_TOL_REL * powers
+
+
+def _power_or_inf(s: float, k: int) -> float:
+    try:
+        return s ** k
+    except OverflowError:
+        return math.inf
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _classify(S: np.ndarray) -> tuple[tuple, Definiteness]:
-    """The leading principal minors of a matrix already symmetric, and its class.
+def _classify_stack(S: np.ndarray) -> tuple[np.ndarray, Callable[[int], Definiteness]]:
+    """The leading principal minors of an (N, n, n) stack of symmetric
+    matrices (``_stack_minors``), and the function giving the class of its
+    matrix j.
 
-    Minor k is compared against tol * (1 + |S|_inf)^k, tol = DEFINITENESS_TOL_REL,
-    and fails a threshold past the largest double; eigenvalues against
-    tol * (1 + |S|_inf).  Where a row sum overflows, the class is that of S
-    times an exact power of two that brings every row sum below the largest double.
+    Minor k is compared against tol * (1 + |S|_inf)^k, tol = DEFINITENESS_TOL_REL
+    (``_thresholds``), as one array operation; a matrix passing every
+    comparison is PD.  The class of any other matrix is decided when it is
+    asked for, from its eigenvalues (``_eigen_class``).  Where a row sum
+    overflows, the class is that of S times an exact power of two that
+    brings every row sum below the largest double.  An undefined matrix
+    (NaN) is PSD_degenerate without an eigenvalue sweep: its norm, and so
+    every threshold and tolerance, is NaN, which fails every comparison.
     """
-    norm = float(np.max(np.sum(np.abs(S), axis=1)))
-    minors = tuple(_minors(S).tolist())
-    if norm == math.inf:  # n * 2^-bit_length(n) < 1
-        return minors, _classify(np.ldexp(S, -len(S).bit_length()))[1]
+    n = S.shape[1]
+    minors = _stack_minors(S)
+    norm = np.abs(S).sum(axis=2).max(axis=1)
     scale = 1.0 + norm
-    try:
-        if all(minors[k] > DEFINITENESS_TOL_REL * scale ** (k + 1) for k in range(len(minors))):
-            return minors, Definiteness.PD
-    except OverflowError:
-        pass
+    pd = (minors > _thresholds(scale, n)).all(axis=1)
+
+    def classify(j: int) -> Definiteness:
+        if pd[j]:
+            return Definiteness.PD
+        if norm[j] == math.inf:  # n * 2^-bit_length(n) < 1
+            return _classify_stack(np.ldexp(S[j : j + 1], -n.bit_length()))[1](0)
+        if math.isnan(norm[j]):
+            return Definiteness.PSD_DEGENERATE
+        return _eigen_class(S[j], float(scale[j]))
+
+    return minors, classify
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _eigen_class(S: np.ndarray, scale: float) -> Definiteness:
+    """The class of a symmetric matrix from its eigenvalues (``_jacobi``)
+    against tol * ``scale``, tol = DEFINITENESS_TOL_REL."""
     lam = _jacobi(S)
     tau = DEFINITENESS_TOL_REL * scale
     lmin, lmax = float(lam[0]), float(lam[-1])
     if lmin > tau:
-        return minors, Definiteness.PD
+        return Definiteness.PD
     if lmax < -tau:
-        return minors, Definiteness.ND
+        return Definiteness.ND
     if lmin < -tau and lmax > tau:
-        return minors, Definiteness.INDEFINITE
+        return Definiteness.INDEFINITE
     if lmin >= -tau and lmax > tau:
-        return minors, Definiteness.PSD_DEGENERATE
+        return Definiteness.PSD_DEGENERATE
     if lmax <= tau and lmin < -tau:
-        return minors, Definiteness.NSD_DEGENERATE
-    return minors, Definiteness.PSD_DEGENERATE  # numerically zero matrix
+        return Definiteness.NSD_DEGENERATE
+    return Definiteness.PSD_DEGENERATE  # numerically zero matrix
 
 
 # --- stationary points ------------------------------------------------------------
@@ -465,11 +517,7 @@ def stationary_searches(
     found: dict[Scenario, StationarySearch] = {}
     for chunk, X0, P in _stacks(rf, searched, starts):
         X, G, iters, status = _newton(rf, X0, P)
-        for i, omega in enumerate(chunk):
-            rows = slice(i * m, (i + 1) * m)
-            found[omega] = _search_result(
-                rf, region, X[rows], G[rows], P[rows], iters[rows], status[rows]
-            )
+        found.update(zip(chunk, _searches(rf, region, X, G, P, iters, status, m)))
     return [found[first[omega]] for omega in scenarios]
 
 
@@ -488,7 +536,7 @@ def find_stationary_points(
     return stationary_searches(rf, [omega], region, opts)[0]
 
 
-def _search_result(
+def _searches(
     rf: RandomFunction,
     region: Box,
     X: np.ndarray,
@@ -496,29 +544,45 @@ def _search_result(
     P: np.ndarray,
     newton_iters: np.ndarray,
     status: np.ndarray,
-) -> StationarySearch:
-    """The search of one scenario from its rows of ``_newton``: the converged
-    points within 1e-9 of ``region``, each kept in lexicographic order unless
-    within ``DEDUP_RADIUS`` of one kept before, with the sup-norms of their
-    gradients in ``G``; their Hessians are one stack at the parameter rows
-    ``P``, and a point with an undefined one is skipped."""
-    skipped = int(np.count_nonzero(status == "singular"))
-    stalled = int(np.count_nonzero(status == "stalled"))
+    m: int,
+) -> list[StationarySearch]:
+    """The searches of a ``_newton`` stack of runs of ``m`` rows each, one
+    per run in order.  A run keeps its converged points within 1e-9 of
+    ``region``, each in lexicographic order unless within ``DEDUP_RADIUS``
+    of one it kept before, with the sup-norms of their gradients in ``G``.
+    The Hessians of the points every run keeps are one stack at the
+    parameter rows ``P``, classified in one call; a point with an undefined
+    Hessian is skipped."""
     lower, upper = np.array(region.lower) - 1e-9, np.array(region.upper) + 1e-9
     inside = (status == "converged") & ((lower <= X) & (X <= upper)).all(axis=1)
     rows = X.tolist()
-    kept: list[int] = []
-    for i in sorted(np.flatnonzero(inside).tolist(), key=rows.__getitem__):
-        if all(max(abs(a - b) for a, b in zip(rows[k], rows[i])) > DEDUP_RADIUS for k in kept):
-            kept.append(i)
-    H, defined = _hessians(rf, X[kept], P[kept])
-    classified = [(i, *_classify(H[j])) for j, i in enumerate(kept) if defined[j]]
-    points = tuple(
-        StationaryPoint(tuple(rows[i]), sup_norm(G[i]), minors, cls, int(newton_iters[i]))
-        for i, minors, cls in classified
-    )
-    skipped += int(np.count_nonzero(~defined))
-    return StationarySearch(points, len(X), skipped, stalled)
+    runs = range(0, len(X), m)
+    kept: list[list[int]] = []
+    for lo in runs:
+        run: list[int] = []
+        for i in sorted((lo + np.flatnonzero(inside[lo : lo + m])).tolist(), key=rows.__getitem__):
+            if all(max(abs(a - b) for a, b in zip(rows[k], rows[i])) > DEDUP_RADIUS for k in run):
+                run.append(i)
+        kept.append(run)
+    every = [i for run in kept for i in run]
+    H, defined = _hessians(rf, X[every], P[every])
+    minors, classify = _classify_stack(H)
+    searches, j = [], 0
+    for lo, run in zip(runs, kept):
+        points = []
+        for i in run:
+            if defined[j]:
+                points.append(
+                    StationaryPoint(
+                        tuple(rows[i]), sup_norm(G[i]), tuple(minors[j].tolist()),
+                        classify(j), int(newton_iters[i]),
+                    )
+                )
+            j += 1
+        singular = int(np.count_nonzero(status[lo : lo + m] == "singular"))
+        stalled = int(np.count_nonzero(status[lo : lo + m] == "stalled"))
+        searches.append(StationarySearch(tuple(points), m, singular + len(run) - len(points), stalled))
+    return searches
 
 
 # --- local minimality certificates ---------------------------------------------------
@@ -544,79 +608,136 @@ def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
     return d / norms
 
 
-def verify_local_min(
+Outcome = Union[LocalMinCertificate, LocalMinFailure, Exception]
+
+
+def _certify(
     rf: RandomFunction,
-    omega: Scenario,
-    x: Sequence[float],
+    scenarios: Sequence[Scenario],
+    points: Sequence[Sequence[float]],
     opts: SolverOptions = SolverOptions(),
-) -> Union[LocalMinCertificate, LocalMinFailure]:
-    """Certify local minimality of a stationary point.
+) -> list[Outcome]:
+    """Certify local minimality of a stationary point of each scenario, in
+    lock step: per pair, its certificate or descent witness, or the
+    exception its certification raises.
 
     Halves delta from 1 until the Hessian is positive definite at 8n
     deterministic sample points of the closed ball (center included), then
     samples 200n objective values inside the certified ball.  When no ball
     works, hunts for an explicit descent witness; if even that fails the
-    situation is degenerate and NoRadiusFound is raised.
+    situation is degenerate and the outcome is NoRadiusFound.  A point
+    that is not stationary is a ValueError.
+
+    Only the gradient and the value at each center are scalar calls.  The
+    Hessians at every center are one stack; then each halving stacks the
+    ball samples of every pair still without a ball, and a pair's ball
+    fails at its first undefined or non-PD Hessian.  The descent hunts of
+    the pairs with no ball are one objective stack, and so are the
+    objective samples of the pairs with one.  The directions depend only on
+    n and the seed, so each set is drawn once for every pair.  Each pair
+    gets the bits it would get alone.
     """
-    x = np.asarray(x, dtype=float)
     n = rf.n
-    g = gradient(rf, omega, x)
-    if sup_norm(g) > STATIONARITY_TOL:
-        raise ValueError(
-            f"point is not stationary: |g|_inf = {sup_norm(g):g}"
-        )
-    f0 = eval_f(rf, omega, x)
+    outcomes: list[Optional[Outcome]] = [None] * len(scenarios)
+    f0: list[float] = [math.nan] * len(scenarios)
+    for i, (omega, x) in enumerate(zip(scenarios, points)):
+        try:
+            g = gradient(rf, omega, x)
+            if sup_norm(g) > STATIONARITY_TOL:
+                raise ValueError(f"point is not stationary: |g|_inf = {sup_norm(g):g}")
+            f0[i] = eval_f(rf, omega, x)
+        except Exception as exc:  # raised by the caller in its own order
+            outcomes[i] = exc
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not live:
+        return outcomes
+    X0 = np.array([points[i] for i in live], dtype=float).reshape(len(live), n)
+    P0 = _params_rows(rf, [scenarios[i] for i in live], 1)
+
+    def around(pairs: list[int], steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+        """The points x + s for the center x of each of ``pairs`` (indices
+        into ``live``) and each row s of ``steps`` (an (S, n) array, or one
+        per pair), as one stack: its rows, their parameter rows, and each
+        pair's slice of the stack, in the order of ``pairs``."""
+        size = steps.shape[-2]
+        X = (X0[pairs][:, None, :] + steps).reshape(-1, n)
+        P = np.repeat(P0[pairs], size, axis=0)
+        return X, P, [slice(k * size, (k + 1) * size) for k in range(len(pairs))]
+
+    def all_pd(X: np.ndarray, P: np.ndarray, blocks: list[slice]) -> list[bool]:
+        """Per block of rows of ``X``, whether the Hessian is PD at every
+        row, an undefined one being not; the rows of a block are classified
+        in order up to its first failing one."""
+        H, ok = _hessians(rf, X, P)
+        _, classify = _classify_stack(H)
+        return [
+            bool(ok[b].all()) and all(classify(j) is Definiteness.PD for j in range(b.start, b.stop))
+            for b in blocks
+        ]
 
     rng = np.random.default_rng([opts.seed, 0xB0A1])
     count = 8 * n
     dirs = np.concatenate([np.eye(n), -np.eye(n), _unit_directions(rng, count - 2 * n, n)])
     radii = np.array([(1.0, 0.75, 0.5, 0.25)[i % 4] for i in range(len(dirs))])
-    P = _params_rows(rf, [omega], count)
+    delta: list[Optional[float]] = [None] * len(live)
+    centers = all_pd(X0, P0, [slice(a, a + 1) for a in range(len(live))])
+    searching = [a for a, pd in enumerate(centers) if pd]
+    for halving in range(41):  # the samples of each ball in turn
+        if not searching:
+            break
+        cand = 2.0 ** -halving
+        for a, pd in zip(searching, all_pd(*around(searching, (cand * radii)[:, None] * dirs))):
+            if pd:
+                delta[a] = cand
+        searching = [a for a in searching if delta[a] is None]
 
-    def all_pd(X: np.ndarray) -> bool:
-        """The Hessian is PD at every row of ``X``; an undefined one is not."""
-        H, ok = _hessians(rf, X, P[: len(X)])
-        return bool(ok.all()) and all(_classify(h)[1] is Definiteness.PD for h in H)
-
-    delta = None
-    if all_pd(x[None]):  # the center, then the samples of each ball in turn
-        for halving in range(41):
-            cand = 2.0 ** -halving
-            if all_pd(x + (cand * radii)[:, None] * dirs):
-                delta = cand
-                break
-
-    if delta is None:
+    hunting = [a for a in range(len(live)) if delta[a] is None]
+    if hunting:
         # no PD ball: hunt for a descent direction, at radii 1 to 2^-40 in turn
         hunt_dirs = np.concatenate([np.eye(n), -np.eye(n), _unit_directions(rng, 10 * n, n)])
         hunt_radii = np.repeat(2.0 ** -np.arange(41), len(hunt_dirs))
         steps = hunt_radii[:, None] * np.tile(hunt_dirs, (41, 1))
-        values, ok = _at_rows(rf.body.compiled, x + steps, _params_rows(rf, [omega], len(steps)))
-        margins = np.where(ok, values[:, 0] - f0, math.inf)
-        best = int(np.argmin(margins))  # the first strict minimum; none if all undefined
-        if margins[best] < -MARGIN_TOL:
-            return LocalMinFailure(tuple(float(v) for v in steps[best]), float(margins[best]))
-        raise NoRadiusFound(
-            "no ball with positive definite Hessian after 40 halvings, "
-            "and sampling found no descent direction"
-        )
+        X, P, blocks = around(hunting, steps)
+        values, ok = _at_rows(rf.body.compiled, X, P)
+        for a, rows in zip(hunting, blocks):
+            margins = np.where(ok[rows], values[rows, 0] - f0[live[a]], math.inf)
+            best = int(np.argmin(margins))  # the first strict minimum; none if all undefined
+            if margins[best] < -MARGIN_TOL:
+                witness = tuple(float(v) for v in steps[best])
+                outcomes[live[a]] = LocalMinFailure(witness, float(margins[best]))
+            else:
+                outcomes[live[a]] = NoRadiusFound(
+                    "no ball with positive definite Hessian after 40 halvings, "
+                    "and sampling found no descent direction"
+                )
 
-    rng2 = np.random.default_rng([opts.seed, 0xF00D])
-    K = 200 * n
-    exponents = np.arange(K) / max(K - 1, 1)
-    sample_radii = delta * (1.0 / 1024.0) ** exponents
-    steps = sample_radii[:, None] * _unit_directions(rng2, K, n)
-    X = x + steps
-    values, ok = _at_rows(rf.body.compiled, X, _params_rows(rf, [omega], K))
-    margins = values[:, 0] - f0
-    # the first sample that is undefined or a descent ends the scan
-    failing = np.flatnonzero(~ok | (margins < -MARGIN_TOL))
-    if len(failing):
-        i = failing[0]
-        margin = eval_f(rf, omega, X[i]) - f0  # raises where the sample is undefined
-        return LocalMinFailure(tuple(float(v) for v in steps[i]), float(margin))
-    # the smallest margin, taken first where equal ones differ in sign
-    return LocalMinCertificate(delta, K, float(margins[np.argmin(margins)]))
+    sampling = [a for a in range(len(live)) if delta[a] is not None]
+    if sampling:
+        rng2 = np.random.default_rng([opts.seed, 0xF00D])
+        K = 200 * n
+        exponents = np.arange(K) / max(K - 1, 1)
+        shrink = (1.0 / 1024.0) ** exponents
+        unit = _unit_directions(rng2, K, n)
+        steps = np.array([delta[a] * shrink for a in sampling])[:, :, None] * unit
+        X, P, blocks = around(sampling, steps)
+        values, ok = _at_rows(rf.body.compiled, X, P)
+        for a, rows, own in zip(sampling, blocks, steps):
+            i, omega = live[a], scenarios[live[a]]
+            margins = values[rows, 0] - f0[i]
+            # the first sample that is undefined or a descent ends the scan
+            failing = np.flatnonzero(~ok[rows] | (margins < -MARGIN_TOL))
+            if not len(failing):
+                # the smallest margin, taken first where equal ones differ in sign
+                outcomes[i] = LocalMinCertificate(delta[a], K, float(margins[np.argmin(margins)]))
+                continue
+            k = failing[0]
+            try:  # raises where the sample is undefined
+                margin = eval_f(rf, omega, X[rows][k]) - f0[i]
+            except Exception as exc:
+                outcomes[i] = exc
+            else:
+                outcomes[i] = LocalMinFailure(tuple(float(v) for v in own[k]), float(margin))
+    return outcomes
 
 
 # --- global minimization on compact sets ----------------------------------------------

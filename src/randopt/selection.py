@@ -34,9 +34,9 @@ from .optimize import (
     global_min_compact,
     stationary_searches,
     sup_norm,
-    verify_local_min,
     _at_rows,
-    _classify,
+    _certify,
+    _classify_stack,
     _hessians,
     _newton_diagnostics,
     _params_rows,
@@ -199,8 +199,11 @@ def solve_rlop(
     taken in order, so the first atom without a (PD) stationary point is
     the one a no-solution outcome names.
     Where the Hessian is defined and PSD at every probe (one stack for all
-    representatives), the function is treated as convex and the
-    certificate upgrades to a global one after a confirming grid scan.
+    representatives, classified in one call), the function is treated as
+    convex and the certificate upgrades to a global one after a confirming
+    grid scan.  The representatives' balls are certified in one lock step
+    (``optimize._certify``); each atom's certificate or error is then
+    taken in atom order, before that atom's grid scan.
     """
     if rf.space != space:
         raise DomainMismatch("function and space must agree")
@@ -221,13 +224,19 @@ def solve_rlop(
     convex = []  # per selected atom; its probes are classified up to the first failing one
     for _, X, P in _stacks(rf, [atom[0] for atom, _ in selected], probes):
         H, ok = _hessians(rf, X, P)
+        _, classify = _classify_stack(H)
         for i in range(0, len(H), m):
-            convex.append(all(ok[j] and _classify(H[j])[1] in _PSD for j in range(i, i + m)))
+            convex.append(all(ok[j] and classify(j) in _PSD for j in range(i, i + m)))
 
+    # every atom's certificate, or the exception it raises, in one lock step;
+    # the atoms are then taken in order, so the first error raised is the one
+    # a loop over atoms would raise
+    certificates = _certify(rf, [atom[0] for atom, _ in selected], [x for _, x in selected], opts)
     solved = []
-    for (atom, x), is_convex in zip(selected, convex):
+    for (atom, x), is_convex, cert in zip(selected, convex, certificates):
         rep = atom[0]
-        cert = verify_local_min(rf, rep, x, opts)
+        if isinstance(cert, Exception):
+            raise cert
         if isinstance(cert, LocalMinFailure):
             raise RandoptError(
                 f"ball verification failed at a PD stationary point {x} "
@@ -269,7 +278,8 @@ def check_necessary_conditions(
     rf: RandomFunction, space: ProbSpace, xi: RandomVariableRn
 ) -> NecessaryReport:
     """First- and second-order necessary conditions at xi, per scenario,
-    from one gradient stack and one Hessian stack; the first scenario where
+    from one gradient stack and one Hessian stack, classified in one call
+    (``optimize._classify_stack``); the first scenario where
     either is undefined raises its gradient's error, else its Hessian's.
 
     The report also carries xi's measurability verdict: a stationary
@@ -286,10 +296,11 @@ def check_necessary_conditions(
         i = int(np.argmin(grad_ok & hess_ok))
         rf.grad_bundle(X[i].tolist(), P[i].tolist())
         rf.hess_bundle(X[i].tolist(), P[i].tolist())
+    _, classify = _classify_stack(H)
     per: dict[Scenario, ScenarioConditions] = {}
-    for omega, g, h in zip(space.scenarios, G, H):
+    for j, (omega, g) in enumerate(zip(space.scenarios, G)):
         gn = sup_norm(g)
-        cls = _classify(h)[1]
+        cls = classify(j)
         per[omega] = ScenarioConditions(
             grad_ok=gn <= STATIONARITY_TOL,
             psd_ok=cls in _PSD,

@@ -6,19 +6,28 @@ differences; the acceptance tests run it over an expression corpus.
 it to confirm grid optima, and ``test_newton_reference.py`` compares it
 with its sequential reference.  ``box_contains`` is the membership test
 that the library's stationary searches replaced with one array mask; the
-references use it.  None is part of the library: no CLI command reaches
-them.
+references use it.  ``verify_local_min`` certifies one point, as
+``solve_rlop`` certifies every atom's point in one lock step.  None is
+part of the library: no CLI command reaches them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from randopt.errors import EvalError
-from randopt.optimize import MARGIN_TOL, _newton, _params_rows
+from randopt.optimize import (
+    MARGIN_TOL,
+    LocalMinCertificate,
+    LocalMinFailure,
+    SolverOptions,
+    _certify,
+    _newton,
+    _params_rows,
+)
 from randopt.probspace import Point, Scenario
 from randopt.randfunc import Box, RandomFunction, eval_f, gradient, hessian
 
@@ -116,3 +125,21 @@ def polish_point(
 def box_contains(box: Box, x: Sequence[float], tol: float = 0.0) -> bool:
     """Whether ``x`` lies in ``box`` widened by ``tol`` on every side."""
     return all(lo - tol <= v <= hi + tol for v, lo, hi in zip(x, box.lower, box.upper))
+
+
+# --- one ball certificate -------------------------------------------------------------
+
+
+def verify_local_min(
+    rf: RandomFunction,
+    omega: Scenario,
+    x: Sequence[float],
+    opts: SolverOptions = SolverOptions(),
+) -> Union[LocalMinCertificate, LocalMinFailure]:
+    """The certificate or descent witness of a stationary point x of
+    scenario ``omega`` (``optimize._certify`` on one pair); raises what its
+    certification raises."""
+    (outcome,) = _certify(rf, [omega], [x], opts)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

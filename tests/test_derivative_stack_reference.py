@@ -3,28 +3,36 @@
 ``reference_check_necessary_conditions`` is the previous
 ``selection.check_necessary_conditions``, and ``reference_atom_is_convex``
 the previous convexity check of ``solve_rlop``, both verbatim.  They
-called the scalar ``gradient`` and ``hessian`` once per scenario or probe,
-and the first call that raised ended the loop.  Now ``necessary`` reads
-one gradient stack and one Hessian stack over all scenarios, and
+called the scalar ``gradient`` and ``hessian`` once per scenario or probe
+and classified each matrix alone (``classify_reference._classify``), and
+the first call that raised ended the loop.  Now ``necessary`` reads one
+gradient stack and one Hessian stack over all scenarios, and
 ``solve_rlop`` one Hessian stack over the probes of every representative
-(``optimize._at_rows`` and ``_hessians``).  At every input they must give
+(``optimize._at_rows`` and ``_hessians``); each classifies its stack in
+one call (``optimize._classify_stack``).  At every input they must give
 the same grad_norm bits and classification per scenario, raise the same
 class with the same message, and reach the same convex verdict per atom
-after classifying the same matrices, bit for bit, in the same order.
+after classifying the same matrices, bit for bit, in the same order,
+sending to the eigenvalue sweep (``_jacobi``) the matrices the loop sent
+to it: the defined ones that fail Sylvester's test.
 """
 
 import struct
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
 from randopt import optimize, selection
 from randopt.errors import DomainMismatch, EvalError
-from randopt.optimize import Definiteness, LocalMinFailure, SolverOptions, _classify, sup_norm
+from randopt.optimize import Definiteness, LocalMinCertificate, SolverOptions, sup_norm
 from randopt.probspace import is_measurable_rv
 from randopt.randfunc import default_probe_grid, gradient, hessian
 from randopt.selection import NecessaryReport, ScenarioConditions
+
+import classify_reference
+from classify_reference import _classify
 
 # --- the previous per-point loops -----------------------------------------------------
 
@@ -144,9 +152,17 @@ row_kernel_thresholds = st.sampled_from([1, optimize.ROW_KERNEL_MIN_ROWS, 10**9]
 @given(necessary_problems(), row_kernel_thresholds)
 def test_necessary_matches_the_per_scenario_loop(problem, threshold):
     rf, space, xi = problem
-    with mock.patch.object(optimize, "ROW_KERNEL_MIN_ROWS", threshold):
+    swept, expected_swept = [], []
+    with mock.patch.multiple(
+        optimize, ROW_KERNEL_MIN_ROWS=threshold, _jacobi=_recording(optimize._jacobi, swept)
+    ):
         got = necessary_outcome(r.check_necessary_conditions, rf, space, xi)
-    assert got == necessary_outcome(reference_check_necessary_conditions, rf, space, xi)
+    with mock.patch.object(classify_reference, "_jacobi", _recording(optimize._jacobi, expected_swept)):
+        assert got == necessary_outcome(reference_check_necessary_conditions, rf, space, xi)
+    # the stack sweeps the eigenvalues of the matrices, scaled or not, that
+    # the loop swept: the defined ones that fail Sylvester's test
+    if got[0] == "report":
+        assert _matrices(swept) == _matrices(expected_swept)
 
 
 def test_the_first_scenario_in_order_raises_its_hessian_error():
@@ -200,13 +216,27 @@ def convexity_problems(draw):
 def test_convex_verdicts_match_the_per_probe_loop(problem, threshold, stack_rows):
     rf, space = problem
     opts = SolverOptions(grid_m=11)
-    classified, scanned, decided = [], [], []
+    classified, swept, scanned, decided = [], [], [], []
 
-    def verified(rf, rep, x, opts):
-        cert = optimize.verify_local_min(rf, rep, x, opts)
-        if not isinstance(cert, LocalMinFailure):
+    def stacked(S):
+        """The convexity check's stack, recording each matrix it classifies
+        and each one that reaches the eigenvalue sweep."""
+        minors, classify = optimize._classify_stack(S)
+
+        def recorded(j):
+            classified.append((S[j],))
+            with mock.patch.object(optimize, "_jacobi", _recording(optimize._jacobi, swept)):
+                return classify(j)
+
+        return minors, recorded
+
+    def certified(rf, reps, points, opts):
+        outcomes = optimize._certify(rf, reps, points, opts)
+        for rep, outcome in zip(reps, outcomes):
+            if not isinstance(outcome, LocalMinCertificate):
+                break  # solve_rlop raises at this atom
             decided.append(rep)  # solve_rlop goes on to this atom's convex verdict
-        return cert
+        return outcomes
 
     def scan(rf, rep, region, grid_m):
         scanned.append(rep)  # solve_rlop found this atom convex
@@ -214,8 +244,8 @@ def test_convex_verdicts_match_the_per_probe_loop(problem, threshold, stack_rows
 
     with mock.patch.multiple(
         selection,
-        _classify=_recording(_classify, classified),
-        verify_local_min=verified,
+        _classify_stack=stacked,
+        _certify=certified,
         global_min_compact=scan,
     ), mock.patch.multiple(optimize, NEWTON_STACK_ROWS=stack_rows, ROW_KERNEL_MIN_ROWS=threshold):
         try:
@@ -228,9 +258,13 @@ def test_convex_verdicts_match_the_per_probe_loop(problem, threshold, stack_rows
         assert classified == scanned == []
         return
     # every atom was selected, so the stack classified every atom's probes
-    # up to its first failing one, in order, as the loop would
-    expected = []
-    with mock.patch.dict(globals(), _classify=_recording(_classify, expected)):
+    # up to its first failing one, in order, as the loop would, and swept
+    # the eigenvalues of the matrices that the loop swept
+    expected, expected_swept = [], []
+    with mock.patch.dict(globals(), _classify=_recording(_classify, expected)), \
+            mock.patch.object(classify_reference, "_jacobi", _recording(optimize._jacobi, expected_swept)):
         convex = {atom[0]: reference_atom_is_convex(rf, atom[0], probes) for atom in space.atoms}
     assert _matrices(classified) == _matrices(expected)
+    assert _matrices(swept) == _matrices(expected_swept)
+    assert all(np.isfinite(S).all() for (S,) in swept)  # a defined row
     assert scanned == [rep for rep in decided if convex[rep]]

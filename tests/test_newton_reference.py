@@ -14,9 +14,12 @@ agree on every point, skip and stall.
 ``reference_search_result`` is the previous tail of a search, verbatim:
 ``box_contains`` per point, a greedy dedup with numpy reductions per
 point, and ``leading_principal_minors`` plus ``classify_definiteness`` on
-each kept Hessian.  ``optimize._search_result`` must give the same search
-on stacks whose points lie one ulp either side of ``DEDUP_RADIUS`` from
-each other and of the region's boundary widened by 1e-9.
+each kept Hessian.  ``optimize._searches`` builds the searches of a whole
+Newton stack of runs, with one Hessian stack and one classification for
+the points every run keeps; each run must give the search the previous
+tail gives it alone, on stacks whose points lie one ulp either side of
+``DEDUP_RADIUS`` from each other and of the region's boundary widened by
+1e-9.
 """
 
 import numpy as np
@@ -37,7 +40,7 @@ from randopt.optimize import (
     _hessians,
     _newton,
     _params_rows,
-    _search_result,
+    _searches,
     _solve_stack,
     classify_definiteness,
     grid_points,
@@ -506,11 +509,14 @@ _STATUSES = ["converged"] * 4 + ["singular", "stalled"]
 
 @st.composite
 def search_tails(draw):
-    """Newton rows of one scenario of f = (x1 - p1)^2*(x1 - p2) +
-    sqrt(x1 - p3) + x2^4 over a box around 0: chains of points that start
-    at 0.0 or -0.0 and step DEDUP_RADIUS, one ulp less or one ulp more,
-    along an axis, and points one ulp either side of the box widened by
-    1e-9.  sqrt leaves the Hessian undefined left of p3."""
+    """Newton rows of runs of f = (x1 - p1)^2*(x1 - p2) + sqrt(x1 - p3) +
+    x2^4 over a box around 0, one to three runs of the same rows in their
+    own orders, each with its own parameters, statuses, gradients and
+    step counts: chains of points that start at 0.0 or -0.0 and step
+    DEDUP_RADIUS, one ulp less or one ulp more, along an axis, and points
+    one ulp either side of the box widened by 1e-9.  sqrt leaves the
+    Hessian undefined left of p3.  Returns (rf, box, X, G, P, iters,
+    status, m), m rows per run."""
     n = draw(st.integers(1, 2))
     lower = [-draw(st.sampled_from([1e-5, 1e-6, 0.5])) for _ in range(n)]
     upper = [draw(st.sampled_from([1e-5, 1e-6, 0.5])) for _ in range(n)]
@@ -529,26 +535,32 @@ def search_tails(draw):
         edge = lower[axis] - 1e-9 if side < 0 else upper[axis] + 1e-9
         x[axis] = float(np.nextafter(edge, edge + draw(st.sampled_from([-1.0, 0.0, 1.0]))))
         rows.append(x)
-    order = draw(st.permutations(range(len(rows))))
-    X = np.array([rows[i] for i in order], dtype=float)
-    status = np.array([draw(st.sampled_from(_STATUSES)) for _ in rows])
-    G = np.array([[draw(st.floats(-1e-10, 1e-10)) for _ in range(n)] for _ in rows])
-    iters = np.array([draw(st.integers(0, NEWTON_MAX_ITERS)) for _ in rows])
-    p = (draw(st.sampled_from([0.0, 2e-6])), draw(st.sampled_from([-1.0, 1e-6])))
-    p3 = draw(st.sampled_from([-1.0, 1e-6]))
+    m = len(rows)
     text = "(x1 - p1)^2*(x1 - p2) + sqrt(x1 - p3)" + (" + x2^4" if n == 2 else "")
-    rf = _rf(text, n, (*p, p3))
-    P = _params_rows(rf, [1], len(rows))
-    return rf, box, X, G, P, iters, status
+    rf = _rf(text, n, (0.0, 0.0, 0.0))
+    X, G, P, iters, status = [], [], [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.permutations(range(m)))
+        X += [rows[i] for i in order]
+        status += [draw(st.sampled_from(_STATUSES)) for _ in rows]
+        G += [[draw(st.floats(-1e-10, 1e-10)) for _ in range(n)] for _ in rows]
+        iters += [draw(st.integers(0, NEWTON_MAX_ITERS)) for _ in rows]
+        p = (draw(st.sampled_from([0.0, 2e-6])), draw(st.sampled_from([-1.0, 1e-6])))
+        P += [(*p, draw(st.sampled_from([-1.0, 1e-6])))] * m
+    arrays = (np.array(X, dtype=float), np.array(G), np.array(P), np.array(iters), np.array(status))
+    return (rf, box, *arrays, m)
 
 
 @settings(max_examples=300, deadline=None)
 @given(search_tails())
 def test_the_tail_of_a_search_matches_the_previous_tail(tail):
-    rf, box, X, G, P, iters, status = tail
-    got = _search_result(rf, box, X, G, P, iters, status)
-    want = reference_search_result(rf, box, X, G, P, iters, status)
-    assert_same_search(rf, 1, box, None, got, want)
+    rf, box, X, G, P, iters, status, m = tail
+    got = _searches(rf, box, X, G, P, iters, status, m)
+    assert len(got) == len(X) // m
+    for k, search in enumerate(got):
+        run = slice(k * m, (k + 1) * m)
+        want = reference_search_result(rf, box, X[run], G[run], P[run], iters[run], status[run])
+        assert_same_search(rf, 1, box, None, search, want)
 
 
 @pytest.mark.parametrize(
@@ -562,7 +574,7 @@ def test_points_merge_at_the_radius_and_not_beyond(step, kept):
     X = np.array([[step], [0.0]])
     status = np.array(["converged"] * 2)
     args = rf, r.Box((-1.0,), (1.0,)), X, np.zeros((2, 1)), _params_rows(rf, [1], 2)
-    search = _search_result(*args, np.array([3, 4]), status)
+    (search,) = _searches(*args, np.array([3, 4]), status, 2)
     assert [sp.x for sp in search.points] == [(0.0,), (step,)][:kept]
     assert [sp.newton_iters for sp in search.points] == [4, 3][:kept]
 
@@ -577,5 +589,5 @@ def test_points_count_within_1e9_of_the_region(step, inside):
     for edge, inward in ((-1.0 - 1e-9, 1.0), (1.0 + 1e-9, -1.0)):
         x = float(np.nextafter(edge, edge + step * inward))
         args = rf, box, np.array([[x]]), np.zeros((1, 1)), _params_rows(rf, [1], 1)
-        search = _search_result(*args, np.array([1]), np.array(["converged"]))
+        (search,) = _searches(*args, np.array([1]), np.array(["converged"]), 1)
         assert [sp.x for sp in search.points] == ([(x,)] if inside else [])

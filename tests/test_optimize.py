@@ -23,6 +23,9 @@ from randopt.optimize import (
 )
 from randopt.randfunc import symmetrize
 
+from classify_reference import reference_classify
+from numeric_helpers import verify_local_min
+
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
 
@@ -164,8 +167,9 @@ def test_a_pd_matrix_whose_minors_overflow_is_pd(big):
     assert r.classify_definiteness(H) is Definiteness.PD
     assert leading_principal_minors(H).tolist() == [big, math.inf]
     assert jacobi_eigenvalues(H).tolist() == [big, big]
-    minors, cls = optimize._classify(H)
-    assert (minors, cls) == ((big, math.inf), Definiteness.PD)
+    minors, classify = optimize._classify_stack(H[None])
+    assert (minors.tolist(), classify(0)) == ([[big, math.inf]], Definiteness.PD)
+    assert reference_classify(H) == ((big, math.inf), Definiteness.PD)
 
 
 @pytest.mark.parametrize(
@@ -176,9 +180,10 @@ def test_a_matrix_whose_row_sums_overflow_keeps_its_class(sign, expected):
     # and tau are inf unless the matrix is scaled; its minors are not
     H = sign * np.full((2, 2), 1.7e308)
     assert r.classify_definiteness(H) is expected
-    minors, cls = optimize._classify(H)
-    assert cls is expected
-    assert minors[0] == sign * 1.7e308 and math.isnan(minors[1])
+    minors, classify = optimize._classify_stack(H[None])
+    assert classify(0) is expected
+    assert minors[0, 0] == sign * 1.7e308 and math.isnan(minors[0, 1])
+    assert reference_classify(H)[1] is expected
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -230,15 +235,18 @@ def _counted_everywhere(monkeypatch, function, record):
 def test_each_hessian_is_symmetrized_once_and_classified_once(tmp_path, monkeypatch, command):
     # the Hessians arrive symmetrized from ``randfunc.hessian`` or
     # ``optimize._hessians``: nothing checks or averages them again, and
-    # each classification takes its minors once
-    checks, minors, classifications = [], [], []
+    # the minors of each classified matrix are taken once, by its stack:
+    # the per-matrix fallback (``_eigen_class``) takes none, and a matrix
+    # rescaled for its row sums is classified as a stack of its own
+    checks, minors, stacks = [], [], []
     _counted_everywhere(monkeypatch, optimize._as_symmetric, checks)
-    _counted_everywhere(monkeypatch, optimize._minors, minors)
-    _counted_everywhere(monkeypatch, optimize._classify, classifications)
+    _counted_everywhere(monkeypatch, optimize._stack_minors, minors)
+    _counted_everywhere(monkeypatch, optimize._classify_stack, stacks)
     for path in sorted(GALLERY.glob("*.json")):
         cli.run(command, load_problem(str(path)), str(tmp_path / "out.json"))
     assert checks == []
-    assert len(minors) == len(classifications) > 0
+    rows = [len(S) for (S,) in stacks]
+    assert [len(S) for (S,) in minors] == rows and sum(rows) > 0
 
 
 # --- stationary point search --------------------------------------------------------------
@@ -291,7 +299,7 @@ def test_find_stationary_discards_outside_region(space3):
 
 def test_verify_local_min_quartic_at_one(space3):
     rf = make_rf(space3, "x1^4 - 2*x1^2")
-    cert = r.verify_local_min(rf, 1, (1.0,))
+    cert = verify_local_min(rf, 1, (1.0,))
     assert isinstance(cert, r.LocalMinCertificate)
     assert cert.delta >= 0.25
     assert cert.min_margin >= 0.0
@@ -303,7 +311,7 @@ def test_verify_local_min_quartic_at_one(space3):
 
 def test_verify_local_min_quartic_at_zero_fails(space3):
     rf = make_rf(space3, "x1^4 - 2*x1^2")
-    out = r.verify_local_min(rf, 1, (0.0,))
+    out = verify_local_min(rf, 1, (0.0,))
     assert isinstance(out, LocalMinFailure)
     d = out.witness[0]
     assert d**4 - 2 * d**2 < -1e-12  # the witness really descends
@@ -311,7 +319,7 @@ def test_verify_local_min_quartic_at_zero_fails(space3):
 
 def test_verify_local_min_parabola_delta_one(space3):
     rf = make_rf(space3, "x1^2")
-    cert = r.verify_local_min(rf, 1, (0.0,))
+    cert = verify_local_min(rf, 1, (0.0,))
     assert cert.delta == 1.0
     assert cert.min_margin >= 0.0
 
@@ -319,19 +327,19 @@ def test_verify_local_min_parabola_delta_one(space3):
 def test_verify_local_min_requires_stationarity(space3):
     rf = make_rf(space3, "x1^2")
     with pytest.raises(ValueError):
-        r.verify_local_min(rf, 1, (0.5,))
+        verify_local_min(rf, 1, (0.5,))
 
 
 def test_verify_local_min_flat_quartic_degenerate(space3):
     # x^4 at 0: true minimum but Hessian 0, no descent witness either
     rf = make_rf(space3, "x1^4")
     with pytest.raises(r.NoRadiusFound):
-        r.verify_local_min(rf, 1, (0.0,))
+        verify_local_min(rf, 1, (0.0,))
 
 
 def test_verify_local_min_cubic_failure_witness(space3):
     rf = make_rf(space3, "x1^3")
-    out = r.verify_local_min(rf, 1, (0.0,))
+    out = verify_local_min(rf, 1, (0.0,))
     assert isinstance(out, LocalMinFailure)
     assert out.witness[0] < 0.0
 
@@ -352,7 +360,7 @@ def test_verify_never_fails_at_pd_stationary_points(space3):
         for sp in search.points:
             if sp.classification is not Definiteness.PD:
                 continue
-            out = r.verify_local_min(rf, 1, sp.x)
+            out = verify_local_min(rf, 1, sp.x)
             assert isinstance(out, r.LocalMinCertificate), (body, sp.x)
             assert out.min_margin >= -1e-12
             certified += 1
