@@ -549,7 +549,9 @@ def _searches(
     """The searches of a ``_newton`` stack of runs of ``m`` rows each, one
     per run in order.  A run keeps its converged points within 1e-9 of
     ``region``, each in lexicographic order unless within ``DEDUP_RADIUS``
-    of one it kept before, with the sup-norms of their gradients in ``G``.
+    of one it kept before, with the sup-norms of their gradients in ``G``;
+    a point equal to the one before it in that order merges without a
+    comparison.
     The Hessians of the points every run keeps are one stack at the
     parameter rows ``P``, classified in one call; a point with an undefined
     Hessian is skipped."""
@@ -560,8 +562,13 @@ def _searches(
     kept: list[list[int]] = []
     for lo in runs:
         run: list[int] = []
+        previous = None
         for i in sorted((lo + np.flatnonzero(inside[lo : lo + m])).tolist(), key=rows.__getitem__):
-            if all(max(abs(a - b) for a, b in zip(rows[k], rows[i])) > DEDUP_RADIUS for k in run):
+            x = rows[i]
+            if x == previous:  # the point before was kept or merged, so this one merges
+                continue
+            previous = x
+            if all(max(abs(a - b) for a, b in zip(rows[k], x)) > DEDUP_RADIUS for k in reversed(run)):
                 run.append(i)
         kept.append(run)
     every = [i for run in kept for i in run]
