@@ -211,17 +211,12 @@ def _thresholds(scale: np.ndarray, n: int) -> np.ndarray:
     The powers are Python's float powers (C's ``pow``): numpy's power
     differs from them in the last bit at some scales, and a minor within one
     ulp of its threshold would then change class."""
-    scales = scale.tolist()
-    powers = np.empty((len(scales), n))
-    for k in range(1, n + 1):
-        try:
-            powers[:, k - 1] = [s ** k for s in scales]
-        except OverflowError:
-            powers[:, k - 1] = [_power_or_inf(s, k) for s in scales]
-    return DEFINITENESS_TOL_REL * powers
+    powers = [[_power(s, k) for k in range(1, n + 1)] for s in scale.tolist()]
+    return DEFINITENESS_TOL_REL * np.array(powers).reshape(len(scale), n)
 
 
-def _power_or_inf(s: float, k: int) -> float:
+def _power(s: float, k: int) -> float:
+    """s ** k, or inf where it passes the largest double."""
     try:
         return s ** k
     except OverflowError:
@@ -653,7 +648,7 @@ def _certify(
             if sup_norm(g) > STATIONARITY_TOL:
                 raise ValueError(f"point is not stationary: |g|_inf = {sup_norm(g):g}")
             f0[i] = eval_f(rf, omega, x)
-        except Exception as exc:  # raised by the caller in its own order
+        except (RandoptError, ValueError) as exc:  # the caller raises it in its own order
             outcomes[i] = exc
     live = [i for i, outcome in enumerate(outcomes) if outcome is None]
     if not live:
@@ -740,7 +735,7 @@ def _certify(
             k = failing[0]
             try:  # raises where the sample is undefined
                 margin = eval_f(rf, omega, X[rows][k]) - f0[i]
-            except Exception as exc:
+            except EvalError as exc:
                 outcomes[i] = exc
             else:
                 outcomes[i] = LocalMinFailure(tuple(float(v) for v in own[k]), float(margin))

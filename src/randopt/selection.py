@@ -228,9 +228,7 @@ def solve_rlop(
         for i in range(0, len(H), m):
             convex.append(all(ok[j] and classify(j) in _PSD for j in range(i, i + m)))
 
-    # every atom's certificate, or the exception it raises, in one lock step;
-    # the atoms are then taken in order, so the first error raised is the one
-    # a loop over atoms would raise
+    # each atom's certificate or error, raised below in atom order
     certificates = _certify(rf, [atom[0] for atom, _ in selected], [x for _, x in selected], opts)
     solved = []
     for (atom, x), is_convex, cert in zip(selected, convex, certificates):
