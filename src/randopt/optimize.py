@@ -643,6 +643,7 @@ def _certify(
     outcomes: list[Optional[Outcome]] = [None] * len(scenarios)
     f0: list[float] = [math.nan] * len(scenarios)
     for i, (omega, x) in enumerate(zip(scenarios, points)):
+        x = np.asarray(x, dtype=float)
         try:
             g = gradient(rf, omega, x)
             if sup_norm(g) > STATIONARITY_TOL:
