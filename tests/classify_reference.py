@@ -70,6 +70,3 @@ def _classify(S: np.ndarray) -> tuple[tuple, Definiteness]:
     if lmax <= tau and lmin < -tau:
         return minors, Definiteness.NSD_DEGENERATE
     return minors, Definiteness.PSD_DEGENERATE  # numerically zero matrix
-
-
-reference_classify = _classify

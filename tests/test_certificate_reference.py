@@ -121,14 +121,20 @@ def _bits(v):
     return struct.pack("<d", v)
 
 
-def outcome(fn, *args):
-    try:
-        got = fn(*args)
-    except Exception as exc:
-        return ("raised", type(exc), str(exc))
+def _outcome(got):
+    """A certificate, failure or exception as comparable bits."""
+    if isinstance(got, Exception):
+        return ("raised", type(got), str(got))
     if isinstance(got, LocalMinCertificate):
         return ("cert", _bits(got.delta), got.samples_checked, _bits(got.min_margin))
     return ("failure", tuple(map(_bits, got.witness)), _bits(got.margin))
+
+
+def outcome(fn, *args):
+    try:
+        return _outcome(fn(*args))
+    except Exception as exc:
+        return _outcome(exc)
 
 
 def assert_same(rf, x, opts=SolverOptions()):
@@ -258,14 +264,6 @@ def _mixed_rf():
     space = r.make_space(ids, [1 / len(ids)] * len(ids), [[s] for s in ids])
     params = {s: case[0] for s, case in MIXED_CASES.items()}
     return r.RandomFunction(space, 1, r.parse(MIXED, 1, 5), params)
-
-
-def _outcome(got):
-    if isinstance(got, Exception):
-        return ("raised", type(got), str(got))
-    if isinstance(got, LocalMinCertificate):
-        return ("cert", _bits(got.delta), got.samples_checked, _bits(got.min_margin))
-    return ("failure", tuple(map(_bits, got.witness)), _bits(got.margin))
 
 
 @pytest.mark.parametrize("threshold", [1, optimize.ROW_KERNEL_MIN_ROWS, 10**9])

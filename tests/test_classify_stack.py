@@ -21,7 +21,7 @@ from randopt import optimize
 from randopt.optimize import DEFINITENESS_TOL_REL, Definiteness, _classify_stack, _thresholds
 
 import classify_reference
-from classify_reference import reference_classify
+from classify_reference import _classify as reference_classify
 
 
 def _bits(values):

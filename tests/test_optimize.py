@@ -23,7 +23,7 @@ from randopt.optimize import (
 )
 from randopt.randfunc import symmetrize
 
-from classify_reference import reference_classify
+from classify_reference import _classify as reference_classify
 from numeric_helpers import verify_local_min
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
