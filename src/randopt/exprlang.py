@@ -30,8 +30,10 @@ every node other than a leaf or a negation.
 
 ``compile_bundle`` renders the steps as straight-line Python that raises
 at the first failing check, with the walk's exception class and message.
-It reads its inputs as floats, so a message carries a plain float.  The
-bundle carries its steps as ``bundle.lowered``.
+It reads its inputs as floats, so a message carries a plain float;
+``eval_batch``, ``eval_grid`` and ``eval_bounds`` read each parameter as
+a float too (``_param_columns``).  The bundle carries its steps as
+``bundle.lowered``.
 
 ``_Compiler.run_rows`` runs the steps on rows given as one column per
 variable and one per parameter (of one element or one per row), with
@@ -768,6 +770,12 @@ def evaluate(e: Expression, env: Env) -> float:
     return e.compiled(env.x, env.p)[0]
 
 
+def _param_columns(p: Sequence[float]) -> list[np.ndarray]:
+    """Each parameter as a one-element column, read with ``float`` as a
+    compiled bundle reads it, so a bool or an int gets float arithmetic."""
+    return [np.full(1, float(v)) for v in p]
+
+
 def eval_batch(
     e: Expression, X: np.ndarray, p: Sequence[float] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -786,7 +794,7 @@ def eval_batch(
         raise ValueError(f"p has length {len(p)}, expected {e.k}")
     valid = np.ones(X.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        values = e.lowered.run_rows(X.T, [np.full(1, v) for v in p], valid)[0]
+        values = e.lowered.run_rows(X.T, _param_columns(p), valid)[0]
     return np.where(valid, values, np.nan), valid
 
 
@@ -809,7 +817,7 @@ def eval_grid(
     columns = [np.reshape(a, (1,) * i + (-1,) + (1,) * (e.n - 1 - i)) for i, a in enumerate(axes)]
     valid = np.ones(shape, dtype=bool)
     with np.errstate(all="ignore"):
-        values = e.lowered.run_rows(columns, [np.full(1, v) for v in p], valid)[0]
+        values = e.lowered.run_rows(columns, _param_columns(p), valid)[0]
     return np.where(valid, values, np.nan).ravel(), valid.ravel()
 
 
@@ -826,7 +834,7 @@ def eval_bounds(
     """
     proved = np.ones(len(lower), dtype=bool)
     with np.errstate(all="ignore"):
-        least = e.lowered.run_bounds(lower.T, upper.T, [np.full(1, v) for v in p], proved)[0]
+        least = e.lowered.run_bounds(lower.T, upper.T, _param_columns(p), proved)[0]
     least = np.broadcast_to(least, proved.shape)
     return np.where(np.isnan(least), -np.inf, least), proved
 

@@ -19,13 +19,14 @@ rows for all of them.  Each Hessian is symmetrized once
 A grid minimization
 (``scan_min``) evaluates the objective on blocks of at most
 ``SCAN_BLOCK_NODES`` grid nodes, each on the grid's axes with one axis
-sliced (``exprlang.eval_grid``), and reduces each block as it is made,
-keeping its values only while it can still hold the selected point; no
-grid of points or of values is built, and each node is evaluated at most
-once.  On a box of two or more blocks, an interval bound of the objective
-on each block (``exprlang.eval_bounds``) orders the first block and skips
-every block that it proves holds valid nodes only, each more than the
-tolerance above the least value found.
+sliced (``exprlang.eval_grid``), and selects by each node's index in the
+grid's raveled order: a block's values are kept by the index of its first
+node, and only while the block can still hold the selected point or eta;
+no grid of points or of values is built, and each node is evaluated at
+most once.  On a box of two or more blocks, an interval bound of the
+objective on each block (``exprlang.eval_bounds``) orders the first block
+and skips every block that it proves holds valid nodes only, each more
+than the tolerance above the least value found.
 """
 
 from __future__ import annotations
@@ -306,14 +307,14 @@ def _newton_diagnostics(searches: Sequence[StationarySearch]) -> tuple[tuple[str
 
 
 def grid_axes(region: Box, m: int) -> list[np.ndarray]:
-    """The axes of an m-per-axis grid over ``region``; a degenerate axis
-    (lo == hi) has one node."""
+    """The float axes of an m-per-axis grid over ``region``; a degenerate
+    axis (lo == hi) has one node."""
     lengths = [1 if lo == hi else max(m, 2) for lo, hi in zip(region.lower, region.upper)]
     total = math.prod(lengths)
     if total > MAX_GRID_POINTS:  # before any axis is allocated
         raise RandoptError(f"grid of {total} points exceeds cap {MAX_GRID_POINTS}")
     return [
-        np.array([lo]) if lo == hi else _linspace(lo, hi, count)
+        np.array([lo], dtype=float) if lo == hi else _linspace(lo, hi, count)
         for lo, hi, count in zip(region.lower, region.upper, lengths)
     ]
 
@@ -758,20 +759,21 @@ def _scan_blocks(
     omega: Scenario,
     C_omega: Union[Box, PointCloud],
     grid_m: int,
-) -> tuple[list[Callable[[], tuple]], list[float], list[bool]]:
+) -> tuple[Callable[[int], Point], list[tuple[int, Callable[[], tuple]]], list[float], list[bool]]:
     """f(omega, .) on the grid (Box) or the sorted points (PointCloud) of
     ``C_omega``, block by block in lexicographic order.
 
-    Returns (blocks, least, proved), one entry per block.  Calling a block
-    evaluates it, giving (values, valid, point): the values (NaN where
-    evaluation failed), the mask of nodes where it did not, and the
-    function giving the block's node of index i.  A box splits along its
-    first axis of more than one node, so each block is a run of the grid's
-    raveled order; a block takes as many whole slabs of that axis as fit in
+    Returns (node, blocks, least, proved).  ``node(i)`` is node i of the
+    grid's raveled order or of the sorted points.  Each block is (offset,
+    evaluate): the index of its first node, and the function that
+    evaluates it, giving the values (NaN where evaluation failed) and the
+    mask of nodes where it did not.  A box splits along its first axis of
+    more than one node, so each block is a run of the grid's raveled order;
+    a block takes as many whole slabs of that axis as fit in
     ``SCAN_BLOCK_NODES``, and at least one.  A point cloud is one block.
     ``least`` and ``proved`` are ``exprlang.eval_bounds`` on the blocks'
-    boxes, for a box of two or more blocks whose objective it bounds, at
-    float parameters; else -inf and False.
+    boxes, one entry per block, for a box of two or more blocks whose
+    objective it bounds; else -inf and False.
     """
     if not isinstance(C_omega, (Box, PointCloud)):
         raise IncompatibleRepresentation(
@@ -781,38 +783,32 @@ def _scan_blocks(
         raise IncompatibleRepresentation("set dimension differs from function")
     if isinstance(C_omega, PointCloud):
         X = np.asarray(sorted(C_omega.points), dtype=float)
-
-        def cloud():
-            return (*eval_f_batch(rf, omega, X), lambda i: tuple(float(v) for v in X[i]))
-
-        return [cloud], [-math.inf], [False]
+        cloud = (0, lambda: eval_f_batch(rf, omega, X))
+        return lambda i: tuple(float(v) for v in X[i]), [cloud], [-math.inf], [False]
     axes = grid_axes(C_omega, grid_m)
     p = rf.params_of(omega)
     shape = [len(a) for a in axes]
     d = next((j for j, m in enumerate(shape) if m > 1), 0)
-    slabs = max(1, SCAN_BLOCK_NODES // math.prod(shape[d + 1:]))
+    slab = math.prod(shape[d + 1:])
+    slabs = max(1, SCAN_BLOCK_NODES // slab)
     starts = range(0, shape[d], slabs)
 
-    def block(start: int):
+    def node(i: int) -> Point:
+        return tuple(float(a[j]) for a, j in zip(axes, np.unravel_index(i, shape)))
+
+    def block(start: int) -> tuple[int, Callable[[], tuple]]:
         sliced = [*axes[:d], axes[d][start:start + slabs], *axes[d + 1:]]
-
-        def point(i: int) -> Point:
-            index = np.unravel_index(i, [len(a) for a in sliced])
-            return tuple(float(a[j]) for a, j in zip(sliced, index))
-
-        return lambda: (*eval_grid(rf.body, sliced, p), point)
+        return start * slab, lambda: eval_grid(rf.body, sliced, p)
 
     blocks = [block(start) for start in starts]
-    # the bound follows float arithmetic: an int parameter's steps wrap
-    floats = all(isinstance(v, float) for v in p)
-    if len(blocks) < 2 or not rf.body.lowered.bounded or not floats:
-        return blocks, [-math.inf] * len(blocks), [False] * len(blocks)
+    if len(blocks) < 2 or not rf.body.lowered.bounded:
+        return node, blocks, [-math.inf] * len(blocks), [False] * len(blocks)
     lower = np.array([[a.min() for a in axes]] * len(blocks))
     upper = np.array([[a.max() for a in axes]] * len(blocks))
     lower[:, d] = np.minimum.reduceat(axes[d], starts)
     upper[:, d] = np.maximum.reduceat(axes[d], starts)
     least, proved = eval_bounds(rf.body, lower, upper, p)
-    return blocks, least.tolist(), proved.tolist()
+    return node, blocks, least.tolist(), proved.tolist()
 
 
 def scan_min(
@@ -828,66 +824,53 @@ def scan_min(
     Returns (point, eta, excluded): the first node in lexicographic order
     with value - eta <= ``tol``; eta with the bits of the value at the
     first node attaining it (a -0 before a 0 gives -0); and the number of
-    nodes where evaluation failed, which take no part.  Each block is
-    reduced as it is made, and its values are kept only while the block
-    can still hold the point: eta only falls, so a block whose least value
-    is more than ``tol`` above it never can again.
+    nodes where evaluation failed, which take no part.
 
     The block of the least bound (``_scan_blocks``; the first block where
-    there are none) is evaluated first and the others follow in order, its
-    values reused when the order reaches it.  A block is skipped, never
-    evaluated, when its bound proves every node valid and bound - eta >
-    ``tol`` for the least value eta found so far.  Float rounding is
-    monotone, so each of its values v then has v - eta > ``tol`` >= 0 at
-    the final eta too: it holds neither the point nor eta, and excludes no
-    node.
+    there are none) is evaluated first and the others follow in order.  A
+    block is skipped, never evaluated, when its bound proves every node
+    valid and bound - eta > ``tol`` for the least value eta found so far.
+    Float rounding is monotone, so each of its values v then has v - eta >
+    ``tol`` >= 0 at the final eta too: it holds neither the point nor eta,
+    and excludes no node.  An evaluated block's least value (the first of
+    equal ones) and values are kept by its offset while that value is
+    within ``tol`` of the least found so far, and no block at a lower
+    offset has a least value <= it: that block holds a node within ``tol``,
+    and the first node attaining eta, wherever this one does.  So the kept
+    least values fall as the offset rises; the point is in the first kept
+    block, and eta is the last one's least value.
     """
-    blocks, least, proved = _scan_blocks(rf, omega, C_omega, grid_m)
-    eta = math.inf
+    node, blocks, least, proved = _scan_blocks(rf, omega, C_omega, grid_m)
+    first = int(np.argmin(least))
+    found = math.inf  # the least value found so far, in any order
     excluded = 0
-
-    def reduced(block) -> tuple[float, Optional[np.ndarray], Callable[[int], Point]]:
-        """(least value, values, point) of a block, +inf at excluded nodes;
-        values None where every node is excluded."""
-        nonlocal excluded
-        values, valid, point = block()
+    kept: dict[int, tuple[float, np.ndarray]] = {}  # offset -> (least value, values)
+    for b in (first, *range(first), *range(first + 1, len(blocks))):
+        if proved[b] and least[b] - found > tol:
+            continue
+        offset, evaluate = blocks[b]
+        values, valid = evaluate()
         ok = int(np.count_nonzero(valid))
         excluded += values.size - ok
         if ok == 0:
-            return math.inf, None, point
+            continue
         if ok < values.size:
             values[~valid] = np.inf
-        return float(values[int(np.argmin(values))]), values, point  # first occurrence
-
-    first = int(np.argmin(least))
-    held = reduced(blocks[first])
-    found = held[0]  # the least value found so far, in any order
-    kept = []  # (least value, values, point) per block, least values falling
-    for i, block in enumerate(blocks):
-        if i == first:
-            (low, values, point), held = held, None
-        elif proved[i] and least[i] - found > tol:
+        low = float(values[int(np.argmin(values))])  # first occurrence
+        found = min(found, low)
+        if low - found > tol or any(o < offset and v <= low for o, (v, _) in kept.items()):
             continue
-        else:
-            low, values, point = reduced(block)
-            found = min(found, low)
-        if values is None:
-            continue
-        if not kept or low < eta:  # else an earlier block holds the point if this one does
-            eta = low
-            kept.append((low, values, point))
-            while kept[0][0] - eta > tol:
-                del kept[0]
-            if held is not None and held[0] >= eta:  # it cannot join kept any more
-                held = (held[0], None, held[2])
+        kept = {o: k for o, k in kept.items() if k[0] - found <= tol and (o < offset or k[0] < low)}
+        kept[offset] = (low, values)
     if not kept:
         raise DomainViolation(
             f"objective undefined at every point of the set for scenario {omega!r}"
         )
-    _, values, point = kept[0]
+    eta = kept[max(kept)][0]
+    offset = min(kept)
     with np.errstate(over="ignore"):
-        i = int(np.argmax(values - eta <= tol))
-    return point(i), eta, excluded
+        i = int(np.argmax(kept[offset][1] - eta <= tol))
+    return node(offset + i), eta, excluded
 
 
 def global_min_compact(

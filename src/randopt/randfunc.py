@@ -162,10 +162,10 @@ SetDescription = Union[Box, PointCloud, LevelSet]
 
 
 def exact_key(values: Sequence[float]) -> tuple:
-    """Bit-exact identity of a vector of numbers: the element types and
-    the float64 bytes.  ``0.0`` and ``-0.0`` get different keys, which
-    ``==`` would merge."""
-    return (tuple(map(type, values)), np.asarray(values, dtype=float).tobytes())
+    """Bit-exact identity of a vector of numbers: its float64 bytes, as
+    every evaluator reads each number as a float.  ``0.0`` and ``-0.0`` get
+    different keys, which ``==`` would merge."""
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def description_key(desc: SetDescription) -> tuple:

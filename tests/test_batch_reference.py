@@ -4,7 +4,8 @@
 evaluator: a recursive walk that recomputed every shared subtree and
 filled every leaf to N rows with ``np.full``.  It is verbatim but for the
 log and sqrt masks, which now also clear a row whose argument is NaN, as
-the scalar evaluator raises there.  ``eval_batch`` now runs
+the scalar evaluator raises there, and for its parameters, which it reads
+as floats, as the scalar evaluator does.  ``eval_batch`` now runs
 the hash-consed steps that ``compile_bundle`` renders, with one-element
 leaves.  On every input both must return the same values (dtype, shape and
 bytes) and the same valid mask, or raise the same exception class with the
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randopt import exprlang
 from randopt.errors import EvalError
@@ -43,6 +44,7 @@ from randopt.exprlang import (
     Env,
     Var,
     eval_batch,
+    eval_bounds,
     eval_grid,
     evaluate,
     parse,
@@ -76,8 +78,8 @@ def _eval_rows(
         return np.full(N, node.value)
     if isinstance(node, Var):
         return X[:, node.index - 1].copy()
-    if isinstance(node, Param):
-        return np.full(N, p[node.index - 1])
+    if isinstance(node, Param):  # read as a float, as the scalar bundle reads it
+        return np.full(N, float(p[node.index - 1]))
     rows = (X, p, invalid, N)
     if isinstance(node, Neg):
         return -_eval_rows(node.arg, *rows)
@@ -190,8 +192,9 @@ def points(draw):
     return np.array(rows, dtype=float).reshape(len(rows), N)
 
 
-# numpy gives a bool parameter the bool dtype, so True + True is a logical
-# or, and True - True raises; an int parameter gets int64
+# bool and int parameters are read as floats: as numpy's bool or int64
+# dtype, True + True would be a logical or, True - True would raise, and an
+# int would wrap
 parameter = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-308, 1e308]),
     st.floats(-10.0, 10.0),
@@ -201,8 +204,13 @@ parameter = st.one_of(
 ps = st.tuples(*[parameter] * K)
 
 
+_SIN = Call("sin", Pow(Param(1), 2))
+
+
 @settings(max_examples=600, deadline=None)
 @given(trees, points(), ps)
+# np.square keeps a bool parameter's dtype, and sin then returns float16
+@example(Div(Mul(_SIN, _SIN), Call("cos", Pow(Param(1), 2))), np.zeros((0, N)), (False, 0.0))
 def test_eval_batch_matches_the_tree_walk(root, X, p):
     e = Expression(root, N, K)
     assert outcome(eval_batch, e, X, p) == outcome(reference_eval_batch, e, X, p)
@@ -246,9 +254,9 @@ def test_eval_grid_matches_eval_batch_on_the_grid_points(root, box, m, p):
         ("log(p1 - p2) + x1", (1.0, 3.0)),  # undefined at every row
         ("1e308*10 + x1", (0.0, 0.0)),  # a subtree of constants only overflows
         ("3", (0.0, 0.0)),  # a constant root fills every row
-        ("p1 + p1 + x1*0", (True, False)),  # bool parameters: a logical or
+        ("p1 + p1 + x1*0", (True, False)),  # bool parameters: 1.0 + 1.0, not a logical or
         ("p1/p2 + p1^-1", (2, 0)),  # int parameters
-        ("p1 - p2", (True, False)),  # numpy refuses bool subtraction
+        ("p1 - p2", (True, False)),  # 1.0 - 0.0, which bools would refuse
         ("-p1", (True, False)),
     ],
 )
@@ -257,6 +265,27 @@ def test_fixed_trees_match_the_tree_walk(text, p, rows):
     e = parse(text, N, K)
     X = np.linspace(-2.0, 2.0, 2 * rows).reshape(rows, N)
     assert outcome(eval_batch, e, X, p) == outcome(reference_eval_batch, e, X, p)
+
+
+@pytest.mark.parametrize(
+    "text, p",
+    [
+        ("sin(p1^2) + x1", (True, 0)),  # np.square keeps a bool, and sin gives float16
+        ("p1 - p1 + x1", (True, 0)),  # numpy refuses bool subtraction
+        ("p1^2 + x1", (10**10, 0)),  # 10^20 wraps in int64
+        ("(p1 + p1) + (p1 + p1) + (x1 - 1)^2 + p2/x2", (-(2**62) - 1, False)),
+    ],
+)
+def test_every_runner_reads_int_and_bool_parameters_as_floats(text, p):
+    e = parse(text, N, K)
+    floats = tuple(map(float, p))
+    box = Box((-1.0, 0.5), (2.0, 3.0))
+    X, axes = grid_points(box, 3), grid_axes(box, 3)
+    assert outcome(eval_batch, e, X, p) == outcome(eval_batch, e, X, floats)
+    assert outcome(eval_grid, e, axes, p) == outcome(eval_grid, e, axes, floats)
+    if e.lowered.bounded:
+        ends = np.array([box.lower]), np.array([box.upper])
+        assert outcome(eval_bounds, e, *ends, p) == outcome(eval_bounds, e, *ends, floats)
 
 
 @pytest.mark.parametrize("text", ["log(x1)", "sqrt(x2)", "1/x1", "x2^-3", "-x1", "exp(x1) + p1"])

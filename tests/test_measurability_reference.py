@@ -319,13 +319,18 @@ def test_undefined_probe_in_a_later_scenario_raises_the_same_error():
     assert str(exc.value) == "objective undefined at probe (-1.0,) in scenario 2"
 
 
-def test_parameter_vectors_are_shared_only_between_equal_types():
-    # True and 1.0 have the same float bytes, but numpy adds booleans as a
-    # logical or, so f(., x) = p1 + p1 differs between the two scenarios
+def test_parameter_vectors_are_shared_between_equal_floats(monkeypatch):
+    # True and 1.0 have the same float bytes, and every evaluator reads a
+    # parameter as a float, so f(., x) = p1 + p1 is 2.0 in both scenarios,
+    # evaluated once
     space = _one_atom(2)
     rf = r.RandomFunction(space, 1, r.parse("p1 + p1", 1, 1), {1: (True,), 2: (1.0,)})
+    calls = []
+    original = randfunc.eval_f_batch
+    monkeypatch.setattr(randfunc, "eval_f_batch", lambda *a: calls.append(a[1]) or original(*a))
     v = r.check_joint_measurability(rf, [(0.0,)])
-    assert (v.witness.value_a, v.witness.value_b) == (1.0, 2.0)
+    assert v.measurable and calls == [1]
+    assert r.eval_f(rf, 1, (0.0,)) == r.eval_f(rf, 2, (0.0,)) == 2.0
     assert_same_verdict(v, reference_check_joint_measurability(rf, [(0.0,)]))
 
 

@@ -5,19 +5,26 @@ verbatim: it evaluated the whole grid (Box, on its axes) or all sorted
 points (PointCloud) at once.  ``reference_global_min`` and
 ``reference_solve_rop_min`` are the two reductions that followed it, in
 ``global_min_compact`` and ``solve_rop``.  ``scan_min`` now evaluates
-blocks of at most ``SCAN_BLOCK_NODES`` nodes, reduces each as it is
-made and skips the blocks that an interval bound excludes (the block of
-the least bound first, the others in order).  With the block size
+blocks of at most ``SCAN_BLOCK_NODES`` nodes, skips the blocks that an
+interval bound excludes (the block of the least bound first, the others
+in order), and keeps a block's values, by the index of its first node,
+only while the block can hold the point or eta.  With the block size
 patched small, so that a scan of the test grids splits into many blocks,
 it must give the reference's point and excluded count, or raise the same
 error, and eta with the bits of the value at the reference argmin:
 ``solve_rop`` took ``values.min()``, whose zero sign depends on numpy's
 reduction order, and now reports the first minimum's bits as
 ``global_min_compact`` does.  Generated objectives, with and without
-steps the bound refuses, check the skipping at both tolerances.
+steps the bound refuses, check the skipping at both tolerances; a signed
+zero tie across blocks checks that eta is the first zero, not the first
+one evaluated; and weak references to what ``eval_grid`` returns check
+that a scan holds at most two earlier blocks.  Every runner reads a
+parameter and a degenerate axis as a float, so an int scans as its float
+does.
 """
 
 import struct
+import weakref
 from typing import Callable, Union
 
 import numpy as np
@@ -25,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
-from randopt import optimize
+from randopt import exprlang, optimize
 from randopt.errors import DomainViolation, IncompatibleRepresentation, RandoptError
 from randopt.exprlang import (
     Add,
@@ -45,7 +52,7 @@ from randopt.optimize import GlobalMinResult, grid_axes
 from randopt.probspace import Point, Scenario
 from randopt.randfunc import Box, PointCloud, RandomFunction, eval_f_batch
 from randopt.selection import EQUATION_TOL
-from scan_records import record_scans, scanned_grids
+from scan_records import patch_everywhere, record_scans, scanned_grids
 from test_solve_rop_reference import _outcome, _random_instance, reference_solve_rop
 
 BLOCK_SIZES = (1, 5, 100)
@@ -255,6 +262,40 @@ def test_a_scan_builds_no_grid_sized_array(monkeypatch):
     assert np.allclose(point, (0.3, -0.2), rtol=0.0, atol=1e-12)
 
 
+def test_a_signed_zero_tie_across_blocks_gives_the_first_zero(monkeypatch):
+    # blocks of 5 nodes make 9; the last one (x1 = 4, a +0) has the least
+    # bound and is evaluated first, but x1 = -3 gives the first zero, a -0
+    rf = _one_scenario("(x1*0)*(x1^2)^2", 1)
+    region = Box((-3.0,), (4.0,))
+    expected = assert_scans_match(monkeypatch, rf, 1, region, 41, sizes=(5,))
+    assert expected[0.0] == expected[EQUATION_TOL] == ((-3.0,), _bits(-0.0), 0)
+    scans = record_scans(monkeypatch, 5)
+    optimize.scan_min(rf, 1, region, 41, EQUATION_TOL)
+    assert [axes[0].tolist() for axes, _ in scans[0].blocks][0] == [4.0]
+    assert len(scans[0].blocks) == 9
+
+
+@pytest.mark.parametrize("text", ["0*x1 + 0*x2 + 1", "(x1^2 - 1)^2 + x2^2 + 0*sin(x1)"])
+@pytest.mark.parametrize("tol", [0.0, EQUATION_TOL])
+def test_a_scan_holds_at_most_two_earlier_blocks(monkeypatch, text, tol):
+    # on the plateau every block ties, and the first one holds the point
+    # and eta; the double well's sin leaves it without bounds, so each of
+    # the 201 blocks is evaluated
+    monkeypatch.setattr(optimize, "SCAN_BLOCK_NODES", 201)
+    original, refs, alive = exprlang.eval_grid, [], []
+
+    def evaluating(e, axes, p=()):
+        alive.append(sum(ref() is not None for ref in refs))
+        values, valid = original(e, axes, p)
+        refs.append(weakref.ref(values))
+        return values, valid
+
+    patch_everywhere(monkeypatch, original, evaluating)
+    rf = _one_scenario(text, 2)
+    optimize.scan_min(rf, 1, Box((-3.0, -3.0), (3.0, 3.0)), 201, tol)
+    assert len(alive) == 201 and max(alive) <= 2
+
+
 # --- scans that skip the blocks a bound excludes -------------------------------------
 
 # dyadic ends, so that many nodes, poles and ties are exact
@@ -361,12 +402,35 @@ def test_a_block_is_skipped_only_where_its_bound_excludes_it(
     assert scans[0].skipped == skipped
 
 
-def test_an_int_parameter_scans_every_block(monkeypatch):
-    # int steps wrap where float steps do not: (p1 + p1) wraps to 2^63 - 2
-    # and twice that to -4, so the blocks get no bound
-    rf = _one_scenario("(p1 + p1) + (p1 + p1) + (x1 - 1)^2", 1, 1, (-(2**62) - 1,))
-    expected = assert_scans_match(monkeypatch, rf, 1, LINE, 41)
-    assert expected[0.0] == ((1.0,), _bits(-4.0), 0)
-    scans = record_scans(monkeypatch, 5)
-    optimize.scan_min(rf, 1, LINE, 41, 0.0)
-    assert len(scans[0].blocks) == 9
+def test_an_int_parameter_scans_as_its_float_does(monkeypatch):
+    # every runner reads a parameter as a float, as eval_f does: in int64,
+    # p1 + p1 would wrap to 2^63 - 2 at p1 = -2^62 - 1, and twice that to -4
+    cases = [("(p1 + p1) + (p1 + p1) + (x1 - 1)^2", -(2**62) - 1), ("(x1 - p1)^2 + p1 + p1", 1)]
+    runs = []
+    for text, p in cases:
+        run = []
+        for q in (p, float(p)):
+            rf = _one_scenario(text, 1, 1, (q,))
+            expected = assert_scans_match(monkeypatch, rf, 1, LINE, 41)
+            with monkeypatch.context() as m:
+                scans = record_scans(m, 5)
+                point, eta, _ = optimize.scan_min(rf, 1, LINE, 41, 0.0)
+                scanned_grids(scans, 5)
+            assert eta == r.eval_f(rf, 1, point)
+            blocks = [tuple(map(len, axes)) for axes, _ in scans[0].blocks]
+            run.append((expected, blocks, scans[0].skipped))
+        assert run[0] == run[1]
+        runs.append(run[0])
+    (wrapping, _, every), (_, _, skipped) = runs
+    # 4 * p1 absorbs the well, so every node ties and the first one wins
+    assert wrapping[0.0] == ((-2.0,), _bits(-4.0 * (2**62 + 1)), 0)
+    assert every == [] and skipped == [0, 1, 2, 3, 4, 5, 7, 8]
+
+
+def test_a_degenerate_int_axis_is_read_as_a_float():
+    # an int axis of int64 nodes would make x1 + x1 wrap to -2^63; 2^63
+    # absorbs x2^2, so every node ties and the first one wins
+    rf = _one_scenario("x1 + x1 + x2^2", 2)
+    res = r.global_min_compact(rf, 1, Box((2**62, -1.0), (2**62, 1.0)), 41)
+    assert res.grid_x == (2.0**62, -1.0)
+    assert res.grid_value == r.eval_f(rf, 1, res.grid_x) == 2.0**63
