@@ -161,7 +161,7 @@ class LevelSet:
 SetDescription = Union[Box, PointCloud, LevelSet]
 
 
-def exact_key(values: Sequence[float]) -> tuple:
+def exact_key(values: Sequence[float]) -> bytes:
     """Bit-exact identity of a vector of numbers: its float64 bytes, as
     every evaluator reads each number as a float.  ``0.0`` and ``-0.0`` get
     different keys, which ``==`` would merge."""
