@@ -43,17 +43,19 @@ last use.  It skips the finite check of a value that only ``+ - *`` steps
 read (``covered``): those steps give a non-finite operand a non-finite
 value, which their own checks catch.  ``eval_batch`` runs it on the
 columns of an array, ``eval_rows`` on the rows of a bundle's inputs, and
-``eval_grid`` on the axes of a grid, each shaped to broadcast along its
-own dimension, with the mask in the grid's shape.
+``eval_grid`` on the axes of a grid, or of a stack of equal-shaped grids
+each with its own parameters, each axis shaped to broadcast along its own
+dimension, with the mask in the grid's (or stack's) shape.
 
 ``_Compiler.run_bounds`` runs the same steps on intervals, one row per
 box of inputs, and ``eval_bounds`` returns per box a lower bound on the
 value at every valid point and whether every check is proved to pass
-throughout.  It bounds loads, constants, negation, ``+ - * /`` and
-squares, each rounded outward by one ulp, so a bound holds the floats the
-runners compute; a bundle with any other step (``exp``, ``log``, ``sin``,
-``cos``, ``sqrt`` or another power) is not ``bounded``, and a box scan of
-it evaluates every block.
+throughout; the parameters are shared by every box or given per box.  It
+bounds loads, constants, negation, ``+ - * /`` and squares, each rounded
+outward by one ulp, so a bound holds the floats the runners compute; a
+bundle with any other step (``exp``, ``log``, ``sin``, ``cos``, ``sqrt`` or
+another power) is not ``bounded``, and a box scan of it evaluates every
+node.
 
 Every runner takes its bits from one place.  ``+ - * /``, negation and
 ``sqrt`` are correctly rounded, so Python and numpy agree on them.  A
@@ -676,10 +678,10 @@ class _Compiler:
         zero check where the interval excludes 0.  The checks in ``covered``
         are skipped, as in ``run_rows``: an operand of ``+ - *`` with an
         end that is not finite gives an end that is not finite, which a
-        later check sees."""
+        later check sees.  Each end is freed after its last use."""
         lo = {name: np.full(1, value) for name, value in self.constants.items()}
         hi = dict(lo)
-        for i, (op, t, args, extra) in enumerate(self.steps):
+        for i, ((op, t, args, extra), dead) in enumerate(zip(self.steps, self.dead)):
             if op == "finite":
                 if i not in self.covered:
                     proved &= np.isfinite(lo[args[0]]) & np.isfinite(hi[args[0]])
@@ -693,6 +695,8 @@ class _Compiler:
                 lo[t], hi[t] = -hi[args[0]], -lo[args[0]]
             else:
                 lo[t], hi[t] = _interval(op, lo, hi, args)
+            for name in dead:
+                del lo[name], hi[name]
         return [lo[name] for name in self.results]
 
 
@@ -770,10 +774,19 @@ def evaluate(e: Expression, env: Env) -> float:
     return e.compiled(env.x, env.p)[0]
 
 
-def _param_columns(p: Sequence[float]) -> list[np.ndarray]:
-    """Each parameter as a one-element column, read with ``float`` as a
-    compiled bundle reads it, so a bool or an int gets float arithmetic."""
+def _param_columns(p, trailing: int = 0) -> list[np.ndarray]:
+    """Each parameter as a column, read as a float as a compiled bundle
+    reads it, so a bool or an int gets float arithmetic: of one element
+    where ``p`` is one vector, and of one element per row, followed by
+    ``trailing`` axes of length 1, where it is a (rows, k) matrix."""
+    if np.ndim(p) == 2:
+        return [np.reshape(c, (-1,) + (1,) * trailing) for c in np.asarray(p, dtype=float).T]
     return [np.full(1, float(v)) for v in p]
+
+
+def _require_params(e: Expression, p) -> None:
+    if np.shape(p)[-1] != e.k:
+        raise ValueError(f"p has length {np.shape(p)[-1]}, expected {e.k}")
 
 
 def eval_batch(
@@ -790,8 +803,7 @@ def eval_batch(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != e.n:
         raise ValueError(f"X must have shape (N, {e.n})")
-    if len(p) != e.k:
-        raise ValueError(f"p has length {len(p)}, expected {e.k}")
+    _require_params(e, p)
     valid = np.ones(X.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
         values = e.lowered.run_rows(X.T, _param_columns(p), valid)[0]
@@ -799,7 +811,7 @@ def eval_batch(
 
 
 def eval_grid(
-    e: Expression, axes: Sequence[np.ndarray], p: Sequence[float] = ()
+    e: Expression, axes: Sequence[np.ndarray], p=()
 ) -> tuple[np.ndarray, np.ndarray]:
     """``eval_batch`` at the nodes of the grid with these ``axes``, one per
     variable, in the order of ``meshgrid(*axes, indexing="ij")`` raveled.
@@ -808,30 +820,43 @@ def eval_grid(
     grid's shape, so a step computes the grid's full shape only from the
     first step that mixes axes on; before it, a step computes one value
     per node of the axes it depends on.
+
+    Where each axis is a (K, m_i) array, the grid is a stack of K grids of
+    one shape: grid j has the axes' rows j, and the parameters ``p``, k
+    floats, or row j of a (K, k) matrix.  Axis i is then loaded shaped
+    (K, 1, ..., m_i, ..., 1) and each parameter of a matrix (K, 1, ..., 1),
+    and the values and mask come back as (K, nodes) arrays, row j that
+    grid's, raveled.
     """
     if len(axes) != e.n:
         raise ValueError(f"axes has length {len(axes)}, expected {e.n}")
-    if len(p) != e.k:
-        raise ValueError(f"p has length {len(p)}, expected {e.k}")
-    shape = tuple(len(a) for a in axes)
-    columns = [np.reshape(a, (1,) * i + (-1,) + (1,) * (e.n - 1 - i)) for i, a in enumerate(axes)]
+    _require_params(e, p)
+    lead = np.shape(axes[0])[:-1] if axes else ()
+    shape = lead + tuple(np.shape(a)[-1] for a in axes)
+    columns = [
+        np.reshape(a, lead + (1,) * i + (-1,) + (1,) * (e.n - 1 - i)) for i, a in enumerate(axes)
+    ]
     valid = np.ones(shape, dtype=bool)
     with np.errstate(all="ignore"):
-        values = e.lowered.run_rows(columns, _param_columns(p), valid)[0]
-    return np.where(valid, values, np.nan).ravel(), valid.ravel()
+        values = e.lowered.run_rows(columns, _param_columns(p, e.n), valid)[0]
+    flat = lead + (-1,)
+    return np.where(valid, values, np.nan).reshape(flat), valid.reshape(flat)
 
 
 def eval_bounds(
-    e: Expression, lower: np.ndarray, upper: np.ndarray, p: Sequence[float] = ()
+    e: Expression, lower: np.ndarray, upper: np.ndarray, p=()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of ``e`` on the boxes [``lower[i]``, ``upper[i]``] (rows of
-    shape (B, n)), for an expression whose steps are ``bounded``.
+    shape (B, n)), for an expression whose steps are ``bounded``; the
+    parameters ``p`` are k floats for every box, or a (B, k) matrix, row i
+    for box i.
 
     Returns ``(least, proved)``, one entry per box: a lower bound on the
     value that ``eval_grid`` or ``eval_batch`` returns at every valid point
     of the box (-inf where there is none), and whether every point of the
     box is proved valid.  See ``_Compiler.run_bounds``.
     """
+    _require_params(e, p)
     proved = np.ones(len(lower), dtype=bool)
     with np.errstate(all="ignore"):
         least = e.lowered.run_bounds(lower.T, upper.T, _param_columns(p), proved)[0]

@@ -17,16 +17,11 @@ each halving's, the samples and the descent hunts are each one stack of
 rows for all of them.  Each Hessian is symmetrized once
 (``randfunc.symmetrize``) and its minors are taken once, by its stack.
 A grid minimization
-(``scan_min``) evaluates the objective on blocks of at most
-``SCAN_BLOCK_NODES`` grid nodes, each on the grid's axes with one axis
-sliced (``exprlang.eval_grid``), and selects by each node's index in the
-grid's raveled order: a block's values are kept by the index of its first
-node, and only while the block can still hold the selected point or eta;
-no grid of points or of values is built, and each node is evaluated at
-most once.  On a box of two or more blocks, an interval bound of the
-objective on each block (``exprlang.eval_bounds``) orders the first block
-and skips every block that it proves holds valid nodes only, each more
-than the tolerance above the least value found.
+(``scan_min``) scans every distinct input of a command at once: the
+boxes by tiles, bounded by interval arithmetic and evaluated in stacks of
+equal-shaped tiles (``tiles``), selecting by each node's index in the
+grid's raveled order; no grid of points or of values is built, and each
+node is evaluated at most once.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from .errors import (
     NotSymmetric,
     RandoptError,
 )
-from .exprlang import eval_bounds, eval_grid, eval_rows
+from .exprlang import eval_rows
 from .probspace import (
     MeasurabilityVerdict,
     Point,
@@ -65,11 +60,12 @@ from .randfunc import (
     SetDescription,
     eval_f,
     eval_f_batch,
+    exact_key,
     first_of_input,
     gradient,
-    per_distinct_input,
     symmetrize,
 )
+from .tiles import Grids, Minima, scan_boxes
 
 SYMMETRY_TOL = 1e-9
 STATIONARITY_TOL = 1e-8
@@ -340,13 +336,6 @@ ROW_KERNEL_MIN_ROWS = 40
 # Newton and the convexity check stack at most this many rows at once,
 # splitting the scenarios (``_stacks``).
 NEWTON_STACK_ROWS = 1 << 15
-# A box scan evaluates at most this many grid nodes at once, unless one
-# slab of its split axis holds more.  A block's float arrays (120 KiB)
-# stay under glibc's 128 KiB mmap threshold, and malloc reuses their pages
-# from block to block.  Blocks of 256 KiB made 12,000 to 26,000 page faults
-# per global-grid pass, as the heap's layout let malloc return pages to the
-# system and fault them in again; blocks of this size make almost none.
-SCAN_BLOCK_NODES = 15 << 10
 
 
 def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -754,123 +743,73 @@ class GlobalMinResult:
     excluded: int        # grid points where evaluation failed
 
 
-def _scan_blocks(
-    rf: RandomFunction,
-    omega: Scenario,
-    C_omega: Union[Box, PointCloud],
-    grid_m: int,
-) -> tuple[Callable[[int], Point], list[tuple[int, Callable[[], tuple]]], list[float], list[bool]]:
-    """f(omega, .) on the grid (Box) or the sorted points (PointCloud) of
-    ``C_omega``, block by block in lexicographic order.
-
-    Returns (node, blocks, least, proved).  ``node(i)`` is node i of the
-    grid's raveled order or of the sorted points.  Each block is (offset,
-    evaluate): the index of its first node, and the function that
-    evaluates it, giving the values (NaN where evaluation failed) and the
-    mask of nodes where it did not.  A box splits along its first axis of
-    more than one node, so each block is a run of the grid's raveled order;
-    a block takes as many whole slabs of that axis as fit in
-    ``SCAN_BLOCK_NODES``, and at least one.  A point cloud is one block.
-    ``least`` and ``proved`` are ``exprlang.eval_bounds`` on the blocks'
-    boxes, one entry per block, for a box of two or more blocks whose
-    objective it bounds; else -inf and False.
-    """
-    if not isinstance(C_omega, (Box, PointCloud)):
-        raise IncompatibleRepresentation(
-            f"grid minimization needs a Box or PointCloud, got {type(C_omega).__name__}"
-        )
-    if C_omega.dim != rf.n:
-        raise IncompatibleRepresentation("set dimension differs from function")
-    if isinstance(C_omega, PointCloud):
-        X = np.asarray(sorted(C_omega.points), dtype=float)
-        cloud = (0, lambda: eval_f_batch(rf, omega, X))
-        return lambda i: tuple(float(v) for v in X[i]), [cloud], [-math.inf], [False]
-    axes = grid_axes(C_omega, grid_m)
-    p = rf.params_of(omega)
-    shape = [len(a) for a in axes]
-    d = next((j for j, m in enumerate(shape) if m > 1), 0)
-    slab = math.prod(shape[d + 1:])
-    slabs = max(1, SCAN_BLOCK_NODES // slab)
-    starts = range(0, shape[d], slabs)
-
-    def node(i: int) -> Point:
-        return tuple(float(a[j]) for a, j in zip(axes, np.unravel_index(i, shape)))
-
-    def block(start: int) -> tuple[int, Callable[[], tuple]]:
-        sliced = [*axes[:d], axes[d][start:start + slabs], *axes[d + 1:]]
-        return start * slab, lambda: eval_grid(rf.body, sliced, p)
-
-    blocks = [block(start) for start in starts]
-    if len(blocks) < 2 or not rf.body.lowered.bounded:
-        return node, blocks, [-math.inf] * len(blocks), [False] * len(blocks)
-    lower = np.array([[a.min() for a in axes]] * len(blocks))
-    upper = np.array([[a.max() for a in axes]] * len(blocks))
-    lower[:, d] = np.minimum.reduceat(axes[d], starts)
-    upper[:, d] = np.maximum.reduceat(axes[d], starts)
-    least, proved = eval_bounds(rf.body, lower, upper, p)
-    return node, blocks, least.tolist(), proved.tolist()
-
-
 def scan_min(
     rf: RandomFunction,
-    omega: Scenario,
-    C_omega: Union[Box, PointCloud],
+    inputs: Sequence[tuple[Scenario, SetDescription]],
     grid_m: int,
     tol: float,
-) -> tuple[Point, float, int]:
+) -> list[Union[tuple[Point, float, int], RandoptError]]:
     """The least value eta of f(omega, .) on the grid (Box) or the points
-    (PointCloud) of ``C_omega``, evaluating each node at most once.
+    (PointCloud) of ``C_omega``, for each input (omega, C_omega) of a
+    command, with each node evaluated at most once.
 
-    Returns (point, eta, excluded): the first node in lexicographic order
-    with value - eta <= ``tol``; eta with the bits of the value at the
-    first node attaining it (a -0 before a 0 gives -0); and the number of
-    nodes where evaluation failed, which take no part.
-
-    The block of the least bound (``_scan_blocks``; the first block where
-    there are none) is evaluated first and the others follow in order.  A
-    block is skipped, never evaluated, when its bound proves every node
-    valid and bound - eta > ``tol`` for the least value eta found so far.
-    Float rounding is monotone, so each of its values v then has v - eta >
-    ``tol`` >= 0 at the final eta too: it holds neither the point nor eta,
-    and excludes no node.  An evaluated block's least value (the first of
-    equal ones) and values are kept by its offset while that value is
-    within ``tol`` of the least found so far, and no block at a lower
-    offset has a least value <= it: that block holds a node within ``tol``,
-    and the first node attaining eta, wherever this one does.  So the kept
-    least values fall as the offset rises; the point is in the first kept
-    block, and eta is the last one's least value.
+    Returns per input (point, eta, excluded), or the error its own scan
+    raises (the set's kind, its dimension, the grid cap, or f undefined at
+    every node): the first node in lexicographic order with value - eta <=
+    ``tol``; eta with the bits of the value at the first node attaining it
+    (a -0 before a 0 gives -0); and the number of nodes where evaluation
+    failed, which take no part.  Nodes are selected by their index in the
+    grid's raveled order (or the sorted points'), from the candidates that
+    ``tiles.Minima`` keeps.  A point cloud is evaluated in full; the boxes
+    share one grid per distinct box and are scanned together by tiles,
+    skipping the tiles that an interval bound excludes (``tiles``).
     """
-    node, blocks, least, proved = _scan_blocks(rf, omega, C_omega, grid_m)
-    first = int(np.argmin(least))
-    found = math.inf  # the least value found so far, in any order
-    excluded = 0
-    kept: dict[int, tuple[float, np.ndarray]] = {}  # offset -> (least value, values)
-    for b in (first, *range(first), *range(first + 1, len(blocks))):
-        if proved[b] and least[b] - found > tol:
+    minima = Minima(len(inputs), tol)
+    outcomes: list = [None] * len(inputs)
+    clouds: dict[int, np.ndarray] = {}
+    boxes, grid, params = [], [], []
+    axes: list[list[np.ndarray]] = []  # per distinct box
+    box_grid: dict[bytes, int] = {}  # a box's bits -> its index in axes
+    for i, (omega, C_omega) in enumerate(inputs):
+        try:
+            if not isinstance(C_omega, (Box, PointCloud)):
+                raise IncompatibleRepresentation(
+                    f"grid minimization needs a Box or PointCloud, got {type(C_omega).__name__}"
+                )
+            if C_omega.dim != rf.n:
+                raise IncompatibleRepresentation("set dimension differs from function")
+            if isinstance(C_omega, PointCloud):
+                X = clouds[i] = np.asarray(sorted(C_omega.points), dtype=float)
+                values, valid = eval_f_batch(rf, omega, X)
+                minima.add(np.array([i]), values[None], valid[None], lambda t, j: j)
+                continue
+            key = exact_key(C_omega.lower + C_omega.upper)
+            if key not in box_grid:
+                axes.append(grid_axes(C_omega, grid_m))
+                box_grid[key] = len(axes) - 1
+            params.append(rf.params_of(omega))
+        except RandoptError as exc:
+            outcomes[i] = exc
             continue
-        offset, evaluate = blocks[b]
-        values, valid = evaluate()
-        ok = int(np.count_nonzero(valid))
-        excluded += values.size - ok
-        if ok == 0:
+        boxes.append(i)
+        grid.append(box_grid[key])
+    if boxes:
+        grids = Grids(boxes, grid, axes, params)
+        scan_boxes(rf, grids, minima)
+    box = {i: s for s, i in enumerate(boxes)}
+    selected = minima.selected()
+    for i, (omega, _) in enumerate(inputs):
+        if outcomes[i] is not None:
             continue
-        if ok < values.size:
-            values[~valid] = np.inf
-        low = float(values[int(np.argmin(values))])  # first occurrence
-        found = min(found, low)
-        if low - found > tol or any(o < offset and v <= low for o, (v, _) in kept.items()):
+        if i not in selected:
+            outcomes[i] = DomainViolation(
+                f"objective undefined at every point of the set for scenario {omega!r}"
+            )
             continue
-        kept = {o: k for o, k in kept.items() if k[0] - found <= tol and (o < offset or k[0] < low)}
-        kept[offset] = (low, values)
-    if not kept:
-        raise DomainViolation(
-            f"objective undefined at every point of the set for scenario {omega!r}"
-        )
-    eta = kept[max(kept)][0]
-    offset = min(kept)
-    with np.errstate(over="ignore"):
-        i = int(np.argmax(kept[offset][1] - eta <= tol))
-    return node(offset + i), eta, excluded
+        at, eta = selected[i]
+        point = tuple(float(v) for v in clouds[i][at]) if i in clouds else grids.node(box[i], at)
+        outcomes[i] = (point, eta, int(minima.excluded[i]))
+    return outcomes
 
 
 def global_min_compact(
@@ -884,7 +823,10 @@ def global_min_compact(
     Exact value ties break to the lexicographically smallest point.  Grid
     points where evaluation fails are excluded and counted.
     """
-    return GlobalMinResult(*scan_min(rf, omega, C_omega, grid_m, 0.0))
+    (outcome,) = scan_min(rf, [(omega, C_omega)], grid_m, 0.0)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return GlobalMinResult(*outcome)
 
 
 def global_min_per_scenario(
@@ -895,14 +837,19 @@ def global_min_per_scenario(
     """``global_min_compact`` for every scenario, in the space's order.
 
     The result depends only on the scenario's parameter vector and set
-    description, so ``per_distinct_input`` computes it once per distinct
-    pair.  A failure is raised at the first scenario in order that fails.
+    description, so one ``scan_min`` scans each distinct pair, at its first
+    scenario (``first_of_input``).  A failure is raised at the first
+    scenario in order that fails.
     """
-    return per_distinct_input(
-        rf,
-        lambda omega: global_min_compact(rf, omega, descriptions[omega], grid_m),
-        descriptions,
-    )
+    first = first_of_input(rf, descriptions)
+    distinct = [omega for omega, f in first.items() if f == omega]
+    outcomes = dict(zip(distinct, scan_min(rf, [(o, descriptions[o]) for o in distinct], grid_m, 0.0)))
+    results = {}
+    for omega, f in first.items():
+        if isinstance(outcomes[f], Exception):
+            raise outcomes[f]
+        results[omega] = GlobalMinResult(*outcomes[f])
+    return results
 
 
 # --- the optimal-value random variable --------------------------------------------------

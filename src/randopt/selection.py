@@ -158,10 +158,11 @@ def solve_rop(
 ) -> Selection:
     """Measurable global minimizer over a measurable compact feasible map.
 
-    Per atom, one scan of the representative's grid (Box) or points
+    Per atom, a scan of the representative's grid (Box) or points
     (PointCloud) gives eta, the grid minimum, and the selection: the first
-    point in lexicographic order with f - eta <= EQUATION_TOL
-    (``scan_min``).  Both are broadcast to the atom.
+    point in lexicographic order with f - eta <= EQUATION_TOL.  One
+    ``scan_min`` scans every representative, and the first error in atom
+    order is raised.  Both are broadcast to the atom.
     """
     if C.space != space or rf.space != space:
         raise DomainMismatch("function, set, and space must agree")
@@ -174,9 +175,11 @@ def solve_rop(
 
     solved = []
     excluded = 0
-    for atom in space.atoms:
-        rep = atom[0]
-        point, eta, rep_excluded = scan_min(rf, rep, C.descriptions[rep], opts.grid_m, EQUATION_TOL)
+    reps = [(atom[0], C.descriptions[atom[0]]) for atom in space.atoms]
+    for atom, outcome in zip(space.atoms, scan_min(rf, reps, opts.grid_m, EQUATION_TOL)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        point, eta, rep_excluded = outcome
         excluded += rep_excluded
         solved.append((atom, point, GlobalCert(eta)))
     return _broadcast(space, solved, diagnostics=(("excluded_grid_points", excluded),))

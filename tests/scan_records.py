@@ -1,20 +1,27 @@
 """Records of the grid scans a run makes, for the tests that count them.
 
 ``patch_everywhere`` replaces a function in every randopt module that
-imported it by name.  ``record_scans`` sets ``optimize.SCAN_BLOCK_NODES``
-and records each ``scan_min`` call as a ``Scan``: its set, grid, parameters,
-objective, tolerance and eta, with the ``eval_grid`` calls made during it,
-its evaluated blocks.  ``scanned_grids`` checks that the evaluated blocks
-of each recorded box scan are blocks of whole slabs of the grid's split
-axis, with the scan's parameters, each evaluated at most once, the first
-one of them anywhere and the others in the grid's order; and that every
-block left out is excluded by ``block_bound``, an interval bound computed
-here by walking the expression tree, independently of the library's.  It
-returns each scan's grid shape and parameters.
+imported it by name.  ``record_scans`` sets the tile sides and the cap on
+one stacked array (``tiles.COARSE_TILE``, ``tiles.FINE_TILE`` and
+``tiles.SCAN_BLOCK_NODES``), and records each input of each ``scan_min``
+call as a ``Scan``: its set, grid, parameters, objective, tolerance and
+eta.  The scans of one call share a ``Call``, which records each grid of
+each stacked ``eval_grid`` call made during it as one tile, with its
+parameters.
+
+``scanned_grids`` gives each recorded tile to a box scan of its call with
+the same parameter bits whose grid holds the tile's axes as runs of nodes
+that it has not evaluated, and checks that there is one: no node of a scan
+is evaluated twice.  It also checks that every node left out lies in a
+coarse or fine tile that ``block_bound`` excludes: an interval bound
+computed here by walking the expression tree, independently of the
+library's, that proves every node valid and more than the tolerance above
+the scan's eta.  It returns each scan's grid shape and parameters.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -22,9 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from randopt import exprlang, optimize
+from randopt import exprlang, optimize, tiles
 from randopt.exprlang import Add, Div, Mul, Neg, Num, Param, Pow, Sub, Var
 from randopt.randfunc import Box
+from randopt.optimize import grid_axes
 
 
 def patch_everywhere(monkeypatch, function, replacement) -> None:
@@ -36,46 +44,90 @@ def patch_everywhere(monkeypatch, function, replacement) -> None:
                 monkeypatch.setattr(module, attr, replacement)
 
 
+def set_tiles(monkeypatch, coarse: int, fine: int, block_nodes: int) -> None:
+    """Tiles of ``coarse`` and ``fine`` nodes a side, and at most
+    ``block_nodes`` numbers in one stacked array: a box of more nodes is
+    scanned by tiles."""
+    monkeypatch.setattr(tiles, "COARSE_TILE", coarse)
+    monkeypatch.setattr(tiles, "FINE_TILE", fine)
+    monkeypatch.setattr(tiles, "SCAN_BLOCK_NODES", block_nodes)
+
+
+@dataclass
+class Call:
+    """One ``scan_min`` call: ``tiles`` holds the ``(axes, p)`` of each grid
+    of its ``eval_grid`` calls, in order, and ``stacks`` the number of grids
+    of each call."""
+
+    tiles: list = field(default_factory=list)
+    stacks: list = field(default_factory=list)
+
+
 @dataclass
 class Scan:
-    """One ``scan_min`` call: ``blocks`` holds the ``(axes, p)`` of each
-    ``eval_grid`` call it made, in order; ``eta`` is None where it raised.
-    ``scanned_grids`` sets ``skipped``, the indices of the grid's blocks
-    that were not evaluated."""
+    """One input of a ``scan_min`` call; ``eta`` is None where it raised.
+    ``scanned_grids`` sets ``tiles``, the (start, stop) node index ranges of
+    the tiles evaluated for it, in order; ``skipped``, those of the tiles
+    whose nodes were left out, each excluded by the bound; and
+    ``evaluated``, the number of nodes evaluated."""
 
     C_omega: object
     grid_m: Optional[int]
-    p: tuple
+    p: Optional[tuple]
     body: object = None
     tol: float = 0.0
-    blocks: list = field(default_factory=list)
+    call: Call = field(default_factory=Call)
+    sides: tuple = ()
     eta: Optional[float] = None
+    tiles: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
+    evaluated: int = 0
 
 
-def record_scans(monkeypatch, block_nodes: int) -> list:
-    """Scan in blocks of at most ``block_nodes`` nodes, and return the list
-    that each scan appends its ``Scan`` to.  An ``eval_grid`` call outside a
-    scan is appended as a ``Scan`` of no set."""
-    monkeypatch.setattr(optimize, "SCAN_BLOCK_NODES", block_nodes)
+def record_scans(monkeypatch, coarse: int, fine: int, block_nodes: int) -> list:
+    """Scan by tiles of ``coarse`` and ``fine`` nodes a side, with at most
+    ``block_nodes`` numbers in one stacked array (``set_tiles``), and return
+    the list that each input of each scan appends its ``Scan`` to.  An
+    ``eval_grid`` call outside a scan is appended as a ``Scan`` of no
+    set."""
+    set_tiles(monkeypatch, coarse, fine, block_nodes)
     scans, active = [], []
     scan_min, eval_grid = optimize.scan_min, exprlang.eval_grid
 
-    def scanning(rf, omega, C_omega, grid_m, tol):
-        active.append(Scan(C_omega, grid_m, rf.params_of(omega), rf.body, tol))
-        scans.append(active[-1])
+    def params(rf, omega):
         try:
-            result = scan_min(rf, omega, C_omega, grid_m, tol)
-            active[-1].eta = result[1]
-            return result
+            return rf.params_of(omega)
+        except Exception:
+            return None
+
+    def scanning(rf, inputs, grid_m, tol):
+        call = Call()
+        batch = [
+            Scan(C, grid_m, params(rf, omega), rf.body, tol, call, (coarse, fine))
+            for omega, C in inputs
+        ]
+        scans.extend(batch)
+        active.append(call)
+        try:
+            outcomes = scan_min(rf, inputs, grid_m, tol)
         finally:
             active.pop()
+        for scan, outcome in zip(batch, outcomes):
+            if not isinstance(outcome, Exception):
+                scan.eta = outcome[1]
+        return outcomes
 
     def evaluating(e, axes, p=()):
-        if active:
-            active[-1].blocks.append((axes, p))
+        if np.ndim(axes[0]) == 2:  # a stack of grids, each with its parameters
+            rows = np.broadcast_to(np.asarray(p, dtype=float), (len(axes[0]), e.k))
+            grids = [(tuple(a[j] for a in axes), tuple(rows[j])) for j in range(len(axes[0]))]
         else:
-            scans.append(Scan(None, None, p, blocks=[(axes, p)]))
+            grids = [(tuple(axes), tuple(p))]
+        if active:
+            active[-1].tiles.extend(grids)
+            active[-1].stacks.append(len(grids))
+        else:
+            scans.append(Scan(None, None, tuple(p), call=Call(grids, [len(grids)])))
         return eval_grid(e, axes, p)
 
     patch_everywhere(monkeypatch, scan_min, scanning)
@@ -172,56 +224,91 @@ def block_bound(body, axes, p) -> Optional[tuple[float, bool]]:
 # --- the check -----------------------------------------------------------------------
 
 
-def _order(blocks: list, partition: list) -> Optional[list]:
-    """The partition index of each evaluated block, the first anywhere and
-    the others in increasing order, none twice; None if there is none."""
-    keys = [_bits(a) for a in partition]
-    for first, key in enumerate(keys if blocks else ()):
-        if key != _bits(blocks[0]):
-            continue
-        order, i = [first], 0
-        for block in blocks[1:]:
-            while i < len(keys) and (i == first or keys[i] != _bits(block)):
-                i += 1
-            if i == len(keys):
-                break
-            order.append(i)
-            i += 1
-        else:
-            return order
-    return None
+def _node_index(axes: list) -> list:
+    """Per axis, the indices of the nodes of each bit pattern."""
+    index = []
+    for axis in axes:
+        where: dict = {}
+        for i, v in enumerate(axis.view(np.uint64).tolist()):
+            where.setdefault(v, []).append(i)
+        index.append((axis.view(np.uint64).tolist(), where))
+    return index
 
 
-def scanned_grids(scans: list, block_nodes: int) -> list:
-    """``(shape, p)`` per recorded scan of a box, after checking that its
-    evaluated blocks are runs of whole slabs of the grid along its first
-    axis of more than one node, a block of at most ``block_nodes`` nodes or
-    one slab, each evaluated at most once and with the scan's parameters;
-    and that each block not evaluated is proved by ``block_bound`` to hold
-    valid nodes only, with bound - eta > tol."""
+def _placements(index: list, tile: tuple) -> list:
+    """Each (start, stop) per axis at which the grid of ``_node_index``
+    ``index`` holds the tile's axes as runs of nodes, bit for bit."""
+    options = []
+    for (have, where), part in zip(index, tile):
+        want = np.asarray(part, dtype=float).view(np.uint64).tolist()
+        starts = [i for i in where.get(want[0], []) if have[i:i + len(want)] == want]
+        options.append([(i, i + len(want)) for i in starts])
+    return list(itertools.product(*options))
+
+
+def _ranges(shape: tuple, side: int, within: Optional[tuple] = None) -> list:
+    """The tiles of at most ``side`` nodes a side that partition ``within``
+    (a (start, stop) per axis; the whole grid by default), in grid order."""
+    within = within or tuple((0, m) for m in shape)
+    per_axis = [[(i, min(i + side, b)) for i in range(a, b, side)] for a, b in within]
+    return list(itertools.product(*per_axis))
+
+
+def _excludes(scan: Scan, axes: list, ranges: tuple) -> bool:
+    bound = block_bound(scan.body, [a[i:j] for a, (i, j) in zip(axes, ranges)], scan.p)
+    if bound is None or scan.eta is None:
+        return False
+    low, proved = bound
+    return proved and low - scan.eta > scan.tol
+
+
+def scanned_grids(scans: list) -> list:
+    """``(shape, p)`` per recorded scan of a box, after checking that each
+    tile its call evaluated is a box of one of its grids, with that scan's
+    parameters, and no node of a scan is evaluated twice; and that each
+    node a scan left out lies in a coarse tile, or a fine tile of one, that
+    ``block_bound`` proves holds valid nodes only, with bound - eta > tol.
+    A scan that raised evaluated every node of its grid."""
     out = []
-    for scan in scans:
-        assert isinstance(scan.C_omega, Box), "eval_grid called outside a box scan"
-        axes = optimize.grid_axes(scan.C_omega, scan.grid_m)
-        shape = tuple(len(a) for a in axes)
-        d = next((j for j, m in enumerate(shape) if m > 1), 0)
-        slab = math.prod(shape[d + 1:])
-        slabs = max(1, block_nodes // slab)
-        partition = [axes[d][start:start + slabs] for start in range(0, shape[d], slabs)]
-        for block, block_p in scan.blocks:
-            assert _bits(block_p) == _bits(scan.p)
-            assert [_bits(a) for j, a in enumerate(block) if j != d] == [
-                _bits(a) for j, a in enumerate(axes) if j != d
+    calls = list({id(scan.call): scan.call for scan in scans}.values())
+    for call in calls:
+        batch = [scan for scan in scans if scan.call is call]
+        for scan in batch:
+            assert isinstance(scan.C_omega, Box), "eval_grid called outside a box scan"
+            scan.axes = grid_axes(scan.C_omega, scan.grid_m)
+            scan.index = _node_index(scan.axes)
+            scan.count = np.zeros(tuple(len(a) for a in scan.axes), dtype=int)
+        for tile, p in call.tiles:
+            # scans whose grid holds the tile where none of its nodes was
+            # evaluated; where inputs share parameters and nodes, one that
+            # the bound does not let skip the tile goes first
+            free = [
+                (scan, ranges)
+                for scan in batch
+                if _bits(p) == _bits(scan.p)
+                for ranges in _placements(scan.index, tile)
+                if not scan.count[tuple(slice(i, j) for i, j in ranges)].any()
             ]
-            assert math.prod(map(len, block)) <= max(block_nodes, slab)
-        order = _order([block[d] for block, _ in scan.blocks], partition)
-        assert order is not None, "blocks out of order, repeated or not of the grid"
-        scan.skipped = [i for i in range(len(partition)) if i not in order]
-        for i in scan.skipped:
-            block = [*axes[:d], partition[i], *axes[d + 1:]]
-            bound = block_bound(scan.body, block, scan.p)
-            assert scan.eta is not None and bound is not None, f"block {i} not evaluated"
-            low, proved = bound
-            assert proved and low - scan.eta > scan.tol, f"block {i} skipped, bound {low}"
-        out.append((shape, tuple(scan.p)))
+            assert free, "a tile evaluated twice, with other parameters, or off every grid"
+            if len(free) > 1:
+                free = [f for f in free if not _excludes(f[0], f[0].axes, f[1])] or free
+            scan, ranges = free[0]
+            scan.count[tuple(slice(i, j) for i, j in ranges)] += 1
+            scan.tiles.append(ranges)
+        for scan in batch:
+            scan.evaluated = int(scan.count.sum())
+            shape = scan.count.shape
+            coarse, fine = scan.sides
+            for big in _ranges(shape, coarse):
+                if scan.count[tuple(slice(i, j) for i, j in big)].all():
+                    continue
+                if _excludes(scan, scan.axes, big):
+                    scan.skipped.append(big)
+                    continue
+                for small in _ranges(shape, fine, big):
+                    if scan.count[tuple(slice(i, j) for i, j in small)].all():
+                        continue
+                    assert _excludes(scan, scan.axes, small), f"tile {small} left out, eta {scan.eta}"
+                    scan.skipped.append(small)
+            out.append((shape, tuple(scan.p)))
     return out

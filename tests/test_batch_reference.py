@@ -14,7 +14,10 @@ same message.
 ``eval_grid`` runs the same steps on a box's grid axes, each shaped to
 broadcast along its own dimension.  On every box and grid size it must
 return what ``eval_batch`` returns on the rows of ``grid_points``, bit for
-bit, with the same mask.
+bit, with the same mask.  On a stack of equal-shaped tiles of a grid, each
+with its own parameters, each row must be what ``eval_grid`` returns on
+that tile alone; and ``eval_bounds`` with a parameter row per box must
+return per box what it returns on that box alone.
 """
 
 import copy
@@ -341,3 +344,70 @@ def test_values_do_not_alias_the_input():
     assert values.tolist() == [1.0, 3.0] and valid.all()
     assert not np.shares_memory(values, X)
 
+
+
+# --- stacks of grids and rows of parameters -------------------------------------------
+
+
+@st.composite
+def tile_stacks(draw):
+    """Tiles of one shape of the grid of a box of N axes, with their starts,
+    and a parameter vector per tile."""
+    lower, upper = [], []
+    for _ in range(N):
+        lo, hi = sorted((draw(bounds), draw(bounds)))
+        lower.append(lo)
+        upper.append(lo if draw(st.integers(0, 3)) == 0 else hi)
+    axes = grid_axes(Box(tuple(lower), tuple(upper)), draw(st.integers(2, 6)))
+    shape = [draw(st.integers(1, len(a))) for a in axes]
+    count = draw(st.integers(1, 4))
+    starts = [[draw(st.integers(0, len(a) - m)) for a, m in zip(axes, shape)] for _ in range(count)]
+    return axes, shape, starts, draw(st.lists(ps, min_size=count, max_size=count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, tile_stacks())
+def test_a_stacked_eval_grid_matches_eval_grid_per_tile(root, stack):
+    # each grid of the stack has the bits and the mask of its own call
+    axes, shape, starts, params = stack
+    e = Expression(root, N, K)
+    tiles = [[a[i:i + m] for a, i, m in zip(axes, start, shape)] for start in starts]
+    stacked = [np.stack(column) for column in zip(*tiles)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        values, valid = eval_grid(e, stacked, np.array(params, dtype=float))
+    assert values.shape == valid.shape == (len(tiles), math.prod(shape))
+    for j, (tile, p) in enumerate(zip(tiles, params)):
+        alone = outcome(eval_grid, e, tile, p)
+        assert alone[0] == (values.dtype, values[j].shape, values[j].tobytes())
+        assert alone[1] == (valid.dtype, valid[j].shape, valid[j].tobytes())
+
+
+def _bounded(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(lambda c: Pow(c, 2), children),
+    )
+
+
+bounded_trees = st.recursive(
+    st.one_of(constants, params, st.builds(Var, st.integers(1, N))), _bounded, max_leaves=10
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_trees, st.lists(st.tuples(bounds, bounds, bounds, bounds, ps), min_size=1, max_size=5))
+def test_eval_bounds_with_a_parameter_row_per_box_matches_eval_bounds_per_box(root, rows):
+    e = Expression(root, N, K)
+    lower = np.array([[min(a, b), min(c, d)] for a, b, c, d, _ in rows])
+    upper = np.array([[max(a, b), max(c, d)] for a, b, c, d, _ in rows])
+    P = np.array([p for *_, p in rows], dtype=float)
+    least, proved = eval_bounds(e, lower, upper, [p for *_, p in rows])
+    for i, (*_, p) in enumerate(rows):
+        one = eval_bounds(e, lower[i:i + 1], upper[i:i + 1], p)
+        assert (least[i:i + 1].tobytes(), proved[i]) == (one[0].tobytes(), one[1][0])
+    assert outcome(eval_bounds, e, lower, upper, P) == outcome(eval_bounds, e, lower, upper, list(P))

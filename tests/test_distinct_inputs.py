@@ -15,6 +15,7 @@ Hessian in stationary and one probe grid per solve-rlop.
 """
 
 import json
+import math
 import random
 import struct
 from pathlib import Path
@@ -305,22 +306,47 @@ def test_oracle_works_once_per_distinct_input(tmp_path, monkeypatch, seed):
             firsts.append(key)
 
     evals, grids = [], []
-    scans = record_scans(monkeypatch, 10)  # one 7-node slab of x1 per block
+    scans = record_scans(monkeypatch, 3, 1, 10)  # 3 x 3 coarse tiles per grid
     _counted(monkeypatch, exprlang, "eval_batch", evals)
     _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert cli.run("oracle", load_problem(str(path)), str(tmp_path / "out.json")) == 0
-    # one scan of the 7 x 7 grid's axes per distinct input, in order, no
-    # node evaluated twice, and no grid of points
-    grids_scanned = scanned_grids(scans, 10)
+    # one scan of the 7 x 7 grid's axes per distinct input, in order and in
+    # one call, no node evaluated twice, and no grid of points
+    grids_scanned = scanned_grids(scans)
     assert [shape for shape, _ in grids_scanned] == [(7, 7)] * len(firsts)
     assert [_bits(p) for _, p in grids_scanned] == [p for p, _ in firsts]
-    # each of a grid's 7 blocks is evaluated or excluded by the bound, and
-    # the bound excludes some
-    assert [len(s.blocks) + len(s.skipped) for s in scans] == [7] * len(firsts)
-    assert any(s.skipped for s in scans)
+    assert len({id(s.call) for s in scans}) == 1
+    # each of a grid's 49 nodes is evaluated or in a tile the bound
+    # excludes, and the bound excludes some
+    left_out = [sum(math.prod(j - i for i, j in t) for t in s.skipped) for s in scans]
+    assert [s.evaluated + n for s, n in zip(scans, left_out)] == [49] * len(firsts)
+    assert any(left_out)
     assert evals == grids == []
+
+
+def test_oracle_scans_each_distinct_input_once_in_one_call(tmp_path, monkeypatch):
+    # scenarios 1-6 hold 4 distinct (parameter vector, box) pairs: -0.0
+    # and 0.0 are apart, in a parameter and in a box's bound
+    params = [PARAMS[i] for i in (0, 1, 0, 1, 2, 0)]
+    boxes = [BOXES[i] for i in (0, 0, 0, 0, 1, 2)]
+    feasible = {"kind": "box", "per_scenario": {str(s): b for s, b in enumerate(boxes, 1)}}
+    doc = _fixed_document("x1^2 + x2^2 + p1*x1 + p2*x2", params, feasible)
+    calls = []
+    scan_min = optimize.scan_min
+
+    def scanning(rf, inputs, grid_m, tol):
+        calls.append([(omega, C) for omega, C in inputs])
+        return scan_min(rf, inputs, grid_m, tol)
+
+    patch_everywhere(monkeypatch, scan_min, scanning)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_problem(str(path))
+    assert cli.run("oracle", loaded, str(tmp_path / "out.json")) == 0
+    descs = loaded.feasible.descriptions
+    assert calls == [[(omega, descs[omega]) for omega in (1, 2, 5, 6)]]
 
 
 def test_stationary_searches_once_per_distinct_parameter_vector(tmp_path, monkeypatch):
@@ -400,15 +426,20 @@ def test_solve_rop_scans_the_grid_axes_once_per_atom(monkeypatch):
     a, b = r.Box((-1.0,), (1.0,)), r.Box((-0.0,), (1.0,))
     C = r.RandomSet(space, {1: a, 2: a, 3: r.Box((-1.0,), (1.0,)), 4: b, 5: a, 6: a})
     grids = []
-    scans = record_scans(monkeypatch, 4)  # blocks of 4, 4 and 3 nodes
+    scans = record_scans(monkeypatch, 4, 4, 3)  # tiles of 4, 4 and 3 nodes
     _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     r.solve_rop(rf, space, C, r.SolverOptions(grid_m=11))
-    # the representatives 1, 3, 4 and 5, one 11-node axis each; the block
-    # holding p1 is evaluated and the bound excludes the other two
-    assert scanned_grids(scans, 4) == [((11,), (i / 10,)) for i in range(4)]
-    assert [(len(s.blocks), s.skipped) for s in scans] == [(1, [0, 2])] * 2 + [
-        (1, [1, 2]),
-        (1, [0, 2]),
+    # the representatives 1, 3, 4 and 5, one 11-node axis each, in one
+    # call; the tile holding p1 is evaluated and the bound excludes the
+    # other two
+    assert scanned_grids(scans) == [((11,), (i / 10,)) for i in range(4)]
+    assert len({id(s.call) for s in scans}) == 1
+    def indices(tiles):
+        return [ranges[0][0] // 4 for ranges in tiles]
+
+    assert [(indices(s.tiles), indices(s.skipped)) for s in scans] == [([1], [0, 2])] * 2 + [
+        ([0], [1, 2]),
+        ([1], [0, 2]),
     ]
     assert grids == []
 
@@ -417,13 +448,15 @@ def test_solve_rlop_scans_the_grid_axes_once_per_convex_atom(tmp_path, monkeypat
     # both atoms are convex, so each gets a global certificate after a scan
     # of the search box's axes; the atoms' Newton runs share one start grid
     grids = []
-    scans = record_scans(monkeypatch, 1000)  # 16 slabs of 61 nodes per block
+    scans = record_scans(monkeypatch, 40, 8, 1000)  # 2 x 2 coarse tiles per grid
     _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     doc = load_problem(str(GALLERY / "convex_quadratic_2d.json"))
     assert cli.run("solve-rlop", doc, str(tmp_path / "out.json")) == 0
-    assert [shape for shape, _ in scanned_grids(scans, 1000)] == [(61, 61)] * 2
-    # x1*x2 leaves the bound of every block below eta: all 4 are evaluated
-    assert [(len(s.blocks), s.skipped) for s in scans] == [(4, [])] * 2
+    assert [shape for shape, _ in scanned_grids(scans)] == [(61, 61)] * 2
+    # x1*x2 widens the bound of a coarse tile below eta, but each grid's
+    # fine tiles far from its minimum are excluded
+    assert [s.evaluated for s in scans] == [1152, 1272]
+    assert all(s.skipped for s in scans)
     assert [m for _, m in grids] == [5]  # the Newton start grid only
 
 

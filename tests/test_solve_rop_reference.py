@@ -196,15 +196,19 @@ def test_solve_rop_scans_each_representative_once(monkeypatch):
         rows.append(len(X))
         return eval_batch(e, X, p)
 
-    scans = record_scans(monkeypatch, 2000)  # 24 slabs of 81 nodes per block
+    scans = record_scans(monkeypatch, 40, 8, 2000)  # 3 x 3 coarse tiles per grid
     monkeypatch.setattr(exprlang, "eval_batch", counting_rows)
     sel = r.solve_rop(rf, space, C, SolverOptions(grid_m=grid_m))
-    # one scan of the axes per atom, no node evaluated twice and every block
-    # left out excluded by the bound; the rows are the measurability probes
-    grids = scanned_grids(scans, 2000)
+    # one scan of the axes per atom, all in one call, no node evaluated
+    # twice and every tile left out excluded by the bound; the rows are the
+    # measurability probes
+    grids = scanned_grids(scans)
     assert [shape for shape, _ in grids] == [(grid_m, grid_m)] * len(space.atoms)
-    # of the 4 blocks, the two holding the wells at p1 +- 1 are evaluated
-    assert [(len(s.blocks), s.skipped) for s in scans] == [(2, [0, 3]), (2, [1, 3]), (2, [1, 3])]
+    assert len({id(s.call) for s in scans}) == 1
+    # of each grid, the two fine tiles holding the wells at p1 +- 1 (x1 =
+    # -0.5 and 1.5, or -1.5 and 0.5, at x2 = 0) are evaluated
+    wells = {0.5: [((24, 32), (40, 48)), ((64, 72), (40, 48))], -0.5: [((8, 16), (40, 48)), ((48, 56), (40, 48))]}
+    assert [s.tiles for s in scans] == [wells[s.p[0]] for s in scans]
     assert grid_m**2 not in rows
     assert sel.points[1] == (-0.5, 0.0) and sel.points[4] == (-1.5, 0.0)
     assert math.isclose(sel.certificates[7].value, 0.0, abs_tol=1e-12)
