@@ -42,7 +42,7 @@ from .errors import (
     NotSymmetric,
     RandoptError,
 )
-from .exprlang import eval_rows
+from .exprlang import eval_grid, eval_rows
 from .probspace import (
     MeasurabilityVerdict,
     Point,
@@ -65,6 +65,7 @@ from .randfunc import (
     gradient,
     symmetrize,
 )
+from . import tiles
 from .tiles import Grids, Minima, scan_boxes
 
 SYMMETRY_TOL = 1e-9
@@ -759,17 +760,15 @@ def scan_min(
     ``tol``; eta with the bits of the value at the first node attaining it
     (a -0 before a 0 gives -0); and the number of nodes where evaluation
     failed, which take no part.  Nodes are selected by their index in the
-    grid's raveled order (or the sorted points'), from the candidates that
-    ``tiles.Minima`` keeps.  A point cloud is evaluated in full; the boxes
-    share one grid per distinct box and are scanned together by tiles,
-    skipping the tiles that an interval bound excludes (``tiles``).
+    grid's raveled order (or the sorted points').  A point cloud, and a box
+    of at most ``tiles.SCAN_BLOCK_NODES`` nodes (one block), is evaluated in
+    full in one call.  The larger boxes are scanned together by tiles,
+    skipping the tiles that an interval bound excludes, and selected from
+    the candidates that ``tiles.Minima`` keeps (``tiles``).
     """
-    minima = Minima(len(inputs), tol)
     outcomes: list = [None] * len(inputs)
-    clouds: dict[int, np.ndarray] = {}
-    boxes, grid, params = [], [], []
-    axes: list[list[np.ndarray]] = []  # per distinct box
-    box_grid: dict[bytes, int] = {}  # a box's bits -> its index in axes
+    grids: dict[bytes, list[np.ndarray]] = {}  # a box's bits -> its grid's axes
+    tiled: dict[int, tuple[list, tuple]] = {}  # input -> (its grid's axes, parameters)
     for i, (omega, C_omega) in enumerate(inputs):
         try:
             if not isinstance(C_omega, (Box, PointCloud)):
@@ -779,37 +778,54 @@ def scan_min(
             if C_omega.dim != rf.n:
                 raise IncompatibleRepresentation("set dimension differs from function")
             if isinstance(C_omega, PointCloud):
-                X = clouds[i] = np.asarray(sorted(C_omega.points), dtype=float)
-                values, valid = eval_f_batch(rf, omega, X)
-                minima.add(np.array([i]), values[None], valid[None], lambda t, j: j)
+                X = np.asarray(sorted(C_omega.points), dtype=float)
+                point = lambda at: tuple(float(v) for v in X[at])
+                outcomes[i] = _in_full(omega, *eval_f_batch(rf, omega, X), tol, point)
                 continue
             key = exact_key(C_omega.lower + C_omega.upper)
-            if key not in box_grid:
-                axes.append(grid_axes(C_omega, grid_m))
-                box_grid[key] = len(axes) - 1
-            params.append(rf.params_of(omega))
+            if key not in grids:
+                grids[key] = grid_axes(C_omega, grid_m)
+            axes, p = grids[key], rf.params_of(omega)
         except RandoptError as exc:
             outcomes[i] = exc
             continue
-        boxes.append(i)
-        grid.append(box_grid[key])
-    if boxes:
-        grids = Grids(boxes, grid, axes, params)
-        scan_boxes(rf, grids, minima)
-    box = {i: s for s, i in enumerate(boxes)}
-    selected = minima.selected()
-    for i, (omega, _) in enumerate(inputs):
-        if outcomes[i] is not None:
+        shape = tuple(len(a) for a in axes)
+        if math.prod(shape) > tiles.SCAN_BLOCK_NODES:
+            tiled[i] = axes, p
             continue
-        if i not in selected:
-            outcomes[i] = DomainViolation(
-                f"objective undefined at every point of the set for scenario {omega!r}"
-            )
-            continue
-        at, eta = selected[i]
-        point = tuple(float(v) for v in clouds[i][at]) if i in clouds else grids.node(box[i], at)
-        outcomes[i] = (point, eta, int(minima.excluded[i]))
+        point = lambda at: tuple(float(a[j]) for a, j in zip(axes, np.unravel_index(at, shape)))
+        outcomes[i] = _in_full(omega, *eval_grid(rf.body, axes, p), tol, point)
+    if tiled:
+        boxes = Grids(list(tiled), *zip(*tiled.values()))
+        minima = Minima(len(inputs), tol)
+        scan_boxes(rf, boxes, minima)
+        selected = minima.selected()
+        for s, i in enumerate(tiled):
+            if i in selected:
+                at, eta = selected[i]
+                outcomes[i] = (boxes.node(s, at), eta, int(minima.excluded[i]))
+            else:
+                outcomes[i] = _undefined(inputs[i][0])
     return outcomes
+
+
+def _in_full(
+    omega: Scenario, values: np.ndarray, valid: np.ndarray, tol: float, point: Callable[[int], Point]
+) -> Union[tuple[Point, float, int], RandoptError]:
+    """``scan_min``'s outcome from the values of every node in raveled
+    order (NaN where ``valid`` is False), with ``point(i)`` node i."""
+    excluded = values.size - int(np.count_nonzero(valid))
+    if excluded == values.size:
+        return _undefined(omega)
+    values[~valid] = np.inf
+    least = int(np.argmin(values))  # the first node attaining eta
+    with np.errstate(over="ignore"):
+        first = int(np.argmax(values - values[least] <= tol))
+    return point(first), float(values[least]), excluded
+
+
+def _undefined(omega: Scenario) -> DomainViolation:
+    return DomainViolation(f"objective undefined at every point of the set for scenario {omega!r}")
 
 
 def global_min_compact(

@@ -2,13 +2,13 @@
 
 ``optimize.scan_min`` finds the least value of f(omega, .) on the grid of
 each box of a batch of inputs, and the first node within a tolerance of
-it; this module evaluates the grids.  The grids of a batch lie end to end
+it.  It evaluates a box of at most ``SCAN_BLOCK_NODES`` nodes in one call;
+this module scans the larger boxes.  Their grids lie end to end
 (``Grids``), and a tile is a product of index ranges, one per axis, of one
-scan's grid.  A box of at most ``SCAN_BLOCK_NODES`` nodes is one block,
-evaluated in full as one tile with no bound, and so is every box of an
-objective that ``exprlang.eval_bounds`` does not bound.  The other boxes
-are cut into tiles of ``COARSE_TILE`` nodes a side, bounded in one run for
-the whole batch (``Grids.bounds``).  In each box, the fine tiles
+scan's grid.  A box of an objective that ``exprlang.eval_bounds`` does not
+bound is evaluated tile by tile in full.  The other boxes are cut into
+tiles of ``COARSE_TILE`` nodes a side, bounded in one run for the whole
+batch (``Grids.bounds``).  In each box, the fine tiles
 (``FINE_TILE`` a side) of the coarse tile of least bound are bounded, and
 the fine tile of least bound is evaluated: that gives found, a value at a
 node, so found >= the box's final minimum eta.  A tile is dropped, never
@@ -58,18 +58,20 @@ class Grids:
     [``nodes[d][o + start[d]]``, ``nodes[d][o + stop[d] - 1]``], o =
     ``offset[s, d]``."""
 
-    def __init__(
-        self, scans: Sequence[int], grid: Sequence[int], axes: Sequence[list], params: Sequence[tuple]
-    ):
+    def __init__(self, scans: Sequence[int], axes: Sequence[list], params: Sequence[tuple]):
         """Scan s is input ``scans[s]`` of the batch, on the grid of axes
-        ``axes[grid[s]]``, with parameters ``params[s]``."""
+        ``axes[s]``, with parameters ``params[s]``; scans given one list of
+        axes share its nodes."""
+        distinct = {id(ax): ax for ax in axes}
+        index = {key: g for g, key in enumerate(distinct)}
+        grid = [index[id(ax)] for ax in axes]
         self.scan = np.asarray(scans, dtype=np.intp)
-        shape = np.array([[len(a) for a in ax] for ax in axes], dtype=np.intp)
+        shape = np.array([[len(a) for a in ax] for ax in distinct.values()], dtype=np.intp)
         self.shape = shape[grid]
         self.offset = (np.cumsum(shape, axis=0) - shape)[grid]
         rest = np.cumprod(self.shape[:, ::-1], axis=1)[:, ::-1]
         self.strides = np.concatenate([rest[:, 1:], np.ones((len(grid), 1), np.intp)], axis=1)
-        self.nodes = [np.concatenate(column) for column in zip(*axes)]
+        self.nodes = [np.concatenate(column) for column in zip(*distinct.values())]
         self.params = np.array(params, dtype=float).reshape(len(grid), -1)
 
     def node(self, s: int, i: int) -> Point:
@@ -151,20 +153,25 @@ def _equal_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return same
 
 
+def _runs(owner) -> np.ndarray:
+    """The index of the first row of each scan in the sorted ``owner``."""
+    return np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+
+
 def _least_first(owner, least) -> np.ndarray:
     """Per scan of the sorted ``owner``, the index of its first tile of
     least bound."""
-    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    first = _runs(owner)
     low = np.minimum.reduceat(least, first)
-    at = np.flatnonzero(least == np.repeat(low, np.diff(first, append=len(owner))))
-    return at[np.diff(owner[at], prepend=-1) != 0]
+    at = np.flatnonzero(least == np.repeat(low, np.diff(np.append(first, len(owner)))))
+    return at[_runs(owner[at])]
 
 
 def _lower(target: np.ndarray, owner, values) -> None:
     """``target[s]`` = min(``target[s]``, every value of scan s), for
     ``owner`` sorted."""
     if len(owner):
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        first = _runs(owner)
         at = owner[first]
         target[at] = np.minimum(target[at], np.minimum.reduceat(values, first))
 
@@ -198,7 +205,7 @@ class Minima:
         False); ``flat(t, j)`` gives the flat indices of nodes j of tiles
         t."""
         if np.count_nonzero(valid) < valid.size:
-            first = np.flatnonzero(np.diff(owner, prepend=-1))
+            first = _runs(owner)
             failed = valid.shape[1] - np.count_nonzero(valid, axis=1)
             self.excluded[owner[first]] += np.add.reduceat(failed, first)
             values[~valid] = np.inf
@@ -230,7 +237,7 @@ class Minima:
         order = np.lexsort((flat, owner))
         owner, flat, values = owner[order], flat[order], values[order]
         keep = self._near(owner, values)
-        ends = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(owner)]
+        ends = [*_runs(owner).tolist(), len(owner)]
         for a, b in zip(ends, ends[1:]):  # one scan's candidates
             keep[a + 1:b] &= values[a + 1:b] < np.minimum.accumulate(values[a:b - 1])
         return owner[keep], flat[keep], values[keep]
@@ -241,14 +248,14 @@ class Minima:
         the first candidate attaining it."""
         point = np.full(len(self.found), np.iinfo(np.intp).max)
         first = point.copy()
-        for owner, flat, values in self.parts:
+        least = [values == self.found[owner] for owner, _, values in self.parts]
+        for (owner, flat, values), at in zip(self.parts, least):
             near = self._near(owner, values)
             _lower(point, owner[near], flat[near])
-            least = values == self.found[owner]
-            _lower(first, owner[least], flat[least])
+            _lower(first, owner[at], flat[at])
         eta = {}
-        for owner, flat, values in self.parts:
-            at = (values == self.found[owner]) & (flat == first[owner])
+        for (owner, flat, values), at in zip(self.parts, least):
+            at &= flat == first[owner]
             eta.update(zip(owner[at].tolist(), values[at].tolist()))
         return {s: (int(point[s]), v) for s, v in eta.items()}
 
@@ -257,18 +264,12 @@ def scan_boxes(rf: RandomFunction, grids: Grids, minima: Minima) -> None:
     """Evaluate the box scans of ``grids`` into ``minima``, skipping the
     tiles a bound excludes (see the module docstring).  The scans are taken
     in groups whose coarse tiles and first fine tiles fit one run."""
-    shapes = grids.shape.tolist()
-    whole = [s for s, shape in enumerate(shapes) if math.prod(shape) <= SCAN_BLOCK_NODES]
-    if whole:
-        grids.evaluate(rf, np.array(whole), np.zeros_like(grids.shape[whole]), grids.shape[whole], minima)
     bounded = rf.body.lowered.bounded
     rows = _rows(rf)
     fine_per_coarse = (-(-COARSE_TILE // FINE_TILE)) ** rf.n
     groups: list[list[int]] = []
     room = 0
-    for s, shape in enumerate(shapes):
-        if math.prod(shape) <= SCAN_BLOCK_NODES:
-            continue
+    for s, shape in enumerate(grids.shape.tolist()):
         cost = math.prod(-(-m // COARSE_TILE) for m in shape) + fine_per_coarse
         if not groups or cost > room:
             groups.append([])
