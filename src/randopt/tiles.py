@@ -6,7 +6,9 @@ it.  It evaluates a box of at most ``SCAN_BLOCK_NODES`` nodes in one call;
 this module scans the larger boxes.  Their grids lie end to end
 (``Grids``), and a tile is a product of index ranges, one per axis, of one
 scan's grid.  A box of an objective that ``exprlang.eval_bounds`` does not
-bound is evaluated tile by tile in full.  The other boxes are cut into
+bound is evaluated in full, by the largest pieces of the coarse tiles
+(below) that stay under ``SCAN_BLOCK_NODES`` nodes (``_pieces``).  The
+other boxes are cut into
 tiles of ``COARSE_TILE`` nodes a side, bounded in one run for the whole
 batch (``Grids.bounds``).  In each box, the fine tiles
 (``FINE_TILE`` a side) of the coarse tile of least bound are bounded, and
@@ -130,18 +132,30 @@ def _rows(rf: RandomFunction) -> int:
     return max(1, SCAN_BLOCK_NODES // max(rf.n, rf.body.k, 1))
 
 
-def _split(owner, start, stop, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tiles of at most ``side`` nodes a side that partition the tiles
-    (``owner``, ``start``, ``stop``): tile by tile, and each one's in grid
-    order."""
-    counts = [-(-m // side) for m in (stop - start).max(axis=0).tolist()]
-    starts = start[:, None, :] + side * np.indices(counts).reshape(len(counts), -1).T
+def _split(owner, start, stop, side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tiles of at most ``side`` nodes a side (one side, or one per
+    axis) that partition the tiles (``owner``, ``start``, ``stop``): tile
+    by tile, and each one's in grid order."""
+    sides = [side] * start.shape[1] if isinstance(side, int) else list(side)
+    counts = [-(-m // s) for m, s in zip((stop - start).max(axis=0).tolist(), sides)]
+    starts = start[:, None, :] + np.indices(counts).reshape(len(counts), -1).T * sides
     inside = starts[:, :, 0] < stop[:, None, 0]
     for d in range(1, start.shape[1]):
         inside &= starts[:, :, d] < stop[:, None, d]
     rows = np.nonzero(inside)[0]
     starts = starts[inside]
-    return owner[rows], starts, np.minimum(starts + side, stop[rows])
+    return owner[rows], starts, np.minimum(starts + sides, stop[rows])
+
+
+def _pieces(n: int) -> list[int]:
+    """The sides of the largest piece of a coarse tile of ``n`` axes that
+    holds at most ``SCAN_BLOCK_NODES`` nodes, as long as it can be along the
+    last axes: a step runs fastest on long rows."""
+    sides, room = [], SCAN_BLOCK_NODES
+    for _ in range(n):
+        sides.insert(0, max(1, min(COARSE_TILE, room)))
+        room //= sides[0]
+    return sides
 
 
 def _equal_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,16 +223,15 @@ class Minima:
             failed = valid.shape[1] - np.count_nonzero(valid, axis=1)
             self.excluded[owner[first]] += np.add.reduceat(failed, first)
             values[~valid] = np.inf
-        running = np.minimum.accumulate(values, axis=1)
-        _lower(self.found, owner, running[:, -1])
-        strict = np.empty(values.shape, dtype=bool)  # below every earlier value of the tile
-        strict[:, 0] = values[:, 0] < np.inf
-        np.less(values[:, 1:], running[:, :-1], out=strict[:, 1:])
-        t, j = np.nonzero(strict)
-        v = values[t, j]
-        near = self._near(owner[t], v)
-        t, j, v = t[near], j[near], v[near]
-        self.parts.append((owner[t], flat(t, j), v))
+        least = values.min(axis=1)
+        _lower(self.found, owner, least)
+        rows = np.flatnonzero(self._near(owner, least))  # the tiles with a candidate
+        values = values[rows]
+        near = self._near(owner[rows, None], values)
+        # a strict prefix minimum lies below every earlier value of its tile
+        near[:, 1:] &= values[:, 1:] < np.minimum.accumulate(values[:, :-1], axis=1)
+        t, j = np.nonzero(near)
+        self.parts.append((owner[rows[t]], flat(rows[t], j), values[t, j]))
         self.held += len(t)
         if self.held > self.limit:
             self.parts = [self._prefix_minima()]
@@ -296,7 +309,8 @@ def scan_boxes(rf: RandomFunction, grids: Grids, minima: Minima) -> None:
         step = max(1, rows // fine_per_coarse)
         for i in range(0, len(owner), step):
             f_owner, f_start, f_stop = _split(
-                owner[i:i + step], start[i:i + step], stop[i:i + step], FINE_TILE
+                owner[i:i + step], start[i:i + step], stop[i:i + step],
+                FINE_TILE if bounded else _pieces(rf.n),
             )
             if bounded:
                 keep = ~dropped(f_owner, *grids.bounds(rf, f_owner, f_start, f_stop))
