@@ -66,7 +66,6 @@ from .randfunc import (
     symmetrize,
 )
 from . import tiles
-from .tiles import Grids, Minima, scan_boxes
 
 SYMMETRY_TOL = 1e-9
 STATIONARITY_TOL = 1e-8
@@ -796,9 +795,9 @@ def scan_min(
         point = lambda at: tuple(float(a[j]) for a, j in zip(axes, np.unravel_index(at, shape)))
         outcomes[i] = _in_full(omega, *eval_grid(rf.body, axes, p), tol, point)
     if tiled:
-        boxes = Grids(list(tiled), *zip(*tiled.values()))
-        minima = Minima(len(inputs), tol)
-        scan_boxes(rf, boxes, minima)
+        boxes = tiles.Grids(list(tiled), *zip(*tiled.values()))
+        minima = tiles.Minima(len(inputs), tol)
+        tiles.scan_boxes(rf, boxes, minima)
         selected = minima.selected()
         for s, i in enumerate(tiled):
             if i in selected:
