@@ -58,9 +58,10 @@ from randopt.selection import EQUATION_TOL
 from scan_records import patch_everywhere, record_scans, scanned_grids, set_tiles
 from test_solve_rop_reference import _outcome, _random_instance, reference_solve_rop
 
-# (coarse side, fine side, numbers in one stacked array): the first two
-# tile every test grid, the third evaluates a 41-node line as one block
-TILINGS = ((3, 1, 40), (5, 2, 40), (10, 4, 200))
+# (coarse side, fine side, numbers in one stacked array): the first tiles
+# every test grid, and the other two tile the 41 x 41 grids and evaluate a
+# 41-node line as one block
+TILINGS = ((3, 1, 40), (6, 2, 120), (10, 4, 200))
 
 # --- the previous scan and its two reductions ----------------------------------------
 
