@@ -17,11 +17,13 @@ each halving's, the samples and the descent hunts are each one stack of
 rows for all of them.  Each Hessian is symmetrized once
 (``randfunc.symmetrize``) and its minors are taken once, by its stack.
 A grid minimization
-(``scan_min``) scans every distinct input of a command at once: the
-boxes by tiles, bounded by interval arithmetic and evaluated in stacks of
-equal-shaped tiles (``tiles``), selecting by each node's index in the
-grid's raveled order; no grid of points or of values is built, and each
-node is evaluated at most once.
+(``scan_min``) scans every distinct input of a command at once, and
+selects every outcome by one rule (``tiles.Minima.selected``), by each
+node's index in the grid's raveled order.  A point cloud is one tile of
+values, a small box one block evaluated whole, and a larger box is
+scanned by tiles, bounded by interval arithmetic and evaluated in stacks
+of equal-shaped tiles (``tiles``); no grid of points or of values is
+built, and each node is evaluated at most once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -42,7 +45,7 @@ from .errors import (
     NotSymmetric,
     RandoptError,
 )
-from .exprlang import eval_grid, eval_rows
+from .exprlang import eval_rows
 from .probspace import (
     MeasurabilityVerdict,
     Point,
@@ -758,16 +761,19 @@ def scan_min(
     every node): the first node in lexicographic order with value - eta <=
     ``tol``; eta with the bits of the value at the first node attaining it
     (a -0 before a 0 gives -0); and the number of nodes where evaluation
-    failed, which take no part.  Nodes are selected by their index in the
-    grid's raveled order (or the sorted points').  A point cloud, and a box
-    of at most ``tiles.SCAN_BLOCK_NODES`` nodes (one block), is evaluated in
-    full in one call.  The larger boxes are scanned together by tiles,
-    skipping the tiles that an interval bound excludes, and selected from
-    the candidates that ``tiles.Minima`` keeps (``tiles``).
+    failed, which take no part.  Every input's values go to one
+    ``tiles.Minima``, which selects each node by its index in the grid's
+    raveled order (or the sorted points') by one rule
+    (``Minima.selected``).  A point cloud is evaluated in one call, as one
+    tile.  The boxes are scanned together (``tiles.scan_boxes``): a small
+    box whole, a larger one by tiles, skipping the tiles that an interval
+    bound excludes.
     """
     outcomes: list = [None] * len(inputs)
+    minima = tiles.Minima(len(inputs), tol)
+    points: dict[int, Callable[[int], Point]] = {}  # input -> node i of its cloud or grid
     grids: dict[bytes, list[np.ndarray]] = {}  # a box's bits -> its grid's axes
-    tiled: dict[int, tuple[list, tuple]] = {}  # input -> (its grid's axes, parameters)
+    boxes: dict[int, tuple[list, tuple]] = {}  # input -> (its grid's axes, parameters)
     for i, (omega, C_omega) in enumerate(inputs):
         try:
             if not isinstance(C_omega, (Box, PointCloud)):
@@ -778,49 +784,28 @@ def scan_min(
                 raise IncompatibleRepresentation("set dimension differs from function")
             if isinstance(C_omega, PointCloud):
                 X = np.asarray(sorted(C_omega.points), dtype=float)
-                point = lambda at: tuple(float(v) for v in X[at])
-                outcomes[i] = _in_full(omega, *eval_f_batch(rf, omega, X), tol, point)
+                values, valid = eval_f_batch(rf, omega, X)
+                minima.add(np.array([i]), values[None], valid[None], lambda t, j: j)
+                points[i] = lambda at, X=X: tuple(float(v) for v in X[at])
                 continue
             key = exact_key(C_omega.lower + C_omega.upper)
             if key not in grids:
                 grids[key] = grid_axes(C_omega, grid_m)
-            axes, p = grids[key], rf.params_of(omega)
+            boxes[i] = grids[key], rf.params_of(omega)
         except RandoptError as exc:
             outcomes[i] = exc
-            continue
-        shape = tuple(len(a) for a in axes)
-        if math.prod(shape) > tiles.SCAN_BLOCK_NODES:
-            tiled[i] = axes, p
-            continue
-        point = lambda at: tuple(float(a[j]) for a, j in zip(axes, np.unravel_index(at, shape)))
-        outcomes[i] = _in_full(omega, *eval_grid(rf.body, axes, p), tol, point)
-    if tiled:
-        boxes = tiles.Grids(list(tiled), *zip(*tiled.values()))
-        minima = tiles.Minima(len(inputs), tol)
-        tiles.scan_boxes(rf, boxes, minima)
-        selected = minima.selected()
-        for s, i in enumerate(tiled):
-            if i in selected:
-                at, eta = selected[i]
-                outcomes[i] = (boxes.node(s, at), eta, int(minima.excluded[i]))
-            else:
-                outcomes[i] = _undefined(inputs[i][0])
+    if boxes:
+        grid = tiles.Grids(list(boxes), *zip(*boxes.values()))
+        tiles.scan_boxes(rf, grid, minima)
+        points.update((i, partial(grid.node, s)) for s, i in enumerate(boxes))
+    selected = minima.selected()
+    for i, point in points.items():
+        if i in selected:
+            at, eta = selected[i]
+            outcomes[i] = (point(at), eta, int(minima.excluded[i]))
+        else:
+            outcomes[i] = _undefined(inputs[i][0])
     return outcomes
-
-
-def _in_full(
-    omega: Scenario, values: np.ndarray, valid: np.ndarray, tol: float, point: Callable[[int], Point]
-) -> Union[tuple[Point, float, int], RandoptError]:
-    """``scan_min``'s outcome from the values of every node in raveled
-    order (NaN where ``valid`` is False), with ``point(i)`` node i."""
-    excluded = values.size - int(np.count_nonzero(valid))
-    if excluded == values.size:
-        return _undefined(omega)
-    values[~valid] = np.inf
-    least = int(np.argmin(values))  # the first node attaining eta
-    with np.errstate(over="ignore"):
-        first = int(np.argmax(values - values[least] <= tol))
-    return point(first), float(values[least]), excluded
 
 
 def _undefined(omega: Scenario) -> DomainViolation:

@@ -1,30 +1,35 @@
 """Box scans by tiles: interval branch and bound over grid tiles.
 
 ``optimize.scan_min`` finds the least value of f(omega, .) on the grid of
-each box of a batch of inputs, and the first node within a tolerance of
-it.  It evaluates a box of at most ``SCAN_BLOCK_NODES`` nodes in one call;
-this module scans the larger boxes.  Their grids lie end to end
+each box, or the points of each cloud, of a batch of inputs, and the first
+node within a tolerance of it; ``Minima`` selects both for every input.
+This module scans the boxes (``scan_boxes``).  Their grids lie end to end
 (``Grids``), and a tile is a product of index ranges, one per axis, of one
-scan's grid.  A box of an objective that ``exprlang.eval_bounds`` does not
-bound is evaluated in full, by the largest pieces of the coarse tiles
-(below) that stay under ``SCAN_BLOCK_NODES`` nodes (``_pieces``).  The
-other boxes are cut into
+scan's grid.  A box of at most ``SCAN_BLOCK_NODES`` nodes is one tile,
+evaluated whole with no bound run, in one stacked call with the other
+boxes of its shape.  A larger box of an objective that
+``exprlang.eval_bounds`` does not bound is evaluated in full, by the
+largest pieces of the coarse tiles (below) that stay under
+``SCAN_BLOCK_NODES`` nodes (``_pieces``).  The other boxes are cut into
 tiles of ``COARSE_TILE`` nodes a side, bounded in one run for the whole
-batch (``Grids.bounds``).  In each box, the fine tiles
-(``FINE_TILE`` a side) of the coarse tile of least bound are bounded, and
-the fine tile of least bound is evaluated: that gives found, a value at a
-node, so found >= the box's final minimum eta.  A tile is dropped, never
-evaluated, when its bound proves every node valid and bound - found >
-``tol``: float rounding is monotone, so each of its values v has v - eta >
-``tol`` >= 0; it holds neither the point nor eta, and excludes no node.
-The coarse tiles left are split into fine tiles, bounded in one more run,
-and those left are evaluated, stacked by tile shape in calls of at most
+batch (``Grids.bounds``).  In each box, the fine tiles (``FINE_TILE`` a
+side) of the coarse tile of least bound are bounded, and the fine tile of
+least bound is evaluated: that gives found, a value at a node, so found
+>= the box's final minimum eta.  A tile is dropped, never evaluated, when
+its bound proves every node valid and bound - found > ``tol``: float
+rounding is monotone, so each of its values v has v - eta > ``tol`` >= 0;
+it holds neither the point nor eta, and excludes no node.  The coarse
+tiles left are split into fine tiles, bounded in one more run, and those
+left are evaluated, stacked by tile shape in calls of at most
 ``SCAN_BLOCK_NODES`` nodes to ``exprlang.eval_grid`` (``Grids.evaluate``).
 No node is evaluated twice.
 
 ``Minima`` keeps, per scan, the least value found, the count of nodes
 where evaluation failed, and the strict prefix minima of each evaluated
 tile: the nodes that can be the point or the first node attaining eta.
+``Minima.selected`` is the one selection rule of every scan: of a cloud,
+which ``scan_min`` adds as one tile, of a box of one block and of a box
+scanned by tiles.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .randfunc import RandomFunction
 # malloc reuses their pages from call to call.  Arrays of 256 KiB made
 # 12,000 to 26,000 page faults per global-grid pass, as the heap's layout
 # let malloc return pages to the system and fault them in again.  A box of
-# at most this many nodes is one block, evaluated in one call.
+# at most this many nodes is one block, evaluated whole.
 SCAN_BLOCK_NODES = 15 << 10
 # A box scan of more nodes bounds tiles of COARSE_TILE nodes a side, and
 # then tiles of FINE_TILE a side in the coarse tiles it keeps.
@@ -168,8 +173,9 @@ def _equal_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _runs(owner) -> np.ndarray:
-    """The index of the first row of each scan in the sorted ``owner``."""
-    return np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+    """The index of the first row of each scan in the sorted ``owner``
+    (scans are >= 0)."""
+    return np.flatnonzero(owner != np.concatenate(([-1], owner[:-1])))
 
 
 def _least_first(owner, least) -> np.ndarray:
@@ -181,20 +187,13 @@ def _least_first(owner, least) -> np.ndarray:
     return at[_runs(owner[at])]
 
 
-def _lower(target: np.ndarray, owner, values) -> None:
-    """``target[s]`` = min(``target[s]``, every value of scan s), for
-    ``owner`` sorted."""
-    if len(owner):
-        first = _runs(owner)
-        at = owner[first]
-        target[at] = np.minimum(target[at], np.minimum.reduceat(values, first))
-
-
 class Minima:
     """What a batch of scans keeps of the values it evaluates, per scan:
     ``found``, the least value evaluated so far; ``excluded``, the nodes
     where evaluation failed; and candidates (scan, flat index, value) for
-    the point and eta, in parts sorted by scan.
+    the point and eta, in parts.  Every scan of
+    ``optimize.scan_min`` adds its values here, whatever its set, and is
+    selected by ``selected``: a scan it leaves out has no valid node.
 
     The first node with value - eta <= ``tol``, and the first attaining
     eta, each has a value below every earlier node's, so each is a strict
@@ -214,17 +213,14 @@ class Minima:
         self.limit = SCAN_BLOCK_NODES // 4
 
     def add(self, owner, values, valid, flat: Callable) -> None:
-        """The values of tiles, one row per tile of scan ``owner[t]`` with
-        ``owner`` sorted, each in the tile's order (NaN where ``valid`` is
-        False); ``flat(t, j)`` gives the flat indices of nodes j of tiles
-        t."""
+        """The values of tiles, one row per tile of scan ``owner[t]``, each
+        in the tile's order (NaN where ``valid`` is False); ``flat(t, j)``
+        gives the flat indices of nodes j of tiles t."""
         if np.count_nonzero(valid) < valid.size:
-            first = _runs(owner)
-            failed = valid.shape[1] - np.count_nonzero(valid, axis=1)
-            self.excluded[owner[first]] += np.add.reduceat(failed, first)
+            np.add.at(self.excluded, owner, valid.shape[1] - np.count_nonzero(valid, axis=1))
             values[~valid] = np.inf
         least = values.min(axis=1)
-        _lower(self.found, owner, least)
+        np.minimum.at(self.found, owner, least)
         rows = np.flatnonzero(self._near(owner, least))  # the tiles with a candidate
         values = values[rows]
         near = self._near(owner[rows, None], values)
@@ -256,34 +252,36 @@ class Minima:
         return owner[keep], flat[keep], values[keep]
 
     def selected(self) -> dict[int, tuple[int, float]]:
-        """Per scan with a valid node, (flat index of the point, eta): the
-        first candidate within ``tol`` of the least value, and the value of
-        the first candidate attaining it."""
-        point = np.full(len(self.found), np.iinfo(np.intp).max)
-        first = point.copy()
-        least = [values == self.found[owner] for owner, _, values in self.parts]
-        for (owner, flat, values), at in zip(self.parts, least):
-            near = self._near(owner, values)
-            _lower(point, owner[near], flat[near])
-            _lower(first, owner[at], flat[at])
-        eta = {}
-        for (owner, flat, values), at in zip(self.parts, least):
-            at &= flat == first[owner]
-            eta.update(zip(owner[at].tolist(), values[at].tolist()))
-        return {s: (int(point[s]), v) for s, v in eta.items()}
+        """Per scan with a valid node, (flat index of the point, eta).  Of a
+        scan's strict prefix minima within ``tol`` of its least value, in
+        raveled order, the first is the first node within ``tol`` of it,
+        the point; their values fall, so the last is the first node
+        attaining it, whose value is eta."""
+        if not self.parts:
+            return {}
+        owner, flat, values = self._prefix_minima()
+        first = _runs(owner)
+        last = np.flatnonzero(owner != np.concatenate((owner[1:], [-1])))
+        return dict(zip(owner[first].tolist(), zip(flat[first].tolist(), values[last].tolist())))
 
 
 def scan_boxes(rf: RandomFunction, grids: Grids, minima: Minima) -> None:
-    """Evaluate the box scans of ``grids`` into ``minima``, skipping the
-    tiles a bound excludes (see the module docstring).  The scans are taken
-    in groups whose coarse tiles and first fine tiles fit one run."""
+    """Evaluate the box scans of ``grids`` into ``minima``.  A box of at
+    most ``SCAN_BLOCK_NODES`` nodes is one block, evaluated whole with no
+    bound run, stacked with the other blocks of its shape.  The larger
+    boxes are scanned by tiles, skipping the tiles a bound excludes (see the
+    module docstring), in groups whose coarse tiles and first fine tiles
+    fit one run."""
+    whole = grids.shape.prod(axis=1) <= SCAN_BLOCK_NODES
+    block = np.flatnonzero(whole)
+    grids.evaluate(rf, block, np.zeros_like(grids.shape[block]), grids.shape[block], minima)
     bounded = rf.body.lowered.bounded
     rows = _rows(rf)
     fine_per_coarse = (-(-COARSE_TILE // FINE_TILE)) ** rf.n
     groups: list[list[int]] = []
     room = 0
-    for s, shape in enumerate(grids.shape.tolist()):
-        cost = math.prod(-(-m // COARSE_TILE) for m in shape) + fine_per_coarse
+    for s in np.flatnonzero(~whole).tolist():
+        cost = math.prod(-(-m // COARSE_TILE) for m in grids.shape[s].tolist()) + fine_per_coarse
         if not groups or cost > room:
             groups.append([])
             room = rows

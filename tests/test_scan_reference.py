@@ -191,6 +191,7 @@ def _one_scenario(text, n, k=0, p=()):
 
 
 LINE = Box((-2.0,), (2.0,))  # 41 nodes every 0.1: tiles of 5 nodes make 9
+CLOUD = PointCloud(((1.0,), (0.5,), (-2.0,), (0.0,), (2.0,), (-1.0,)))
 
 
 @pytest.mark.parametrize(
@@ -216,8 +217,16 @@ LINE = Box((-2.0,), (2.0,))  # 41 nodes every 0.1: tiles of 5 nodes make 9
         # a degenerate trailing axis, and a grid of one node
         ("(x1^2 - 1)^2 + x2", (), Box((-2.0, 3.0), (2.0, 3.0)), ((-1.0, 3.0), 3.0)),
         ("x1 + x2", (), Box((1.0, 2.0), (1.0, 2.0)), ((1.0, 2.0), 3.0)),
-        # a point cloud is evaluated in full
+        # a point cloud is one tile, its nodes the sorted points
         ("(x1^2 - 1)^2", (), PointCloud(((2.0,), (1.0,), (-1.0,))), ((-1.0,), 0.0)),
+        # zeros of both signs in a cloud listed out of order: the first
+        # sorted point's sign
+        ("p1*x1", (0.0,), CLOUD, ((-2.0,), -0.0)),
+        ("p1*x1", (-0.0,), CLOUD, ((-2.0,), 0.0)),
+        # the sorted point within EQUATION_TOL comes before the argmin
+        ("(x1^2 - 1)^2 - 1e-12*x1", (), PointCloud(((1.0,), (0.0,), (-1.0,))), ((-1.0,), -1e-12)),
+        # the points x1 <= 0 are excluded
+        ("(x1 - 1)^2 + 0*log(x1)", (), CLOUD, ((1.0,), 0.0)),
     ],
 )
 def test_fixed_scans_match_the_whole_grid_scan(monkeypatch, text, p, region, want):
