@@ -804,12 +804,10 @@ def scan_min(
             at, eta = selected[i]
             outcomes[i] = (point(at), eta, int(minima.excluded[i]))
         else:
-            outcomes[i] = _undefined(inputs[i][0])
+            outcomes[i] = DomainViolation(
+                f"objective undefined at every point of the set for scenario {inputs[i][0]!r}"
+            )
     return outcomes
-
-
-def _undefined(omega: Scenario) -> DomainViolation:
-    return DomainViolation(f"objective undefined at every point of the set for scenario {omega!r}")
 
 
 def global_min_compact(

@@ -191,9 +191,8 @@ class Minima:
     """What a batch of scans keeps of the values it evaluates, per scan:
     ``found``, the least value evaluated so far; ``excluded``, the nodes
     where evaluation failed; and candidates (scan, flat index, value) for
-    the point and eta, in parts.  Every scan of
-    ``optimize.scan_min`` adds its values here, whatever its set, and is
-    selected by ``selected``: a scan it leaves out has no valid node.
+    the point and eta, in parts.  A scan that ``selected`` leaves out has
+    no valid node.
 
     The first node with value - eta <= ``tol``, and the first attaining
     eta, each has a value below every earlier node's, so each is a strict

@@ -4,10 +4,12 @@
 verbatim: it evaluated the whole grid (Box, on its axes) or all sorted
 points (PointCloud) at once.  ``reference_global_min`` and
 ``reference_solve_rop_min`` are the two reductions that followed it, in
-``global_min_compact`` and ``solve_rop``.  ``scan_min`` now scans a box of
-more than ``tiles.SCAN_BLOCK_NODES`` nodes by tiles: it bounds coarse
-tiles, evaluates the fine tile of least bound in the coarse tile of least
-bound, drops every tile that the bound excludes against that value, and
+``global_min_compact`` and ``solve_rop``.  ``scan_min`` now selects every
+outcome by one rule, ``tiles.Minima.selected``: a point cloud is one tile,
+and so is a box of at most ``tiles.SCAN_BLOCK_NODES`` nodes, evaluated
+whole.  It scans a larger box by tiles: it bounds coarse tiles,
+evaluates the fine tile of least bound in the coarse tile of least bound,
+drops every tile that the bound excludes against that value, and
 evaluates the fine tiles left, stacked, keeping only each tile's strict
 prefix minima.  With the tile sides and the cap patched small, so that a
 scan of the test grids splits into many tiles, it must give the
