@@ -276,11 +276,12 @@ def scan_boxes(rf: RandomFunction, grids: Grids, minima: Minima) -> None:
     grids.evaluate(rf, block, np.zeros_like(grids.shape[block]), grids.shape[block], minima)
     bounded = rf.body.lowered.bounded
     rows = _rows(rf)
-    fine_per_coarse = (-(-COARSE_TILE // FINE_TILE)) ** rf.n
+    sides = [FINE_TILE] * rf.n if bounded else _pieces(rf.n)  # of the tiles evaluated
+    per_coarse = math.prod(-(-COARSE_TILE // side) for side in sides)
     groups: list[list[int]] = []
     room = 0
     for s in np.flatnonzero(~whole).tolist():
-        cost = math.prod(-(-m // COARSE_TILE) for m in grids.shape[s].tolist()) + fine_per_coarse
+        cost = math.prod(-(-m // COARSE_TILE) for m in grids.shape[s].tolist()) + per_coarse
         if not groups or cost > room:
             groups.append([])
             room = rows
@@ -303,12 +304,9 @@ def scan_boxes(rf: RandomFunction, grids: Grids, minima: Minima) -> None:
             first[f_owner[at]] = f_start[at]
             keep = ~dropped(owner, least, proved)
             owner, start, stop = owner[keep], start[keep], stop[keep]
-        step = max(1, rows // fine_per_coarse)
+        step = max(1, rows // per_coarse)
         for i in range(0, len(owner), step):
-            f_owner, f_start, f_stop = _split(
-                owner[i:i + step], start[i:i + step], stop[i:i + step],
-                FINE_TILE if bounded else _pieces(rf.n),
-            )
+            f_owner, f_start, f_stop = _split(owner[i:i + step], start[i:i + step], stop[i:i + step], sides)
             if bounded:
                 keep = ~dropped(f_owner, *grids.bounds(rf, f_owner, f_start, f_stop))
                 keep &= ~_equal_rows(f_start, first[f_owner])
