@@ -318,6 +318,21 @@ def test_a_scan_holds_at_most_two_earlier_blocks(monkeypatch, text, tol):
     assert sum(ref().size for ref in refs if ref() is not None) <= 201
 
 
+def test_a_scan_without_bounds_fills_each_stacked_call(monkeypatch):
+    # sin leaves the objective without bounds, so each coarse tile of 3 x 3
+    # nodes is one piece, evaluated with no bound run; a stacked call holds
+    # up to 40 numbers, so pieces go four (or six of 3 x 2) to a call, not
+    # one or two per chunk of coarse tiles sized for fine tiles
+    scans = record_scans(monkeypatch, 3, 1, 40)
+    rf = _one_scenario("(x1^2 - 1)^2 + x2^2 + 0*sin(x1)", 2)
+    ((point, eta, _),) = optimize.scan_min(rf, [(1, Box((-2.0, -2.0), (2.0, 2.0)))], 41, 0.0)
+    assert scanned_grids(scans) == [((41, 41), ())] and scans[0].evaluated == 41 * 41
+    assert (point, eta) == ((-1.0, 0.0), 0.0)
+    nodes = iter(len(x1) * len(x2) for (x1, x2), _ in scans[0].call.tiles)
+    per_call = [sum(next(nodes) for _ in range(k)) for k in scans[0].call.stacks]
+    assert max(per_call) <= 40 and len(per_call) == 60
+
+
 def test_a_falling_plateau_keeps_prefix_minima_not_values():
     # every node of -1e-12*x1 + 0*x2 on [-3, 3]^2 is within 1e-9 of eta, so
     # no bound excludes a tile and all 2001^2 nodes are evaluated; the
