@@ -28,12 +28,13 @@ that walk computed it earlier.  Every check of the walk is kept: division
 by zero, the log and sqrt domains, overflow, and a finite result after
 every node other than a leaf or a negation.
 
-``compile_bundle`` renders the steps as straight-line Python that raises
+``compile_bundle`` renders a lowering as straight-line Python that raises
 at the first failing check, with the walk's exception class and message.
 It reads its inputs as floats, so a message carries a plain float;
 ``eval_batch``, ``eval_grid`` and ``eval_bounds`` read each parameter as
-a float too (``_param_columns``).  The bundle carries its steps as
-``bundle.lowered``.
+a float too (``_param_columns``).  Rendering compiles Python source, so
+only a scalar call renders: ``Expression.compiled`` renders
+``Expression.lowered``, and every stack runs on the lowering itself.
 
 ``_Compiler.run_rows`` runs the steps on rows given as one column per
 variable and one per parameter (of one element or one per row), with
@@ -42,7 +43,7 @@ are one-element arrays that broadcast, and each value is freed after its
 last use.  It skips the finite check of a value that only ``+ - *`` steps
 read (``covered``): those steps give a non-finite operand a non-finite
 value, which their own checks catch.  ``eval_batch`` runs it on the
-columns of an array, ``eval_rows`` on the rows of a bundle's inputs, and
+columns of an array, ``eval_rows`` on rows of inputs and parameters, and
 ``eval_grid`` on the axes of a grid, or of a stack of equal-shaped grids
 each with its own parameters, each axis shaped to broadcast along its own
 dimension, with the mask in the grid's (or stack's) shape.
@@ -71,7 +72,8 @@ an ``errstate``, so no warning escapes.  Where a power or ``exp`` of a
 finite operand is not finite, the bundle raises the walk's overflow error
 ("overflow in power", "overflow in function application"); a non-finite
 operand fails the finite check after the step.  So ``eval_rows`` finds a
-row valid exactly where the bundle returns, with the bundle's values.
+row valid exactly where the rendered bundle returns, with its values, and
+a caller that needs a failing row's error replays the row as a scalar call.
 """
 
 from __future__ import annotations
@@ -162,8 +164,8 @@ class Expression:
 
     @cached_property
     def compiled(self) -> Callable[[Sequence, Sequence], tuple]:
-        """``(x, p) -> (value,)``, compiled on first use; see ``evaluate``."""
-        return compile_bundle((self.root,), self.n, self.k)
+        """``(x, p) -> (value,)``, ``lowered`` rendered on first use; see ``evaluate``."""
+        return compile_bundle(self.lowered, self.n, self.k)
 
     @cached_property
     def lowered(self) -> "_Compiler":
@@ -740,16 +742,15 @@ _ARRAY_KERNELS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
 
 
 def compile_bundle(
-    roots: Sequence[Node], n: int, k: int
+    c: _Compiler, n: int, k: int
 ) -> Callable[[Sequence, Sequence], tuple]:
-    """Compile trees over x1..xn and p1..pk into one function
-    ``(x, p) -> tuple`` of their values.
+    """Render the lowered trees ``c`` over x1..xn and p1..pk as one
+    function ``(x, p) -> tuple`` of their values.
 
     Calling it returns what evaluating the trees one after another would,
     bit for bit, or raises the same error with the same message at the
     first failing node; see the module docstring.
     """
-    c = _Compiler(roots)
     n, k = operator.index(n), operator.index(k)
     source = "\n    ".join(
         [
@@ -763,9 +764,7 @@ def compile_bundle(
     namespace = {**_RUNTIME, **c.constants}
     # a file name per bundle keeps profilers from merging bundles by name
     exec(compile(source, f"<exprlang bundle {id(namespace):#x}>", "exec"), namespace)
-    bundle = namespace["bundle"]
-    bundle.lowered = c
-    return bundle
+    return namespace["bundle"]
 
 
 def evaluate(e: Expression, env: Env) -> float:
@@ -864,19 +863,20 @@ def eval_bounds(
     return np.where(np.isnan(least), -np.inf, least), proved
 
 
-def eval_rows(bundle: Callable, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``bundle(x, p)`` at every row x of ``X`` (shape (N, n)) with the row
-    p of ``P`` (shape (N, k)) of the same index, for a bundle from
-    ``compile_bundle``, run on its lowered steps.
+def eval_rows(c: _Compiler, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lowered trees ``c`` at every row x of ``X`` (shape (N, n)) with
+    the row p of ``P`` (shape (N, k)) of the same index, as the rendered
+    bundle ``compile_bundle(c, n, k)(x, p)`` would evaluate them, without
+    rendering it.  It is the one way to evaluate a stack of rows.
 
-    Returns the values, one row of the bundle's results per row, and the
+    Returns the values, one row of the trees' results per row, and the
     mask of rows where the bundle returns; the values of the other rows
     are NaN.  Where the bundle returns, the values are its bits; see the
     module docstring.
     """
     valid = np.ones(len(X), dtype=bool)
     with np.errstate(all="ignore"):
-        results = bundle.lowered.run_rows(X.T, P.T, valid)
+        results = c.run_rows(X.T, P.T, valid)
     out = np.empty((len(X), len(results)))
     for j, values in enumerate(results):
         out[:, j] = values

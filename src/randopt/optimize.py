@@ -12,18 +12,21 @@ bits of each start run alone; the searches of a stack read their
 gradients from it and the Hessians of every point they keep from one
 more.  A local minimum is certified on a ball where the Hessian stays
 positive definite, by sampling the objective in it; the points of every
-atom are certified in lock step (``_certify``), so the centers' Hessians,
-each halving's, the samples and the descent hunts are each one stack of
-rows for all of them.  Each Hessian is symmetrized once
+atom are certified in lock step (``_certify``), so the centers'
+gradients, values and Hessians, each halving's Hessians, the samples and
+the descent hunts are each one stack of rows for all of them.  Every
+stack, however few its rows, runs on lowered steps
+(``exprlang.eval_rows``); only a row that fails where its error is
+wanted replays its scalar call.  Each Hessian is symmetrized once
 (``randfunc.symmetrize``) and its minors are taken once, by its stack.
-A grid minimization
-(``scan_min``) scans every distinct input of a command at once, and
-selects every outcome by one rule (``tiles.Minima.selected``), by each
-node's index in the grid's raveled order.  A point cloud is one tile of
-values, a small box one block evaluated whole, and a larger box is
-scanned by tiles, bounded by interval arithmetic and evaluated in stacks
-of equal-shaped tiles (``tiles``); no grid of points or of values is
-built, and each node is evaluated at most once.
+A grid minimization (``scan_min``) scans every distinct input of a
+command at once, and selects every outcome by one rule
+(``tiles.Minima.selected``), by each node's index in the grid's raveled
+order.  A point cloud is one tile of values, a small box one block
+evaluated whole, and a larger box is scanned by tiles, bounded by
+interval arithmetic and evaluated in stacks of equal-shaped tiles
+(``tiles``); no grid of points or of values is built, and each node is
+evaluated at most once.
 """
 
 from __future__ import annotations
@@ -333,45 +336,16 @@ def grid_points(region: Box, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-# A stack of this many rows or more runs on row kernels; a smaller one
-# calls the bundle per row, which is faster there (see CHANGES.md).
-ROW_KERNEL_MIN_ROWS = 40
 # Newton and the convexity check stack at most this many rows at once,
 # splitting the scenarios (``_stacks``).
 NEWTON_STACK_ROWS = 1 << 15
-
-
-def _at_rows(bundle, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``bundle(x, p)`` at every row x of ``X`` with the row p of ``P`` of
-    the same index: the values as a (len(X), results) array, and the mask
-    of rows where the bundle returned (the other rows hold NaN).
-
-    Either way the values are the bundle's bits at x and p, read as floats.
-    A stack of ``ROW_KERNEL_MIN_ROWS`` rows or more runs the bundle's steps
-    on row kernels (``exprlang.eval_rows``), a smaller one the bundle per
-    row, where an ``EvalError`` clears the row as the row kernels do.  It is
-    the pipelines' one way to evaluate derivatives at several points."""
-    if len(X) >= ROW_KERNEL_MIN_ROWS:
-        return eval_rows(bundle, X, P)
-    width = len(bundle.lowered.results)
-    ok = np.ones(len(X), dtype=bool)
-    undefined = (math.nan,) * width
-    values = []
-    with np.errstate(all="ignore"):
-        for j, (x, p) in enumerate(zip(X.tolist(), P.tolist())):
-            try:
-                values.append(bundle(x, p))
-            except EvalError:
-                ok[j] = False
-                values.append(undefined)
-    return np.array(values, dtype=float).reshape(len(X), width), ok
 
 
 def _hessians(rf: RandomFunction, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symmetrized Hessians at the rows of ``X`` (parameters in ``P``)
     as an (N, n, n) stack, and the mask of rows where they are defined;
     each has the bits of ``randfunc.hessian`` at its row."""
-    H, ok = _at_rows(rf.hess_bundle, X, P)
+    H, ok = eval_rows(rf.hess_lowered, X, P)
     return symmetrize(H.reshape(len(X), rf.n, rf.n)), ok
 
 
@@ -401,9 +375,9 @@ def _newton(
     start in row i with the scenario parameters in row i of ``P``.
 
     Returns (X, G, iters, status) with one entry per start: the point
-    reached, the gradient there (``_at_rows``'s bits, NaN where undefined),
-    the Newton steps taken and "converged", "singular" or "stalled".  A
-    row of X is meaningful only where the start converged.
+    reached, the gradient there (``randfunc.gradient``'s bits, NaN where
+    undefined), the Newton steps taken and "converged", "singular" or
+    "stalled".  A row of X is meaningful only where the start converged.
 
     Each start runs exactly as it would alone.  Iteration continues past
     the convergence tolerance as long as steps keep shrinking the
@@ -414,12 +388,12 @@ def _newton(
     decreases; an undefined gradient counts as no decrease.  The
     starts advance in lock step, so the sup-norms, the symmetrization,
     the Newton solves and the derivatives are whole-stack operations
-    (``_at_rows``, ``_solve_stack``), which give the bits of the
+    (``exprlang.eval_rows``, ``_solve_stack``), which give the bits of the
     per-start ones.
     """
     X = np.array(X0, dtype=float)
     N, n = X.shape
-    G, defined = _at_rows(rf.grad_bundle, X, P)  # NaN rows never converge
+    G, defined = eval_rows(rf.grad_lowered, X, P)  # NaN rows never converge
     singular, runaway = ~defined, np.zeros(N, dtype=bool)
     iters = np.zeros(N, dtype=int)
     active = np.flatnonzero(defined)
@@ -450,7 +424,7 @@ def _newton(
                 break
             rows = active[trying]
             Xn = X[rows] + lam * D[trying]
-            Gn, _ = _at_rows(rf.grad_bundle, Xn, P[rows])  # NaN rows: no decrease
+            Gn, _ = eval_rows(rf.grad_lowered, Xn, P[rows])  # NaN rows: no decrease
             better = np.abs(Gn).max(axis=1) < gn[trying]
             won = rows[better]
             X[won], G[won] = Xn[better], Gn[better]
@@ -623,32 +597,38 @@ def _certify(
     situation is degenerate and the outcome is NoRadiusFound.  A point
     that is not stationary is a ValueError.
 
-    Only the gradient and the value at each center are scalar calls.  The
-    Hessians at every center are one stack; then each halving stacks the
+    The gradients at every center are one stack, and so are the values,
+    and the Hessians.  A pair whose gradient or value is undefined replays
+    that scalar call, which raises its error.  Then each halving stacks the
     ball samples of every pair still without a ball, and a pair's ball
     fails at its first undefined or non-PD Hessian.  The descent hunts of
     the pairs with no ball are one objective stack, and so are the
     objective samples of the pairs with one.  The directions depend only on
     n and the seed, so each set is drawn once for every pair.  Each pair
-    gets the bits it would get alone.
+    gets the bits it would get alone.  The scenarios are of ``rf``'s space
+    and the points of dimension n.
     """
     n = rf.n
     outcomes: list[Optional[Outcome]] = [None] * len(scenarios)
-    f0: list[float] = [math.nan] * len(scenarios)
-    for i, (omega, x) in enumerate(zip(scenarios, points)):
-        x = np.asarray(x, dtype=float)
+    X0 = np.array(points, dtype=float).reshape(len(points), n)
+    P0 = _params_rows(rf, scenarios, 1)
+    G, g_ok = eval_rows(rf.grad_lowered, X0, P0)
+    F, f_ok = eval_rows(rf.body.lowered, X0, P0)
+    for i, omega in enumerate(scenarios):
         try:
-            g = gradient(rf, omega, x)
-            if sup_norm(g) > STATIONARITY_TOL:
-                raise ValueError(f"point is not stationary: |g|_inf = {sup_norm(g):g}")
-            f0[i] = eval_f(rf, omega, x)
+            if not g_ok[i]:
+                gradient(rf, omega, X0[i])  # raises the row's error
+            if sup_norm(G[i]) > STATIONARITY_TOL:
+                raise ValueError(f"point is not stationary: |g|_inf = {sup_norm(G[i]):g}")
+            if not f_ok[i]:
+                eval_f(rf, omega, X0[i])  # raises the row's error
         except (RandoptError, ValueError) as exc:  # the caller raises it in its own order
             outcomes[i] = exc
     live = [i for i, outcome in enumerate(outcomes) if outcome is None]
     if not live:
         return outcomes
-    X0 = np.array([points[i] for i in live], dtype=float).reshape(len(live), n)
-    P0 = _params_rows(rf, [scenarios[i] for i in live], 1)
+    f0 = F[:, 0]
+    X0, P0 = X0[live], P0[live]
 
     def around(pairs: list[int], steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[slice]]:
         """The points x + s for the center x of each of ``pairs`` (indices
@@ -694,7 +674,7 @@ def _certify(
         hunt_radii = np.repeat(2.0 ** -np.arange(41), len(hunt_dirs))
         steps = hunt_radii[:, None] * np.tile(hunt_dirs, (41, 1))
         X, P, blocks = around(hunting, steps)
-        values, ok = _at_rows(rf.body.compiled, X, P)
+        values, ok = eval_rows(rf.body.lowered, X, P)
         for a, rows in zip(hunting, blocks):
             margins = np.where(ok[rows], values[rows, 0] - f0[live[a]], math.inf)
             best = int(np.argmin(margins))  # the first strict minimum; none if all undefined
@@ -716,7 +696,7 @@ def _certify(
         unit = _unit_directions(rng2, K, n)
         steps = np.array([delta[a] * shrink for a in sampling])[:, :, None] * unit
         X, P, blocks = around(sampling, steps)
-        values, ok = _at_rows(rf.body.compiled, X, P)
+        values, ok = eval_rows(rf.body.lowered, X, P)
         for a, rows, own in zip(sampling, blocks, steps):
             i, omega = live[a], scenarios[live[a]]
             margins = values[rows, 0] - f0[i]

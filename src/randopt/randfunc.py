@@ -277,18 +277,26 @@ class RandomFunction:
             for g in self.grad_exprs
         )
 
-    # f is compiled on first use as self.body.compiled; the gradient and the
-    # Hessian are bundles of their own, since a Hessian entry can fail where
-    # the gradient is finite (f = (1e200*x1)^2)
+    # f is lowered as self.body.lowered; the gradient and the Hessian are
+    # bundles of their own, since a Hessian entry can fail where the
+    # gradient is finite (f = (1e200*x1)^2).  Each is lowered once, for the
+    # stacks (exprlang.eval_rows), and rendered only for a scalar call.
+    @cached_property
+    def grad_lowered(self) -> "exprlang._Compiler":
+        return exprlang._Compiler([g.root for g in self.grad_exprs])
+
+    @cached_property
+    def hess_lowered(self) -> "exprlang._Compiler":
+        """The n^2 Hessian entries, row by row."""
+        return exprlang._Compiler([h.root for row in self.hess_exprs for h in row])
+
     @cached_property
     def grad_bundle(self) -> Callable[[Sequence, Sequence], tuple]:
-        return exprlang.compile_bundle([g.root for g in self.grad_exprs], self.n, self.body.k)
+        return exprlang.compile_bundle(self.grad_lowered, self.n, self.body.k)
 
     @cached_property
     def hess_bundle(self) -> Callable[[Sequence, Sequence], tuple]:
-        """The n^2 Hessian entries, row by row."""
-        roots = [h.root for row in self.hess_exprs for h in row]
-        return exprlang.compile_bundle(roots, self.n, self.body.k)
+        return exprlang.compile_bundle(self.hess_lowered, self.n, self.body.k)
 
     def params_of(self, omega: Scenario) -> tuple[float, ...]:
         try:

@@ -25,16 +25,15 @@ from .errors import (
     NonMeasurableF,
     RandoptError,
 )
+from .exprlang import eval_rows
 from .optimize import (
     STATIONARITY_TOL,
     Definiteness,
     LocalMinCertificate,
     LocalMinFailure,
     SolverOptions,
-    global_min_compact,
     stationary_searches,
     sup_norm,
-    _at_rows,
     _certify,
     _classify_stack,
     _hessians,
@@ -205,8 +204,9 @@ def solve_rlop(
     representatives, classified in one call), the function is treated as
     convex and the certificate upgrades to a global one after a confirming
     grid scan.  The representatives' balls are certified in one lock step
-    (``optimize._certify``); each atom's certificate or error is then
-    taken in atom order, before that atom's grid scan.
+    (``optimize._certify``), and the convex ones' grids are scanned in one
+    ``scan_min`` call; each atom's certificate or error is then taken in
+    atom order, before that atom's scan error.
     """
     if rf.space != space:
         raise DomainMismatch("function and space must agree")
@@ -224,18 +224,20 @@ def solve_rlop(
         selected.append((atom, min(pd_points)))
 
     m = len(probes)
+    reps = [atom[0] for atom, _ in selected]
     convex = []  # per selected atom; its probes are classified up to the first failing one
-    for _, X, P in _stacks(rf, [atom[0] for atom, _ in selected], probes):
+    for _, X, P in _stacks(rf, reps, probes):
         H, ok = _hessians(rf, X, P)
         _, classify = _classify_stack(H)
         for i in range(0, len(H), m):
             convex.append(all(ok[j] and classify(j) in _PSD for j in range(i, i + m)))
 
-    # each atom's certificate or error, raised below in atom order
-    certificates = _certify(rf, [atom[0] for atom, _ in selected], [x for _, x in selected], opts)
+    # each atom's certificate or error and its scan, raised below in atom order
+    certificates = _certify(rf, reps, [x for _, x in selected], opts)
+    convex_inputs = [(rep, region) for rep, is_convex in zip(reps, convex) if is_convex]
+    scans = iter(scan_min(rf, convex_inputs, opts.grid_m, 0.0))
     solved = []
     for (atom, x), is_convex, cert in zip(selected, convex, certificates):
-        rep = atom[0]
         if isinstance(cert, Exception):
             raise cert
         if isinstance(cert, LocalMinFailure):
@@ -245,9 +247,12 @@ def solve_rlop(
                 "condition and indicates a numerical inconsistency"
             )
         if is_convex:
-            gm = global_min_compact(rf, rep, region, opts.grid_m)
-            fx = eval_f(rf, rep, x)
-            if fx <= gm.grid_value + EQUATION_TOL:
+            scanned = next(scans)
+            if isinstance(scanned, Exception):
+                raise scanned
+            _, eta, _ = scanned
+            fx = eval_f(rf, atom[0], x)
+            if fx <= eta + EQUATION_TOL:
                 cert = GlobalCert(float(fx))
         solved.append((atom, x, cert))
 
@@ -291,7 +296,7 @@ def check_necessary_conditions(
         raise DomainMismatch("function, candidate, and space must agree")
     P = _params_rows(rf, space.scenarios, 1)
     X = np.array([xi.values[omega] for omega in space.scenarios], dtype=float).reshape(len(P), rf.n)
-    G, grad_ok = _at_rows(rf.grad_bundle, X, P)
+    G, grad_ok = eval_rows(rf.grad_lowered, X, P)
     H, hess_ok = _hessians(rf, X, P)
     if not (grad_ok & hess_ok).all():  # the scalar calls raise at the first undefined row
         i = int(np.argmin(grad_ok & hess_ok))

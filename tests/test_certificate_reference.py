@@ -266,14 +266,15 @@ def _mixed_rf():
     return r.RandomFunction(space, 1, r.parse(MIXED, 1, 5), params)
 
 
-@pytest.mark.parametrize("threshold", [1, optimize.ROW_KERNEL_MIN_ROWS, 10**9])
 @pytest.mark.parametrize("order", ["forward", "backward"])
-def test_the_lock_step_gives_each_point_its_own_outcome(threshold, order):
+def test_the_lock_step_gives_each_point_its_own_outcome(order):
+    # the 8 centers are stacks of 8 rows, and each halving stacks 8 Hessians
+    # per pair: stacks under 40 rows, below which a stack once called the
+    # bundle per row
     rf = _mixed_rf()
     scenarios = list(MIXED_CASES) if order == "forward" else list(reversed(MIXED_CASES))
     points = [(MIXED_CASES[s][1],) for s in scenarios]
-    with mock.patch.object(optimize, "ROW_KERNEL_MIN_ROWS", threshold):
-        got = [_outcome(o) for o in _certify(rf, scenarios, points)]
+    got = [_outcome(o) for o in _certify(rf, scenarios, points)]
     want = [outcome(reference_verify_local_min, rf, s, x) for s, x in zip(scenarios, points)]
     assert got == want
     by_scenario = dict(zip(scenarios, got))
@@ -293,6 +294,38 @@ def test_a_center_that_raises_leaves_the_other_points_alone():
     got = [_outcome(o) for o in _certify(rf, [1, 2, 3], [(0.0,)] * 3)]
     assert got == [outcome(reference_verify_local_min, rf, s, (0.0,)) for s in (1, 2, 3)]
     assert [kind for kind, *_ in got] == ["cert", "raised", "cert"]
+
+
+# p2*sqrt(x1 - p1)^3 leaves f defined at x1 = p1, where its derivative
+# divides by zero; 0*log(x1 - p3) drops out of the derivatives, so only f
+# is undefined where x1 = p3.  At x1 = 0 the centers' stacks of gradients
+# and values find these rows undefined, and each replays its scalar call
+CENTERS = "x1^2 + p2*sqrt(x1 - p1)^3 + 0*log(x1 - p3)"
+CENTER_CASES = {  # scenario: (parameters, the outcome's first fields)
+    1: ((-5.0, 0.0, -5.0), ("cert", _bits(1.0))),
+    # the gradient alone is undefined
+    2: ((0.0, 0.0, -5.0), ("raised", r.DivByZero, "division by zero")),
+    # f alone is undefined
+    3: ((-5.0, 0.0, 0.0), ("raised", r.DomainViolation, "log of non-positive value 0.0")),
+    # both are: the gradient's error
+    4: ((0.0, 0.0, 0.0), ("raised", r.DivByZero, "division by zero")),
+    # not stationary, so f, undefined, is not evaluated
+    5: ((-5.0, 1.0, 0.0), ("raised", ValueError, "point is not stationary: |g|_inf = 3.3541")),
+}
+
+
+@pytest.mark.parametrize("order", ["forward", "backward"])
+def test_an_undefined_gradient_or_value_at_a_center_replays_its_error(order):
+    ids = list(CENTER_CASES)
+    space = r.make_space(ids, [1 / len(ids)] * len(ids), [[s] for s in ids])
+    params = {s: case[0] for s, case in CENTER_CASES.items()}
+    rf = r.RandomFunction(space, 1, r.parse(CENTERS, 1, 3), params)
+    scenarios = ids if order == "forward" else ids[::-1]
+    got = [_outcome(o) for o in _certify(rf, scenarios, [(0.0,)] * len(ids))]
+    assert got == [outcome(reference_verify_local_min, rf, s, (0.0,)) for s in scenarios]
+    for s, o in zip(scenarios, got):
+        want = CENTER_CASES[s][1]
+        assert o[: len(want)] == want, s
 
 
 @settings(max_examples=15, deadline=None)
@@ -366,18 +399,24 @@ def test_solve_rlop_raises_the_first_error_in_atom_order(atoms, scan_raises):
     region = r.Box((-1.5,), (1.5,))
     opts = SolverOptions(grid_m=21)
 
-    real_scan = optimize.global_min_compact
+    real_scan, real_scan_min = optimize.global_min_compact, optimize.scan_min
 
     def run(solve):
         scans = []
 
-        def scan(rf, rep, region, grid_m):
+        def scan(rf, rep, region, grid_m):  # the loop's scan of one atom
             scans.append(rep)
             if scan_raises:
                 raise r.DomainViolation(f"scan of scenario {rep}")
             return real_scan(rf, rep, region, grid_m)
 
-        with mock.patch.object(selection, "global_min_compact", scan), \
+        def scan_min(rf, inputs, grid_m, tol):  # solve_rlop's one scan of every convex atom
+            scans.append([rep for rep, _ in inputs])
+            if scan_raises:
+                return [r.DomainViolation(f"scan of scenario {rep}") for rep, _ in inputs]
+            return real_scan_min(rf, inputs, grid_m, tol)
+
+        with mock.patch.object(selection, "scan_min", scan_min), \
                 mock.patch.object(optimize, "global_min_compact", scan):
             try:
                 solved = solve()
@@ -404,16 +443,18 @@ def test_solve_rlop_raises_the_first_error_in_atom_order(atoms, scan_raises):
     convex = [a != "wells" for a in atoms]
     want = run(lambda: reference_solve_rlop_tail(rf, space, region, opts, selected, convex))
     assert recorded["reps"] == ids  # every atom is certified in one lock step
-    assert got == want
-    # the scans of the convex atoms before the first atom that raises, and
-    # only those, are made; a scan that raises is the first error
+    assert got[1] == want[1]
+    # one call scans every convex atom; the loop scanned the convex atoms
+    # before the first atom that raises, and only those; a scan that
+    # raises is the first error
+    assert got[0] == [[s for s in ids if atoms[s - 1] != "wells"]]
     first_bad = atoms.index("undefined") if "undefined" in atoms else len(atoms)
     scanned = [s for s in ids[:first_bad] if atoms[s - 1] == "convex"]
     if scan_raises and scanned:
-        assert got == (scanned[:1], (r.DomainViolation, f"scan of scenario {scanned[0]}"))
+        assert want == (scanned[:1], (r.DomainViolation, f"scan of scenario {scanned[0]}"))
     elif first_bad < len(atoms):
-        assert got == (scanned, (r.DivByZero, "division by zero"))
+        assert want == (scanned, (r.DivByZero, "division by zero"))
     else:
-        assert got[0] == scanned
+        assert want[0] == scanned
         kinds = [type(cert) for *_, cert in got[1]]
         assert kinds == [tuple if a == "convex" else LocalMinCertificate for a in atoms]

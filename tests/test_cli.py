@@ -451,6 +451,21 @@ def test_unevaluable_document_writes_fresh_input_error_report(
     jsonschema.Draft202012Validator(schema).validate(report)
 
 
+def test_solve_rlop_convex_scans_over_the_grid_cap_write_the_pinned_report(tmp_path):
+    # every atom of the document is convex and certified, so its scan meets
+    # the grid cap: 5000^2 nodes exceed MAX_GRID_POINTS
+    out = tmp_path / "report.json"
+    document = str(GALLERY / "convex_quadratic_2d.json")
+    assert main(["solve-rlop", "--input", document, "--output", str(out), "--grid", "5000"]) == 3
+    assert out.read_text() == (
+        '{\n  "schema_version": 1,\n  "command": "solve-rlop",\n  "seed": 0,\n'
+        '  "grid": 5000,\n  "scenarios": [\n    "a",\n    "b",\n    "c",\n    "d"\n  ],\n'
+        '  "status": "input_error",\n  "error": {\n    "type": "RandoptError",\n'
+        '    "message": "grid of 25000000 points exceeds cap 20000000"\n  },\n'
+        '  "exit_code": 3\n}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "document,command,expected_code,verdict",
     [

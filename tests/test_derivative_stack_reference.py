@@ -8,13 +8,13 @@ and classified each matrix alone (``classify_reference._classify``), and
 the first call that raised ended the loop.  Now ``necessary`` reads one
 gradient stack and one Hessian stack over all scenarios, and
 ``solve_rlop`` one Hessian stack over the probes of every representative
-(``optimize._at_rows`` and ``_hessians``); each classifies its stack in
-one call (``optimize._classify_stack``).  At every input they must give
-the same grad_norm bits and classification per scenario, raise the same
-class with the same message, and reach the same convex verdict per atom
-after classifying the same matrices, bit for bit, in the same order,
-sending to the eigenvalue sweep (``_jacobi``) the matrices the loop sent
-to it: the defined ones that fail Sylvester's test.
+(``exprlang.eval_rows`` and ``optimize._hessians``); each classifies its
+stack in one call (``optimize._classify_stack``).  At every input they
+must give the same grad_norm bits and classification per scenario, raise
+the same class with the same message, and reach the same convex verdict
+per atom after classifying the same matrices, bit for bit, in the same
+order, sending to the eigenvalue sweep (``_jacobi``) the matrices the
+loop sent to it: the defined ones that fail Sylvester's test.
 """
 
 import struct
@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 import randopt as r
 from randopt import optimize, selection
 from randopt.errors import DomainMismatch, EvalError
-from randopt.optimize import Definiteness, LocalMinCertificate, SolverOptions, sup_norm
+from randopt.optimize import Definiteness, SolverOptions, sup_norm
 from randopt.probspace import is_measurable_rv
 from randopt.randfunc import default_probe_grid, gradient, hessian
 from randopt.selection import NecessaryReport, ScenarioConditions
@@ -143,19 +143,14 @@ def necessary_outcome(check, rf, space, xi):
     return ("report", per, report.measurable)
 
 
-# below ROW_KERNEL_MIN_ROWS a stack calls the bundle per row; at or above
-# it, the row kernels run it; these thresholds send every stack each way
-row_kernel_thresholds = st.sampled_from([1, optimize.ROW_KERNEL_MIN_ROWS, 10**9])
-
-
+# the stacks hold 1 to 5 scenarios, as small as the stacks that once
+# called the bundle per row
 @settings(max_examples=100, deadline=None)
-@given(necessary_problems(), row_kernel_thresholds)
-def test_necessary_matches_the_per_scenario_loop(problem, threshold):
+@given(necessary_problems())
+def test_necessary_matches_the_per_scenario_loop(problem):
     rf, space, xi = problem
     swept, expected_swept = [], []
-    with mock.patch.multiple(
-        optimize, ROW_KERNEL_MIN_ROWS=threshold, _jacobi=_recording(optimize._jacobi, swept)
-    ):
+    with mock.patch.object(optimize, "_jacobi", _recording(optimize._jacobi, swept)):
         got = necessary_outcome(r.check_necessary_conditions, rf, space, xi)
     with mock.patch.object(classify_reference, "_jacobi", _recording(optimize._jacobi, expected_swept)):
         assert got == necessary_outcome(reference_check_necessary_conditions, rf, space, xi)
@@ -206,17 +201,18 @@ def convexity_problems(draw):
 
 # NEWTON_STACK_ROWS cuts Newton's stacks and the convexity check's alike
 # (optimize._stacks); each start and each probe row runs as it would
-# alone, so every cut must give the same verdicts
+# alone, so every cut must give the same verdicts.  A cut of 1 row makes a
+# stack of one scenario's 35 probes, under the 40 rows below which a stack
+# once called the bundle per row
 @settings(max_examples=60, deadline=None)
 @given(
     convexity_problems(),
-    row_kernel_thresholds,
     st.sampled_from([1, 2 * len(default_probe_grid(REGION)), optimize.NEWTON_STACK_ROWS]),
 )
-def test_convex_verdicts_match_the_per_probe_loop(problem, threshold, stack_rows):
+def test_convex_verdicts_match_the_per_probe_loop(problem, stack_rows):
     rf, space = problem
     opts = SolverOptions(grid_m=11)
-    classified, swept, scanned, decided = [], [], [], []
+    classified, swept, scans = [], [], []
 
     def stacked(S):
         """The convexity check's stack, recording each matrix it classifies
@@ -230,24 +226,13 @@ def test_convex_verdicts_match_the_per_probe_loop(problem, threshold, stack_rows
 
         return minors, recorded
 
-    def certified(rf, reps, points, opts):
-        outcomes = optimize._certify(rf, reps, points, opts)
-        for rep, outcome in zip(reps, outcomes):
-            if not isinstance(outcome, LocalMinCertificate):
-                break  # solve_rlop raises at this atom
-            decided.append(rep)  # solve_rlop goes on to this atom's convex verdict
-        return outcomes
-
-    def scan(rf, rep, region, grid_m):
-        scanned.append(rep)  # solve_rlop found this atom convex
-        return optimize.global_min_compact(rf, rep, region, grid_m)
+    def scan(rf, inputs, grid_m, tol):
+        scans.append([rep for rep, _ in inputs])  # solve_rlop found these atoms convex
+        return optimize.scan_min(rf, inputs, grid_m, tol)
 
     with mock.patch.multiple(
-        selection,
-        _classify_stack=stacked,
-        _certify=certified,
-        global_min_compact=scan,
-    ), mock.patch.multiple(optimize, NEWTON_STACK_ROWS=stack_rows, ROW_KERNEL_MIN_ROWS=threshold):
+        selection, _classify_stack=stacked, scan_min=scan
+    ), mock.patch.object(optimize, "NEWTON_STACK_ROWS", stack_rows):
         try:
             outcome = r.solve_rlop(rf, space, REGION, opts)
         except r.RandoptError:
@@ -255,7 +240,7 @@ def test_convex_verdicts_match_the_per_probe_loop(problem, threshold, stack_rows
 
     probes = default_probe_grid(REGION)
     if isinstance(outcome, (selection.NoStationaryPoints, selection.NoPDStationaryPoint)):
-        assert classified == scanned == []
+        assert classified == scans == []
         return
     # every atom was selected, so the stack classified every atom's probes
     # up to its first failing one, in order, as the loop would, and swept
@@ -267,4 +252,5 @@ def test_convex_verdicts_match_the_per_probe_loop(problem, threshold, stack_rows
     assert _matrices(classified) == _matrices(expected)
     assert _matrices(swept) == _matrices(expected_swept)
     assert all(np.isfinite(S).all() for (S,) in swept)  # a defined row
-    assert scanned == [rep for rep in decided if convex[rep]]
+    # every convex atom is scanned, in one call, before any error is raised
+    assert scans == [[atom[0] for atom in space.atoms if convex[atom[0]]]]

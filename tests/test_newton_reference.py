@@ -33,7 +33,6 @@ from randopt.optimize import (
     MARGIN_TOL,
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
-    ROW_KERNEL_MIN_ROWS,
     SolverOptions,
     StationaryPoint,
     StationarySearch,
@@ -441,12 +440,14 @@ def test_a_stack_of_scenarios_matches_the_sequential_newton(problem):
 
 
 def test_stacks_on_both_sides_of_the_row_kernel_crossover():
-    # 3 scenarios of 9 starts each stay below the crossover, 3 of 81 above it
+    # 3 scenarios of 9 starts each make stacks of 27 rows, 3 of 81 of 243:
+    # either side of 40 rows, below which a stack once called the bundle
+    # per row; every stack now runs on the lowered steps
     params = [(0.3, -0.2, 0.5), (-1.1, 0.4, 0.25), (0.0, 1.4, 1.0)]
     rf = _stack_rf(_double_well(2), 2, params)
     small = grid_points(r.Box((-3.0, 0.0), (3.0, 0.0)), 9)
     large = grid_points(r.Box((-3.0, -3.0), (3.0, 3.0)), 9)
-    assert 3 * len(small) < ROW_KERNEL_MIN_ROWS <= 3 * len(large)
+    assert 3 * len(small) < 40 <= 3 * len(large)
     for starts in (small, large):
         assert_same_stack(rf, starts)
 

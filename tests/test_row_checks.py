@@ -91,9 +91,8 @@ def assert_same_rows(e: Expression, X: np.ndarray, p):
     assert outcome(eval_batch, e, X, p) == every_check(eval_batch, e, X, p)
     axes = [np.unique(X[:, j]) if len(X) else np.zeros(1) for j in range(e.n)]
     assert outcome(eval_grid, e, axes, p) == every_check(eval_grid, e, axes, p)
-    bundle = compile_bundle([e.root], e.n, e.k)
     P = np.tile(np.asarray(p, dtype=float), (len(X), 1))
-    assert outcome(eval_rows, bundle, X, P) == every_check(eval_rows, bundle, X, P)
+    assert outcome(eval_rows, e.lowered, X, P) == every_check(eval_rows, e.lowered, X, P)
 
 
 # --- generated trees ---------------------------------------------------------------------
@@ -124,14 +123,15 @@ BIG = Mul(Num(1e308), Var(1))  # inf at |x1| > 1.8
 
 def _steps(text_or_root):
     root = parse(text_or_root, N, K).root if isinstance(text_or_root, str) else text_or_root
-    c = compile_bundle([root], N, K).lowered
+    e = Expression(root, N, K)
+    c = e.lowered
     # a covered check is of a value that is no result and that only + - *
     # steps read, besides the check itself
     for i in c.covered:
         op, _, (name,), _ = c.steps[i]
         readers = {step[0] for step in c.steps if name in step[2]} - {"finite"}
         assert op == "finite" and name not in c.results and readers <= {"+", "-", "*"}
-    return Expression(root, N, K), c
+    return e, c
 
 
 @pytest.mark.parametrize(
@@ -185,7 +185,7 @@ def test_the_bundle_keeps_every_check():
     assert c.covered
     source = "\n".join(c.source())
     assert source.count("isfinite") == sum(op == "finite" for op, *_ in c.steps)
-    bundle = compile_bundle([e.root], N, K)
+    bundle = compile_bundle(c, N, K)
     with pytest.raises(DomainViolation, match="non-finite intermediate result"):
         bundle((10.0, 0.0), (0.0, 0.0))
     assert math.isfinite(bundle((0.5, 0.5), (0.0, 0.0))[0])

@@ -1,8 +1,8 @@
 """The row kernels against the compiled bundles whose bits they keep.
 
-``exprlang.eval_rows`` runs a bundle's lowered steps on the rows of an
-array with numpy's array kernels, which ``eval_batch`` and ``eval_grid``
-run too, and the bundle calls numpy's ufuncs on floats for ``exp``,
+``exprlang.eval_rows`` runs lowered steps on the rows of an array with
+numpy's array kernels, which ``eval_batch`` and ``eval_grid`` run too, and
+the bundle they render calls numpy's ufuncs on floats for ``exp``,
 ``log``, ``sin``, ``cos`` and every power but a square.  At every row
 ``eval_rows`` must find the row valid exactly when the bundle, called at
 that row as ``optimize`` calls it (``tuple(x)`` of ``np.float64``
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randopt.exprlang import compile_bundle, eval_batch, eval_grid, eval_rows, parse
+from randopt.exprlang import _Compiler, compile_bundle, eval_batch, eval_grid, eval_rows, parse
 from test_evaluator_reference import K, N, trees
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-308, 1e200, 1e308, -1e308, math.inf, -math.inf, math.nan]
@@ -39,10 +39,11 @@ def bundle_rows(bundle, X, P, scalar=np.float64):
     return out
 
 
-def assert_rows_match(bundle, X, P):
-    got, valid = eval_rows(bundle, X, P)
-    assert got.shape == (len(X), len(bundle.lowered.results)) and valid.dtype == bool
-    for i, want in enumerate(bundle_rows(bundle, X, P)):
+def assert_rows_match(c, X, P):
+    """eval_rows of the lowering ``c`` against its rendered bundle."""
+    got, valid = eval_rows(c, X, P)
+    assert got.shape == (len(X), len(c.results)) and valid.dtype == bool
+    for i, want in enumerate(bundle_rows(compile_bundle(c, X.shape[1], P.shape[1]), X, P)):
         assert valid[i] == (want is not None), i
         if want is None:
             assert np.isnan(got[i]).all()
@@ -62,7 +63,7 @@ def test_row_kernels_match_the_bundle(roots, rows):
     ordinary = np.random.default_rng(len(rows)).uniform(-5.0, 5.0, (32, N + K))
     X = np.concatenate([np.array([x for x, _ in rows], dtype=float), ordinary[:, :N]])
     P = np.concatenate([np.array([p for _, p in rows], dtype=float).reshape(-1, K), ordinary[:, N:]])
-    assert_rows_match(compile_bundle(roots, N, K), X, P)
+    assert_rows_match(_Compiler(roots), X, P)
 
 
 @pytest.mark.parametrize(
@@ -78,15 +79,14 @@ def test_seeded_rows_match_the_bundle(text):
     X = rng.uniform(-5.0, 5.0, (4000, 1))
     P = np.empty((4000, 0))
     e = parse(text, 1)
-    bundle = compile_bundle([e.root], 1, 0)
-    valid = assert_rows_match(bundle, X, P)
+    valid = assert_rows_match(e.lowered, X, P)
     assert valid.any()
-    values = eval_rows(bundle, X, P)[0][:, 0]
+    values = eval_rows(e.lowered, X, P)[0][:, 0]
     for got, mask in (eval_batch(e, X), eval_grid(e, [X[:, 0]])):
         assert mask.tolist() == valid.tolist()
         assert got.tobytes() == values.tobytes()
     want = [(struct.pack("<d", v),) if ok else None for v, ok in zip(values, valid)]
-    assert bundle_rows(bundle, X, P, scalar=float) == want
+    assert bundle_rows(e.compiled, X, P, scalar=float) == want
 
 
 @pytest.mark.parametrize(
@@ -113,23 +113,22 @@ def test_guarded_rows_match_the_bundle(text, x):
     # the failing row sits between two valid ones, so its error must clear
     # it alone
     X = np.array([[0.5], [x], [2.0]])
-    valid = assert_rows_match(compile_bundle([parse(text, 1).root], 1, 0), X, np.empty((3, 0)))
+    valid = assert_rows_match(parse(text, 1).lowered, X, np.empty((3, 0)))
     assert valid[0] or text.startswith("1/(")
 
 
 def test_an_error_on_a_cleared_row_leaves_the_others():
     # row 0 fails the zero check, then raises in the power on its cleared
     # value; row 1 stays valid
-    bundle = compile_bundle([parse("exp(1/x1) + (x1 - 1)^-2", 1).root], 1, 0)
     X = np.array([[0.0], [2.0], [1.0]])
-    valid = assert_rows_match(bundle, X, np.empty((3, 0)))
+    valid = assert_rows_match(parse("exp(1/x1) + (x1 - 1)^-2", 1).lowered, X, np.empty((3, 0)))
     assert valid.tolist() == [False, True, False]
 
 
 def test_parameters_come_one_row_each():
-    bundle = compile_bundle([parse("(x1 - p1)^3", 1, 1).root, parse("p1^2", 1, 1).root], 1, 1)
+    c = _Compiler([parse("(x1 - p1)^3", 1, 1).root, parse("p1^2", 1, 1).root])
     X = np.array([[1.0], [1.0], [1.0]])
     P = np.array([[0.0], [1.0], [3.0]])
-    got, valid = eval_rows(bundle, X, P)
+    got, valid = eval_rows(c, X, P)
     assert valid.all()
     assert got.tolist() == [[1.0, 0.0], [0.0, 1.0], [-8.0, 9.0]]

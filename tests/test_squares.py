@@ -1,6 +1,6 @@
 """A square is one multiplication, with the same bits in every evaluator.
 
-``u^2`` is ``u * u`` in the compiled bundles, on row kernels, in
+``u^2`` is ``u * u`` in the compiled bundles, in ``eval_rows``, in
 ``eval_batch`` and ``eval_grid``, and when ``pow_`` folds a constant.  The
 product is correctly rounded; the C library's ``pow`` misrounds about one
 square in a thousand, among them the square of ``SQUARE_BASE`` on glibc,
@@ -13,7 +13,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from randopt import exprlang, optimize
+from randopt import exprlang
 from randopt.errors import EvalError
 from randopt.exprlang import (
     Add,
@@ -43,18 +43,17 @@ def bits(v) -> bytes:
 
 def test_a_square_has_the_products_bits_in_every_evaluator():
     e = parse("x1^2", 1)
-    bundle = compile_bundle([e.root], 1, 0)
+    bundle = compile_bundle(e.lowered, 1, 0)
 
     def rows(count):
         return np.full((count, 1), SQUARE_BASE), np.empty((count, 0))
 
-    many = optimize.ROW_KERNEL_MIN_ROWS
     got = {
         "evaluate": evaluate(e, Env((SQUARE_BASE,))),
         "bundle at np.float64": bundle((np.float64(SQUARE_BASE),), ())[0],
-        "eval_rows": eval_rows(bundle, *rows(many))[0][:, 0],
-        "_at_rows on row kernels": optimize._at_rows(bundle, *rows(many))[0][:, 0],
-        "_at_rows per row": optimize._at_rows(bundle, *rows(many - 1))[0][:, 0],
+        "eval_rows on one row": eval_rows(e.lowered, *rows(1))[0][:, 0],
+        "eval_rows on 39 rows": eval_rows(e.lowered, *rows(39))[0][:, 0],
+        "eval_rows on 40 rows": eval_rows(e.lowered, *rows(40))[0][:, 0],
         "eval_batch": eval_batch(e, rows(3)[0])[0],
         "eval_grid": eval_grid(e, [np.array([SQUARE_BASE])])[0],
     }
