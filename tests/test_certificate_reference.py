@@ -266,18 +266,24 @@ def _mixed_rf():
     return r.RandomFunction(space, 1, r.parse(MIXED, 1, 5), params)
 
 
+@pytest.mark.parametrize("group", [1, 40, 10**9])
 @pytest.mark.parametrize("order", ["forward", "backward"])
-def test_the_lock_step_gives_each_point_its_own_outcome(order):
-    # the 8 centers are stacks of 8 rows, and each halving stacks 8 Hessians
-    # per pair: stacks under 40 rows, below which a stack once called the
-    # bundle per row
+def test_the_lock_step_gives_each_point_its_own_outcome(group, order):
+    # the 8 cases, six times over, are certified ``group`` pairs per lock
+    # step: the centers are stacks of 1 row, of 40 and 8 rows, or of all 48,
+    # and each halving stacks 8 Hessians per pair still without a ball, so
+    # stacks fall on both sides of 40 rows, below which a stack once called
+    # the bundle per row
     rf = _mixed_rf()
-    scenarios = list(MIXED_CASES) if order == "forward" else list(reversed(MIXED_CASES))
+    once = list(MIXED_CASES) if order == "forward" else list(reversed(MIXED_CASES))
+    scenarios = once * 6
     points = [(MIXED_CASES[s][1],) for s in scenarios]
-    got = [_outcome(o) for o in _certify(rf, scenarios, points)]
-    want = [outcome(reference_verify_local_min, rf, s, x) for s, x in zip(scenarios, points)]
-    assert got == want
-    by_scenario = dict(zip(scenarios, got))
+    got = []
+    for i in range(0, len(scenarios), group):
+        got += [_outcome(o) for o in _certify(rf, scenarios[i:i + group], points[i:i + group])]
+    want = [outcome(reference_verify_local_min, rf, s, x) for s, x in zip(once, points)]
+    assert got == want * 6
+    by_scenario = dict(zip(once, got))
     assert [by_scenario[s][0] for s in MIXED_CASES] == [case[2] for case in MIXED_CASES.values()]
     # the balls are certified at different halvings
     assert by_scenario[1][1] == _bits(1.0) and by_scenario[2][1] == _bits(0.25)
