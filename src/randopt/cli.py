@@ -14,13 +14,14 @@ import math
 import os
 import sys
 import tempfile
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import _jsonout
 from .document import ProblemDocument, load_problem, with_overrides
 from .errors import HypothesisViolation, RandoptError, SchemaError
 from .optimize import (
     GlobalMinResult,
+    StationarySearch,
     _newton_diagnostics,
     global_min_per_scenario,
     stationary_searches,
@@ -91,13 +92,26 @@ def _cert_json(cert: Certificate) -> dict:
     }
 
 
+def _shared(fn: Callable[[object], object], values: Mapping, keys: Iterable) -> dict:
+    """``{str(k): fn(values[k])}`` for each of ``keys``, with ``fn`` called
+    once per distinct object among the values: keys whose value is one
+    object share one fragment, which ``_jsonout.dumps`` renders once."""
+    fragments: dict[int, object] = {}
+    out = {}
+    for k in keys:
+        v = values[k]
+        if id(v) not in fragments:
+            fragments[id(v)] = fn(v)
+        out[str(k)] = fragments[id(v)]
+    return out
+
+
 def _selection_json(sel: Selection) -> dict:
+    scenarios = sel.space.scenarios
     return {
-        "points": {str(s): _point_json(sel.points[s]) for s in sel.space.scenarios},
+        "points": _shared(_point_json, sel.points, scenarios),
         "measurable": _verdict_json(sel.measurable),
-        "certificates": {
-            str(s): _cert_json(sel.certificates[s]) for s in sel.space.scenarios
-        },
+        "certificates": _shared(_cert_json, sel.certificates, scenarios),
     }
 
 
@@ -108,6 +122,10 @@ def _stationary_point_json(sp) -> dict:
     out["classification"] = sp.classification.value
     out["newton_iters"] = sp.newton_iters
     return out
+
+
+def _search_json(search: StationarySearch) -> list:
+    return [_stationary_point_json(sp) for sp in search.points]
 
 
 def _global_min_json(res: GlobalMinResult) -> dict:
@@ -157,10 +175,7 @@ def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
 
     scenarios = doc.space.scenarios
     searches = stationary_searches(doc.rf, scenarios, doc.search_box, doc.options)
-    per_scenario = {
-        str(omega): [_stationary_point_json(sp) for sp in search.points]
-        for omega, search in zip(scenarios, searches)
-    }
+    per_scenario = _shared(_search_json, dict(zip(scenarios, searches)), scenarios)
     return EXIT_OK, {"stationary_points": per_scenario}, dict(_newton_diagnostics(searches))
 
 
@@ -185,6 +200,7 @@ def _cmd_necessary(doc: ProblemDocument) -> tuple[int, dict, dict]:
 
 
 def _cmd_oracle(doc: ProblemDocument) -> tuple[int, dict, dict]:
+    scenarios = doc.space.scenarios
     if doc.feasible is not None:
         descs = doc.feasible.descriptions
     else:
@@ -193,17 +209,12 @@ def _cmd_oracle(doc: ProblemDocument) -> tuple[int, dict, dict]:
             "/feasible_set",
             "oracle needs a feasible_set or a search_box",
         )
-        descs = {s: doc.search_box for s in doc.space.scenarios}
+        descs = {s: doc.search_box for s in scenarios}
 
     results = global_min_per_scenario(doc.rf, descs, doc.options.grid_m)
-    eta = {}
-    per = {}
-    excluded = 0
-    for omega in doc.space.scenarios:
-        res = results[omega]
-        eta[str(omega)] = float(res.grid_value)
-        per[str(omega)] = _global_min_json(res)
-        excluded += res.excluded
+    eta = {str(omega): float(results[omega].grid_value) for omega in scenarios}
+    per = _shared(_global_min_json, results, scenarios)
+    excluded = sum(results[omega].excluded for omega in scenarios)
     return (
         EXIT_OK,
         {"eta": eta, "per_scenario": per},

@@ -816,18 +816,19 @@ def global_min_per_scenario(
 
     The result depends only on the scenario's parameter vector and set
     description, so one ``scan_min`` scans each distinct pair, at its first
-    scenario (``first_of_input``).  A failure is raised at the first
+    scenario (``first_of_input``), and every scenario of that pair gets the
+    same ``GlobalMinResult`` object.  A failure is raised at the first
     scenario in order that fails.
     """
     first = first_of_input(rf, descriptions)
     distinct = [omega for omega, f in first.items() if f == omega]
-    outcomes = dict(zip(distinct, scan_min(rf, [(o, descriptions[o]) for o in distinct], grid_m, 0.0)))
+    outcomes = scan_min(rf, [(o, descriptions[o]) for o in distinct], grid_m, 0.0)
     results = {}
-    for omega, f in first.items():
-        if isinstance(outcomes[f], Exception):
-            raise outcomes[f]
-        results[omega] = GlobalMinResult(*outcomes[f])
-    return results
+    for omega, outcome in zip(distinct, outcomes):
+        if isinstance(outcome, Exception):
+            raise outcome
+        results[omega] = GlobalMinResult(*outcome)
+    return {omega: results[f] for omega, f in first.items()}
 
 
 # --- the optimal-value random variable --------------------------------------------------

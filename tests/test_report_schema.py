@@ -1,7 +1,8 @@
 """Every report validates against ``report.schema.json``, which gives each
 command's ``results`` its own shape: a key that a command does not write
 fails validation instead of slipping through.  Every report also reads
-back with the types and bits of its numbers."""
+back with the types and bits of its numbers, and is written with the bytes
+of the stdlib encoder."""
 
 import copy
 import importlib.util
@@ -121,7 +122,8 @@ def _same(a, b) -> bool:
 
 
 def test_every_report_reads_back_with_its_float_bits(tmp_path, monkeypatch):
-    # -0.0 and integral floats must read back as floats, not as ints
+    # -0.0 and integral floats must read back as floats, not as ints; and
+    # the writer's bytes are the stdlib encoder's, on every real report
     reports = []
     dumps = _jsonout.dumps
     monkeypatch.setattr(_jsonout, "dumps", lambda obj: reports.append(obj) or dumps(obj))
@@ -136,7 +138,9 @@ def test_every_report_reads_back_with_its_float_bits(tmp_path, monkeypatch):
         run(job.command, load_problem(str(path)), str(out))
     assert len(reports) == len(documents) * len(COMMANDS) + len(BENCHMARK_JOBS)
     for report in reports:
-        assert _same(json.loads(dumps(report)), report), report["command"]
+        text = dumps(report)
+        assert text == json.dumps(report, indent=2, allow_nan=False) + "\n", report["command"]
+        assert _same(json.loads(text), report), report["command"]
 
 
 @settings(max_examples=300, deadline=None)
