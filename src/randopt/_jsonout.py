@@ -5,7 +5,9 @@ and a newline.  Every float is spelled with ``float.__repr__``, the
 shortest text that reads back as the same double, so ``json.loads``
 returns each float with its bits, the sign of -0.0 and the type of 1.0
 included.  NaN and infinities raise ValueError: a report holds only finite
-numbers.  Tuples are written as lists, and every key must be a str.
+numbers.  Tuples are written as lists, and every key must be a str.  A
+list of exact ints, such as a report header's scenario ids, is joined in
+one pass.
 
 A dict or list is rendered once per pair of its identity and its depth,
 and every later meeting of it at that depth reuses the text, so a fragment
@@ -61,7 +63,10 @@ def _container(o, newline: str, memo: dict) -> str:
     if isinstance(o, dict):
         items = [_string(k) + ": " + _write(v, inner, memo) for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    items = [_write(v, inner, memo) for v in o]
+    if type(o[0]) is int and set(map(type, o)) == {int}:
+        items = map(int.__repr__, o)
+    else:
+        items = [_write(v, inner, memo) for v in o]
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 

@@ -38,6 +38,7 @@ from .selection import (
     GlobalCert,
     NoPDStationaryPoint,
     NoStationaryPoints,
+    ScenarioConditions,
     Selection,
     check_necessary_conditions,
     solve_rlop,
@@ -136,6 +137,15 @@ def _global_min_json(res: GlobalMinResult) -> dict:
     }
 
 
+def _conditions_json(c: ScenarioConditions) -> dict:
+    return {
+        "grad_ok": c.grad_ok,
+        "psd_ok": c.psd_ok,
+        "grad_norm": float(c.grad_norm),
+        "classification": c.classification.value,
+    }
+
+
 # --- command implementations -----------------------------------------------------
 
 
@@ -182,17 +192,8 @@ def _cmd_stationary(doc: ProblemDocument) -> tuple[int, dict, dict]:
 def _cmd_necessary(doc: ProblemDocument) -> tuple[int, dict, dict]:
     _require(doc.candidate is not None, "/candidate", "necessary needs a candidate")
     report = check_necessary_conditions(doc.rf, doc.space, doc.candidate)
-    per = {}
-    for omega in doc.space.scenarios:
-        c = report.per_scenario[omega]
-        per[str(omega)] = {
-            "grad_ok": c.grad_ok,
-            "psd_ok": c.psd_ok,
-            "grad_norm": float(c.grad_norm),
-            "classification": c.classification.value,
-        }
     results = {
-        "per_scenario": per,
+        "per_scenario": _shared(_conditions_json, report.per_scenario, doc.space.scenarios),
         "candidate_measurable": _verdict_json(report.measurable),
         "all_ok": report.all_ok,
     }

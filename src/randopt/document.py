@@ -33,7 +33,15 @@ from .errors import (
 )
 from .optimize import SolverOptions
 from .probspace import ProbSpace, RandomVariableRn, Scenario, make_space
-from .randfunc import Box, LevelSet, PointCloud, RandomFunction, RandomSet, SetDescription
+from .randfunc import (
+    Box,
+    LevelSet,
+    PointCloud,
+    RandomFunction,
+    RandomSet,
+    SetDescription,
+    exact_key,
+)
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,12 @@ def _never(value: object) -> bool:
     return False
 
 
+def _either(first: _Check, second: _Check) -> _Check:
+    """The check of a union type: one ``or`` of two checks, with no
+    generator built per value."""
+    return lambda v: first(v) or second(v)
+
+
 def _json_equal(a: object, b: object) -> bool:
     """Draft 2020-12 equality with a scalar ``b``: 1 equals 1.0, but a bool
     equals only a bool."""
@@ -194,8 +208,7 @@ class _SchemaCompiler:
             names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
             if not names or any(name not in _TYPES for name in names):
                 raise ValueError(f"no compiled check for type {schema['type']!r}")
-            preds = tuple(_TYPES[name] for name in names)
-            checks.append(preds[0] if len(preds) == 1 else lambda v: any(p(v) for p in preds))
+            checks.append(functools.reduce(_either, (_TYPES[name] for name in names)))
             covered = covered or _SCALAR_TYPES.issuperset(names)
         for key in ("const", "enum"):
             if key not in schema:
@@ -318,20 +331,37 @@ def _with_options(opts: SolverOptions, raw: dict) -> SolverOptions:
 
 
 def _lookup_per_scenario(
-    mapping: dict, space: ProbSpace, pointer: str
+    mapping: dict, index: dict[str, Scenario], pointer: str
 ) -> dict[Scenario, object]:
-    """Resolve a JSON object keyed by str(scenario) against the space."""
-    by_key = {_scenario_key(s): s for s in space.scenarios}
+    """Resolve a JSON object keyed by str(scenario) against ``index``, each
+    of the space's scenarios under its key, in the space's order."""
     out = {}
     for key, value in mapping.items():
-        if key not in by_key:
+        if key not in index:
             raise SchemaError(_child(pointer, key), "unknown scenario id")
-        out[by_key[key]] = value
-    missing = [s for s in space.scenarios if s not in out]
-    if missing:
-        raise SchemaError(
-            pointer, f"missing entries for scenarios {[_scenario_key(s) for s in missing]}"
-        )
+        out[index[key]] = value
+    if len(out) < len(index):
+        missing = [key for key, s in index.items() if s not in out]
+        raise SchemaError(pointer, f"missing entries for scenarios {missing}")
+    return out
+
+
+def _shared_vectors(resolved: dict[Scenario, list]) -> dict[Scenario, tuple[float, ...]]:
+    """Each scenario's validated vector as a tuple of floats, with one
+    tuple per distinct bit pattern (``exact_key``): scenarios whose vectors
+    have the same bits hold one object, which every later step checks,
+    keys and compares once.  ``1`` and ``1.0`` share; ``0.0`` and ``-0.0``
+    do not.  The raw vector is keyed before a tuple is built, so a repeat
+    builds none: it holds finite ints and floats only, which ``exact_key``
+    packs as ``float()`` converts them."""
+    distinct: dict[bytes, tuple[float, ...]] = {}
+    out = {}
+    for s, vec in resolved.items():
+        key = exact_key(vec)
+        t = distinct.get(key)
+        if t is None:
+            t = distinct[key] = tuple(map(float, vec))
+        out[s] = t
     return out
 
 
@@ -354,7 +384,7 @@ def _reject_fields(fields: dict, allowed: tuple, pointer: str, message: str) -> 
 
 
 def _build_feasible(
-    raw: dict, space: ProbSpace, rf: RandomFunction, n: int, k: int
+    raw: dict, space: ProbSpace, index: dict[str, Scenario], rf: RandomFunction, n: int, k: int
 ) -> RandomSet:
     """The feasible map of ``raw``, the document's ``feasible_set``.
 
@@ -397,7 +427,7 @@ def _build_feasible(
             raw, ("kind", "per_scenario"), "/feasible_set", "not allowed beside 'per_scenario'"
         )
         pointer = "/feasible_set/per_scenario"
-        entries = _lookup_per_scenario(raw["per_scenario"], space, pointer)
+        entries = _lookup_per_scenario(raw["per_scenario"], index, pointer)
         sources = {s: (entries[s], _child(pointer, _scenario_key(s))) for s in space.scenarios}
         for fields, at in sources.values():
             _reject_fields(fields, used, at, unused)
@@ -434,13 +464,14 @@ def load_problem(path: str) -> ProblemDocument:
     except PartitionError as e:
         raise SchemaError(f"/space/{e.field}", str(e)) from None
 
+    index = {_scenario_key(s): s for s in space.scenarios}  # once per load
     n = _integer(raw["dimension"])
     raw_params = raw["objective"].get("parameters")
     if raw_params is None:
         params = {s: () for s in space.scenarios}
         k = 0
     else:
-        resolved = _lookup_per_scenario(raw_params, space, "/objective/parameters")
+        resolved = _lookup_per_scenario(raw_params, index, "/objective/parameters")
         lengths = {len(v) for v in resolved.values()}
         if len(lengths) != 1:
             raise SchemaError(
@@ -448,7 +479,7 @@ def load_problem(path: str) -> ProblemDocument:
                 f"parameter vectors have inconsistent lengths {sorted(lengths)}",
             )
         k = lengths.pop()
-        params = {s: tuple(float(v) for v in vec) for s, vec in resolved.items()}
+        params = _shared_vectors(resolved)
     # ParseError and DimensionError propagate
     body = exprlang.parse(raw["objective"]["expression"], n, k)
     rf = RandomFunction(space, n, body, params)
@@ -459,18 +490,16 @@ def load_problem(path: str) -> ProblemDocument:
 
     feasible = None
     if "feasible_set" in raw:
-        feasible = _build_feasible(raw["feasible_set"], space, rf, n, k)
+        feasible = _build_feasible(raw["feasible_set"], space, index, rf, n, k)
 
     candidate = None
     if "candidate" in raw:
-        resolved = _lookup_per_scenario(raw["candidate"], space, "/candidate")
+        resolved = _lookup_per_scenario(raw["candidate"], index, "/candidate")
         for s, vec in resolved.items():
             if len(vec) != n:
                 at = _child("/candidate", _scenario_key(s))
                 raise SchemaError(at, f"point must have length {n}")
-        candidate = RandomVariableRn(
-            space, {s: tuple(float(v) for v in vec) for s, vec in resolved.items()}
-        )
+        candidate = RandomVariableRn(space, _shared_vectors(resolved))
 
     opts = _with_options(SolverOptions(), raw.get("options", {}))
     return ProblemDocument(space, n, rf, feasible, search_box, candidate, opts)

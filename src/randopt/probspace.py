@@ -136,10 +136,12 @@ class RandomVariableRn:
         missing = [s for s in self.space.scenarios if s not in self.values]
         if missing:
             raise DomainMismatch(f"no value for scenarios {missing}")
-        dims = {len(v) for v in self.values.values()}
+        # a point that scenarios share is checked once, at its first holder
+        points = {id(p): p for p in self.values.values()}.values()
+        dims = {len(p) for p in points}
         if len(dims) != 1:
             raise DomainMismatch(f"inconsistent value dimensions {sorted(dims)}")
-        _require_finite((v for p in self.values.values() for v in p), DomainMismatch)
+        _require_finite((v for p in points for v in p), DomainMismatch)
 
 
 @dataclass(frozen=True)

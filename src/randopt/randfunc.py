@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, TypeVar, Union
@@ -164,17 +165,24 @@ SetDescription = Union[Box, PointCloud, LevelSet]
 def exact_key(values: Sequence[float]) -> bytes:
     """Bit-exact identity of a vector of numbers: its float64 bytes, as
     every evaluator reads each number as a float.  ``0.0`` and ``-0.0`` get
-    different keys, which ``==`` would merge."""
-    return np.asarray(values, dtype=float).tobytes()
+    different keys, which ``==`` would merge; ``1``, ``1.0`` and ``True``
+    get one.  ``struct`` packs the bytes that numpy's ``tobytes`` would
+    give, without building an array.  A number too large for a float
+    raises ``struct.error``, so callers key only what ``_require_finite``
+    has passed."""
+    return struct.pack(f"{len(values)}d", *values)
 
 
-def description_key(desc: SetDescription) -> tuple:
-    """Bit-exact identity of a Box, or of a PointCloud with its points in
-    listed order; any other description is keyed by object identity."""
+def description_key(desc: Union[SetDescription, Point]) -> tuple:
+    """Bit-exact identity of a Box, of a PointCloud with its points in
+    listed order, or of a point given as a tuple (a candidate's value); any
+    other description is keyed by object identity."""
     if isinstance(desc, Box):
         return (Box, exact_key(desc.lower + desc.upper))
     if isinstance(desc, PointCloud):
         return (PointCloud, desc.dim, exact_key([v for p in desc.points for v in p]))
+    if isinstance(desc, tuple):
+        return (tuple, exact_key(desc))
     return (type(desc), id(desc))
 
 
@@ -259,12 +267,16 @@ class RandomFunction:
         missing = [s for s in self.space.scenarios if s not in self.params]
         if missing:
             raise DomainMismatch(f"no parameters for scenarios {missing}")
+        checked: set[int] = set()  # a vector that scenarios share is checked once
         for s, p in self.params.items():
+            if id(p) in checked:
+                continue
             if len(p) != self.body.k:
                 raise DomainMismatch(
                     f"scenario {s!r} has {len(p)} parameters, body declares {self.body.k}"
                 )
             _require_finite(p, DomainMismatch)
+            checked.add(id(p))
 
     @cached_property
     def grad_exprs(self) -> tuple[Expression, ...]:
@@ -309,17 +321,32 @@ T = TypeVar("T")
 
 
 def first_of_input(
-    rf: RandomFunction, descriptions: Optional[Mapping[Scenario, SetDescription]] = None
+    rf: RandomFunction,
+    descriptions: Optional[Mapping[Scenario, Union[SetDescription, Point]]] = None,
 ) -> dict[Scenario, Scenario]:
     """Each scenario in the space's order, mapped to the first scenario
     with the same bit-exact parameter vector (``exact_key``) and, if
-    given, set description (``description_key``)."""
-    first: dict[tuple, Scenario] = {}
+    given, set description or point (``description_key``).
+
+    Inputs are keyed by identity first: an object that several scenarios
+    hold, as the loader gives every scenario whose vector has the same bits,
+    is keyed once.  Equal but distinct objects, as a library caller may
+    pass, still get one key by value."""
+    param_keys: dict[int, bytes] = {}  # id of a parameter vector -> its key
+    desc_keys: dict[int, tuple] = {}  # id of a description -> its key
+    first: dict[object, Scenario] = {}
     out: dict[Scenario, Scenario] = {}
     for omega in rf.space.scenarios:
-        key = exact_key(rf.params_of(omega))
+        params = rf.params_of(omega)
+        key = param_keys.get(id(params))
+        if key is None:
+            key = param_keys[id(params)] = exact_key(params)
         if descriptions is not None:
-            key = (key, description_key(descriptions[omega]))
+            desc = descriptions[omega]
+            dkey = desc_keys.get(id(desc))
+            if dkey is None:
+                dkey = desc_keys[id(desc)] = description_key(desc)
+            key = (key, dkey)
         out[omega] = first.setdefault(key, omega)
     return out
 

@@ -58,6 +58,7 @@ from .randfunc import (
     check_joint_measurability,
     default_probe_grid,
     eval_f,
+    first_of_input,
 )
 
 EQUATION_TOL = 1e-9
@@ -285,8 +286,14 @@ def check_necessary_conditions(
 ) -> NecessaryReport:
     """First- and second-order necessary conditions at xi, per scenario,
     from one gradient stack and one Hessian stack, classified in one call
-    (``optimize._classify_stack``); the first scenario where
-    either is undefined raises its gradient's error, else its Hessian's.
+    (``optimize._classify_stack``).
+
+    The conditions depend on a scenario only through its parameter vector
+    and its point, so the stacks hold one row per distinct pair, at its
+    first scenario (``first_of_input``), and every scenario of a pair gets
+    that pair's ``ScenarioConditions`` object.  A pair's first scenario
+    precedes its others, so the first scenario where either derivative is
+    undefined raises its gradient's error, else its Hessian's.
 
     The report also carries xi's measurability verdict: a stationary
     assignment that flips inside an atom passes both conditions yet is not
@@ -294,8 +301,10 @@ def check_necessary_conditions(
     """
     if xi.space != space or rf.space != space:
         raise DomainMismatch("function, candidate, and space must agree")
-    P = _params_rows(rf, space.scenarios, 1)
-    X = np.array([xi.values[omega] for omega in space.scenarios], dtype=float).reshape(len(P), rf.n)
+    first = first_of_input(rf, xi.values)
+    distinct = [omega for omega, f in first.items() if f == omega]
+    P = _params_rows(rf, distinct, 1)
+    X = np.array([xi.values[omega] for omega in distinct], dtype=float).reshape(len(P), rf.n)
     G, grad_ok = eval_rows(rf.grad_lowered, X, P)
     H, hess_ok = _hessians(rf, X, P)
     if not (grad_ok & hess_ok).all():  # the scalar calls raise at the first undefined row
@@ -303,14 +312,15 @@ def check_necessary_conditions(
         rf.grad_bundle(X[i].tolist(), P[i].tolist())
         rf.hess_bundle(X[i].tolist(), P[i].tolist())
     _, classify = _classify_stack(H)
-    per: dict[Scenario, ScenarioConditions] = {}
-    for j, (omega, g) in enumerate(zip(space.scenarios, G)):
+    rows: dict[Scenario, ScenarioConditions] = {}
+    for j, (omega, g) in enumerate(zip(distinct, G)):
         gn = sup_norm(g)
         cls = classify(j)
-        per[omega] = ScenarioConditions(
+        rows[omega] = ScenarioConditions(
             grad_ok=gn <= STATIONARITY_TOL,
             psd_ok=cls in _PSD,
             grad_norm=gn,
             classification=cls,
         )
+    per = {omega: rows[f] for omega, f in first.items()}
     return NecessaryReport(per, is_measurable_rv(space, xi, tol=0.0))

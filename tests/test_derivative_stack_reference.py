@@ -6,15 +6,17 @@ the previous convexity check of ``solve_rlop``, both verbatim.  They
 called the scalar ``gradient`` and ``hessian`` once per scenario or probe
 and classified each matrix alone (``classify_reference._classify``), and
 the first call that raised ended the loop.  Now ``necessary`` reads one
-gradient stack and one Hessian stack over all scenarios, and
-``solve_rlop`` one Hessian stack over the probes of every representative
-(``exprlang.eval_rows`` and ``optimize._hessians``); each classifies its
-stack in one call (``optimize._classify_stack``).  At every input they
-must give the same grad_norm bits and classification per scenario, raise
-the same class with the same message, and reach the same convex verdict
-per atom after classifying the same matrices, bit for bit, in the same
-order, sending to the eigenvalue sweep (``_jacobi``) the matrices the
-loop sent to it: the defined ones that fail Sylvester's test.
+gradient stack and one Hessian stack with a row per distinct (parameter
+vector, point) pair, and ``solve_rlop`` one Hessian stack over the probes
+of every representative (``exprlang.eval_rows`` and
+``optimize._hessians``); each classifies its stack in one call
+(``optimize._classify_stack``).  At every input they must give the same
+grad_norm bits and classification per scenario, raise the same class with
+the same message, and reach the same convex verdict per atom after
+classifying the same matrices, bit for bit, in the same order, sending to
+the eigenvalue sweep (``_jacobi``) the matrices the loop sent to it (for
+``necessary``, at the first scenario of each pair): the defined ones that
+fail Sylvester's test.
 """
 
 import struct
@@ -143,21 +145,64 @@ def necessary_outcome(check, rf, space, xi):
     return ("report", per, report.measurable)
 
 
+def first_of_each_pair(rf, space, xi):
+    """The first scenario of each distinct (parameter vector, point) pair,
+    by float64 bits, in the space's order."""
+    firsts = {}
+    for s in space.scenarios:
+        key = (np.asarray(rf.params[s], float).tobytes(), np.asarray(xi.values[s], float).tobytes())
+        firsts.setdefault(key, s)
+    return list(firsts.values())
+
+
+def sweeps(rf, space, xi):
+    """What ``check_necessary_conditions`` sent to the eigenvalue sweep, and
+    what the loop sent to it at the first scenario of each distinct pair,
+    in the loop's order."""
+    swept, looped = [], []
+    with mock.patch.object(optimize, "_jacobi", _recording(optimize._jacobi, swept)):
+        got = necessary_outcome(r.check_necessary_conditions, rf, space, xi)
+    at = []  # the scenario of each Hessian the loop classifies
+
+    def tagged(rf, omega, x, hessian=hessian):
+        at.append(omega)
+        return hessian(rf, omega, x)
+
+    def sweep(S):
+        looped.append((at[-1], S))
+        return optimize._jacobi(S)
+
+    with mock.patch.dict(globals(), hessian=tagged), \
+            mock.patch.object(classify_reference, "_jacobi", sweep):
+        assert got == necessary_outcome(reference_check_necessary_conditions, rf, space, xi)
+    firsts = set(first_of_each_pair(rf, space, xi))
+    return got, swept, [(S,) for omega, S in looped if omega in firsts], len(looped)
+
+
 # the stacks hold 1 to 5 scenarios, as small as the stacks that once
 # called the bundle per row
 @settings(max_examples=100, deadline=None)
 @given(necessary_problems())
 def test_necessary_matches_the_per_scenario_loop(problem):
-    rf, space, xi = problem
-    swept, expected_swept = [], []
-    with mock.patch.object(optimize, "_jacobi", _recording(optimize._jacobi, swept)):
-        got = necessary_outcome(r.check_necessary_conditions, rf, space, xi)
-    with mock.patch.object(classify_reference, "_jacobi", _recording(optimize._jacobi, expected_swept)):
-        assert got == necessary_outcome(reference_check_necessary_conditions, rf, space, xi)
-    # the stack sweeps the eigenvalues of the matrices, scaled or not, that
-    # the loop swept: the defined ones that fail Sylvester's test
+    got, swept, expected_swept, _ = sweeps(*problem)
+    # the stack holds one row per distinct (parameter vector, point) pair
+    # and sweeps the eigenvalues of the matrices, scaled or not, that the
+    # loop swept at each pair's first scenario: the defined ones that fail
+    # Sylvester's test
     if got[0] == "report":
         assert _matrices(swept) == _matrices(expected_swept)
+
+
+def test_a_repeated_pair_is_swept_once():
+    # both scenarios of one atom hold p = (0, 0) and x = (0,): the Hessian
+    # -4 fails Sylvester's test, and the loop swept it once per scenario
+    space = r.make_space([1, 2], [0.5, 0.5], [[1, 2]])
+    rf = r.RandomFunction(space, 1, r.parse("x1^4 - 2*x1^2", 1, 2), {1: (0.0, 0.0), 2: (0.0, 0.0)})
+    xi = r.RandomVariableRn(space, {1: (0.0,), 2: (0.0,)})
+    got, swept, expected_swept, looped = sweeps(rf, space, xi)
+    assert got[0] == "report" and [c for *_, c in got[1]] == [Definiteness.ND] * 2
+    assert (len(swept), looped) == (1, 2)
+    assert _matrices(swept) == _matrices(expected_swept)
 
 
 def test_the_first_scenario_in_order_raises_its_hessian_error():

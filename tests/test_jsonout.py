@@ -70,6 +70,28 @@ def test_the_writer_matches_the_stdlib(shared, other, key):
     assert _jsonout.dumps(shared) == reference(shared)
 
 
+# a list of exact ints, such as a report header's scenario ids, is written
+# in one join; a bool or an int subclass among them keeps the stdlib's spelling
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.integers(-(2**70), 2**70) | st.sampled_from([True, False, _Int(3), 1.0]),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_a_list_of_ints_is_written_as_the_stdlib_writes_it(ids):
+    obj = {"scenarios": ids, "nested": [ids, tuple(ids)]}
+    assert _jsonout.dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize(
+    "ids", [[1, 2, 3], [1, True], [True], [2, _Int(1)], [_Int(1), 2], [0, -(2**70)]]
+)
+def test_a_bool_or_an_int_subclass_in_a_list_of_ints(ids):
+    assert _jsonout.dumps(ids) == reference(ids)
+
+
 def test_empty_containers_and_a_tuple_are_written_as_the_stdlib_writes_them():
     point = (1.5, -0.0)
     obj = {"points": {"1": point, "2": point}, "empty": [{}, [], ()], "nested": [[point]]}

@@ -95,6 +95,14 @@ def test_rv_domain_mismatch():
         r.is_measurable_rv(space, xi)
 
 
+def test_each_distinct_point_is_checked():
+    # scenarios 2 and 3 hold one point, checked once
+    space = r.make_space([1, 2, 3], [0.25, 0.25, 0.5], [[1, 2, 3]])
+    for bad, message in (((float("nan"),), "number nan is not finite"), ((0.0, 1.0), "dimensions")):
+        with pytest.raises(DomainMismatch, match=message):
+            r.RandomVariableRn(space, {1: (0.0,), 2: bad, 3: bad})
+
+
 def test_rv_missing_value_rejected():
     space = r.make_space([1, 2], [0.5, 0.5], [[1, 2]])
     with pytest.raises(DomainMismatch):

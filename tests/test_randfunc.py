@@ -56,6 +56,13 @@ def test_eval_f_unknown_scenario(space3):
         r.eval_f(quartic(space3), 99, (0.0,))
 
 
+def test_each_distinct_parameter_vector_is_checked_at_its_first_scenario(space3):
+    # scenarios 2 and 3 hold one vector, which is checked once, at scenario 2
+    for bad, message in (((float("inf"),), "number inf is not finite"), ((), "scenario 2 has 0")):
+        with pytest.raises(DomainMismatch, match=message):
+            shifted_parabola(space3, {1: (2.0,), 2: bad, 3: bad})
+
+
 def test_gradient_examples(space3):
     rf = quartic(space3)
     assert r.gradient(rf, 1, (1.0,)).tolist() == [0.0]

@@ -235,6 +235,17 @@ def test_the_walk_accepts_exactly_what_the_reference_accepts(doc):
         (("objective", "parameters"), {"1": [1.0], "2": []}, True),
         (("candidate",), {"1": []}, False),
         (("extra",), 1, False),  # additionalProperties: false
+        # a scenario id and an atom member are an integer or a string
+        (("space", "scenarios"), [True], False),
+        (("space", "scenarios"), [1.5], False),
+        (("space", "scenarios"), ["a"], True),
+        (("space", "scenarios"), [10**400], False),
+        (("space", "scenarios"), [None], False),
+        (("space", "atoms"), [[True]], False),
+        (("space", "atoms"), [[1.5]], False),
+        (("space", "atoms"), [["a"]], True),
+        (("space", "atoms"), [[10**400]], False),
+        (("space", "atoms"), [[None]], False),
     ],
 )
 def test_draft_2020_12_rules(path, value, clean):
