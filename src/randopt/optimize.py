@@ -8,10 +8,12 @@ operations with the bits of each matrix taken alone, and only a matrix
 that fails the test is swept, when its class is asked for.  Stationary
 points come from damped Newton iterations started on a grid, once per
 distinct parameter vector, all starts in one lock-step stack with the
-bits of each start run alone; the searches of a stack read their
-gradients from it and the Hessians of every point they keep from one
-more.  A local minimum is certified on a ball where the Hessian stays
-positive definite, by sampling the objective in it; the points of every
+bits of each start run alone, and each step's line search in few stacks
+(lambda = 1 for every start, then the halvings of those it leaves
+together); the searches of a stack read their gradients from it and the
+Hessians of every point they keep from one more.  A local minimum is
+certified on a ball where the Hessian stays positive definite, by
+sampling the objective in it; the points of every
 atom are certified in lock step (``_certify``), so the centers'
 gradients, values and Hessians, each halving's Hessians, the samples and
 the descent hunts are each one stack of rows for all of them.  Every
@@ -64,6 +66,8 @@ from .randfunc import (
     RandomFunction,
     RandomSet,
     SetDescription,
+    column_all,
+    column_max,
     eval_f,
     eval_f_batch,
     exact_key,
@@ -213,7 +217,8 @@ def _thresholds(scale: np.ndarray, n: int) -> np.ndarray:
 
     The powers are Python's float powers (C's ``pow``): numpy's power
     differs from them in the last bit at some scales, and a minor within one
-    ulp of its threshold would then change class."""
+    ulp of its threshold would then change class.  ``_sylvester`` calls it
+    only for the rows that numpy's power leaves in doubt."""
     powers = [[_power(s, k) for k in range(1, n + 1)] for s in scale.tolist()]
     return DEFINITENESS_TOL_REL * np.array(powers).reshape(len(scale), n)
 
@@ -226,26 +231,56 @@ def _power(s: float, k: int) -> float:
         return math.inf
 
 
+# numpy's power is within a few ulps of Python's, so a minor farther than
+# this from numpy's threshold, relative to it, lies on the same side of both
+_SYLVESTER_MARGIN = 2.0 ** -40
+
+
+def _sylvester(minors: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Sylvester's test of each row of an (N, n) array of leading principal
+    minors, at the row's scale s: whether every minor k exceeds its
+    threshold tol * s ** k (``_thresholds``), with its bits.
+
+    The test is made with numpy's vectorized power.  A row where a minor
+    lies within ``_SYLVESTER_MARGIN`` of numpy's threshold, relative to it,
+    or where either is NaN, or where numpy's power is not below 2 ** 1023
+    (so that Python's may overflow), is tested again with ``_thresholds``.
+    Elsewhere the two thresholds differ by less than the margin, and tol
+    times a power rounds monotonically, so each minor is on the same side
+    of both."""
+    n = minors.shape[1]
+    powers = scale[:, None] ** np.arange(1.0, n + 1.0)
+    thresholds = DEFINITENESS_TOL_REL * powers
+    pd = column_all(minors > thresholds)
+    clear = (np.abs(minors - thresholds) > _SYLVESTER_MARGIN * thresholds) & (powers < 2.0 ** 1023)
+    doubt = np.flatnonzero(~column_all(clear))
+    if len(doubt):
+        pd[doubt] = column_all(minors[doubt] > _thresholds(scale[doubt], n))
+    return pd
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _classify_stack(S: np.ndarray) -> tuple[np.ndarray, Callable[[int], Definiteness]]:
     """The leading principal minors of an (N, n, n) stack of symmetric
     matrices (``_stack_minors``), and the function giving the class of its
     matrix j.
 
-    Minor k is compared against tol * (1 + |S|_inf)^k, tol = DEFINITENESS_TOL_REL
-    (``_thresholds``), as one array operation; a matrix passing every
-    comparison is PD.  The class of any other matrix is decided when it is
-    asked for, from its eigenvalues (``_eigen_class``).  Where a row sum
-    overflows, the class is that of S times an exact power of two that
-    brings every row sum below the largest double.  An undefined matrix
-    (NaN) is PSD_degenerate without an eigenvalue sweep: its norm, and so
-    every threshold and tolerance, is NaN, which fails every comparison.
+    Minor k is compared against tol * (1 + |S|_inf)^k, tol = DEFINITENESS_TOL_REL,
+    as array operations (``_sylvester``, with the bits of ``_thresholds``);
+    a matrix passing every comparison is PD.  The norm is a numpy sum over
+    each matrix row and a ``column_max`` over the rows.  The class of any
+    other matrix is decided when it is asked for, from its eigenvalues
+    (``_eigen_class``).  Where a row sum overflows, the class is that of S
+    times an exact power of two that brings every row sum below the
+    largest double.  An undefined matrix (NaN) is PSD_degenerate without
+    an eigenvalue sweep: its norm, and so every threshold and tolerance, is
+    NaN, which fails every comparison.
     """
     n = S.shape[1]
     minors = _stack_minors(S)
-    norm = np.abs(S).sum(axis=2).max(axis=1)
+    norm = column_max(np.abs(S).sum(axis=2))
     scale = 1.0 + norm
-    pd = (minors > _thresholds(scale, n)).all(axis=1)
+    pd = _sylvester(minors, scale)
 
     def classify(j: int) -> Definiteness:
         if pd[j]:
@@ -383,13 +418,13 @@ def _newton(
     the convergence tolerance as long as steps keep shrinking the
     gradient, so degenerate roots (vanishing Hessian) are driven to the
     numerical limit instead of stopping at a point whose Hessian still
-    looks definite.  A step tries lambda = 1, 1/2, 1/4, ... (2 tries
-    once |g| <= NEWTON_TOL, else 30) until the gradient's sup-norm
-    decreases; an undefined gradient counts as no decrease.  The
-    starts advance in lock step, so the sup-norms, the symmetrization,
-    the Newton solves and the derivatives are whole-stack operations
-    (``exprlang.eval_rows``, ``_solve_stack``), which give the bits of the
-    per-start ones.
+    looks definite.  A step takes the first of lambda = 1, 1/2, 1/4, ...
+    (2 tries once |g| <= NEWTON_TOL, else 30) at which the gradient's
+    sup-norm decreases; an undefined gradient counts as no decrease.  The
+    starts advance in lock step, so the sup-norms (``column_max``), the
+    symmetrization, the Newton solves, the derivatives and the line search
+    are whole-stack operations (``exprlang.eval_rows``, ``_solve_stack``,
+    ``_line_search``), which give the bits of the per-start ones.
     """
     X = np.array(X0, dtype=float)
     N, n = X.shape
@@ -398,15 +433,15 @@ def _newton(
     iters = np.zeros(N, dtype=int)
     active = np.flatnonzero(defined)
     for it in range(NEWTON_MAX_ITERS):
-        if not len(active):
-            break
-        gn = np.abs(G[active]).max(axis=1)
+        gn = column_max(np.abs(G[active]))
         stop = gn == 0.0
-        away = ~stop & (np.abs(X[active]).max(axis=1) > 1e8)
+        away = ~stop & (column_max(np.abs(X[active])) > 1e8)
         runaway[active[away]] = True
         stop |= away
         iters[active[stop]] = it
         active, gn = active[~stop], gn[~stop]
+        if not len(active):
+            break
 
         H, solvable = _hessians(rf, X[active], P[active])
         D = np.empty((len(active), n))
@@ -414,29 +449,71 @@ def _newton(
         D[regular], solvable[regular] = _solve_stack(H[regular], -G[active[regular]])
         singular[active[~solvable]] = True
 
-        # the line search, every pending start at the same lambda
-        attempts = np.where(gn <= NEWTON_TOL, 2, 30)
-        moved = np.zeros(len(active), dtype=bool)
-        lam = 1.0
-        for k in range(30):
-            trying = np.flatnonzero(solvable & ~moved & (k < attempts))
-            if not len(trying):
-                break
-            rows = active[trying]
-            Xn = X[rows] + lam * D[trying]
-            Gn, _ = eval_rows(rf.grad_lowered, Xn, P[rows])  # NaN rows: no decrease
-            better = np.abs(Gn).max(axis=1) < gn[trying]
-            won = rows[better]
-            X[won], G[won] = Xn[better], Gn[better]
-            moved[trying[better]] = True
-            lam /= 2.0
+        moved = _line_search(rf, X, G, P, active, D, gn, np.flatnonzero(solvable))
         iters[active[~moved]] = it
         active = active[moved]
     iters[active] = NEWTON_MAX_ITERS
 
-    converged = (np.abs(G).max(axis=1) <= NEWTON_TOL) & ~runaway
+    converged = (column_max(np.abs(G)) <= NEWTON_TOL) & ~runaway
     status = np.where(converged, "converged", np.where(singular, "singular", "stalled"))
     return X, G, iters, status
+
+
+def _line_search(
+    rf: RandomFunction,
+    X: np.ndarray,
+    G: np.ndarray,
+    P: np.ndarray,
+    active: np.ndarray,
+    D: np.ndarray,
+    gn: np.ndarray,
+    pending: np.ndarray,
+) -> np.ndarray:
+    """One backtracking step of ``_newton`` for the starts ``active[pending]``
+    (Nocedal and Wright, *Numerical Optimization*, 2nd ed., 2006, section
+    3.1): start ``active[a]`` has the direction ``D[a]`` and the gradient
+    sup-norm ``gn[a]``, and moves to ``X + 2**-k * D`` at the first k whose
+    gradient's sup-norm is below ``gn[a]``, within 2 tries if ``gn[a] <=
+    NEWTON_TOL``, else 30.  The rows of ``X`` and ``G`` of the starts that
+    move are updated; returns the mask over ``active`` of those that moved.
+
+    lambda = 1 is one stack for every start.  The starts that it leaves
+    take their remaining halvings in as few stacks as fit: each stack gives
+    every start still searching its next halvings, at least one each and
+    as many as keep the stack no larger than the lambda = 1 stack.  2**-k
+    is exact and ``eval_rows`` computes each row on its own, so a start
+    takes the step that it takes trying one lambda at a time, with the same
+    bits; the halvings tried past its first decrease are discarded."""
+    moved = np.zeros(len(active), dtype=bool)
+    if not len(pending):
+        return moved
+    rows = active[pending]
+    X0, D0, P0, g0 = X[rows], D[pending], P[rows], gn[pending]
+    Xn = X0 + D0  # 1.0 * D0 is D0
+    Gn, _ = eval_rows(rf.grad_lowered, Xn, P0)  # NaN rows: no decrease
+    better = column_max(np.abs(Gn)) < g0
+    X[rows[better]], G[rows[better]] = Xn[better], Gn[better]
+    done = better  # over pending: the starts that have moved
+
+    left = np.flatnonzero(~better)  # the starts of the tail, by position in pending
+    tries = np.where(g0[left] <= NEWTON_TOL, 2, 30)
+    tried = np.ones(len(left), dtype=int)
+    while len(left):
+        count = np.minimum(len(pending) // len(left), tries - tried)
+        owner = np.repeat(left, count)  # each row's start; a start's rows are consecutive
+        k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count - tried, count)
+        Xn = X0[owner] + np.ldexp(1.0, -k)[:, None] * D0[owner]
+        Gn, _ = eval_rows(rf.grad_lowered, Xn, P0[owner])
+        hit = np.flatnonzero(column_max(np.abs(Gn)) < g0[owner])
+        hit = hit[np.diff(owner[hit], prepend=-1) != 0]  # each start's first decrease
+        won = owner[hit]
+        X[rows[won]], G[rows[won]] = Xn[hit], Gn[hit]
+        done[won] = True
+        tried += count
+        searching = ~done[left] & (tried < tries)
+        left, tries, tried = left[searching], tries[searching], tried[searching]
+    moved[pending[done]] = True
+    return moved
 
 
 def _params_rows(rf: RandomFunction, scenarios: Sequence[Scenario], repeats: int) -> np.ndarray:
@@ -518,7 +595,7 @@ def _searches(
     parameter rows ``P``, classified in one call; a point with an undefined
     Hessian is skipped."""
     lower, upper = np.array(region.lower) - 1e-9, np.array(region.upper) + 1e-9
-    inside = (status == "converged") & ((lower <= X) & (X <= upper)).all(axis=1)
+    inside = (status == "converged") & column_all((lower <= X) & (X <= upper))
     rows = X.tolist()
     runs = range(0, len(X), m)
     kept: list[list[int]] = []

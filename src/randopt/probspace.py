@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from .errors import DomainMismatch, PartitionError, RandoptError, WeightSumError
@@ -60,6 +61,11 @@ class ProbSpace:
     scenarios: tuple[Scenario, ...]
     weights: tuple[float, ...]
     atoms: tuple[tuple[Scenario, ...], ...]
+
+    @cached_property
+    def scenario_set(self) -> frozenset:
+        """The scenarios as a set, built at its first use."""
+        return frozenset(self.scenarios)
 
 
 def _sorted_ids(items: Iterable, key=None) -> list:
@@ -122,6 +128,15 @@ def make_space(
     return ProbSpace(ids, w, tuple(atoms))
 
 
+def _require_entries(space: ProbSpace, mapping: Mapping, what: str) -> None:
+    """Raise DomainMismatch naming, in the space's order, every scenario of
+    ``space`` that ``mapping`` has no entry for.  The test is one set
+    comparison; the list is built only when it fails."""
+    if not mapping.keys() >= space.scenario_set:
+        missing = [s for s in space.scenarios if s not in mapping]
+        raise DomainMismatch(f"no {what} for scenarios {missing}")
+
+
 Point = tuple[float, ...]
 
 
@@ -133,9 +148,7 @@ class RandomVariableRn:
     values: Mapping[Scenario, Point]
 
     def __post_init__(self):
-        missing = [s for s in self.space.scenarios if s not in self.values]
-        if missing:
-            raise DomainMismatch(f"no value for scenarios {missing}")
+        _require_entries(self.space, self.values, "value")
         # a point that scenarios share is checked once, at its first holder
         points = {id(p): p for p in self.values.values()}.values()
         dims = {len(p) for p in points}

@@ -170,3 +170,74 @@ def test_each_threshold_has_the_bits_of_pythons_power():
             except OverflowError:
                 want.append(math.inf)
         assert got[:, k - 1].tobytes() == np.array(want).tobytes(), k
+
+
+# --- Sylvester's test with numpy's power ----------------------------------------------------
+#
+# ``_classify_stack``'s PD decision is ``_sylvester(minors, 1 + norm)``: numpy's
+# vectorized power, and Python's (``_thresholds``) for the rows it leaves in
+# doubt.  It must be the decision that Python's thresholds give, on minors a
+# few ulps either side of either threshold, where the two powers differ.
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _numpy_thresholds(scale, n):
+    return DEFINITENESS_TOL_REL * scale[:, None] ** np.arange(1.0, n + 1.0)
+
+
+def _scales_where_the_powers_differ():
+    """Scales at which numpy's power differs from Python's for some k <= 4,
+    from a fixed sample; none where numpy calls C's pow itself."""
+    rng = np.random.default_rng(33)
+    sample = np.concatenate([1.0 + 10.0 ** rng.uniform(-12.0, 12.0, 3000), 1.0 + rng.uniform(0.0, 4.0, 3000)])
+    differ = (_numpy_thresholds(sample, 4) != _thresholds(sample, 4)).any(axis=1)
+    return sample[differ].tolist()[:200]
+
+
+_DIFFERING = _scales_where_the_powers_differ()
+
+scales = st.one_of(
+    st.floats(-12.0, 12.0).map(lambda e: 1.0 + 10.0**e),
+    st.floats(1.0, 5.0),
+    st.sampled_from([1.0, 1e102, 1e154, 1e155, 5.64e102, 1e200, 1.7e308, math.inf, math.nan]),
+    *([st.sampled_from(_DIFFERING)] if _DIFFERING else []),
+)
+
+
+@st.composite
+def sylvester_rows(draw):
+    """(minors, scale): 1 to 8 rows of n = 1..4 minors, each minor within 8
+    ulps of numpy's threshold or of Python's, far above or below both, or
+    NaN; most rows put one minor near a threshold and the rest far above."""
+    n = draw(st.integers(1, 4))
+    scale = np.array(draw(st.lists(scales, min_size=1, max_size=8)))
+    mine, python = _numpy_thresholds(scale, n), _thresholds(scale, n)
+    minors = np.empty((len(scale), n))
+    for i in range(len(scale)):
+        near = draw(st.integers(0, n - 1))
+        for k in range(n):
+            how = draw(st.sampled_from(["numpy", "python", "far", "below", "nan"])) if k == near else "far"
+            if how in ("numpy", "python"):
+                m = (mine if how == "numpy" else python)[i, k]
+                steps = draw(st.integers(-8, 8))
+                for _ in range(abs(steps)):
+                    m = np.nextafter(m, math.copysign(math.inf, steps))
+            elif how == "far":
+                m = 2.0 * max(mine[i, k], python[i, k]) + 1.0
+            elif how == "below":
+                m = draw(st.sampled_from([-1.0, 0.0, -0.0, -math.inf]))
+            else:
+                m = math.nan
+            minors[i, k] = m
+    return minors, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(sylvester_rows())
+def test_sylvester_decides_as_pythons_thresholds(rows):
+    minors, scale = rows
+    n = minors.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (minors > _thresholds(scale, n)).all(axis=1)
+        got = optimize._sylvester(minors, scale)
+    assert got.tolist() == want.tolist()

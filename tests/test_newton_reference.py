@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
+from randopt import optimize
 from randopt.errors import EvalError
 from randopt.optimize import (
     DEDUP_RADIUS,
@@ -592,3 +593,132 @@ def test_points_count_within_1e9_of_the_region(step, inside):
         args = rf, box, np.array([[x]]), np.zeros((1, 1)), _params_rows(rf, [1], 1)
         (search,) = _searches(*args, np.array([1]), np.array(["converged"]), 1)
         assert [sp.x for sp in search.points] == ([(x,)] if inside else [])
+
+
+# --- the line search ---------------------------------------------------------------------
+#
+# ``_line_search`` tries lambda = 1 for every start in one stack, then the
+# halvings of the starts that it leaves, several per start and stack.  Newton
+# on the gradient e^x1 - 1 of f = exp(x1) - x1 from x1 = -t overshoots by
+# about e^t, so the first step of a start left of 0 needs about 1.44 t
+# halvings, and from t = 7 on the first halvings overflow exp: their
+# gradients are undefined.  A start right of 0 takes lambda = 1.
+
+_EXP = "exp(x1) - x1"
+
+
+def first_decrease(rf, omega, x0):
+    """The halving k at which the first Newton step from ``x0`` decreases
+    the gradient's sup-norm, by scalar calls (None if no k < 30 does), and
+    how many of the halvings before it are undefined."""
+    g = gradient(rf, omega, x0)
+    d = np.linalg.solve(hessian(rf, omega, x0), -g)
+    undefined = 0
+    for k in range(30):
+        try:
+            if sup_norm(gradient(rf, omega, x0 + 2.0**-k * d)) < sup_norm(g):
+                return k, undefined
+        except EvalError:
+            undefined += 1
+    return None, undefined
+
+
+def _gradient_stacks(monkeypatch, rf):
+    """Record the gradient stacks of ``_newton``, one list per step (a step
+    begins with its Hessian stack): each stack's rows and defined mask."""
+    steps = [[]]
+    evaluate = optimize.eval_rows
+
+    def recording(c, X, P):
+        out, ok = evaluate(c, X, P)
+        if c is rf.hess_lowered:
+            steps.append([])
+        elif c is rf.grad_lowered:
+            steps[-1].append(ok.copy())
+        return out, ok
+
+    monkeypatch.setattr(optimize, "eval_rows", recording)
+    return steps
+
+
+def test_starts_that_need_each_number_of_halvings():
+    # one stack of starts whose first steps need every k from 0 to 29,
+    # next to starts that take lambda = 1 and starts that need more than 29
+    rf = _rf(_EXP, 1)
+    starts = np.concatenate([-np.arange(0.25, 24.5, 0.25), np.arange(0.25, 2.0, 0.25)])[:, None]
+    needed = [first_decrease(rf, 1, x0)[0] for x0 in starts]
+    assert set(range(30)) <= set(needed) and None in needed
+    assert_same_runs(rf, 1, starts)
+
+
+def test_starts_at_or_below_the_tolerance_get_two_tries():
+    # scaled by 1e-12, every gradient from x1 = -25 to 2 is at most about
+    # 6.4e-12 <= NEWTON_TOL: a start that needs 2 or more halvings stops
+    rf = _rf(f"1e-12*({_EXP})", 1)
+    starts = np.concatenate([-np.arange(0.25, 24.5, 0.25), np.arange(0.25, 2.0, 0.25)])[:, None]
+    assert np.all(np.abs(newton_of(rf, [1], starts)[1]) <= NEWTON_TOL)
+    needed = [first_decrease(rf, 1, x0)[0] for x0 in starts]
+    assert {0, 1, 2, 29} <= set(needed)
+    X, G, iters, status = newton_of(rf, [1], starts)
+    assert_same_runs(rf, 1, starts)
+    # a start that needs 2 halvings or more does not move at all
+    stopped = [i for i, k in enumerate(needed) if k is None or k >= 2]
+    assert all(iters[i] == 0 and X[i].tobytes() == starts[i].tobytes() for i in stopped)
+
+
+def test_undefined_gradients_inside_the_tail(monkeypatch):
+    rf = _rf(_EXP, 1)
+    starts = np.array([[-20.0], [-12.0], [-3.0], [0.5], [1.0]])
+    assert [first_decrease(rf, 1, x0) for x0 in starts[:3]] == [(25, 20), (14, 8), (3, 0)]
+    steps = _gradient_stacks(monkeypatch, rf)
+    assert_same_runs(rf, 1, starts)
+    first_tail = steps[1][1:]
+    assert first_tail and not all(ok.all() for ok in first_tail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-24.0, 2.0), min_size=1, max_size=12), st.sampled_from([1.0, 1e-12]))
+def test_generated_starts_match_the_sequential_newton(xs, scale):
+    # any mix of starts, each with its own number of halvings, and the two
+    # tries of a gradient at or below the tolerance
+    rf = _rf(f"{scale!r}*({_EXP})", 1)
+    assert_same_runs(rf, 1, np.array(xs)[:, None])
+
+
+def test_a_tail_split_over_several_stacks(monkeypatch):
+    # every start fails at lambda = 1, so the first tail stacks give each one
+    # halving; as starts move, the others get more halvings per stack
+    rf = _rf(_EXP, 1)
+    starts = np.array([[-20.0], [-14.0], [-8.0], [-4.0]])
+    steps = _gradient_stacks(monkeypatch, rf)
+    assert_same_runs(rf, 1, starts)
+    sizes = [len(ok) for ok in steps[1]]
+    assert sizes[0] == 4 and len(sizes) > 2
+    assert all(size <= 4 for size in sizes)
+
+
+def test_a_step_where_every_start_takes_lambda_one(monkeypatch):
+    # Newton on x1^2 + x2^2 lands on 0 in one step from every start (none
+    # of the grid's nodes is 0), and there the gradient is 0
+    rf = _rf("x1^2 + x2^2", 2)
+    starts = grid_points(r.Box((-1.0, -2.0), (3.0, 2.0)), 4)
+    steps = _gradient_stacks(monkeypatch, rf)
+    assert set(assert_same_runs(rf, 1, starts)) == {"converged"}
+    assert [[len(ok) for ok in step] for step in steps] == [[16], [16]]
+
+
+def test_one_lambda_one_stack_per_step_and_no_larger_tail(monkeypatch):
+    # 40 starts right of 0 take lambda = 1; -5, -10 and -20 need 5, 12 and
+    # 25 halvings at their first step.  The first tail stack gives each of
+    # the 3 starts 43 // 3 = 14 halvings (42 rows) and moves -5 and -10;
+    # the next gives -20 its remaining 15.  One stack per halving would
+    # have made 25 tail stacks.
+    rf = _rf(_EXP, 1)
+    starts = np.concatenate([[[-5.0], [-10.0], [-20.0]], np.linspace(0.05, 2.0, 40)[:, None]])
+    assert [first_decrease(rf, 1, x0)[0] for x0 in starts[:3]] == [5, 12, 25]
+    steps = _gradient_stacks(monkeypatch, rf)
+    assert_same_runs(rf, 1, starts)
+    assert [len(ok) for ok in steps[0]] == [43]  # the gradients at the starts
+    assert [len(ok) for ok in steps[1]] == [43, 42, 15]
+    for step in steps[1:]:
+        assert all(len(ok) <= len(step[0]) for ok in step[1:])

@@ -109,6 +109,14 @@ def test_rv_missing_value_rejected():
         r.RandomVariableRn(space, {1: (0.0,)})
 
 
+def test_rv_missing_values_are_named_in_the_spaces_order():
+    # an entry for a scenario outside the space does not stand in for one
+    space = r.make_space([3, 1, 2, 4], [0.25] * 4, [[1, 2, 3, 4]])
+    with pytest.raises(DomainMismatch) as err:
+        r.RandomVariableRn(space, {2: (0.0,), 9: (0.0,), 5: (0.0,)})
+    assert str(err.value) == "no value for scenarios [3, 1, 4]"
+
+
 def _random_space_and_rv(rng, n_scen=5):
     ids = list(range(1, n_scen + 1))
     weights = [1.0 / n_scen] * n_scen

@@ -63,6 +63,34 @@ def test_each_distinct_parameter_vector_is_checked_at_its_first_scenario(space3)
             shifted_parabola(space3, {1: (2.0,), 2: bad, 3: bad})
 
 
+def test_missing_parameters_are_named_in_the_spaces_order():
+    # an entry for a scenario outside the space does not stand in for one
+    space = r.make_space([3, 1, 2, 4], [0.25] * 4, [[1, 2, 3, 4]])
+    with pytest.raises(DomainMismatch) as err:
+        shifted_parabola(space, {2: (0.0,), 9: (0.0,), 5: (0.0,)})
+    assert str(err.value) == "no parameters for scenarios [3, 1, 4]"
+
+
+def test_missing_set_descriptions_are_named_in_the_spaces_order():
+    space = r.make_space([3, 1, 2, 4], [0.25] * 4, [[1, 2, 3, 4]])
+    box = r.Box((0.0,), (1.0,))
+    with pytest.raises(DomainMismatch) as err:
+        r.RandomSet(space, {2: box, 9: box, 5: box})
+    assert str(err.value) == "no set description for scenarios [3, 1, 4]"
+
+
+def test_a_shared_set_description_is_read_once(space3, monkeypatch):
+    # scenarios 1 and 3 hold one box, scenario 2 an equal one of its own
+    reads = []
+    dim = r.Box.dim
+    monkeypatch.setattr(r.Box, "dim", property(lambda b: reads.append(b) or dim.fget(b)))
+    shared, own = r.Box((0.0,), (1.0,)), r.Box((0.0,), (1.0,))
+    r.RandomSet(space3, {1: shared, 2: own, 3: shared})
+    assert [id(b) for b in reads] == [id(shared), id(own)]
+    with pytest.raises(IncompatibleRepresentation, match=r"mix dimensions \[1, 2\]"):
+        r.RandomSet(space3, {1: shared, 2: r.Box((0.0, 0.0), (1.0, 1.0)), 3: shared})
+
+
 def test_gradient_examples(space3):
     rf = quartic(space3)
     assert r.gradient(rf, 1, (1.0,)).tolist() == [0.0]
