@@ -39,14 +39,16 @@ only a scalar call renders: ``Expression.compiled`` renders
 ``_Compiler.run_rows`` runs the steps on rows given as one column per
 variable and one per parameter (of one element or one per row), with
 numpy's array kernels: a failing check clears its rows in a mask, leaves
-are one-element arrays that broadcast, and each value is freed after its
-last use.  It skips the finite check of a value that only ``+ - *`` steps
-read (``covered``): those steps give a non-finite operand a non-finite
-value, which their own checks catch.  ``eval_batch`` runs it on the
-columns of an array, ``eval_rows`` on rows of inputs and parameters, and
-``eval_grid`` on the axes of a grid, or of a stack of equal-shaped grids
-each with its own parameters, each axis shaped to broadcast along its own
-dimension, with the mask in the grid's (or stack's) shape.
+are one-element arrays that broadcast (a constant's built once per
+lowering and read-only, so each evaluator copies its results out), and
+each value is freed after its last use.  It skips the finite check of a
+value that only ``+ - *`` steps read (``covered``): those steps give a
+non-finite operand a non-finite value, which their own checks catch.
+``eval_batch`` runs it on the columns of an array, ``eval_rows`` on rows
+of inputs and parameters, and ``eval_grid`` on the axes of a grid, or of
+a stack of equal-shaped grids each with its own parameters, each axis
+shaped to broadcast along its own dimension, with the mask in the grid's
+(or stack's) shape.
 
 ``_Compiler.run_bounds`` runs the same steps on intervals, one row per
 box of inputs, and ``eval_bounds`` returns per box a lower bound on the
@@ -617,11 +619,13 @@ class _Compiler:
         ``P[j]`` that of parameter j (one element, or one per row), with
         numpy's array kernels; a failed check clears its rows in ``valid``.
         Returns the values of the results, each of one element or one per
-        row.  Constants are one-element arrays of the dtype ``np.full``
-        gives them.  Columns only need to broadcast with ``valid``, so a
-        grid's axes can stand for its rows (``eval_grid``).  The checks in
-        ``covered`` are skipped: a later check clears the same rows."""
-        env = {name: np.full(1, value) for name, value in self.constants.items()}
+        row.  Constants are the read-only arrays of ``constant_rows``,
+        shared by every run, so a result may be one of them: each caller
+        copies the results out.  Columns only need to broadcast with
+        ``valid``, so a grid's axes can stand for its rows (``eval_grid``).
+        The checks in ``covered`` are skipped: a later check clears the same
+        rows."""
+        env = dict(self.constant_rows)
         for i, ((op, t, args, extra), dead) in enumerate(zip(self.steps, self.dead)):
             if op == "finite":
                 if i not in self.covered:
@@ -648,6 +652,16 @@ class _Compiler:
             for name in dead:
                 del env[name]
         return [env[name] for name in self.results]
+
+    @cached_property
+    def constant_rows(self) -> dict[str, np.ndarray]:
+        """Each constant as a one-element array of the dtype ``np.full``
+        gives it, built once and read-only; every run starts from them."""
+        rows = {}
+        for name, value in self.constants.items():
+            rows[name] = np.full(1, value)
+            rows[name].flags.writeable = False
+        return rows
 
     @cached_property
     def bounded(self) -> bool:
@@ -680,8 +694,9 @@ class _Compiler:
         zero check where the interval excludes 0.  The checks in ``covered``
         are skipped, as in ``run_rows``: an operand of ``+ - *`` with an
         end that is not finite gives an end that is not finite, which a
-        later check sees.  Each end is freed after its last use."""
-        lo = {name: np.full(1, value) for name, value in self.constants.items()}
+        later check sees.  Each end is freed after its last use.  A
+        constant's two ends are its array of ``constant_rows``."""
+        lo = dict(self.constant_rows)
         hi = dict(lo)
         for i, ((op, t, args, extra), dead) in enumerate(zip(self.steps, self.dead)):
             if op == "finite":
@@ -880,7 +895,8 @@ def eval_rows(c: _Compiler, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, n
     out = np.empty((len(X), len(results)))
     for j, values in enumerate(results):
         out[:, j] = values
-    out[~valid] = np.nan
+    if not valid.all():
+        out[~valid] = np.nan
     return out, valid
 
 

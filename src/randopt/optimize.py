@@ -10,7 +10,9 @@ points come from damped Newton iterations started on a grid, once per
 distinct parameter vector, all starts in one lock-step stack with the
 bits of each start run alone, and each step's line search in few stacks
 (lambda = 1 for every start, then the halvings of those it leaves
-together); the searches of a stack read their gradients from it and the
+together); the starts still iterating are compact arrays of their own,
+a start is written back when it leaves, and the loop ends when none is
+left.  The searches of a stack read their gradients from it and the
 Hessians of every point they keep from one more.  A local minimum is
 certified on a ball where the Hessian stays positive definite, by
 sampling the objective in it; the points of every
@@ -425,34 +427,57 @@ def _newton(
     symmetrization, the Newton solves, the derivatives and the line search
     are whole-stack operations (``exprlang.eval_rows``, ``_solve_stack``,
     ``_line_search``), which give the bits of the per-start ones.
-    """
+
+    The active starts' points, gradients and parameters are compact
+    arrays of their own; a start's row goes back to X and G only when it
+    leaves (at gradient 0, as a runaway, at a singular Hessian or when it
+    does not move), and the loop stops as soon as none is left.  A step
+    where every start stays gathers and scatters nothing."""
     X = np.array(X0, dtype=float)
-    N, n = X.shape
+    N = len(X)
     G, defined = eval_rows(rf.grad_lowered, X, P)  # NaN rows never converge
     singular, runaway = ~defined, np.zeros(N, dtype=bool)
     iters = np.zeros(N, dtype=int)
-    active = np.flatnonzero(defined)
+    rows = np.flatnonzero(defined)  # the active starts' rows of X
+    x, g, p = X[rows], G[rows], P[rows]
+
+    def leave(gone: np.ndarray, it: int, *more: np.ndarray) -> list[np.ndarray]:
+        """Write the starts ``gone`` (a mask over the active ones) back, as
+        stopped at step ``it``; returns rows, x, g and ``more`` without them."""
+        at = rows[gone]
+        X[at], G[at], iters[at] = x[gone], g[gone], it
+        stay = ~gone
+        return [a[stay] for a in (rows, x, g, *more)]
+
     for it in range(NEWTON_MAX_ITERS):
-        gn = column_max(np.abs(G[active]))
+        gn = column_max(np.abs(g))
         stop = gn == 0.0
-        away = ~stop & (column_max(np.abs(X[active])) > 1e8)
-        runaway[active[away]] = True
-        stop |= away
-        iters[active[stop]] = it
-        active, gn = active[~stop], gn[~stop]
-        if not len(active):
-            break
+        away = ~stop & (column_max(np.abs(x)) > 1e8)
+        if stop.any() or away.any():
+            runaway[rows[away]] = True
+            rows, x, g, p, gn = leave(stop | away, it, p, gn)
+            if not len(rows):
+                break
 
-        H, solvable = _hessians(rf, X[active], P[active])
-        D = np.empty((len(active), n))
-        regular = np.flatnonzero(solvable)
-        D[regular], solvable[regular] = _solve_stack(H[regular], -G[active[regular]])
-        singular[active[~solvable]] = True
+        H, solvable = _hessians(rf, x, p)
+        if solvable.all():
+            D, solvable = _solve_stack(H, -g)
+        else:
+            D = np.empty_like(x)
+            regular = np.flatnonzero(solvable)
+            D[regular], solvable[regular] = _solve_stack(H[regular], -g[regular])
+        if not solvable.all():
+            singular[rows[~solvable]] = True
+            rows, x, g, p, gn, D = leave(~solvable, it, p, gn, D)
+            if not len(rows):
+                break
 
-        moved = _line_search(rf, X, G, P, active, D, gn, np.flatnonzero(solvable))
-        iters[active[~moved]] = it
-        active = active[moved]
-    iters[active] = NEWTON_MAX_ITERS
+        x, g, moved = _line_search(rf, x, g, p, D, gn)
+        if not moved.all():
+            rows, x, g, p = leave(~moved, it, p)
+            if not len(rows):
+                break
+    X[rows], G[rows], iters[rows] = x, g, NEWTON_MAX_ITERS
 
     converged = (column_max(np.abs(G)) <= NEWTON_TOL) & ~runaway
     status = np.where(converged, "converged", np.where(singular, "singular", "stalled"))
@@ -464,56 +489,51 @@ def _line_search(
     X: np.ndarray,
     G: np.ndarray,
     P: np.ndarray,
-    active: np.ndarray,
     D: np.ndarray,
     gn: np.ndarray,
-    pending: np.ndarray,
-) -> np.ndarray:
-    """One backtracking step of ``_newton`` for the starts ``active[pending]``
-    (Nocedal and Wright, *Numerical Optimization*, 2nd ed., 2006, section
-    3.1): start ``active[a]`` has the direction ``D[a]`` and the gradient
-    sup-norm ``gn[a]``, and moves to ``X + 2**-k * D`` at the first k whose
-    gradient's sup-norm is below ``gn[a]``, within 2 tries if ``gn[a] <=
-    NEWTON_TOL``, else 30.  The rows of ``X`` and ``G`` of the starts that
-    move are updated; returns the mask over ``active`` of those that moved.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One backtracking step of ``_newton`` for the starts in the rows of
+    ``X`` (Nocedal and Wright, *Numerical Optimization*, 2nd ed., 2006,
+    section 3.1): start a has the gradient ``G[a]``, its sup-norm
+    ``gn[a]``, the parameters ``P[a]`` and the direction ``D[a]``, and
+    moves to ``X[a] + 2**-k * D[a]`` at the first k whose gradient's
+    sup-norm is below ``gn[a]``, within 2 tries if ``gn[a] <= NEWTON_TOL``,
+    else 30.  Returns the points and gradients after the step (a start that
+    does not move keeps its rows of ``X`` and ``G``), and the mask of the
+    starts that moved.
 
-    lambda = 1 is one stack for every start.  The starts that it leaves
-    take their remaining halvings in as few stacks as fit: each stack gives
-    every start still searching its next halvings, at least one each and
-    as many as keep the stack no larger than the lambda = 1 stack.  2**-k
-    is exact and ``eval_rows`` computes each row on its own, so a start
-    takes the step that it takes trying one lambda at a time, with the same
-    bits; the halvings tried past its first decrease are discarded."""
-    moved = np.zeros(len(active), dtype=bool)
-    if not len(pending):
-        return moved
-    rows = active[pending]
-    X0, D0, P0, g0 = X[rows], D[pending], P[rows], gn[pending]
-    Xn = X0 + D0  # 1.0 * D0 is D0
-    Gn, _ = eval_rows(rf.grad_lowered, Xn, P0)  # NaN rows: no decrease
-    better = column_max(np.abs(Gn)) < g0
-    X[rows[better]], G[rows[better]] = Xn[better], Gn[better]
-    done = better  # over pending: the starts that have moved
-
-    left = np.flatnonzero(~better)  # the starts of the tail, by position in pending
-    tries = np.where(g0[left] <= NEWTON_TOL, 2, 30)
+    lambda = 1 is one stack for every start, and when every start moves
+    the search ends there.  The starts that it leaves take their remaining
+    halvings in as few stacks as fit: each stack gives every start still
+    searching its next halvings, at least one each and as many as keep the
+    stack no larger than the lambda = 1 stack.  2**-k is exact and
+    ``eval_rows`` computes each row on its own, so a start takes the step
+    that it takes trying one lambda at a time, with the same bits; the
+    halvings tried past its first decrease are discarded."""
+    Xn = X + D  # 1.0 * D is D
+    Gn, _ = eval_rows(rf.grad_lowered, Xn, P)  # NaN rows: no decrease
+    moved = column_max(np.abs(Gn)) < gn
+    if moved.all():
+        return Xn, Gn, moved
+    left = np.flatnonzero(~moved)  # the starts of the tail
+    Xn[left], Gn[left] = X[left], G[left]
+    tries = np.where(gn[left] <= NEWTON_TOL, 2, 30)
     tried = np.ones(len(left), dtype=int)
     while len(left):
-        count = np.minimum(len(pending) // len(left), tries - tried)
+        count = np.minimum(len(X) // len(left), tries - tried)
         owner = np.repeat(left, count)  # each row's start; a start's rows are consecutive
         k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count - tried, count)
-        Xn = X0[owner] + np.ldexp(1.0, -k)[:, None] * D0[owner]
-        Gn, _ = eval_rows(rf.grad_lowered, Xn, P0[owner])
-        hit = np.flatnonzero(column_max(np.abs(Gn)) < g0[owner])
+        Xt = X[owner] + np.ldexp(1.0, -k)[:, None] * D[owner]
+        Gt, _ = eval_rows(rf.grad_lowered, Xt, P[owner])
+        hit = np.flatnonzero(column_max(np.abs(Gt)) < gn[owner])
         hit = hit[np.diff(owner[hit], prepend=-1) != 0]  # each start's first decrease
         won = owner[hit]
-        X[rows[won]], G[rows[won]] = Xn[hit], Gn[hit]
-        done[won] = True
+        Xn[won], Gn[won] = Xt[hit], Gt[hit]
+        moved[won] = True
         tried += count
-        searching = ~done[left] & (tried < tries)
+        searching = ~moved[left] & (tried < tries)
         left, tries, tried = left[searching], tries[searching], tried[searching]
-    moved[pending[done]] = True
-    return moved
+    return Xn, Gn, moved
 
 
 def _params_rows(rf: RandomFunction, scenarios: Sequence[Scenario], repeats: int) -> np.ndarray:

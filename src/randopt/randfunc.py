@@ -510,7 +510,10 @@ PROBE_EXTRA = 32  # low-discrepancy points of a probe grid
 def default_probe_grid(box: Box) -> list[Point]:
     """Corners and center of ``box`` plus ``PROBE_EXTRA`` low-discrepancy
     points; on an axis whose span passes the largest double, the points of
-    the halved bounds doubled."""
+    the halved bounds doubled.  The low-discrepancy points are one array
+    expression on the whole Halton table: each element takes the same
+    correctly rounded operations, so its bits do not depend on the table's
+    size or numpy's SIMD loop."""
     if box.dim > len(_PRIMES):
         raise RandoptError(
             f"probe grid supports up to {len(_PRIMES)} dimensions, got {box.dim}"
@@ -520,6 +523,6 @@ def default_probe_grid(box: Box) -> list[Point]:
     scale = np.array([2.0 if math.isinf(hi - lo) else 1.0 for lo, hi in zip(box.lower, box.upper)])
     lo = np.array(box.lower) / scale
     hi = np.array(box.upper) / scale
-    for row in halton_points(PROBE_EXTRA, box.dim):
-        pts.append(tuple(float(v) for v in scale * (lo + row * (hi - lo))))
+    table = halton_points(PROBE_EXTRA, box.dim)
+    pts.extend(map(tuple, (scale * (lo + table * (hi - lo))).tolist()))
     return pts

@@ -1,9 +1,12 @@
 """Lock-step multistart Newton against the per-start loop it replaced.
 
-``_newton_from`` below is the previous sequential Newton, verbatim except
-for one fix: a start that takes all ``NEWTON_MAX_ITERS`` steps reports
+``_newton_stop`` below is the previous sequential Newton, verbatim except
+for two changes: a start that takes all ``NEWTON_MAX_ITERS`` steps reports
 that many (the ``else`` clause of its loop), where it used to report one
-less.  ``reference_find_stationary_points`` is the previous multistart
+less, and it returns where every start stops, its point and gradient
+(None where the gradient at the start is undefined).  ``_newton_from``
+returns what the previous Newton returned: the point only where the start
+converged.  ``reference_find_stationary_points`` is the previous multistart
 loop around it.  ``optimize._newton`` advances a stack of starts
 together, of one scenario or of several, each with its own parameter
 row, with whole-stack derivatives, sup-norms, symmetrization and solves.
@@ -56,7 +59,14 @@ from numeric_helpers import box_contains, polish_point
 
 
 def _newton_from(rf, omega, x0):
-    """Damped Newton on the gradient; returns (point or None, iters, status).
+    """Damped Newton on the gradient; returns (point or None, iters, status)."""
+    x, _, it, status = _newton_stop(rf, omega, x0)
+    return (x if status == "converged" else None), it, status
+
+
+def _newton_stop(rf, omega, x0):
+    """Damped Newton on the gradient; returns (point, gradient, iters, status)
+    where the start stops.
 
     Iteration continues past the convergence tolerance as long as steps
     keep shrinking the gradient, so degenerate roots (vanishing Hessian)
@@ -67,7 +77,7 @@ def _newton_from(rf, omega, x0):
     try:
         g = gradient(rf, omega, x)
     except EvalError:
-        return None, 0, "singular"
+        return x, None, 0, "singular"
     reason = "limit"
     it = 0
     for it in range(NEWTON_MAX_ITERS):
@@ -105,10 +115,10 @@ def _newton_from(rf, omega, x0):
         it = NEWTON_MAX_ITERS
     gn = sup_norm(g)
     if gn <= NEWTON_TOL and reason != "runaway":
-        return x, it, "converged"
+        return x, g, it, "converged"
     if reason == "singular":
-        return None, it, "singular"
-    return None, it, "stalled"
+        return x, g, it, "singular"
+    return x, g, it, "stalled"
 
 
 def reference_find_stationary_points(rf, omega, region, opts=SolverOptions()):
@@ -722,3 +732,88 @@ def test_one_lambda_one_stack_per_step_and_no_larger_tail(monkeypatch):
     assert [len(ok) for ok in steps[1]] == [43, 42, 15]
     for step in steps[1:]:
         assert all(len(ok) <= len(step[0]) for ok in step[1:])
+
+
+# --- the compact active set ------------------------------------------------------------
+#
+# ``_newton`` keeps the active starts' rows in arrays of their own and
+# writes a start back only when it leaves.  The stack below holds starts
+# that leave by every route, at different steps, one scenario each; the
+# terms a scenario does not use have coefficient 0 (exp's argument too, so
+# that it never overflows).
+
+_ROUTES_TEXT = (
+    "p1*(x1 - p2)^2 + p3/(x1 + p4) + p5*(x1^3/6 + 2*x1) + p6*(exp(p8*x1) - p8*x1) + p7*x1^4"
+)
+# (start, parameters, status, steps), as the start runs alone
+_ROUTES = [
+    (0.5, (1, 0.5, 0, 0, 0, 0, 0, 0), "converged", 0),  # gradient 0 at the start
+    (3.0, (1, 0.5, 0, 0, 0, 0, 0, 0), "converged", 1),  # lands on the root, gradient exactly 0
+    (1.0, (0, 0, 0, 10, 0, 1, 0, 1), "converged", 6),  # exp(x1) - x1 reaches gradient 0
+    (10.0, (0, 0, 1, 0, 0, 0, 0, 0), "stalled", 40),  # 1/x1: x1 grows by 1.5 a step, runs away
+    (1.0, (0, 0, 1, 0, 0, 0, 0, 0), "stalled", 46),
+    (0.0, (0, 0, 0, 10, 1, 0, 0, 0), "singular", 0),  # x1^3/6 + 2*x1: the Hessian x1 is 0
+    (2.0, (0, 0, 0, 10, 1, 0, 0, 0), "singular", 1),  # one step lands on x1 = 0
+    (4.0, (0, 0, 0, 10, 1, 0, 0, 0), "stalled", 10),  # the gradient cannot fall below 2
+    (-24.0, (0, 0, 0, 10, 0, 1, 0, 1), "stalled", 0),  # no decrease within 30 tries
+    (-5.0, (0, 0, 0, 10, 0, 1e-12, 0, 1), "converged", 0),  # no decrease within 2 tries
+    (1.0, (0, 0, 0, 10, 0, 0, 1, 0), "converged", NEWTON_MAX_ITERS),  # x1^4: only the cap stops it
+    (-10.0, (0, 0, 1, 10, 0, 0, 0, 0), "singular", 0),  # 1/(x1 + 10): undefined at the start
+]
+
+
+def _route_stack(routes):
+    """One stack of ``routes``, and each start's reference run alone."""
+    rf = _stack_rf(_ROUTES_TEXT, 1, [params for _, params, _, _ in routes])
+    X0 = np.array([[x0] for x0, _, _, _ in routes])
+    alone = [_newton_stop(rf, j + 1, X0[j]) for j in range(len(routes))]
+    for (_, _, want, steps), (_, _, it, status) in zip(routes, alone):
+        assert (status, it) == (want, steps)
+    return rf, X0, _params_rows(rf, rf.space.scenarios, 1), alone
+
+
+def test_starts_that_leave_by_every_route_match_the_sequential_newton():
+    rf, X0, P, alone = _route_stack(_ROUTES)
+    for order in (np.arange(len(X0)), np.arange(len(X0))[::-1]):
+        X, G, iters, status = _newton(rf, X0[order], P[order])
+        for row, j in enumerate(order):
+            x, g, it, want = alone[j]
+            assert (status[row], iters[row]) == (want, it), j
+            assert X[row].tobytes() == x.tobytes(), j
+            assert G[row].tobytes() == (np.full(1, np.nan) if g is None else g).tobytes(), j
+
+
+def _hessian_steps(x, g, it, status):
+    """How many Hessian stacks a start that ran alone as given is in."""
+    if g is None:  # its gradient is undefined at the start
+        return 0
+    if it == NEWTON_MAX_ITERS or sup_norm(g) == 0.0 or sup_norm(x) > 1e8:
+        return it  # it left at the top of step ``it``, before its Hessian
+    return it + 1  # it left at its Hessian or line search of step ``it``
+
+
+@pytest.mark.parametrize(
+    "picked",
+    [
+        range(len(_ROUTES)),
+        [8, 9],  # the last starts leave in the line search of one step
+        [5, 6],  # the last start leaves at a singular Hessian
+        [0, 1],  # the last start leaves at gradient 0
+        [3, 4, 7],
+    ],
+)
+def test_no_empty_stack_and_no_step_after_the_last_start_leaves(monkeypatch, picked):
+    rf, X0, P, alone = _route_stack([_ROUTES[j] for j in picked])
+    stacks = []
+    evaluate = optimize.eval_rows
+
+    def recording(c, X, P):
+        stacks.append((c is rf.hess_lowered, len(X)))
+        return evaluate(c, X, P)
+
+    monkeypatch.setattr(optimize, "eval_rows", recording)
+    _newton(rf, X0, P)
+    assert all(rows for _, rows in stacks)
+    taken = [_hessian_steps(*run) for run in alone]
+    hessians = [rows for is_hessian, rows in stacks if is_hessian]
+    assert hessians == [sum(t > step for t in taken) for step in range(max(taken))]

@@ -19,7 +19,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randopt.exprlang import _Compiler, compile_bundle, eval_batch, eval_grid, eval_rows, parse
+from randopt.exprlang import (
+    _Compiler,
+    compile_bundle,
+    differentiate,
+    eval_batch,
+    eval_bounds,
+    eval_grid,
+    eval_rows,
+    parse,
+)
 from test_evaluator_reference import K, N, trees
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-308, 1e200, 1e308, -1e308, math.inf, -math.inf, math.nan]
@@ -132,3 +141,61 @@ def test_parameters_come_one_row_each():
     got, valid = eval_rows(c, X, P)
     assert valid.all()
     assert got.tolist() == [[1.0, 0.0], [0.0, 1.0], [-8.0, 9.0]]
+
+
+# --- constants shared by every run -------------------------------------------------
+#
+# A lowering builds its constants' one-element arrays once, read-only, and
+# every run of it starts from them, so a result that is a constant is that
+# shared array.  Each evaluator must hand its caller arrays of its own.
+
+
+def _constant_results():
+    """The Hessian of x1^2 and the gradient of 3*x1 + x2^2: each holds a
+    result that is a constant (2 and 3)."""
+    square = parse("x1^2", 1)
+    mixed = parse("3*x1 + x2^2", 2)
+    return [
+        [differentiate(differentiate(square, 1), 1)],
+        [differentiate(mixed, 1), differentiate(mixed, 2)],
+    ]
+
+
+@pytest.mark.parametrize("exprs", _constant_results())
+def test_no_evaluator_hands_out_a_shared_constant(exprs):
+    n = exprs[0].n
+    X = np.linspace(-1.0, 1.0, 5 * n).reshape(5, n)
+    lowered = _Compiler([e.root for e in exprs])
+    runs = [lambda: eval_rows(lowered, X, np.empty((5, 0)))]
+    for e in exprs:
+        runs += [
+            lambda e=e: eval_batch(e, X),
+            lambda e=e: eval_grid(e, [X[:, j] for j in range(n)]),
+            lambda e=e: eval_bounds(e, X, X + 1.0),
+        ]
+    for run in runs:
+        first = run()
+        bits = [a.tobytes() for a in first]
+        for a in first:
+            a[...] = 7  # a caller writes into what it was given
+        assert [a.tobytes() for a in run()] == bits
+
+
+@pytest.mark.parametrize("exprs", _constant_results())
+def test_a_lowering_builds_its_constants_once(exprs, monkeypatch):
+    lowered = _Compiler([e.root for e in exprs])
+    n = exprs[0].n
+    X, P = np.ones((3, n)), np.empty((3, 0))
+    first = lowered.run_rows(X.T, P.T, np.ones(3, dtype=bool))
+    constants = lowered.constant_rows
+    assert constants and not any(a.flags.writeable for a in constants.values())
+    calls = []
+    full = np.full
+    monkeypatch.setattr(np, "full", lambda *args, **kw: calls.append(args) or full(*args, **kw))
+    second = lowered.run_rows(X.T, P.T, np.ones(3, dtype=bool))
+    lowered.run_bounds(X.T, X.T, P.T, np.ones(3, dtype=bool))
+    assert calls == []
+    assert lowered.constant_rows is constants
+    # a constant result is the shared array itself, in every run
+    shared = [a for a in first if any(a is c for c in constants.values())]
+    assert shared and all(any(a is b for b in second) for a in shared)
