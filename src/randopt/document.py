@@ -13,6 +13,16 @@ the document, a feasible set's per-scenario entry and the option overrides
 to that walk alike; only a part that is not clean goes through
 ``_reject_non_finite`` and jsonschema, which word the rejection; so
 jsonschema is imported only to explain one.
+
+Most of a document with many scenarios is per-scenario maps: scenario ids,
+weights, atoms, parameter vectors, candidate points and feasible-set
+entries.  Each is checked and built with a few passes of C functions over
+all of its values (a census of their types, ``math.isfinite``, set
+comparisons, ``map`` and ``zip``): by the walk, by the loader, and by
+``make_space`` and ``_require_finite`` below it.  A per-value loop runs
+only where such a pass fails, to word the failure, so an accepted document
+builds the same objects and a rejected one raises the same error, at the
+same pointer, as a check of one value at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import exprlang
 from .errors import (
@@ -32,7 +43,7 @@ from .errors import (
     WeightSumError,
 )
 from .optimize import SolverOptions
-from .probspace import ProbSpace, RandomVariableRn, Scenario, make_space
+from .probspace import ProbSpace, RandomVariableRn, Scenario, _finite, make_space
 from .randfunc import (
     Box,
     LevelSet,
@@ -119,14 +130,47 @@ def _fits_float(value: int) -> bool:
     return True
 
 
+# A list of numbers or of scenario ids, a list of number arrays and an
+# object of number arrays are checked by a census: the set of their types,
+# then one pass of a C function (``math.isfinite``, ``max``, ``min``) over
+# their values, with no check call per value.  A census only accepts; where
+# it cannot, the per-value checks answer, so every verdict is theirs.  A
+# list of fewer than ``_CENSUS_MIN`` numbers or ids, or fewer than
+# ``_VECTORS_MIN`` number arrays, goes to the per-value checks at once:
+# they are the faster there (CPython 3.11).
+_CENSUS_MIN = 16
+_VECTORS_MIN = 4
+_NUMBER_TYPES = frozenset({int, float})
+_FLOAT, _INT, _STR, _LIST = (frozenset({t}) for t in (float, int, str, list))
+
+
+def _finite_numbers(types: set, values: Iterable) -> bool:
+    """Whether ``values``, whose types are ``types``, are all ints and
+    floats, each finite and fitting a float: ``_is_number`` of each."""
+    return types <= _NUMBER_TYPES and _finite(values)
+
+
+def _finite_vectors(members: Iterable[list]) -> bool:
+    """Whether the lists ``members`` hold only finite numbers: one census
+    over all of their values."""
+    values = chain.from_iterable(members)
+    return _finite_numbers(set(map(type, values)), chain.from_iterable(members))
+
+
 def _clean(value: object) -> bool:
     """Whether ``value`` holds no NaN, infinity or integer too large for a
     float at any depth: the check of a schema that constrains nothing.
-    A type ``json.load`` never returns is not clean."""
+    A type ``json.load`` never returns is not clean.  A list of numbers,
+    or of lists of numbers, is checked by census."""
     t = type(value)
     if t is dict:
         return all(map(_clean, value.values()))
     if t is list:
+        types = set(map(type, value))
+        if types <= _NUMBER_TYPES:
+            return _finite(value)
+        if types <= _LIST and _finite_vectors(value):
+            return True
         return all(map(_clean, value))
     return _is_number(value) or t is str or t is bool or value is None
 
@@ -159,6 +203,60 @@ _SCALAR_TYPES = frozenset({"number", "integer", "string"})
 
 def _never(value: object) -> bool:
     return False
+
+
+def _numbers_census(values: list) -> bool:
+    """Whether a census accepts ``values`` as finite numbers."""
+    return _finite_numbers(set(map(type, values)), values)
+
+
+def _ids_census(values: list) -> bool:
+    """Whether a census accepts ``values`` as scenario ids: strings, or
+    ints whose largest and smallest fit a float."""
+    types = set(map(type, values))
+    return types <= _STR or (
+        types == _INT and _fits_float(max(values)) and _fits_float(min(values))
+    )
+
+
+def _vectors_census(least: int) -> Callable[[Iterable], bool]:
+    """Whether a census accepts ``members``, the members of a list or the
+    values of an object, as arrays of finite numbers with ``least`` items
+    at least."""
+
+    def vectors(members: Iterable) -> bool:
+        return (
+            set(map(type, members)) <= _LIST
+            and (not least or min(map(len, members)) >= least)
+            and _finite_vectors(members)
+        )
+
+    return vectors
+
+
+_NUMBER = {"type": "number"}
+_ID = {"type": ["integer", "string"]}
+_NUMBER_ARRAY_KEYS = frozenset({"type", "items", "minItems"})
+
+
+def _census(schema: object) -> tuple[int, Optional[Callable[[Iterable], bool]]]:
+    """The census of a list or an object whose members must each pass
+    ``schema``, and the fewest members it is tried on: for a number, a
+    scenario id, and an array of numbers with at most a ``minItems`` (a
+    parameter vector, a point, a bound).  None for any other schema."""
+    if type(schema) is not dict:
+        return 0, None
+    if schema == _NUMBER:
+        return _CENSUS_MIN, _numbers_census
+    if schema == _ID:
+        return _CENSUS_MIN, _ids_census
+    if (
+        schema.get("type") == "array"
+        and schema.get("items") == _NUMBER
+        and schema.keys() <= _NUMBER_ARRAY_KEYS
+    ):
+        return _VECTORS_MIN, _vectors_census(schema.get("minItems", 0))
+    return 0, None
 
 
 def _either(first: _Check, second: _Check) -> _Check:
@@ -243,19 +341,30 @@ class _SchemaCompiler:
         return check
 
     def _children(self, schema: dict) -> _Check:
-        """The check of a value's members; a scalar must be finite."""
+        """The check of a value's members; a scalar must be finite.  The
+        members of a list of numbers, of scenario ids or of number arrays,
+        and the values of an object that holds only number arrays, are
+        checked by census (``_census``) first."""
         props = {k: self.compile(s) for k, s in schema.get("properties", {}).items()}
-        extra = self.compile(schema.get("additionalProperties", True))
-        items = self.compile(schema.get("items", True))
+        extra_schema = schema.get("additionalProperties", True)
+        items_schema = schema.get("items", True)
+        extra = self.compile(extra_schema)
+        items = self.compile(items_schema)
+        least_values, values_census = (0, None) if props else _census(extra_schema)
+        least_items, items_census = _census(items_schema)
 
         def children(value: object) -> bool:
             t = type(value)
             if t is dict:
+                if values_census and len(value) >= least_values and values_census(value.values()):
+                    return True
                 for key, item in value.items():
                     if not props.get(key, extra)(item):
                         return False
                 return True
             if t is list:
+                if items_census and len(value) >= least_items and items_census(value):
+                    return True
                 return all(map(items, value))
             return _clean(value)
 
@@ -313,8 +422,7 @@ def _validate(value: object, pointer: str, part: str) -> None:
         _validate_schema(value, schema, pointer)
 
 
-def _scenario_key(scenario: Scenario) -> str:
-    return str(scenario)
+_scenario_key = str  # a scenario's key in a per-scenario map of a document
 
 
 def _integer(value: object) -> object:
@@ -330,38 +438,63 @@ def _with_options(opts: SolverOptions, raw: dict) -> SolverOptions:
     return replace(opts, **{_OPTION_FIELDS[name]: _integer(v) for name, v in raw.items()})
 
 
-def _lookup_per_scenario(
-    mapping: dict, index: dict[str, Scenario], pointer: str
-) -> dict[Scenario, object]:
-    """Resolve a JSON object keyed by str(scenario) against ``index``, each
-    of the space's scenarios under its key, in the space's order."""
-    out = {}
-    for key, value in mapping.items():
-        if key not in index:
-            raise SchemaError(_child(pointer, key), "unknown scenario id")
-        out[index[key]] = value
-    if len(out) < len(index):
-        missing = [key for key, s in index.items() if s not in out]
+def _ids(values: list) -> list:
+    """``values``, scenario ids, with each float read as its int
+    (``_integer``); a list that holds no float is returned as it is."""
+    return list(map(_integer, values)) if float in set(map(type, values)) else values
+
+
+def _scenarios_of(mapping: dict, index: dict[str, Scenario], pointer: str) -> Iterator[Scenario]:
+    """The scenario of each key of ``mapping``, a JSON object keyed by
+    str(scenario), in document order: keys ``"3", "1", "2"`` give 3, 1, 2.
+    SchemaError at the first key, in document order, that ``index`` does
+    not hold, else naming the scenarios, in the space's order, that
+    ``mapping`` misses.  The test is one comparison of the key sets."""
+    if mapping.keys() != index.keys():
+        for key in mapping:
+            if key not in index:
+                raise SchemaError(_child(pointer, key), "unknown scenario id")
+        missing = [key for key in index if key not in mapping]
         raise SchemaError(pointer, f"missing entries for scenarios {missing}")
-    return out
+    return map(index.__getitem__, mapping)
 
 
-def _shared_vectors(resolved: dict[Scenario, list]) -> dict[Scenario, tuple[float, ...]]:
-    """Each scenario's validated vector as a tuple of floats, with one
-    tuple per distinct bit pattern (``exact_key``): scenarios whose vectors
-    have the same bits hold one object, which every later step checks,
-    keys and compares once.  ``1`` and ``1.0`` share; ``0.0`` and ``-0.0``
-    do not.  The raw vector is keyed before a tuple is built, so a repeat
-    builds none: it holds finite ints and floats only, which ``exact_key``
-    packs as ``float()`` converts them."""
-    distinct: dict[bytes, tuple[float, ...]] = {}
-    out = {}
-    for s, vec in resolved.items():
+_HOLDS_ZERO = object()  # marks a vector equal to one holding 0.0 or -0.0
+
+
+def _shared_vectors(
+    mapping: dict, index: dict[str, Scenario], pointer: str
+) -> dict[Scenario, tuple[float, ...]]:
+    """Each scenario's validated vector in ``mapping``, a JSON object keyed
+    by str(scenario) (``_scenarios_of``), as a tuple of floats, in document
+    order, which the constructors' error order follows.
+
+    There is one tuple per distinct bit pattern (``exact_key``): scenarios
+    whose vectors have the same bits hold one object, which every later
+    step checks, keys and compares once.  ``1`` and ``1.0`` share;
+    ``0.0`` and ``-0.0`` do not.  A vector is looked up by its value
+    first, as ``tuple(vec)``, which builds no float: equal values have
+    equal bits but where they hold a zero, so only a vector equal to one
+    that holds a zero is keyed by its bits each time.  The vectors hold
+    finite ints and floats only, which ``exact_key`` packs as ``float()``
+    converts them."""
+    by_bits: dict[bytes, tuple[float, ...]] = {}
+    by_value: dict[tuple, object] = {}  # tuple(vec) -> its tuple of floats, or _HOLDS_ZERO
+
+    def shared(vec: list) -> tuple[float, ...]:
         key = exact_key(vec)
-        t = distinct.get(key)
+        t = by_bits.get(key)
         if t is None:
-            t = distinct[key] = tuple(map(float, vec))
-        out[s] = t
+            t = by_bits[key] = tuple(map(float, vec))
+        return t
+
+    out = {}
+    for s, vec in zip(_scenarios_of(mapping, index, pointer), mapping.values()):
+        value = tuple(vec)
+        t = by_value.get(value)
+        if t is None:
+            t = by_value[value] = _HOLDS_ZERO if 0 in value else shared(vec)
+        out[s] = shared(vec) if t is _HOLDS_ZERO else t
     return out
 
 
@@ -409,10 +542,13 @@ def _build_feasible(
             points = fields.get("points")
             if not points:
                 raise SchemaError(pointer, "point_cloud needs nonempty 'points'")
-            for i, p in enumerate(points):
-                if len(p) != n:
-                    raise SchemaError(f"{pointer}/points/{i}", f"point must have length {n}")
-            return PointCloud(tuple(tuple(float(v) for v in p) for p in points))
+            if set(map(len, points)) != {n}:
+                for i, p in enumerate(points):
+                    if len(p) != n:
+                        raise SchemaError(f"{pointer}/points/{i}", f"point must have length {n}")
+            if set(map(type, chain.from_iterable(points))) <= _FLOAT:
+                return PointCloud(tuple(map(tuple, points)))
+            return PointCloud(tuple(tuple(map(float, p)) for p in points))
         exprs = fields.get("expressions")
         if not exprs:
             raise SchemaError(pointer, "level_set needs nonempty 'expressions'")
@@ -427,11 +563,17 @@ def _build_feasible(
             raw, ("kind", "per_scenario"), "/feasible_set", "not allowed beside 'per_scenario'"
         )
         pointer = "/feasible_set/per_scenario"
-        entries = _lookup_per_scenario(raw["per_scenario"], index, pointer)
+        per = raw["per_scenario"]
+        entries = dict(zip(_scenarios_of(per, index, pointer), per.values()))
+        check = _parts()["entry"][1]
         sources = {s: (entries[s], _child(pointer, _scenario_key(s))) for s in space.scenarios}
-        for fields, at in sources.values():
-            _reject_fields(fields, used, at, unused)
-            _validate(fields, at, "entry")
+        # every entry is checked in one pass; the loop only words the first
+        # fault, in the space's order
+        fields_only = all(map(frozenset(used).issuperset, per.values()))
+        if not (fields_only and all(map(check, per.values()))):
+            for fields, at in sources.values():
+                _reject_fields(fields, used, at, unused)
+                _validate(fields, at, "entry")
         descs = {s: build(*sources[s], s) for s in space.scenarios}
     else:
         _reject_fields(raw, ("kind", *used), "/feasible_set", unused)
@@ -454,32 +596,27 @@ def load_problem(path: str) -> ProblemDocument:
 
     sp = raw["space"]
     try:
-        space = make_space(
-            [_integer(s) for s in sp["scenarios"]],
-            sp["weights"],
-            [[_integer(s) for s in atom] for atom in sp["atoms"]],
-        )
+        space = make_space(_ids(sp["scenarios"]), sp["weights"], list(map(_ids, sp["atoms"])))
     except WeightSumError as e:
         raise SchemaError("/space/weights", str(e)) from None
     except PartitionError as e:
         raise SchemaError(f"/space/{e.field}", str(e)) from None
 
-    index = {_scenario_key(s): s for s in space.scenarios}  # once per load
+    index = dict(zip(map(_scenario_key, space.scenarios), space.scenarios))  # once per load
     n = _integer(raw["dimension"])
     raw_params = raw["objective"].get("parameters")
     if raw_params is None:
-        params = {s: () for s in space.scenarios}
+        params = dict.fromkeys(space.scenarios, ())
         k = 0
     else:
-        resolved = _lookup_per_scenario(raw_params, index, "/objective/parameters")
-        lengths = {len(v) for v in resolved.values()}
+        params = _shared_vectors(raw_params, index, "/objective/parameters")
+        lengths = set(map(len, params.values()))
         if len(lengths) != 1:
             raise SchemaError(
                 "/objective/parameters",
                 f"parameter vectors have inconsistent lengths {sorted(lengths)}",
             )
         k = lengths.pop()
-        params = _shared_vectors(resolved)
     # ParseError and DimensionError propagate
     body = exprlang.parse(raw["objective"]["expression"], n, k)
     rf = RandomFunction(space, n, body, params)
@@ -494,12 +631,13 @@ def load_problem(path: str) -> ProblemDocument:
 
     candidate = None
     if "candidate" in raw:
-        resolved = _lookup_per_scenario(raw["candidate"], index, "/candidate")
-        for s, vec in resolved.items():
-            if len(vec) != n:
-                at = _child("/candidate", _scenario_key(s))
-                raise SchemaError(at, f"point must have length {n}")
-        candidate = RandomVariableRn(space, _shared_vectors(resolved))
+        values = _shared_vectors(raw["candidate"], index, "/candidate")
+        if set(map(len, values.values())) != {n}:
+            for s, vec in values.items():  # the first in document order
+                if len(vec) != n:
+                    at = _child("/candidate", _scenario_key(s))
+                    raise SchemaError(at, f"point must have length {n}")
+        candidate = RandomVariableRn(space, values)
 
     opts = _with_options(SolverOptions(), raw.get("options", {}))
     return ProblemDocument(space, n, rf, feasible, search_box, candidate, opts)

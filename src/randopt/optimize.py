@@ -360,10 +360,15 @@ def grid_axes(region: Box, m: int) -> list[np.ndarray]:
 
 def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
     """``np.linspace(lo, hi, count)``; where ``hi - lo`` passes the largest
-    double, the nodes of the halves doubled, which are exact."""
+    double, the nodes of the halves doubled, which are exact.  numpy forms
+    the last node as ``(count - 1) * step`` before setting it to ``hi``, a
+    product that can pass the largest double where ``hi - lo`` does not,
+    as on [3.175, 1.7976931348623157e308]; that overflow is not reported,
+    and every node numpy returns is finite."""
     if math.isinf(hi - lo):
         return 2.0 * np.linspace(lo / 2.0, hi / 2.0, count)
-    return np.linspace(lo, hi, count)
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, count)
 
 
 def grid_points(region: Box, m: int) -> np.ndarray:

@@ -30,7 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Hashable,
+    Iterable,
+    Mapping,
+    NoReturn,
+    Optional,
+    Sequence,
+)
 
 from .errors import DomainMismatch, PartitionError, RandoptError, WeightSumError
 
@@ -42,9 +53,24 @@ Scenario = Hashable
 WEIGHT_SUM_TOL = 1e-12
 
 
+def _finite(values: Iterable[float]) -> bool:
+    """Whether every number of ``values`` is finite, in one pass of
+    ``math.isfinite``; False at a number too large to convert to a float."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
 def _require_finite(values: Iterable[float], error: type[RandoptError]) -> None:
     """Raise ``error`` at the first NaN or infinity in ``values``, or at
-    the first number too large to convert to a float."""
+    the first number too large to convert to a float.  The test is one
+    pass (``_finite``); the values are walked one by one only to word a
+    failure."""
+    if type(values) is not tuple and type(values) is not list:
+        values = tuple(values)  # an iterator is read twice on failure
+    if _finite(values):
+        return
     for v in values:
         try:
             finite = math.isfinite(v)
@@ -77,6 +103,23 @@ def _sorted_ids(items: Iterable, key=None) -> list:
         raise PartitionError(f"scenario ids cannot be ordered: {e}", "scenarios") from None
 
 
+def _reject_members(block: Sequence[Scenario], id_set: set, seen: set) -> NoReturn:
+    """Raise PartitionError at the first member of ``block``, an atom, that
+    is no scenario or is one of ``seen``, the scenarios of the earlier
+    atoms, or of this atom before it."""
+    for s in block:
+        try:
+            known = s in id_set
+        except TypeError:  # unhashable, so no scenario id
+            known = False
+        if not known:
+            raise PartitionError(f"atom member {s!r} is not a scenario")
+        if s in seen:
+            raise PartitionError(f"scenario {s!r} appears in two atoms")
+        seen.add(s)
+    raise AssertionError("every member of the atom is a new scenario")
+
+
 def make_space(
     scenario_ids: Sequence[Scenario],
     weights: Sequence[float],
@@ -94,13 +137,14 @@ def make_space(
     if len(weights) != len(ids):
         raise PartitionError(f"{len(weights)} weights for {len(ids)} scenarios", "weights")
     try:
-        w = tuple(float(v) for v in weights)
+        w = tuple(map(float, weights))
     except OverflowError:
         raise WeightSumError("weight is not finite: it overflows a float") from None
     _require_finite(w, WeightSumError)
-    for v in w:
-        if v < 0.0:
-            raise WeightSumError(f"negative weight {v!r}")
+    if w and min(w) < 0.0:
+        for v in w:
+            if v < 0.0:
+                raise WeightSumError(f"negative weight {v!r}")
     total = sum(w)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumError(f"weights sum to {total!r}, not 1")
@@ -110,16 +154,15 @@ def make_space(
     for block in atom_partition:
         if not block:
             raise PartitionError("empty atom")
-        for s in block:
-            try:
-                known = s in id_set
-            except TypeError:  # unhashable, so no scenario id
-                known = False
-            if not known:
-                raise PartitionError(f"atom member {s!r} is not a scenario")
-            if s in seen:
-                raise PartitionError(f"scenario {s!r} appears in two atoms")
-            seen.add(s)
+        try:
+            members = set(block)
+        except TypeError:  # an unhashable member, so no scenario id
+            _reject_members(block, id_set, seen)
+        if not (
+            len(members) == len(block) and id_set.issuperset(members) and seen.isdisjoint(members)
+        ):
+            _reject_members(block, id_set, seen)
+        seen |= members
         atoms.append(tuple(_sorted_ids(block)))
     if seen != id_set:
         missing = _sorted_ids(id_set - seen)
@@ -151,10 +194,10 @@ class RandomVariableRn:
         _require_entries(self.space, self.values, "value")
         # a point that scenarios share is checked once, at its first holder
         points = {id(p): p for p in self.values.values()}.values()
-        dims = {len(p) for p in points}
+        dims = set(map(len, points))
         if len(dims) != 1:
             raise DomainMismatch(f"inconsistent value dimensions {sorted(dims)}")
-        _require_finite((v for p in points for v in p), DomainMismatch)
+        _require_finite(chain.from_iterable(points), DomainMismatch)
 
 
 @dataclass(frozen=True)

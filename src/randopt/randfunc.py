@@ -20,6 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
@@ -95,10 +96,9 @@ class PointCloud:
     def __post_init__(self):
         if not self.points:
             raise IncompatibleRepresentation("point cloud must be nonempty")
-        dims = {len(p) for p in self.points}
-        if len(dims) != 1:
+        if len(set(map(len, self.points))) != 1:
             raise IncompatibleRepresentation("point cloud mixes dimensions")
-        _require_finite((v for p in self.points for v in p), IncompatibleRepresentation)
+        _require_finite(chain.from_iterable(self.points), IncompatibleRepresentation)
 
     @property
     def dim(self) -> int:

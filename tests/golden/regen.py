@@ -48,7 +48,9 @@ DOCUMENTS = HERE / "documents"
 # three Hessian commands on a 3-D sum of double wells of two atoms, each
 # with 27 stationary points (8 PD, 18 indefinite, 1 ND), where the 3x3
 # minors are taken in closed form, and a necessary check in 4-D, where
-# the fourth minor is LAPACK's determinant
+# the fourth minor is LAPACK's determinant; last stationary and solve-rlop
+# on a search box up to the largest double, where numpy's last Newton-grid
+# product overflows though the span does not
 CORPUS = [
     (GALLERY / "quartic_double_well.json", "solve-rlop"),
     (GALLERY / "quartic_double_well.json", "solve-rop"),
@@ -98,6 +100,8 @@ CORPUS = [
     (DOCUMENTS / "wells_3d.json", "necessary"),
     (DOCUMENTS / "wells_3d.json", "solve-rlop"),
     (DOCUMENTS / "wells_4d.json", "necessary"),
+    (DOCUMENTS / "overflowing_linspace.json", "stationary"),
+    (DOCUMENTS / "overflowing_linspace.json", "solve-rlop"),
 ]
 
 

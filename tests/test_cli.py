@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -520,6 +521,29 @@ def test_a_large_finite_hessian_is_pd_in_a_fresh_report(tmp_path, capsys, docume
     else:
         n = json.loads((ERROR_DOCUMENTS / document).read_text())["dimension"]
         assert results["selection"]["points"]["1"] == [0.0] * n
+
+
+@pytest.mark.parametrize("command, expected", [("stationary", 0), ("solve-rlop", 2)])
+def test_a_newton_grid_whose_last_step_overflows_writes_a_fresh_report(
+    tmp_path, capsys, command, expected
+):
+    # search box [3.175, largest double] at newton_grid 4: hi - lo is finite,
+    # but np.linspace's last product arange * step passes the largest double
+    # before numpy sets the last node to hi.  A warning is an error here, as
+    # under python -X dev -W error
+    out = tmp_path / "report.json"
+    out.write_text("stale report from an earlier run")
+    argv = [command, "--input", str(ERROR_DOCUMENTS / "overflowing_linspace.json"), "--output", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == expected
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err and "Traceback" not in captured.err
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == expected
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text())
+    jsonschema.Draft202012Validator(schema).validate(report)
 
 
 NAN_CANDIDATE = {
