@@ -239,13 +239,13 @@ _ID = {"type": ["integer", "string"]}
 _NUMBER_ARRAY_KEYS = frozenset({"type", "items", "minItems"})
 
 
-def _census(schema: object) -> tuple[int, Optional[Callable[[Iterable], bool]]]:
-    """The census of a list or an object whose members must each pass
-    ``schema``, and the fewest members it is tried on: for a number, a
+def _census(schema: object) -> Optional[tuple[int, Callable[[Iterable], bool]]]:
+    """The fewest members a census is tried on, and the census, of a list
+    or an object whose members must each pass ``schema``: for a number, a
     scenario id, and an array of numbers with at most a ``minItems`` (a
     parameter vector, a point, a bound).  None for any other schema."""
     if type(schema) is not dict:
-        return 0, None
+        return None
     if schema == _NUMBER:
         return _CENSUS_MIN, _numbers_census
     if schema == _ID:
@@ -256,7 +256,7 @@ def _census(schema: object) -> tuple[int, Optional[Callable[[Iterable], bool]]]:
         and schema.keys() <= _NUMBER_ARRAY_KEYS
     ):
         return _VECTORS_MIN, _vectors_census(schema.get("minItems", 0))
-    return 0, None
+    return None
 
 
 def _either(first: _Check, second: _Check) -> _Check:
@@ -350,20 +350,24 @@ class _SchemaCompiler:
         items_schema = schema.get("items", True)
         extra = self.compile(extra_schema)
         items = self.compile(items_schema)
-        least_values, values_census = (0, None) if props else _census(extra_schema)
-        least_items, items_census = _census(items_schema)
+        values_census = None if props else _census(extra_schema)
+        items_census = _census(items_schema)
 
         def children(value: object) -> bool:
             t = type(value)
             if t is dict:
-                if values_census and len(value) >= least_values and values_census(value.values()):
+                if (
+                    values_census
+                    and len(value) >= values_census[0]
+                    and values_census[1](value.values())
+                ):
                     return True
                 for key, item in value.items():
                     if not props.get(key, extra)(item):
                         return False
                 return True
             if t is list:
-                if items_census and len(value) >= least_items and items_census(value):
+                if items_census and len(value) >= items_census[0] and items_census[1](value):
                     return True
                 return all(map(items, value))
             return _clean(value)
