@@ -103,7 +103,7 @@ def arrays(draw, size=None):
     if draw(st.integers(0, 15)) == 0:
         return copy.deepcopy(draw(st.sampled_from(ODD)))
     if size is None:
-        size = draw(st.sampled_from([0, 1, 2, 3, 15, 16, 17, 40]))
+        size = draw(st.sampled_from([0, 1, 2, 3, 4, 15, 16, 17, 40]))
     drawn = [draw(plain) for _ in range(min(size, 3))]  # repeated up to the size
     values = [drawn[i % len(drawn)] for i in range(size)]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
