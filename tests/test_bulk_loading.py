@@ -125,7 +125,7 @@ def id_lists(draw, count):
 
 @st.composite
 def documents(draw):
-    count = draw(st.sampled_from([1, 2, 4, 16, 17, 30]))
+    count = draw(st.sampled_from([1, 2, 4, 7, 8, 16, 17, 30]))  # each side of each census threshold
     scenarios = draw(id_lists(count))
     keys = [str(s) for s in scenarios]
     n = draw(st.integers(1, 3))
