@@ -239,6 +239,11 @@ def test_f_gradient_and_hessian_match_the_tree_walk(root, x, p, as_array):
         ("x1/(x1 - x1)", (1.0,)),
         ("(x1 - 1)^-2 + 1/(x1 - 1)", (1.0,)),
         ("cos(-x1)", (-math.inf,)),  # the same as sin(inf)
+        # a finite check that row runs skip (``_Compiler.covered``) fails
+        # first, before a later check that fails too
+        ("exp(x1) + 1/(x1 - 1000)", (1000.0,)),
+        ("2*x1^3 + 1/(x1 - 1e200)", (1e200,)),
+        ("exp(x1)*x1 + sqrt(800 - x1)", (1000.0,)),
     ],
 )
 def test_guards_match_the_tree_walk(text, x):
