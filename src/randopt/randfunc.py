@@ -321,8 +321,8 @@ class RandomFunction:
 
     # f is lowered as self.body.lowered; the gradient and the Hessian are
     # bundles of their own, since a Hessian entry can fail where the
-    # gradient is finite (f = (1e200*x1)^2).  Each is lowered once, for the
-    # stacks (exprlang.eval_rows), and rendered only for a scalar call.
+    # gradient is finite (f = (1e200*x1)^2).  Each is lowered once, and runs
+    # on stacks (exprlang.eval_rows) and on one row for a scalar call.
     @cached_property
     def grad_lowered(self) -> "exprlang._Compiler":
         return exprlang._Compiler([g.root for g in self.grad_exprs])
@@ -331,14 +331,6 @@ class RandomFunction:
     def hess_lowered(self) -> "exprlang._Compiler":
         """The n^2 Hessian entries, row by row."""
         return exprlang._Compiler([h.root for row in self.hess_exprs for h in row])
-
-    @cached_property
-    def grad_bundle(self) -> Callable[[Sequence, Sequence], tuple]:
-        return exprlang.compile_bundle(self.grad_lowered, self.n, self.body.k)
-
-    @cached_property
-    def hess_bundle(self) -> Callable[[Sequence, Sequence], tuple]:
-        return exprlang.compile_bundle(self.hess_lowered, self.n, self.body.k)
 
     def params_of(self, omega: Scenario) -> tuple[float, ...]:
         try:
@@ -409,7 +401,7 @@ def eval_f_batch(
 
 
 def gradient(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> np.ndarray:
-    return np.array(rf.grad_bundle(tuple(x), rf.params_of(omega)))
+    return np.array(exprlang.eval_row(rf.grad_lowered, rf.n, rf.body.k, x, rf.params_of(omega)))
 
 
 def symmetrize(H: np.ndarray) -> np.ndarray:
@@ -426,7 +418,7 @@ def symmetrize(H: np.ndarray) -> np.ndarray:
 
 def hessian(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> np.ndarray:
     """Symbolic Hessian, symmetrized (``symmetrize``)."""
-    H = np.array(rf.hess_bundle(tuple(x), rf.params_of(omega)), dtype=float)
+    H = np.array(exprlang.eval_row(rf.hess_lowered, rf.n, rf.body.k, x, rf.params_of(omega)))
     return symmetrize(H.reshape(rf.n, rf.n))
 
 

@@ -59,6 +59,8 @@ from .randfunc import (
     default_probe_grid,
     eval_f,
     first_of_input,
+    gradient,
+    hessian,
 )
 
 EQUATION_TOL = 1e-9
@@ -309,8 +311,8 @@ def check_necessary_conditions(
     H, hess_ok = _hessians(rf, X, P)
     if not (grad_ok & hess_ok).all():  # the scalar calls raise at the first undefined row
         i = int(np.argmin(grad_ok & hess_ok))
-        rf.grad_bundle(X[i].tolist(), P[i].tolist())
-        rf.hess_bundle(X[i].tolist(), P[i].tolist())
+        gradient(rf, distinct[i], X[i])
+        hessian(rf, distinct[i], X[i])
     _, classify = _classify_stack(H)
     rows: dict[Scenario, ScenarioConditions] = {}
     for j, (omega, g) in enumerate(zip(distinct, G)):

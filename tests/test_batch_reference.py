@@ -6,7 +6,7 @@ filled every leaf to N rows with ``np.full``.  It is verbatim but for the
 log and sqrt masks, which now also clear a row whose argument is NaN, as
 the scalar evaluator raises there, and for its parameters, which it reads
 as floats, as the scalar evaluator does.  ``eval_batch`` now runs
-the hash-consed steps that ``compile_bundle`` renders, with one-element
+the hash-consed steps that a scalar call runs on one row, with one-element
 leaves.  On every input both must return the same values (dtype, shape and
 bytes) and the same valid mask, or raise the same exception class with the
 same message.

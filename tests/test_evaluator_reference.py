@@ -1,4 +1,4 @@
-"""The compiled scalar evaluator against the tree walk it replaced.
+"""The scalar evaluator against the tree walk it replaced.
 
 ``_eval_node`` below is the previous evaluator, verbatim but for the bits
 and the overflow rule it shares with every evaluator.  It walked the tree
@@ -10,12 +10,14 @@ multiplication and calls numpy's ``exp``, ``log``, ``sin``, ``cos`` and
 does too.  It caught ``OverflowError``; numpy returns inf instead, so the
 walk raises the overflow error where a power or a function of a finite
 operand is not finite, and the values of numpy's calls are floats, as
-``math``'s were.  It reads its leaves as floats, as every bundle reads its
-inputs, so an ``np.float64`` input computes in Python floats.  ``evaluate``, ``eval_f``, ``gradient`` and ``hessian``
-now run straight-line code, compiled once per bundle, that computes each
-distinct subexpression once.  At every input they must return the same
-value (same bits, same type) or raise the same exception class with the
-same message.
+``math``'s were.  It reads its leaves as floats, as every evaluator reads
+its inputs, so an ``np.float64`` input computes as a float.  ``evaluate``,
+``eval_f``, ``gradient`` and ``hessian`` now run the lowered steps of
+their bundle, each distinct subexpression once, on one row with numpy's
+array kernels, and a row run skips the finite checks in
+``_Compiler.covered``, which a scalar call must not.  At every input they
+must return the same value (same bits, same type) or raise the same
+exception class with the same message.
 """
 
 import copy

@@ -36,7 +36,7 @@ def test_no_stale_golden_files():
 
 @pytest.mark.parametrize("stem", ["square_rounding", "exp_rounding"])
 def test_certificate_value_equals_eta(tmp_path, stem):
-    # solve-rlop certifies with the compiled bundles and oracle scans with
+    # solve-rlop certifies with one-row runs and oracle scans with
     # eval_grid; on p1^2 and exp(p1) they must give the same bits
     values = {}
     for command in ("solve-rlop", "oracle"):

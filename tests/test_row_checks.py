@@ -22,15 +22,16 @@ from randopt import exprlang
 from randopt.errors import DomainViolation
 from randopt.exprlang import (
     Call,
+    Env,
     Expression,
     Mul,
     Num,
     Pow,
     Var,
-    compile_bundle,
     eval_batch,
     eval_grid,
     eval_rows,
+    evaluate,
     parse,
 )
 from randopt.optimize import grid_axes
@@ -178,14 +179,20 @@ def test_an_overflow_feeding_a_step_that_can_end_it_keeps_its_check(root):
     assert not valid[np.abs(ROWS[:, 0]) > 1.8].any()
 
 
-def test_the_bundle_keeps_every_check():
-    # the scalar source raises at the first failing check, whose message
-    # the reports carry, so it renders every finite step
+def test_the_bundle_keeps_every_check(monkeypatch):
+    # a scalar call raises at the first failing check, whose message the
+    # reports carry, so its one-row run makes every finite check, the
+    # covered ones too; a stack of rows skips the covered ones
     e, c = _steps("((1e308*x1 + 1)*x2 - x1)*(x1 + x2) + 1")
     assert c.covered
-    source = "\n".join(c.source())
-    assert source.count("isfinite") == sum(op == "finite" for op, *_ in c.steps)
-    bundle = compile_bundle(c, N, K)
+    finite = sum(op == "finite" for op, *_ in c.steps)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a) or isfinite(a))
+    assert math.isfinite(evaluate(e, Env((0.5, 0.5), (0.0, 0.0))))
+    assert len(calls) == finite
+    calls.clear()
+    eval_batch(e, np.full((3, N), 0.5), (0.0, 0.0))
+    assert len(calls) == finite - len(c.covered)
     with pytest.raises(DomainViolation, match="non-finite intermediate result"):
-        bundle((10.0, 0.0), (0.0, 0.0))
-    assert math.isfinite(bundle((0.5, 0.5), (0.0, 0.0))[0])
+        evaluate(e, Env((10.0, 0.0), (0.0, 0.0)))

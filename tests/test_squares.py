@@ -1,7 +1,8 @@
 """A square is one multiplication, with the same bits in every evaluator.
 
-``u^2`` is ``u * u`` in the compiled bundles, in ``eval_rows``, in
-``eval_batch`` and ``eval_grid``, and when ``pow_`` folds a constant.  The
+``u^2`` is ``u * u`` in the tree walk of ``test_evaluator_reference.py``,
+in ``evaluate``, ``eval_rows``, ``eval_batch`` and ``eval_grid``, and when
+``pow_`` folds a constant.  The
 product is correctly rounded; the C library's ``pow`` misrounds about one
 square in a thousand, among them the square of ``SQUARE_BASE`` on glibc,
 so a square that went through ``pow`` in one evaluator and through numpy's
@@ -25,13 +26,13 @@ from randopt.exprlang import (
     Pow,
     Sub,
     Var,
-    compile_bundle,
     eval_batch,
     eval_grid,
     eval_rows,
     evaluate,
     parse,
 )
+from test_evaluator_reference import reference_evaluate
 
 SQUARE_BASE = -1.4119752588045307
 SQUARE = 1.9936741314761213  # SQUARE_BASE * SQUARE_BASE
@@ -43,14 +44,14 @@ def bits(v) -> bytes:
 
 def test_a_square_has_the_products_bits_in_every_evaluator():
     e = parse("x1^2", 1)
-    bundle = compile_bundle(e.lowered, 1, 0)
 
     def rows(count):
         return np.full((count, 1), SQUARE_BASE), np.empty((count, 0))
 
     got = {
         "evaluate": evaluate(e, Env((SQUARE_BASE,))),
-        "bundle at np.float64": bundle((np.float64(SQUARE_BASE),), ())[0],
+        "evaluate at np.float64": evaluate(e, Env((np.float64(SQUARE_BASE),))),
+        "tree walk": reference_evaluate(e, Env((SQUARE_BASE,))),
         "eval_rows on one row": eval_rows(e.lowered, *rows(1))[0][:, 0],
         "eval_rows on 39 rows": eval_rows(e.lowered, *rows(39))[0][:, 0],
         "eval_rows on 40 rows": eval_rows(e.lowered, *rows(40))[0][:, 0],
