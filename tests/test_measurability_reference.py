@@ -13,6 +13,7 @@ share one object, which the checks no longer compare.
 """
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -206,7 +207,16 @@ def random_sets(draw, kinds):
     return space, r.RandomSet(space, descs)
 
 
-OBJECTIVES = ["x1*p1 + p2", "x1^2 - p1*x1", "log(x1 - p1) + p2", "1/(x1 - p1)"]
+# the last two take the same values under vectors that differ in p1, so a
+# kernel whose bits depend on a row's place in a stack gives a false witness
+OBJECTIVES = [
+    "x1*p1 + p2",
+    "x1^2 - p1*x1",
+    "log(x1 - p1) + p2",
+    "1/(x1 - p1)",
+    "exp(x1) + 0*p1 + p2",
+    "sin(x1 + 0*p1)*p2",
+]
 
 
 @st.composite
@@ -317,6 +327,19 @@ def test_undefined_probe_in_a_later_scenario_raises_the_same_error():
     with pytest.raises(r.DomainViolation) as exc:
         r.check_joint_measurability(rf, [(-1.0,), (0.5,)])
     assert str(exc.value) == "objective undefined at probe (-1.0,) in scenario 2"
+
+
+@pytest.mark.parametrize(
+    "probes,message",
+    [([(0.5, 1.0)], "X must have shape (N, 1)"), ([()], "X must have shape (N, 1)"),
+     ([(0.5,), (0.5, 1.0)], None)],  # numpy words a ragged grid itself
+    ids=["long", "empty", "ragged"],
+)
+def test_probes_of_the_wrong_length_raise_a_value_error(probes, message):
+    space = _one_atom(2)
+    rf = r.RandomFunction(space, 1, r.parse("x1*p1", 1, 1), {1: (1.0,), 2: (2.0,)})
+    with pytest.raises(ValueError, match=message and re.escape(message)):
+        r.check_joint_measurability(rf, probes)
 
 
 def test_parameter_vectors_are_shared_between_equal_floats(monkeypatch):
