@@ -36,12 +36,13 @@ lowering and read-only, so each evaluator copies its results out), and
 each value is freed after its last use.  It skips the finite check of a
 value that only ``+ - *`` steps read (``covered``): those steps give a
 non-finite operand a non-finite value, which their own checks catch.
-``eval_batch`` runs it on the columns of an array, ``eval_rows`` on rows
-of inputs and parameters, and ``eval_grid`` on the axes of a grid, or of
-a stack of equal-shaped grids each with its own parameters, each axis
-shaped to broadcast along its own dimension, with the mask in the grid's
-(or stack's) shape.  Each reads every parameter as a float
-(``_param_columns``), so a bool or an int gets float arithmetic.
+``eval_rows`` runs it on stacks of rows, each row an input with its own
+parameters, and ``eval_grid`` on the axes of a grid, or of a stack of
+equal-shaped grids each with its own parameters, each axis shaped to
+broadcast along its own dimension, with the mask in the grid's (or
+stack's) shape.  ``eval_rows`` takes float arrays; ``eval_grid`` and
+``eval_bounds`` read every parameter as a float (``_param_columns``), so
+a bool or an int gets float arithmetic.
 
 A scalar call (``evaluate``, and ``randfunc``'s ``eval_f``, ``gradient``
 and ``hessian``) is a one-row run of the same steps (``eval_row``).  It
@@ -794,32 +795,13 @@ def _require_params(e: Expression, p) -> None:
         raise ValueError(f"p has length {np.shape(p)[-1]}, expected {e.k}")
 
 
-def eval_batch(
-    e: Expression, X: np.ndarray, p: Sequence[float] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate ``e`` at every row of ``X`` (shape (N, n)).
-
-    Returns ``(values, valid)`` where ``valid[i]`` is False whenever
-    ``evaluate`` raises at row i (domain violations, division by zero,
-    overflow), and ``values[i]`` is its value elsewhere, NaN there.  It
-    runs the steps of ``evaluate``, lowered once into ``e.lowered``; see
-    the module docstring for the leaves and frees.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != e.n:
-        raise ValueError(f"X must have shape (N, {e.n})")
-    _require_params(e, p)
-    valid = np.ones(X.shape[0], dtype=bool)
-    with np.errstate(all="ignore"):
-        values = e.lowered.run_rows(X.T, _param_columns(p), valid)[0]
-    return np.where(valid, values, np.nan), valid
-
-
 def eval_grid(
     e: Expression, axes: Sequence[np.ndarray], p=()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_batch`` at the nodes of the grid with these ``axes``, one per
-    variable, in the order of ``meshgrid(*axes, indexing="ij")`` raveled.
+    """``e`` at the nodes of the grid with these ``axes``, one per
+    variable, in the order of ``meshgrid(*axes, indexing="ij")`` raveled,
+    as ``eval_rows`` evaluates them at the grid's points: the values (NaN
+    where a node is not valid) and the mask of valid nodes.
 
     Axis i is loaded shaped (1, ..., m_i, ..., 1) and the mask has the
     grid's shape, so a step computes the grid's full shape only from the
@@ -857,7 +839,7 @@ def eval_bounds(
     for box i.
 
     Returns ``(least, proved)``, one entry per box: a lower bound on the
-    value that ``eval_grid`` or ``eval_batch`` returns at every valid point
+    value that ``eval_grid`` or ``eval_rows`` returns at every valid point
     of the box (-inf where there is none), and whether every point of the
     box is proved valid.  See ``_Compiler.run_bounds``.
     """

@@ -39,7 +39,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,8 +70,9 @@ from .randfunc import (
     SetDescription,
     column_all,
     column_max,
+    _params_rows,
+    _stacks,
     eval_f,
-    eval_f_batch,
     exact_key,
     first_of_input,
     gradient,
@@ -378,11 +379,6 @@ def grid_points(region: Box, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-# Newton and the convexity check stack at most this many rows at once,
-# splitting the scenarios (``_stacks``).
-NEWTON_STACK_ROWS = 1 << 15
-
-
 def _hessians(rf: RandomFunction, X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symmetrized Hessians at the rows of ``X`` (parameters in ``P``)
     as an (N, n, n) stack, and the mask of rows where they are defined;
@@ -541,25 +537,6 @@ def _line_search(
     return Xn, Gn, moved
 
 
-def _params_rows(rf: RandomFunction, scenarios: Sequence[Scenario], repeats: int) -> np.ndarray:
-    """The parameter vector of each scenario in turn, ``repeats`` rows each."""
-    P = np.array([rf.params_of(omega) for omega in scenarios], dtype=float)
-    return np.repeat(P.reshape(len(scenarios), rf.body.k), repeats, axis=0)
-
-
-def _stacks(
-    rf: RandomFunction, scenarios: Sequence[Scenario], points: Sequence[Point]
-) -> Iterator[tuple[Sequence[Scenario], np.ndarray, np.ndarray]]:
-    """All of ``points`` for each of ``scenarios`` in turn, in stacks of at
-    most ``NEWTON_STACK_ROWS`` rows (at least one scenario each): yields
-    each stack's scenarios, its point rows and its parameter rows."""
-    m = len(points)
-    per_stack = max(1, NEWTON_STACK_ROWS // m)
-    for lo in range(0, len(scenarios), per_stack):
-        chunk = scenarios[lo : lo + per_stack]
-        yield chunk, np.tile(points, (len(chunk), 1)), _params_rows(rf, chunk, m)
-
-
 def stationary_searches(
     rf: RandomFunction,
     scenarios: Sequence[Scenario],
@@ -569,7 +546,7 @@ def stationary_searches(
     """``find_stationary_points`` for each of ``scenarios``, in order: run
     once per distinct parameter vector (at its ``first_of_input``) and
     shared, with the starts of all runs in one Newton stack (of at most
-    ``NEWTON_STACK_ROWS`` rows; more runs take more stacks)."""
+    ``STACK_ROWS`` rows; more runs take more stacks)."""
     if region.dim != rf.n:
         raise IncompatibleRepresentation("region dimension differs from function")
     for omega in scenarios:
@@ -866,8 +843,8 @@ def scan_min(
                 raise IncompatibleRepresentation("set dimension differs from function")
             if isinstance(C_omega, PointCloud):
                 X = np.asarray(sorted(C_omega.points), dtype=float)
-                values, valid = eval_f_batch(rf, omega, X)
-                minima.add(np.array([i]), values[None], valid[None], lambda t, j: j)
+                values, valid = eval_rows(rf.body.lowered, X, _params_rows(rf, [omega], len(X)))
+                minima.add(np.array([i]), values.T, valid[None], lambda t, j: j)
                 points[i] = lambda at, X=X: tuple(float(v) for v in X[at])
                 continue
             key = exact_key(C_omega.lower + C_omega.upper)

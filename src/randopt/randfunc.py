@@ -9,8 +9,10 @@ descriptions: an axis-aligned box, a finite point cloud, or the zero set
 of smooth constraints clipped to a bounding box.
 
 Work that depends on a scenario only through its parameter vector and set
-description is done once per bit-exact input by :func:`per_distinct_input`,
-or by the caller at the scenarios that :func:`first_of_input` names.
+description is done once per bit-exact input, at the scenarios that
+:func:`first_of_input` names; the rows of such work for many scenarios go
+to ``exprlang.eval_rows`` in stacks of at most ``STACK_ROWS`` rows
+(``_stacks``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -339,9 +341,6 @@ class RandomFunction:
             raise DomainMismatch(f"scenario {omega!r} not in this space") from None
 
 
-T = TypeVar("T")
-
-
 def first_of_input(
     rf: RandomFunction,
     descriptions: Optional[Mapping[Scenario, Union[SetDescription, Point]]] = None,
@@ -373,31 +372,32 @@ def first_of_input(
     return out
 
 
-def per_distinct_input(
-    rf: RandomFunction,
-    compute: Callable[[Scenario], T],
-    descriptions: Optional[Mapping[Scenario, SetDescription]] = None,
-) -> dict[Scenario, T]:
-    """``compute(omega)`` for every scenario in the space's order, for work
-    that depends on omega only through its parameter vector and, if given,
-    its set description.  It runs at the first scenario of each input
-    (``first_of_input``), whose result later ones share, so the first
-    scenario that fails is the one that raises."""
-    results: dict[Scenario, T] = {}
-    for omega, first in first_of_input(rf, descriptions).items():
-        results[omega] = compute(omega) if first == omega else results[first]
-    return results
+# Every stack of scenario rows (Newton's, the convexity check's and the
+# joint measurability check's) holds at most this many rows (``_stacks``).
+STACK_ROWS = 1 << 15
+
+
+def _params_rows(rf: RandomFunction, scenarios: Sequence[Scenario], repeats: int) -> np.ndarray:
+    """The parameter vector of each scenario in turn, ``repeats`` rows each."""
+    P = np.array([rf.params_of(omega) for omega in scenarios], dtype=float)
+    return np.repeat(P.reshape(len(scenarios), rf.body.k), repeats, axis=0)
+
+
+def _stacks(
+    rf: RandomFunction, scenarios: Sequence[Scenario], points: Sequence[Point]
+) -> Iterator[tuple[Sequence[Scenario], np.ndarray, np.ndarray]]:
+    """All of ``points`` for each of ``scenarios`` in turn, in stacks of at
+    most ``STACK_ROWS`` rows (at least one scenario each): yields each
+    stack's scenarios, its point rows and its parameter rows."""
+    m = len(points)
+    per_stack = max(1, STACK_ROWS // m)
+    for lo in range(0, len(scenarios), per_stack):
+        chunk = scenarios[lo : lo + per_stack]
+        yield chunk, np.tile(points, (len(chunk), 1)), _params_rows(rf, chunk, m)
 
 
 def eval_f(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> float:
     return exprlang.evaluate(rf.body, exprlang.Env(tuple(x), rf.params_of(omega)))
-
-
-def eval_f_batch(
-    rf: RandomFunction, omega: Scenario, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized objective over rows of X; returns (values, valid mask)."""
-    return exprlang.eval_batch(rf.body, X, rf.params_of(omega))
 
 
 def gradient(rf: RandomFunction, omega: Scenario, x: Sequence[float]) -> np.ndarray:
@@ -432,25 +432,32 @@ def check_joint_measurability(
 
     Comparison is exact (tolerance 0): scenarios with identical parameters
     run the identical expression tree, so equality is bitwise.  f is
-    evaluated once per distinct parameter vector, and the atoms are scanned
-    by ``_first_failure``; the witness holds the first probe at which the
+    evaluated at every probe for each distinct parameter vector (at its
+    ``first_of_input``), in ``eval_rows`` stacks (``_stacks``), each row
+    with the bits it has alone; the first vector in the space's order with
+    an undefined probe raises, naming its first such probe.  Every scenario
+    holds its first's row of values, and the atoms are scanned by
+    ``_first_failure``; the witness holds the first probe at which the
     failing pair differs.
     """
     if not probe_grid:
         raise ValueError("probe grid must be nonempty")
     X = np.asarray([tuple(p) for p in probe_grid], dtype=float)
-
-    def evaluate(omega: Scenario) -> np.ndarray:
-        vals, valid = eval_f_batch(rf, omega, X)
+    if X.ndim != 2 or X.shape[1] != rf.n:
+        raise ValueError(f"X must have shape (N, {rf.n})")
+    m = len(X)
+    first = first_of_input(rf)
+    rows: dict[Scenario, np.ndarray] = {}
+    for chunk, stack, P in _stacks(rf, [omega for omega, f in first.items() if f == omega], X):
+        vals, valid = exprlang.eval_rows(rf.body.lowered, stack, P)
         if not valid.all():
-            bad = int(np.flatnonzero(~valid)[0])
+            bad = int(np.argmin(valid))
             raise DomainViolation(
-                f"objective undefined at probe {tuple(float(v) for v in X[bad])} "
-                f"in scenario {omega!r}"
+                f"objective undefined at probe {tuple(float(v) for v in X[bad % m])} "
+                f"in scenario {chunk[bad // m]!r}"
             )
-        return vals
-
-    values = per_distinct_input(rf, evaluate)
+        rows.update(zip(chunk, vals.reshape(len(chunk), m)))
+    values = {omega: rows[f] for omega, f in first.items()}
 
     def first_diff(a: Scenario, b: Scenario) -> int:  # 0 if a and b agree
         return int(np.argmax(values[a] != values[b]))

@@ -38,8 +38,6 @@ from .optimize import (
     _classify_stack,
     _hessians,
     _newton_diagnostics,
-    _params_rows,
-    _stacks,
     scan_min,
 )
 from .probspace import (
@@ -53,6 +51,8 @@ from .probspace import (
 )
 from .randfunc import (
     Box,
+    _params_rows,
+    _stacks,
     RandomFunction,
     RandomSet,
     check_joint_measurability,

@@ -2,7 +2,11 @@
 
 ``fd_check`` compares randopt's symbolic derivatives with central
 differences; the acceptance tests run it over an expression corpus.
-``polish_point`` Newton-refines a grid minimizer; the acceptance tests use
+``eval_each_row`` evaluates an expression at rows that all take one
+parameter vector, as a one-scenario stack of ``exprlang.eval_rows``; the
+references evaluate one scenario per call with it, so that each compares
+a stack of many scenarios with each scenario alone.  ``polish_point``
+Newton-refines a grid minimizer; the acceptance tests use
 it to confirm grid optima, and ``test_newton_reference.py`` compares it
 with its sequential reference.  ``box_contains`` is the membership test
 that the library's stationary searches replaced with one array mask; the
@@ -19,6 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from randopt.errors import EvalError
+from randopt.exprlang import Expression, eval_rows
 from randopt.optimize import (
     MARGIN_TOL,
     LocalMinCertificate,
@@ -26,10 +31,20 @@ from randopt.optimize import (
     SolverOptions,
     _certify,
     _newton,
-    _params_rows,
 )
 from randopt.probspace import Point, Scenario
-from randopt.randfunc import Box, RandomFunction, eval_f, gradient, hessian
+from randopt.randfunc import Box, RandomFunction, _params_rows, eval_f, gradient, hessian
+
+
+def eval_each_row(e: Expression, X, p: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_rows`` of ``e`` at every row of ``X`` (shape (N, n)), each
+    with ``p``, read as floats, as its parameter row: the values, NaN where
+    ``e`` is undefined, and the mask of the rows where it is defined."""
+    X = np.asarray(X, dtype=float)
+    P = np.tile(np.asarray(p, dtype=float), (len(X), 1)).reshape(len(X), e.k)
+    values, valid = eval_rows(e.lowered, X, P)
+    return values[:, 0], valid
+
 
 # --- finite-difference oracle -----------------------------------------------------
 

@@ -21,7 +21,7 @@ from randopt.document import load_problem
 from randopt.optimize import Definiteness, SolverOptions, jacobi_eigenvalues
 from randopt.selection import GlobalCert
 
-from numeric_helpers import fd_check, polish_point
+from numeric_helpers import eval_each_row, fd_check, polish_point
 
 GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
@@ -317,7 +317,7 @@ def test_criterion_7_sweep_minima_satisfy_necessary_conditions():
 
         axes = [np.linspace(lo, hi, m) for lo, hi in zip(box.lower, box.upper)]
         if n == 1:
-            values, valid = r.randfunc.eval_f_batch(rf, 1, axes[0][:, None])
+            values, valid = eval_each_row(rf.body, axes[0][:, None], rf.params_of(1))
             assert valid.all()
             interior = (
                 (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
@@ -327,7 +327,7 @@ def test_criterion_7_sweep_minima_satisfy_necessary_conditions():
         else:
             mesh = np.meshgrid(*axes, indexing="ij")
             X = np.stack([g.ravel() for g in mesh], axis=-1)
-            values, valid = r.randfunc.eval_f_batch(rf, 1, X)
+            values, valid = eval_each_row(rf.body, X, rf.params_of(1))
             assert valid.all()
             V = values.reshape(m, m)
             center = V[1:-1, 1:-1]

@@ -5,15 +5,16 @@ evaluator: a recursive walk that recomputed every shared subtree and
 filled every leaf to N rows with ``np.full``.  It is verbatim but for the
 log and sqrt masks, which now also clear a row whose argument is NaN, as
 the scalar evaluator raises there, and for its parameters, which it reads
-as floats, as the scalar evaluator does.  ``eval_batch`` now runs
-the hash-consed steps that a scalar call runs on one row, with one-element
-leaves.  On every input both must return the same values (dtype, shape and
-bytes) and the same valid mask, or raise the same exception class with the
-same message.
+as floats, as the scalar evaluator does.  ``eval_rows`` now runs the
+hash-consed steps that a scalar call runs on one row, with one-element
+leaves; here every row takes the parameters on a row of its own
+(``eval_each_row``).  On every input both must return the same values
+(dtype, shape and bytes) and the same valid mask, or raise the same
+exception class with the same message.
 
 ``eval_grid`` runs the same steps on a box's grid axes, each shaped to
 broadcast along its own dimension.  On every box and grid size it must
-return what ``eval_batch`` returns on the rows of ``grid_points``, bit for
+return what ``eval_rows`` returns on the rows of ``grid_points``, bit for
 bit, with the same mask.  On a stack of equal-shaped tiles of a grid, each
 with its own parameters, each row must be what ``eval_grid`` returns on
 that tile alone; and ``eval_bounds`` with a parameter row per box must
@@ -46,14 +47,16 @@ from randopt.exprlang import (
     Sub,
     Env,
     Var,
-    eval_batch,
     eval_bounds,
     eval_grid,
+    eval_rows,
     evaluate,
     parse,
 )
 from randopt.optimize import grid_axes, grid_points
-from randopt.randfunc import Box
+from randopt.probspace import make_space
+from randopt.randfunc import Box, RandomFunction, _params_rows, check_joint_measurability
+from numeric_helpers import eval_each_row
 
 # --- the previous batch evaluator -------------------------------------------------
 
@@ -214,9 +217,9 @@ _SIN = Call("sin", Pow(Param(1), 2))
 @given(trees, points(), ps)
 # np.square keeps a bool parameter's dtype, and sin then returns float16
 @example(Div(Mul(_SIN, _SIN), Call("cos", Pow(Param(1), 2))), np.zeros((0, N)), (False, 0.0))
-def test_eval_batch_matches_the_tree_walk(root, X, p):
+def test_eval_rows_matches_the_tree_walk(root, X, p):
     e = Expression(root, N, K)
-    assert outcome(eval_batch, e, X, p) == outcome(reference_eval_batch, e, X, p)
+    assert outcome(eval_each_row, e, X, p) == outcome(reference_eval_batch, e, X, p)
 
 
 # bounds whose grids hold nodes where steps overflow; no span overflows
@@ -239,10 +242,10 @@ def boxes(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(trees, boxes(), st.integers(2, 5), ps)
-def test_eval_grid_matches_eval_batch_on_the_grid_points(root, box, m, p):
+def test_eval_grid_matches_eval_rows_on_the_grid_points(root, box, m, p):
     e = Expression(root, box.dim, K)
     grid = outcome(eval_grid, e, grid_axes(box, m), p)
-    assert grid == outcome(eval_batch, e, grid_points(box, m), p)
+    assert grid == outcome(eval_each_row, e, grid_points(box, m), p)
 
 
 # --- fixed cases ------------------------------------------------------------------------
@@ -267,7 +270,7 @@ def test_eval_grid_matches_eval_batch_on_the_grid_points(root, box, m, p):
 def test_fixed_trees_match_the_tree_walk(text, p, rows):
     e = parse(text, N, K)
     X = np.linspace(-2.0, 2.0, 2 * rows).reshape(rows, N)
-    assert outcome(eval_batch, e, X, p) == outcome(reference_eval_batch, e, X, p)
+    assert outcome(eval_each_row, e, X, p) == outcome(reference_eval_batch, e, X, p)
 
 
 @pytest.mark.parametrize(
@@ -284,7 +287,10 @@ def test_every_runner_reads_int_and_bool_parameters_as_floats(text, p):
     floats = tuple(map(float, p))
     box = Box((-1.0, 0.5), (2.0, 3.0))
     X, axes = grid_points(box, 3), grid_axes(box, 3)
-    assert outcome(eval_batch, e, X, p) == outcome(eval_batch, e, X, floats)
+    # a stack's parameter rows, as every stack of scenarios builds them
+    P = _params_rows(RandomFunction(make_space([1], [1.0], [[1]]), N, e, {1: p}), [1], len(X))
+    rows = np.tile(floats, (len(X), 1))
+    assert outcome(eval_rows, e.lowered, X, P) == outcome(eval_rows, e.lowered, X, rows)
     assert outcome(eval_grid, e, axes, p) == outcome(eval_grid, e, axes, floats)
     if e.lowered.bounded:
         ends = np.array([box.lower]), np.array([box.upper])
@@ -295,10 +301,10 @@ def test_every_runner_reads_int_and_bool_parameters_as_floats(text, p):
 def test_non_finite_rows_match_the_tree_walk(text):
     e = parse(text, N, K)
     X = np.array([[math.nan, math.inf], [-math.inf, math.nan], [0.0, -0.0], [1.0, -1.0]])
-    assert outcome(eval_batch, e, X, (1.0, 2.0)) == outcome(reference_eval_batch, e, X, (1.0, 2.0))
+    assert outcome(eval_each_row, e, X, (1.0, 2.0)) == outcome(reference_eval_batch, e, X, (1.0, 2.0))
     # a row is valid exactly where the scalar evaluator returns, NaN rows
     # under log and sqrt included
-    _, valid = eval_batch(e, X, (1.0, 2.0))
+    _, valid = eval_each_row(e, X, (1.0, 2.0))
     for row, ok in zip(X, valid):
         try:
             evaluate(e, Env(tuple(row), (1.0, 2.0)))
@@ -313,22 +319,27 @@ def test_a_nan_reaching_log_or_sqrt_clears_its_row(text):
     e = parse(text, N, K)
     X = np.array([[math.nan, 1.0], [4.0, 1.0]])
     p = (math.nan,) if "p1" in text else (4.0,)
-    values, valid = eval_batch(e, X, p + (0.0,))
+    values, valid = eval_each_row(e, X, p + (0.0,))
     expected = [False, "p1" not in text]
     assert valid.tolist() == expected
     assert np.isnan(values[~valid]).all()
 
 
 def test_wrong_shapes_raise_as_before():
+    # the joint measurability check takes its probes from its caller, and
+    # raises the batch evaluator's error for probes whose length is not n
     e = parse("x1 + p1", N, K)
-    for X, p in ((np.zeros((3, 1)), (0.0, 0.0)), (np.zeros(3), (0.0, 0.0)), (np.zeros((3, 2)), (0.0,))):
-        assert outcome(eval_batch, e, X, p) == outcome(reference_eval_batch, e, X, p)
+    rf = RandomFunction(make_space([1, 2], [0.5, 0.5], [[1, 2]]), N, e, {1: (0.0, 0.0), 2: (1.0, 0.0)})
+    for X in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((3, 0))):
+        with pytest.raises(ValueError) as caught:
+            check_joint_measurability(rf, X.tolist())
+        assert ("raised", ValueError, str(caught.value)) == outcome(reference_eval_batch, e, X, (0.0, 0.0))
 
 
 def test_the_steps_are_lowered_once_per_expression():
     e = parse("log(x1) + x1*x2", N, K)
     first = e.lowered
-    eval_batch(e, np.ones((4, N)), (0.0, 0.0))
+    eval_each_row(e, np.ones((4, N)), (0.0, 0.0))
     assert e.lowered is first
     # one value step per distinct node, the finite checks as steps of their own
     assert [op for op, *_ in first.steps] == [
@@ -339,7 +350,7 @@ def test_the_steps_are_lowered_once_per_expression():
 def test_values_do_not_alias_the_input():
     e = parse("x1", N, K)
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    values, valid = eval_batch(e, X, (0.0, 0.0))
+    values, valid = eval_each_row(e, X, (0.0, 0.0))
     X[:] = 0.0
     assert values.tolist() == [1.0, 3.0] and valid.all()
     assert not np.shares_memory(values, X)

@@ -26,7 +26,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
-from randopt import optimize, selection
+from randopt import optimize, randfunc, selection
 from randopt.errors import DomainMismatch, EvalError
 from randopt.optimize import Definiteness, SolverOptions, sup_norm
 from randopt.probspace import is_measurable_rv
@@ -244,15 +244,15 @@ def convexity_problems(draw):
     return r.RandomFunction(space, 1, r.parse(draw(st.sampled_from(BODIES)), 1, 4), params), space
 
 
-# NEWTON_STACK_ROWS cuts Newton's stacks and the convexity check's alike
-# (optimize._stacks); each start and each probe row runs as it would
-# alone, so every cut must give the same verdicts.  A cut of 1 row makes a
+# STACK_ROWS cuts Newton's stacks, the convexity check's and the joint
+# measurability check's alike (randfunc._stacks); each start and each probe
+# row runs as it would alone, so every cut must give the same verdicts.  A cut of 1 row makes a
 # stack of one scenario's 35 probes, under the 40 rows below which a stack
 # once called the bundle per row
 @settings(max_examples=60, deadline=None)
 @given(
     convexity_problems(),
-    st.sampled_from([1, 2 * len(default_probe_grid(REGION)), optimize.NEWTON_STACK_ROWS]),
+    st.sampled_from([1, 2 * len(default_probe_grid(REGION)), randfunc.STACK_ROWS]),
 )
 def test_convex_verdicts_match_the_per_probe_loop(problem, stack_rows):
     rf, space = problem
@@ -277,7 +277,7 @@ def test_convex_verdicts_match_the_per_probe_loop(problem, stack_rows):
 
     with mock.patch.multiple(
         selection, _classify_stack=stacked, scan_min=scan
-    ), mock.patch.object(optimize, "NEWTON_STACK_ROWS", stack_rows):
+    ), mock.patch.object(randfunc, "STACK_ROWS", stack_rows):
         try:
             outcome = r.solve_rlop(rf, space, REGION, opts)
         except r.RandoptError:

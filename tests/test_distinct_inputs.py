@@ -307,7 +307,7 @@ def test_oracle_works_once_per_distinct_input(tmp_path, monkeypatch, seed):
 
     evals, grids = [], []
     scans = record_scans(monkeypatch, 3, 1, 10)  # 3 x 3 coarse tiles per grid
-    _counted(monkeypatch, exprlang, "eval_batch", evals)
+    _counted_everywhere(monkeypatch, exprlang.eval_rows, evals)
     _counted_everywhere(monkeypatch, optimize.grid_points, grids)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -544,10 +544,7 @@ def test_a_bad_top_level_box_raises_at_the_feasible_set(tmp_path, fields, messag
 def test_a_shared_set_runs_once_per_distinct_parameter_vector(tmp_path, kind):
     doc = _fixed_document("x1^2 + p1*x2 + p2", SHARED_PARAMS, TOP_LEVEL_SETS[kind])
     loaded = _load(tmp_path, doc)
-    seen = []
-    results = randfunc.per_distinct_input(
-        loaded.rf, lambda omega: seen.append(omega) or omega, loaded.feasible.descriptions
-    )
+    first = randfunc.first_of_input(loaded.rf, loaded.feasible.descriptions)
     # the first scenarios of PARAMS 0, 1 and 2, and each later one shares
-    assert seen == [1, 2, 4]
-    assert results == {1: 1, 2: 2, 3: 1, 4: 4, 5: 2, 6: 2, 7: 1, 8: 4}
+    assert [omega for omega, f in first.items() if f == omega] == [1, 2, 4]
+    assert first == {1: 1, 2: 2, 3: 1, 4: 4, 5: 2, 6: 2, 7: 1, 8: 4}

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from randopt import exprlang
 from randopt.errors import DimensionError, DivByZero, DomainViolation, EvalError, ParseError
-from randopt.exprlang import Env, differentiate, eval_batch, evaluate, parse
+from randopt.exprlang import Env, differentiate, evaluate, parse
+from numeric_helpers import eval_each_row
 
 
 # --- parsing ----------------------------------------------------------------
@@ -140,9 +141,9 @@ def test_a_constant_power_that_overflows_is_kept_unfolded():
 
 def test_a_constant_power_folds_with_the_evaluators_bits():
     # numpy's power and the C library's pow() give this cube different last
-    # bits on some hosts; the fold must have eval_batch's, which numpy's are
+    # bits on some hosts; the fold must have eval_rows', which numpy's are
     base = 0.16740182621363697
-    cube = eval_batch(parse("x1^3", 1), np.array([[base]]))[0][0]
+    cube = eval_each_row(parse("x1^3", 1), np.array([[base]]))[0][0]
     e = exprlang.substitute_params(parse("p1^3 + x1", 1, 1), (base,))
     assert e.root == exprlang.Add(exprlang.Num(float(cube)), exprlang.Var(1))
     assert evaluate(parse("x1^3", 1), Env((base,))) == cube
@@ -185,12 +186,12 @@ def test_eval_params():
     assert evaluate(e, Env((2.0,), (2.0,))) == 0.0
 
 
-def test_eval_batch_matches_scalar_and_masks():
+def test_eval_rows_matches_scalar_and_masks():
     import numpy as np
 
     e = parse("log(x1)", 1, 0)
     X = np.array([[1.0], [math.e], [-1.0], [0.0]])
-    values, valid = exprlang.eval_batch(e, X)
+    values, valid = eval_each_row(e, X)
     assert valid.tolist() == [True, True, False, False]
     assert values[0] == 0.0
     assert abs(values[1] - 1.0) < 1e-15
@@ -324,7 +325,7 @@ def test_substitute_params_folds_literals():
     assert evaluate(s, Env((1.0,))) == 5.0
 
 
-def test_eval_batch_leaves_no_reference_cycle():
+def test_eval_rows_leaves_no_reference_cycle():
     # with the cyclic collector off, the input array must die on del: the
     # evaluation holds no cycle that keeps it (and its mask) alive
     e = parse("log(x1) + x2*p1 - 1/x2", 2, 1)
@@ -333,7 +334,7 @@ def test_eval_batch_leaves_no_reference_cycle():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        values, valid = exprlang.eval_batch(e, X, (3.0,))
+        values, valid = eval_each_row(e, X, (3.0,))
         assert valid.tolist() == [True, True, False]
         del X
         assert ref() is None

@@ -4,7 +4,9 @@
 every pair of scenarios inside an atom and evaluated f once per scenario.
 The current checks compare each scenario with its atom's representative
 at tolerance 0 (``is_measurable_rv`` keeps the pairwise scan at tolerance
-> 0), and evaluate f once per distinct parameter vector.  The inputs are
+> 0), and evaluate f once per distinct parameter vector, every vector's
+probes in one stack of rows; the reference evaluates each scenario's
+probes in a call of their own.  The inputs are
 finite, as every constructor requires.  On them the checks must return the
 same verdict and the same witness, bit for bit, or raise the same error.
 ``_hausdorff`` is the previous scalar Hausdorff loop: the distance of point
@@ -21,8 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import randopt as r
-from randopt import randfunc
-from randopt.randfunc import eval_f_batch
+from randopt import exprlang, randfunc
+from numeric_helpers import eval_each_row
 
 # --- the previous pairwise scans ----------------------------------------------
 
@@ -64,7 +66,7 @@ def reference_check_joint_measurability(rf, probe_grid):
     X = np.asarray([tuple(p) for p in probe_grid], dtype=float)
     values = {}
     for omega in rf.space.scenarios:
-        vals, valid = eval_f_batch(rf, omega, X)
+        vals, valid = eval_each_row(rf.body, X, rf.params_of(omega))
         if not valid.all():
             bad = int(np.flatnonzero(~valid)[0])
             raise r.DomainViolation(
@@ -345,14 +347,16 @@ def test_probes_of_the_wrong_length_raise_a_value_error(probes, message):
 def test_parameter_vectors_are_shared_between_equal_floats(monkeypatch):
     # True and 1.0 have the same float bytes, and every evaluator reads a
     # parameter as a float, so f(., x) = p1 + p1 is 2.0 in both scenarios,
-    # evaluated once
+    # evaluated once: one stack of one row, with scenario 1's vector
     space = _one_atom(2)
     rf = r.RandomFunction(space, 1, r.parse("p1 + p1", 1, 1), {1: (True,), 2: (1.0,)})
     calls = []
-    original = randfunc.eval_f_batch
-    monkeypatch.setattr(randfunc, "eval_f_batch", lambda *a: calls.append(a[1]) or original(*a))
+    original = exprlang.eval_rows
+    monkeypatch.setattr(
+        exprlang, "eval_rows", lambda c, X, P: calls.append(P.tolist()) or original(c, X, P)
+    )
     v = r.check_joint_measurability(rf, [(0.0,)])
-    assert v.measurable and calls == [1]
+    assert v.measurable and calls == [[[1.0]]]
     assert r.eval_f(rf, 1, (0.0,)) == r.eval_f(rf, 2, (0.0,)) == 2.0
     assert_same_verdict(v, reference_check_joint_measurability(rf, [(0.0,)]))
 

@@ -42,7 +42,6 @@ from randopt.optimize import (
     StationarySearch,
     _hessians,
     _newton,
-    _params_rows,
     _searches,
     _solve_stack,
     classify_definiteness,
@@ -51,7 +50,7 @@ from randopt.optimize import (
     stationary_searches,
     sup_norm,
 )
-from randopt.randfunc import eval_f, gradient, hessian
+from randopt.randfunc import _params_rows, eval_f, gradient, hessian
 
 from numeric_helpers import box_contains, polish_point
 

@@ -6,7 +6,7 @@ it ran every finite check.  ``run_rows`` now skips the checks in
 ``_Compiler.covered``, those of a value that is no result and that only
 ``+ - *`` steps read: a non-finite operand gives those steps a non-finite
 value (inf - inf and inf * 0 give NaN), and each of them is checked.
-``eval_batch``, ``eval_grid`` and ``eval_rows`` must return the same
+``eval_grid`` and ``eval_rows`` must return the same
 values and masks, dtype, shape and bytes, as with the reference loop.
 Checks read by a denominator, ``exp``, a power, a negation or a zero test
 stay, since those steps can make a non-finite value finite.
@@ -28,13 +28,13 @@ from randopt.exprlang import (
     Num,
     Pow,
     Var,
-    eval_batch,
     eval_grid,
     eval_rows,
     evaluate,
     parse,
 )
 from randopt.optimize import grid_axes
+from numeric_helpers import eval_each_row
 from test_batch_reference import K, N, boxes, outcome, points, ps, trees
 
 # --- the previous step loop ---------------------------------------------------------
@@ -86,10 +86,9 @@ def every_check(fn, *args):
 
 
 def assert_same_rows(e: Expression, X: np.ndarray, p):
-    """eval_batch at the rows of ``X``, eval_rows there with ``p`` on
-    every row, and eval_grid on ``X``'s columns as axes, each against the
-    reference loop."""
-    assert outcome(eval_batch, e, X, p) == every_check(eval_batch, e, X, p)
+    """eval_rows at the rows of ``X`` with ``p`` on every row, and
+    eval_grid on ``X``'s columns as axes, each against the reference
+    loop."""
     axes = [np.unique(X[:, j]) if len(X) else np.zeros(1) for j in range(e.n)]
     assert outcome(eval_grid, e, axes, p) == every_check(eval_grid, e, axes, p)
     P = np.tile(np.asarray(p, dtype=float), (len(X), 1))
@@ -155,7 +154,7 @@ def test_an_overflow_feeding_sums_and_products_clears_the_same_rows(text, skippe
     e, c = _steps(text)
     assert len(c.covered) == skipped
     assert_same_rows(e, ROWS, (0.0, 0.0))
-    valid = eval_batch(e, ROWS, (0.0, 0.0))[1]
+    valid = eval_each_row(e, ROWS, (0.0, 0.0))[1]
     assert not valid.all() and valid.any()
 
 
@@ -175,7 +174,7 @@ def test_an_overflow_feeding_a_step_that_can_end_it_keeps_its_check(root):
     assert_same_rows(e, ROWS, (0.0, 0.0))
     # the rows are cleared where 1e308*x1 overflows, though the steps after
     # it can give a finite root there
-    valid = eval_batch(e, ROWS, (0.0, 0.0))[1]
+    valid = eval_each_row(e, ROWS, (0.0, 0.0))[1]
     assert not valid[np.abs(ROWS[:, 0]) > 1.8].any()
 
 
@@ -192,7 +191,7 @@ def test_the_bundle_keeps_every_check(monkeypatch):
     assert math.isfinite(evaluate(e, Env((0.5, 0.5), (0.0, 0.0))))
     assert len(calls) == finite
     calls.clear()
-    eval_batch(e, np.full((3, N), 0.5), (0.0, 0.0))
+    eval_each_row(e, np.full((3, N), 0.5), (0.0, 0.0))
     assert len(calls) == finite - len(c.covered)
     with pytest.raises(DomainViolation, match="non-finite intermediate result"):
         evaluate(e, Env((10.0, 0.0), (0.0, 0.0)))

@@ -1,7 +1,7 @@
 """The row kernels against the tree walk whose bits they keep.
 
 ``exprlang.eval_rows`` runs lowered steps on the rows of an array with
-numpy's array kernels, which ``eval_batch`` and ``eval_grid`` run too.
+numpy's array kernels, which ``eval_grid`` runs too.
 The bundle is the lowered trees, and ``reference_evaluate`` of
 ``test_evaluator_reference.py`` walks each of them in turn, calling
 numpy's ufuncs on floats for ``exp``, ``log``, ``sin``, ``cos`` and every
@@ -10,8 +10,9 @@ exactly when the walk, given that row as ``optimize`` gives it
 (``tuple(x)`` of ``np.float64`` elements, the parameters as floats),
 returns from every tree; and there every value must have the walk's bits.
 The trees are those of ``test_evaluator_reference.py``.  On seeded rows,
-``eval_batch``, ``eval_grid`` and ``evaluate`` called with floats must
-agree with it too.
+``eval_rows`` with the parameters on a row of each row
+(``eval_each_row``), ``eval_grid`` and ``evaluate`` called with floats
+must agree with it too.
 """
 
 import math
@@ -26,13 +27,13 @@ from randopt.exprlang import (
     Expression,
     _Compiler,
     differentiate,
-    eval_batch,
     eval_bounds,
     eval_grid,
     eval_rows,
     evaluate,
     parse,
 )
+from numeric_helpers import eval_each_row
 from test_evaluator_reference import K, N, outcome, reference_evaluate, trees
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-308, 1e200, 1e308, -1e308, math.inf, -math.inf, math.nan]
@@ -99,7 +100,7 @@ def test_seeded_rows_match_the_bundle(text):
     valid = assert_rows_match([e.root], X, P)
     assert valid.any()
     values = eval_rows(e.lowered, X, P)[0][:, 0]
-    for got, mask in (eval_batch(e, X), eval_grid(e, [X[:, 0]])):
+    for got, mask in (eval_each_row(e, X), eval_grid(e, [X[:, 0]])):
         assert mask.tolist() == valid.tolist()
         assert got.tobytes() == values.tobytes()
     want = [(struct.pack("<d", v),) if ok else None for v, ok in zip(values, valid)]
@@ -185,7 +186,7 @@ def test_no_evaluator_hands_out_a_shared_constant(exprs):
     runs = [lambda: eval_rows(lowered, X, np.empty((5, 0)))]
     for e in exprs:
         runs += [
-            lambda e=e: eval_batch(e, X),
+            lambda e=e: eval_each_row(e, X),
             lambda e=e: eval_grid(e, [X[:, j] for j in range(n)]),
             lambda e=e: eval_bounds(e, X, X + 1.0),
         ]

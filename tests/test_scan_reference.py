@@ -55,8 +55,9 @@ from randopt.exprlang import (
 )
 from randopt.optimize import GlobalMinResult, grid_axes
 from randopt.probspace import Point, Scenario
-from randopt.randfunc import Box, PointCloud, RandomFunction, eval_f_batch
+from randopt.randfunc import Box, PointCloud, RandomFunction
 from randopt.selection import EQUATION_TOL
+from numeric_helpers import eval_each_row
 from scan_records import patch_everywhere, record_scans, scanned_grids, set_tiles
 from test_solve_rop_reference import _outcome, _random_instance, reference_solve_rop
 
@@ -96,7 +97,7 @@ def reference_scan_feasible(
             return tuple(float(a[j]) for a, j in zip(axes, np.unravel_index(i, shape)))
     else:
         X = np.asarray(sorted(C_omega.points), dtype=float)
-        values, valid = eval_f_batch(rf, omega, X)
+        values, valid = eval_each_row(rf.body, X, rf.params_of(omega))
 
         def point(i: int) -> Point:
             return tuple(float(v) for v in X[i])

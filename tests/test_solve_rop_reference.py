@@ -21,7 +21,8 @@ from randopt import exprlang
 from randopt.errors import EvalError, RandoptError
 from randopt.optimize import SolverOptions
 from randopt.selection import EQUATION_TOL, GlobalCert
-from scan_records import record_scans, scanned_grids
+from numeric_helpers import eval_each_row
+from scan_records import patch_everywhere, record_scans, scanned_grids
 
 
 def _reference_grid_min(rf, omega, desc, grid_m):
@@ -42,7 +43,7 @@ def _reference_grid_min(rf, omega, desc, grid_m):
         raise r.IncompatibleRepresentation(
             f"grid minimization needs a Box or PointCloud, got {type(desc).__name__}"
         )
-    values, valid = exprlang.eval_batch(rf.body, X, rf.params_of(omega))
+    values, valid = eval_each_row(rf.body, X, rf.params_of(omega))
     excluded = int(np.count_nonzero(~valid))
     if excluded == len(X):
         raise r.DomainViolation(
@@ -76,7 +77,7 @@ def reference_solve_rop(rf, space, C, opts):
             ]
             mesh = np.meshgrid(*axes, indexing="ij")
             X = np.stack([g.ravel() for g in mesh], axis=-1)
-            values, valid = exprlang.eval_batch(rf.body, X, rf.params_of(rep))
+            values, valid = eval_each_row(rf.body, X, rf.params_of(rep))
             mask = valid & (np.abs(values - target) <= EQUATION_TOL)
             sol = tuple(float(v) for v in X[int(np.flatnonzero(mask)[0])])
         else:
@@ -190,14 +191,14 @@ def test_solve_rop_scans_each_representative_once(monkeypatch):
     C = r.RandomSet(space, {s: r.Box((-2.0, -2.0), (2.0, 2.0)) for s in space.scenarios})
     grid_m = 81  # nodes every 0.05, so the wells at +-0.5 +- 1 are nodes
     rows = []
-    eval_batch = exprlang.eval_batch
+    eval_rows = exprlang.eval_rows
 
-    def counting_rows(e, X, p=()):
+    def counting_rows(c, X, P):
         rows.append(len(X))
-        return eval_batch(e, X, p)
+        return eval_rows(c, X, P)
 
     scans = record_scans(monkeypatch, 40, 8, 2000)  # 3 x 3 coarse tiles per grid
-    monkeypatch.setattr(exprlang, "eval_batch", counting_rows)
+    patch_everywhere(monkeypatch, eval_rows, counting_rows)
     sel = r.solve_rop(rf, space, C, SolverOptions(grid_m=grid_m))
     # one scan of the axes per atom, all in one call, no node evaluated
     # twice and every tile left out excluded by the bound; the rows are the

@@ -1,7 +1,7 @@
 """A square is one multiplication, with the same bits in every evaluator.
 
 ``u^2`` is ``u * u`` in the tree walk of ``test_evaluator_reference.py``,
-in ``evaluate``, ``eval_rows``, ``eval_batch`` and ``eval_grid``, and when
+in ``evaluate``, ``eval_rows`` and ``eval_grid``, and when
 ``pow_`` folds a constant.  The
 product is correctly rounded; the C library's ``pow`` misrounds about one
 square in a thousand, among them the square of ``SQUARE_BASE`` on glibc,
@@ -26,12 +26,12 @@ from randopt.exprlang import (
     Pow,
     Sub,
     Var,
-    eval_batch,
     eval_grid,
     eval_rows,
     evaluate,
     parse,
 )
+from numeric_helpers import eval_each_row
 from test_evaluator_reference import reference_evaluate
 
 SQUARE_BASE = -1.4119752588045307
@@ -55,7 +55,7 @@ def test_a_square_has_the_products_bits_in_every_evaluator():
         "eval_rows on one row": eval_rows(e.lowered, *rows(1))[0][:, 0],
         "eval_rows on 39 rows": eval_rows(e.lowered, *rows(39))[0][:, 0],
         "eval_rows on 40 rows": eval_rows(e.lowered, *rows(40))[0][:, 0],
-        "eval_batch": eval_batch(e, rows(3)[0])[0],
+        "eval_rows on 3 rows, a parameter row each": eval_each_row(e, rows(3)[0])[0],
         "eval_grid": eval_grid(e, [np.array([SQUARE_BASE])])[0],
     }
     for where, values in got.items():
@@ -72,7 +72,7 @@ def test_a_constant_square_folds_to_the_product():
     assert exprlang.pow_(Num(1e200), 2) == Pow(Num(1e200), 2)
 
 
-# --- evaluate against eval_batch on sums, differences, products and squares ---
+# --- evaluate against eval_rows on sums, differences, products and squares ---
 
 N, K = 2, 1
 numbers = st.one_of(
@@ -101,13 +101,13 @@ polynomials = st.recursive(leaves, _extend, max_leaves=8)
 
 @settings(max_examples=150, deadline=None)
 @given(polynomials, st.tuples(*[numbers] * N), st.tuples(*[numbers] * K))
-def test_evaluate_and_eval_batch_agree_bit_for_bit(root, x, p):
+def test_evaluate_and_eval_rows_agree_bit_for_bit(root, x, p):
     # the drawn point, then seeded ordinary ones: pow misrounds about one
     # square in a thousand of these
     ordinary = np.random.default_rng(0).uniform(-5.0, 5.0, (256, N))
     X = np.concatenate([np.array([x]), ordinary])
     e = Expression(root, N, K)
-    values, valid = eval_batch(e, X, p)
+    values, valid = eval_each_row(e, X, p)
     for i, row in enumerate(X.tolist()):
         try:
             want = evaluate(e, Env(tuple(row), p))
